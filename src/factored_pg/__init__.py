@@ -11,6 +11,7 @@ from .baselines import (
     BaselineSpec,
     BaselineState,
     QModel,
+    TableModel,
     fit_q,
     mc_marginalized_baseline,
     mean_marginalized_baseline,

@@ -1,9 +1,27 @@
-"""Per-factor baselines: fitted, marginalized, and variance-optimal estimators.
+"""Per-factor baselines: one regression shape plus a marginalization rule.
 
 A baseline for factor i may depend on the state and every *other* factor's
 value but never on a^i itself; that restriction alone makes the score-weighted
 correction exactly mean-zero, so all variants below leave the gradient
 estimator unbiased and differ only in variance.
+
+Every kind is the same thing: a regression of the return-to-go qhat on
+(s, a[keep_i]). When keep_i contains factor i, a^i is marginalized out of the
+fitted model by the kind's rule:
+
+    kind                        keep_i                  rule when i in keep_i
+    state_value, optimal_state  {} (the state alone)    none needed
+    dag                         non-descendants of i    none needed
+    mean_q                      every factor            mean substitution
+    mc_q                        every factor            exact support sum
+                                                        (``exact``) or a
+                                                        Monte-Carlo mean
+    optimal_action              every factor            score-norm-weighted ratio
+
+``optimal_state`` weights its regression by the squared joint score norm. One
+model is fitted per distinct keep set. With ``tabular`` the regression is a
+table of exact group means keyed on the whole rounded input row, and rows the
+table has not seen predict 0.
 
 Fitting follows the training-loop convention: baselines are evaluated with
 models fitted on the previous iteration's batch; the first iteration uses an
@@ -12,10 +30,11 @@ all-zero model, so early advantages are raw returns-to-go.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ZeroScoreNormError
 from .features import (
     FeatureMap,
     LinearModel,
@@ -42,17 +61,13 @@ class BaselineSpec:
     """Which baseline to run and how to approximate the functions it needs.
 
     ``exact`` switches Monte-Carlo marginalization to an exact sum over a
-    categorical factor's support. ``max_aggregation`` replaces the mean over
-    marginalization candidates with a max (an experimental aggregator; still
-    ignores the factor's own sampled value, hence still bias-free).
-    ``tabular`` replaces regressions with exact group-mean tables for
-    discrete problems.
+    categorical factor's support. ``tabular`` replaces regressions with exact
+    group-mean tables for discrete problems.
     """
 
     kind: str
     mc_samples: int = 10
     exact: bool = False
-    max_aggregation: bool = False
     features: str = "linear"  # linear | quadratic | rff
     n_features: int = 100
     ridge: float | None = None
@@ -68,14 +83,54 @@ class BaselineSpec:
 
 
 # ---------------------------------------------------------------------------
-# fitted Q on (state, action)
+# the regression on (state, kept action columns)
+
+
+def _rounded(inputs: np.ndarray) -> np.ndarray:
+    return np.rint(np.atleast_2d(inputs)).astype(np.int64)
+
+
+@dataclass
+class TableModel:
+    """Exact group means of the targets, keyed on the whole rounded input row.
+
+    The ridge-free regression on one-hot row indicators. Rows never seen in
+    the fit, or seen only with zero total weight, predict 0.
+    """
+
+    keys: np.ndarray  # (n_rows, input_dim) integers
+    values: np.ndarray  # (n_rows,)
+
+    @classmethod
+    def fit(cls, inputs, targets, sample_weights=None) -> "TableModel":
+        keys, rows = np.unique(_rounded(inputs), axis=0, return_inverse=True)
+        rows = rows.ravel()
+        w = np.ones(len(rows)) if sample_weights is None else np.asarray(sample_weights, float)
+        num = np.bincount(rows, weights=w * targets, minlength=len(keys))
+        den = np.bincount(rows, weights=w, minlength=len(keys))
+        seen = den > 0
+        return cls(keys[seen], num[seen] / den[seen])
+
+    def predict(self, inputs: np.ndarray) -> np.ndarray:
+        both = np.vstack([self.keys, _rounded(inputs)])
+        _, rows = np.unique(both, axis=0, return_inverse=True)
+        rows = rows.ravel()
+        lookup = np.zeros(len(both))
+        lookup[rows[: len(self.keys)]] = self.values
+        return lookup[rows[len(self.keys):]]
+
+    def descriptor(self) -> dict:
+        return {"kind": "table", "keys": self.keys.tolist(), "values": self.values.tolist()}
 
 
 @dataclass
 class QModel:
-    """Return-to-go regression on concatenated (state, action) inputs."""
+    """Return-to-go regression on concatenated (state, action) inputs.
 
-    model: LinearModel
+    ``model`` is a ridge fit on (optionally mapped) inputs or a ``TableModel``.
+    """
+
+    model: LinearModel | TableModel
     feature_map: FeatureMap | None = None
 
     def predict(self, states: np.ndarray, actions: np.ndarray) -> np.ndarray:
@@ -86,25 +141,21 @@ class QModel:
     def __call__(self, state: np.ndarray, action: np.ndarray) -> float:
         return float(self.predict(np.atleast_2d(state), np.atleast_2d(action))[0])
 
+    def descriptor(self) -> dict:
+        fmap = self.feature_map
+        return {"model": self.model.descriptor(),
+                "map": fmap.descriptor() if fmap is not None else None}
+
 
 def _make_map(inputs: np.ndarray, spec: BaselineSpec, rng: np.random.Generator) -> FeatureMap | None:
     if spec.features == "quadratic":
         return QuadraticMap(inputs.shape[1])
     if spec.features != "rff":
         return None
+    if rng is None:
+        raise ValueError("rng required to construct a fresh feature map")
     bw = median_bandwidth(inputs)
     return RffMap(inputs.shape[1], spec.n_features, bw, rng)
-
-
-def _fit(
-    features: np.ndarray,
-    targets: np.ndarray,
-    spec: BaselineSpec,
-    sample_weights: np.ndarray | None = None,
-) -> LinearModel:
-    design = np.hstack([features, np.ones((len(features), 1))])
-    ridge = spec.ridge if spec.ridge is not None else default_ridge(design)
-    return fit_linear(features, targets, ridge=ridge, sample_weights=sample_weights)
 
 
 def fit_q(
@@ -113,17 +164,118 @@ def fit_q(
     targets: np.ndarray,
     spec: BaselineSpec,
     rng: np.random.Generator | None = None,
-    frozen_map: RffMap | None = None,
+    frozen_map: FeatureMap | None = None,
+    sample_weights: np.ndarray | None = None,
 ) -> QModel:
-    """One closed-form refit of the Q regression (an exact Newton step)."""
+    """One closed-form refit of the regression (an exact Newton step).
+
+    ``actions`` holds only the action columns the model may read. A
+    ``frozen_map`` is reused as is; otherwise a fresh map is built from these
+    inputs (``rng`` is needed for random features).
+    """
     x = np.hstack([np.atleast_2d(states), np.atleast_2d(actions)])
-    rmap = frozen_map
-    if rmap is None and spec.features != "linear":
-        if rng is None and spec.features == "rff":
-            raise ValueError("rng required to construct a fresh feature map")
-        rmap = _make_map(x, spec, rng)
+    if spec.tabular:
+        return QModel(TableModel.fit(x, targets, sample_weights))
+    rmap = frozen_map if frozen_map is not None else _make_map(x, spec, rng)
     phi = rmap(x) if rmap is not None else x
-    return QModel(model=_fit(phi, targets, spec), feature_map=rmap)
+    ridge = spec.ridge
+    if ridge is None:
+        ridge = default_ridge(np.hstack([phi, np.ones((len(phi), 1))]))
+    return QModel(fit_linear(phi, targets, ridge=ridge, sample_weights=sample_weights), rmap)
+
+
+def keep_sets(kind: str, policy) -> list:
+    """keep_i for every factor: the action columns b_i's regression reads."""
+    m = policy.m
+    if kind in ("state_value", "optimal_state"):
+        return [()] * m
+    if kind == "dag":
+        return [tuple(j for j in range(m) if j not in policy.descendants(i)) for i in range(m)]
+    return [tuple(range(m))] * m
+
+
+def _kept(actions: np.ndarray, keep: tuple) -> np.ndarray:
+    # a fancy-indexed copy of every column is Fortran-ordered, which changes
+    # the rounding of the ridge solve; pass the batch's own array instead
+    return actions if len(keep) == actions.shape[1] else actions[:, list(keep)]
+
+
+# ---------------------------------------------------------------------------
+# marginalization rules: built once per batch, then applied per factor as
+# rule(q, actions, i) with q(actions) -> predictions for the batch's states
+
+
+def _swap(actions: np.ndarray, i: int, value) -> np.ndarray:
+    """A copy with factor i set to ``value``; one action or a batch of them."""
+    out = actions.copy()
+    out[..., i] = value
+    return out
+
+
+def _mean_substitution(states, policy, spec, rng):
+    """Q with a^i replaced by its policy mean; continuous factors only."""
+    if any(kind != "gaussian" for kind in policy.factor_kinds):
+        raise ValueError("mean substitution requires continuous factors")
+    means = policy.mean_actions_batch(states)
+    return lambda q, actions, i: q(_swap(actions, i, means[:, i]))
+
+
+def _marginal_mean(states, policy, spec, rng):
+    """E_{a^i}[Q]: exact sum over a categorical support, else a sample mean."""
+    if not spec.exact and rng is None:
+        raise ValueError("rng required for sampled marginalization")
+
+    def rule(q, actions, i):
+        if spec.exact:
+            support = policy.factor_support(i)
+            if support is None:
+                raise ValueError("exact marginalization requires categorical factors")
+            vals = np.stack([q(_swap(actions, i, v)) for v in support], axis=1)
+            return np.sum(policy.factor_probs_batch(states, i) * vals, axis=1)
+        draws = policy.sample_factor_batch(states, i, spec.mc_samples, rng)
+        return np.mean(np.stack([q(_swap(actions, i, v)) for v in draws.T], axis=1), axis=1)
+
+    return rule
+
+
+def _score_weighted(states, policy, spec, rng):
+    """E[z_i'z_i Q] / E[z_i'z_i] over a^i, with ||z_i||^2 in closed form.
+
+    Categorical factors sum over their support; continuous ones take a
+    shared-draw Monte Carlo ratio (same draws in numerator and denominator).
+    """
+    continuous = "gaussian" in policy.factor_kinds
+    if continuous and rng is None:
+        raise ValueError("rng required for the continuous-factor ratio estimator")
+    phi_sq = np.sum(policy.features.batch(states) ** 2, axis=1)
+    mus = policy.mean_actions_batch(states) if continuous else None
+
+    def rule(q, actions, i):
+        support = policy.factor_support(i)
+        if support is not None:
+            # ||z_i(v)||^2 = (1 - 2 p_v + sum_u p_u^2) ||phi||^2 for softmax heads
+            probs = policy.factor_probs_batch(states, i)
+            psum = np.sum(probs**2, axis=1)
+            values, weights = support, probs.T
+            zsqs = [(1.0 - 2.0 * p + psum) * phi_sq for p in weights]
+        else:
+            values = policy.sample_factor_batch(states, i, spec.mc_samples, rng).T
+            weights = np.ones(len(values))
+            resid = values - mus[:, i]
+            d = resid / float(np.exp(2.0 * policy.log_std[i]))
+            zsqs = d * d * (phi_sq + 1.0) + (d * resid - 1.0) ** 2
+        num, den = np.zeros(len(states)), np.zeros(len(states))
+        for v, w, zsq in zip(values, weights, zsqs):
+            num += w * zsq * q(_swap(actions, i, v))
+            den += w * zsq
+        if np.any(den <= 0.0):
+            raise ZeroScoreNormError(f"factor {i} has vanishing score norm in batch")
+        return num / den
+
+    return rule
+
+
+_RULES = {"mean_q": _mean_substitution, "mc_q": _marginal_mean, "optimal_action": _score_weighted}
 
 
 # ---------------------------------------------------------------------------
@@ -139,7 +291,6 @@ def mc_marginalized_baseline(
     n_samples: int = 10,
     rng: np.random.Generator | None = None,
     exact: bool = False,
-    max_aggregation: bool = False,
 ) -> float:
     """Marginalize factor i out of Q by resampling it from the policy.
 
@@ -154,24 +305,12 @@ def mc_marginalized_baseline(
         support = policy.factor_support(i)
         if support is None:
             raise ValueError("exact marginalization requires a categorical factor")
-        probs = policy.factor_probs(state, i)
-        values = []
-        for v in support:
-            swapped = action.copy()
-            swapped[i] = v
-            values.append(q(state, swapped))
-        if max_aggregation:
-            return float(np.max(values))
-        return float(np.dot(probs, values))
+        values = [q(state, _swap(action, i, v)) for v in support]
+        return float(np.dot(policy.factor_probs(state, i), values))
     if rng is None:
         raise ValueError("rng required for sampled marginalization")
     draws = policy.sample_factor(state, i, n_samples, rng)
-    values = []
-    for v in draws:
-        swapped = action.copy()
-        swapped[i] = v
-        values.append(q(state, swapped))
-    return float(np.max(values)) if max_aggregation else float(np.mean(values))
+    return float(np.mean([q(state, _swap(action, i, v)) for v in draws]))
 
 
 def mean_marginalized_baseline(q, policy, state, action, i: int) -> float:
@@ -187,9 +326,7 @@ def mean_marginalized_baseline(q, policy, state, action, i: int) -> float:
             "mean substitution requires a continuous factor; "
             "use exact marginalization for categorical factors"
         )
-    swapped = np.asarray(action, dtype=float).copy()
-    swapped[i] = policy.mean_action(state)[i]
-    return float(q(state, swapped))
+    return float(q(state, _swap(np.asarray(action, dtype=float), i, policy.mean_action(state)[i])))
 
 
 def optimal_action_baseline(
@@ -210,28 +347,19 @@ def optimal_action_baseline(
     action = np.asarray(action, dtype=float)
     support = policy.factor_support(i)
     if support is not None:
-        probs = policy.factor_probs(state, i)
-        num = den = 0.0
-        for v, pv in zip(support, probs):
-            swapped = action.copy()
-            swapped[i] = v
-            zsq = float(np.sum(policy.score_block(state, swapped, i) ** 2))
-            num += float(pv) * zsq * q(state, swapped)
-            den += float(pv) * zsq
+        values, weights = support, policy.factor_probs(state, i)
     else:
         if rng is None:
             raise ValueError("rng required for the continuous-factor ratio estimator")
-        draws = policy.sample_factor(state, i, n_samples, rng)
-        num = den = 0.0
-        for v in draws:
-            swapped = action.copy()
-            swapped[i] = v
-            zsq = float(np.sum(policy.score_block(state, swapped, i) ** 2))
-            num += zsq * q(state, swapped)
-            den += zsq
+        values = policy.sample_factor(state, i, n_samples, rng)
+        weights = np.ones(len(values))
+    num = den = 0.0
+    for v, w in zip(values, weights):
+        swapped = _swap(action, i, v)
+        zsq = float(np.sum(policy.score_block(state, swapped, i) ** 2))
+        num += float(w) * zsq * q(state, swapped)
+        den += float(w) * zsq
     if den <= 0.0:
-        from .errors import ZeroScoreNormError
-
         raise ZeroScoreNormError(f"factor {i} has vanishing score norm; ratio undefined")
     return num / den
 
@@ -248,9 +376,12 @@ def _require_independent(policy, what: str) -> None:
 class BaselineState:
     """Fitted models for one baseline arm, refit once per training iteration.
 
-    ``evaluate`` produces the (n_steps, n_factors) matrix b_i(s_t, a_t^{-i})
-    for a batch using the models from the previous refit; a fresh state
-    evaluates to zero everywhere.
+    ``fitted`` maps each distinct keep set (a tuple of action columns, see
+    ``keep_sets``) to its ``QModel``; it is None before the first refit and
+    for kind ``none``. ``evaluate`` produces the (n_steps, n_factors) matrix
+    b_i(s_t, a_t^{-i}) from the previous refit's models: it predicts b_i
+    directly when i is not in keep_i and applies the kind's marginalization
+    rule otherwise. A fresh state evaluates to zero everywhere.
     """
 
     def __init__(self, spec: BaselineSpec, fitted: dict | None = None):
@@ -261,251 +392,43 @@ class BaselineState:
     def initial(cls, spec: BaselineSpec) -> "BaselineState":
         return cls(spec, fitted=None)
 
-    # -- evaluation
-
     def evaluate(self, batch, policy, rng: np.random.Generator | None = None) -> np.ndarray:
         n, m = batch.n_steps, policy.m
-        if self.spec.kind == "none" or self.fitted is None:
+        if self.fitted is None:
             return np.zeros((n, m))
-        kind = self.spec.kind
-        if kind in ("state_value", "optimal_state"):
-            values = self._predict_state(batch.states)
-            return np.repeat(values[:, None], m, axis=1)
-        if kind == "mc_q":
-            return self._eval_mc_q(batch, policy, rng)
-        if kind == "mean_q":
-            return self._eval_mean_q(batch, policy)
-        if kind == "optimal_action":
-            return self._eval_optimal_action(batch, policy, rng)
-        if kind == "dag":
-            return self._eval_dag(batch, policy)
-        raise AssertionError(f"unhandled kind {kind}")
-
-    def _predict_state(self, states: np.ndarray) -> np.ndarray:
-        if self.spec.tabular:
-            table = self.fitted["table"]
-            keys = np.rint(states[:, 0]).astype(int)
-            return np.array([table.get(k, 0.0) for k in keys])
-        phi = self.fitted["map"](states) if self.fitted["map"] is not None else states
-        return np.asarray(self.fitted["model"].predict(phi), dtype=float).ravel()
-
-    def _q_predict(self, states: np.ndarray, actions: np.ndarray) -> np.ndarray:
-        if self.spec.tabular:
-            table = self.fitted["table"]
-            out = np.empty(len(states))
-            for k, (s, a) in enumerate(zip(states, actions)):
-                key = (int(round(s[0])), tuple(int(round(v)) for v in a))
-                out[k] = table.get(key, 0.0)
-            return out
-        return self.fitted["q"].predict(states, actions)
-
-    def _eval_mc_q(self, batch, policy, rng) -> np.ndarray:
-        n, m = batch.n_steps, policy.m
+        states, actions = batch.states, batch.actions
         out = np.empty((n, m))
-        for i in range(m):
-            support = policy.factor_support(i)
-            if self.spec.exact:
-                if support is None:
-                    raise ValueError("exact marginalization requires categorical factors")
-                probs = policy.factor_probs_batch(batch.states, i)
-                vals = np.empty((n, len(support)))
-                for c, v in enumerate(support):
-                    swapped = batch.actions.copy()
-                    swapped[:, i] = v
-                    vals[:, c] = self._q_predict(batch.states, swapped)
-                out[:, i] = (
-                    np.max(vals, axis=1)
-                    if self.spec.max_aggregation
-                    else np.sum(probs * vals, axis=1)
-                )
-            else:
-                if rng is None:
-                    raise ValueError("rng required for sampled marginalization")
-                draws = policy.sample_factor_batch(batch.states, i, self.spec.mc_samples, rng)
-                vals = np.empty((n, self.spec.mc_samples))
-                for c in range(self.spec.mc_samples):
-                    swapped = batch.actions.copy()
-                    swapped[:, i] = draws[:, c]
-                    vals[:, c] = self._q_predict(batch.states, swapped)
-                out[:, i] = (
-                    np.max(vals, axis=1) if self.spec.max_aggregation else np.mean(vals, axis=1)
-                )
+        direct = {}
+        rule = None
+        for i, keep in enumerate(keep_sets(self.spec.kind, policy)):
+            model = self.fitted[keep]
+            if i not in keep:
+                if keep not in direct:
+                    direct[keep] = model.predict(states, _kept(actions, keep))
+                out[:, i] = direct[keep]
+                continue
+            if rule is None:
+                rule = _RULES[self.spec.kind](states, policy, self.spec, rng)
+            out[:, i] = rule(lambda a: model.predict(states, _kept(a, keep)), actions, i)
         return out
-
-    def _eval_mean_q(self, batch, policy) -> np.ndarray:
-        n, m = batch.n_steps, policy.m
-        if any(kind != "gaussian" for kind in policy.factor_kinds):
-            raise ValueError("mean substitution requires continuous factors")
-        means = policy.mean_actions_batch(batch.states)
-        out = np.empty((n, m))
-        for i in range(m):
-            swapped = batch.actions.copy()
-            swapped[:, i] = means[:, i]
-            out[:, i] = self._q_predict(batch.states, swapped)
-        return out
-
-    def _eval_optimal_action(self, batch, policy, rng) -> np.ndarray:
-        n, m = batch.n_steps, policy.m
-        out = np.empty((n, m))
-        for i in range(m):
-            support = policy.factor_support(i)
-            if support is not None:
-                probs = policy.factor_probs_batch(batch.states, i)  # (n, k)
-                phi_sq = np.sum(policy.features.batch(batch.states) ** 2, axis=1)
-                # ||z_i(v)||^2 = (1 - 2 p_v + sum_u p_u^2) ||phi||^2 for softmax heads
-                psum = np.sum(probs**2, axis=1)
-                num = np.zeros(n)
-                den = np.zeros(n)
-                for c, v in enumerate(support):
-                    swapped = batch.actions.copy()
-                    swapped[:, i] = v
-                    zsq = (1.0 - 2.0 * probs[:, c] + psum) * phi_sq
-                    qv = self._q_predict(batch.states, swapped)
-                    num += probs[:, c] * zsq * qv
-                    den += probs[:, c] * zsq
-            else:
-                if rng is None:
-                    raise ValueError("rng required for the continuous-factor ratio estimator")
-                draws = policy.sample_factor_batch(batch.states, i, self.spec.mc_samples, rng)
-                phis, mus = policy._mu_batch(batch.states)
-                phi_sq = np.sum(phis**2, axis=1)
-                var_i = float(np.exp(2.0 * policy.log_std[i]))
-                num = np.zeros(n)
-                den = np.zeros(n)
-                for c in range(self.spec.mc_samples):
-                    swapped = batch.actions.copy()
-                    swapped[:, i] = draws[:, c]
-                    resid = draws[:, c] - mus[:, i]
-                    d = resid / var_i
-                    zsq = d * d * (phi_sq + 1.0) + (d * resid - 1.0) ** 2
-                    qv = self._q_predict(batch.states, swapped)
-                    num += zsq * qv
-                    den += zsq
-            if np.any(den <= 0.0):
-                from .errors import ZeroScoreNormError
-
-                raise ZeroScoreNormError(f"factor {i} has vanishing score norm in batch")
-            out[:, i] = num / den
-        return out
-
-    def _eval_dag(self, batch, policy) -> np.ndarray:
-        n, m = batch.n_steps, policy.m
-        out = np.empty((n, m))
-        for i in range(m):
-            keep = [j for j in range(m) if j not in set(policy.descendants(i))]
-            inputs = np.hstack([batch.states, batch.actions[:, keep]])
-            if self.spec.tabular:
-                table = self.fitted["tables"][i]
-                for k in range(n):
-                    key = tuple(int(round(v)) for v in inputs[k])
-                    out[k, i] = table.get(key, 0.0)
-            else:
-                rmap = self.fitted["maps"][i]
-                phi = rmap(inputs) if rmap is not None else inputs
-                out[:, i] = np.asarray(self.fitted["models"][i].predict(phi)).ravel()
-        return out
-
-    # -- refitting
 
     def refit(self, batch, policy, rng: np.random.Generator | None = None) -> "BaselineState":
-        kind = self.spec.kind
-        if kind == "none":
+        if self.spec.kind == "none":
             return self
-        if kind in ("state_value", "optimal_state"):
-            return self._refit_state(batch, policy, rng)
-        if kind in ("mc_q", "mean_q", "optimal_action"):
-            return self._refit_q(batch, rng)
-        if kind == "dag":
-            return self._refit_dag(batch, policy, rng)
-        raise AssertionError(f"unhandled kind {kind}")
-
-    def _refit_state(self, batch, policy, rng) -> "BaselineState":
         weights = None
         if self.spec.kind == "optimal_state":
             weights = policy.joint_score_sq_norms(batch.states, batch.actions)
-        if self.spec.tabular:
-            keys = np.rint(batch.states[:, 0]).astype(int)
-            w = np.ones(len(keys)) if weights is None else weights
-            num: dict = {}
-            den: dict = {}
-            for k, wk, q in zip(keys, w, batch.qhat):
-                num[k] = num.get(k, 0.0) + wk * q
-                den[k] = den.get(k, 0.0) + wk
-            table = {k: num[k] / den[k] for k in num if den[k] > 0}
-            return BaselineState(self.spec, {"table": table})
-        rmap = self.fitted["map"] if self.fitted else _make_map(batch.states, self.spec, rng)
-        phi = rmap(batch.states) if rmap is not None else batch.states
-        model = _fit(phi, batch.qhat, self.spec, sample_weights=weights)
-        return BaselineState(self.spec, {"model": model, "map": rmap})
-
-    def _refit_q(self, batch, rng) -> "BaselineState":
-        if self.spec.tabular:
-            num: dict = {}
-            den: dict = {}
-            for s, a, q in zip(batch.states, batch.actions, batch.qhat):
-                key = (int(round(s[0])), tuple(int(round(v)) for v in a))
-                num[key] = num.get(key, 0.0) + q
-                den[key] = den.get(key, 0.0) + 1.0
-            table = {k: num[k] / den[k] for k in num}
-            return BaselineState(self.spec, {"table": table})
-        frozen = self.fitted["q"].feature_map if self.fitted else None
-        qmodel = fit_q(batch.states, batch.actions, batch.qhat, self.spec, rng, frozen_map=frozen)
-        return BaselineState(self.spec, {"q": qmodel})
-
-    def _refit_dag(self, batch, policy, rng) -> "BaselineState":
-        m = policy.m
-        if self.spec.tabular:
-            tables = []
-            for i in range(m):
-                keep = [j for j in range(m) if j not in set(policy.descendants(i))]
-                inputs = np.hstack([batch.states, batch.actions[:, keep]])
-                num: dict = {}
-                den: dict = {}
-                for row, q in zip(inputs, batch.qhat):
-                    key = tuple(int(round(v)) for v in row)
-                    num[key] = num.get(key, 0.0) + q
-                    den[key] = den.get(key, 0.0) + 1.0
-                tables.append({k: num[k] / den[k] for k in num})
-            return BaselineState(self.spec, {"tables": tables})
-        maps, models = [], []
-        for i in range(m):
-            keep = [j for j in range(m) if j not in set(policy.descendants(i))]
-            inputs = np.hstack([batch.states, batch.actions[:, keep]])
-            rmap = self.fitted["maps"][i] if self.fitted else _make_map(inputs, self.spec, rng)
-            phi = rmap(inputs) if rmap is not None else inputs
-            models.append(_fit(phi, batch.qhat, self.spec))
-            maps.append(rmap)
-        return BaselineState(self.spec, {"models": models, "maps": maps})
+        fitted = {}
+        for keep in dict.fromkeys(keep_sets(self.spec.kind, policy)):
+            frozen = self.fitted[keep].feature_map if self.fitted else None
+            fitted[keep] = fit_q(batch.states, _kept(batch.actions, keep), batch.qhat,
+                                 self.spec, rng, frozen, weights)
+        return BaselineState(self.spec, fitted)
 
     def descriptor(self) -> dict:
-        """JSON-serializable snapshot of the fitted weights (checkpointing)."""
-        out: dict = {"spec": self.spec.__dict__.copy(), "fitted": None}
-        if self.fitted is None:
-            return out
-        f: dict = {}
-        if "model" in self.fitted:
-            f["model"] = self.fitted["model"].descriptor()
-            f["map"] = self.fitted["map"].descriptor() if self.fitted["map"] is not None else None
-        if "q" in self.fitted:
-            q = self.fitted["q"]
-            f["q"] = {
-                "model": q.model.descriptor(),
-                "map": q.feature_map.descriptor() if q.feature_map is not None else None,
-            }
-        if "models" in self.fitted:
-            f["models"] = [mdl.descriptor() for mdl in self.fitted["models"]]
-            f["maps"] = [
-                rmap.descriptor() if rmap is not None else None for rmap in self.fitted["maps"]
-            ]
-        if "table" in self.fitted:
-            f["table"] = [[list(k) if isinstance(k, tuple) else k, v]
-                          for k, v in self.fitted["table"].items()]
-        if "tables" in self.fitted:
-            f["tables"] = [[[list(k), v] for k, v in table.items()]
-                           for table in self.fitted["tables"]]
-        out["fitted"] = f
-        return out
-
-
-def spec_with(spec: BaselineSpec, **kw) -> BaselineSpec:
-    return replace(spec, **kw)
+        """JSON-serializable snapshot (checkpointing): the spec and one entry
+        per keep set with its action columns, model and feature map."""
+        fitted = None if self.fitted is None else [
+            {"columns": list(keep), **q.descriptor()} for keep, q in self.fitted.items()
+        ]
+        return {"spec": self.spec.__dict__.copy(), "fitted": fitted}

@@ -17,10 +17,10 @@ Layout (all fields overridable; defaults shown):
   "out_dir": "results/run"
 }
 
-Arm entries accept every baseline field (kind, mc_samples, exact,
-max_aggregation, features, n_features, ridge, tabular); unset baseline feature
-kinds default per environment: raw linear features on the matching task, 100
-random Fourier features on point mass, 250 elsewhere.
+Arm entries accept every baseline field (kind, mc_samples, exact, features,
+n_features, ridge, tabular); unset baseline feature kinds default per
+environment: raw linear features on the matching task, 100 random Fourier
+features on point mass, 250 elsewhere.
 """
 
 from __future__ import annotations
@@ -113,7 +113,6 @@ def _arm_from_dict(d: dict, env_name: str) -> ArmConfig:
         kind=kind,
         mc_samples=int(d.pop("mc_samples", 10)),
         exact=bool(d.pop("exact", False)),
-        max_aggregation=bool(d.pop("max_aggregation", False)),
         features=str(d.pop("features", feat_kind)),
         n_features=int(d.pop("n_features", feat_count or 100)),
         ridge=None if d.get("ridge") is None else float(d.get("ridge")),

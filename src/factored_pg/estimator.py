@@ -65,47 +65,29 @@ def pg_estimate(
     if advantages.shape != (batch.n_steps, m):
         raise ValueError(f"advantages must have shape {(batch.n_steps, m)}")
 
-    per_traj = _per_trajectory_sums(batch, policy, advantages)
+    scores = policy.score_matrix(batch.states, batch.actions)
+    per_traj = _per_trajectory_sums(batch, policy, scores, advantages)
     if normalize:
         used = whiten(advantages)
-        gradient = batch.weights @ _per_trajectory_sums(batch, policy, used)
+        gradient = batch.weights @ _per_trajectory_sums(batch, policy, scores, used)
     else:
         used = advantages
         gradient = batch.weights @ per_traj
     return GradientReport(gradient=gradient, per_trajectory=per_traj, advantages=used)
 
 
-def _per_trajectory_sums(batch: Batch, policy, advantages: np.ndarray) -> np.ndarray:
-    blocks = policy.score_blocks_batch(batch.states, batch.actions)
-    if blocks is not None:
-        # uniform block layout: factor i owns the contiguous slice i*b:(i+1)*b
-        n = batch.n_steps
-        weighted = blocks * (advantages * batch.gamma_pow[:, None])[:, :, None]
-        flat = weighted.reshape(n, -1)
-        return np.add.reduceat(flat, batch.offsets, axis=0)
-
-    out = np.zeros((batch.n_trajectories, policy.n_params))
-    for n in range(batch.n_steps):
-        k = batch.traj_index[n]
-        scale = batch.gamma_pow[n]
-        for i in range(policy.m):
-            if advantages[n, i] == 0.0:
-                continue
-            out[k] += scale * advantages[n, i] * policy.score_factor(
-                batch.states[n], batch.actions[n], i
-            )
-    return out
+def _per_trajectory_sums(batch: Batch, policy, scores: np.ndarray, advantages: np.ndarray) -> np.ndarray:
+    # every score column belongs to one factor's block; weight it by that
+    # factor's discounted advantage, then sum each trajectory's rows
+    sizes = [sl.stop - sl.start for sl in policy.block_slices]
+    factor_of_column = np.repeat(np.arange(policy.m), sizes)
+    scaled = advantages * batch.gamma_pow[:, None]
+    return np.add.reduceat(scores * scaled[:, factor_of_column], batch.offsets, axis=0)
 
 
 def score_matrix(batch: Batch, policy) -> np.ndarray:
     """Joint score vectors for every visited step, one row per step."""
-    blocks = policy.score_blocks_batch(batch.states, batch.actions)
-    if blocks is not None:
-        return blocks.reshape(batch.n_steps, -1)
-    rows = np.zeros((batch.n_steps, policy.n_params))
-    for n in range(batch.n_steps):
-        rows[n] = policy.joint_score(batch.states[n], batch.actions[n])
-    return rows
+    return policy.score_matrix(batch.states, batch.actions)
 
 
 def gae_advantages(batch: Batch, baseline_values: np.ndarray, lam: float) -> np.ndarray:

@@ -141,24 +141,16 @@ class FactoredPolicy:
             out[self.block_slices[i]] = self.score_block(state, action, i)
         return out
 
-    def score_blocks_batch(self, states, actions):
-        """(n, m, block) score tensor when blocks are uniform, else None."""
-        return None
+    def score_matrix(self, states, actions) -> np.ndarray:
+        """Joint score rows, (n, n_params); stacks per-step joint scores
+        unless the policy computes them batched."""
+        rows = [self.joint_score(s, a) for s, a in zip(np.atleast_2d(states), np.atleast_2d(actions))]
+        return np.array(rows, dtype=float).reshape(-1, self.n_params)
 
     def joint_score_sq_norms(self, states, actions) -> np.ndarray:
         """||grad log pi(a|s)||^2 per sample; weights for the optimal state fit."""
-        blocks = self.score_blocks_batch(states, actions)
-        if blocks is not None:
-            return np.einsum("nmb,nmb->n", blocks, blocks)
-        states = np.atleast_2d(states)
-        actions = np.atleast_2d(actions)
-        out = np.empty(len(states))
-        for k in range(len(states)):
-            out[k] = sum(
-                float(np.sum(self.score_block(states[k], actions[k], i) ** 2))
-                for i in range(self.m)
-            )
-        return out
+        scores = self.score_matrix(states, actions)
+        return np.einsum("np,np->n", scores, scores)
 
     # -- moments and divergences
 
@@ -261,7 +253,7 @@ class IndependentGaussianPolicy(FactoredPolicy):
         d = resid / var_i
         return np.concatenate([d * phi, [d, d * resid - 1.0]])
 
-    def score_blocks_batch(self, states, actions) -> np.ndarray:
+    def score_matrix(self, states, actions) -> np.ndarray:
         phis, mus = self._mu_batch(states)
         actions = np.atleast_2d(np.asarray(actions, dtype=float))
         resid = actions - mus
@@ -271,7 +263,7 @@ class IndependentGaussianPolicy(FactoredPolicy):
         out[:, :, : self.features.dim] = d[:, :, None] * phis[:, None, :]
         out[:, :, self.features.dim] = d
         out[:, :, self.features.dim + 1] = d * resid - 1.0
-        return out
+        return out.reshape(n, -1)
 
     def mean_action(self, state) -> np.ndarray:
         mu, _ = self._mu_sigma(state)
@@ -379,6 +371,17 @@ class CategoricalPolicy(FactoredPolicy):
         coeff = -p
         coeff[v] += 1.0
         return (coeff[:, None] * phi[None, :]).ravel()
+
+    def score_matrix(self, states, actions) -> np.ndarray:
+        phis = self.features.batch(states)
+        actions = np.atleast_2d(np.asarray(actions, dtype=float))
+        rows = np.arange(len(phis))
+        blocks = []
+        for i in range(self.m):
+            coeff = -self.factor_probs_batch(states, i)
+            coeff[rows, np.rint(actions[:, i]).astype(int)] += 1.0
+            blocks.append((coeff[:, :, None] * phis[:, None, :]).reshape(len(phis), -1))
+        return np.hstack(blocks)
 
     def mean_action(self, state) -> np.ndarray:
         """Concatenated per-factor probability vectors (expected one-hots)."""

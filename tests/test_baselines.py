@@ -9,11 +9,11 @@ from numpy.testing import assert_allclose
 from factored_pg.baselines import (
     BaselineSpec,
     BaselineState,
+    TableModel,
     fit_q,
     mc_marginalized_baseline,
     mean_marginalized_baseline,
     optimal_action_baseline,
-    spec_with,
 )
 from factored_pg.policies import (
     CategoricalHead,
@@ -70,10 +70,6 @@ def test_exact_marginalization_hand_values():
     q = _lookup_q({0: 2.0, 1: -1.0})
     got = mc_marginalized_baseline(q, policy, S0, np.array([0.0]), 0, exact=True)
     assert_allclose(got, 0.3 * 2.0 + 0.7 * (-1.0), atol=1e-14)
-    top = mc_marginalized_baseline(
-        q, policy, S0, np.array([0.0]), 0, exact=True, max_aggregation=True
-    )
-    assert_allclose(top, 2.0, atol=1e-14)
 
 
 def test_sampled_marginalization_requires_rng_and_converges():
@@ -168,11 +164,7 @@ def test_exact_mc_q_batch_matches_reference():
     spec = BaselineSpec(kind="mc_q", exact=True, tabular=True)
     state = BaselineState.initial(spec).refit(batch, policy)
     out = state.evaluate(batch, policy)
-    table = state.fitted["table"]
-
-    def q(s, a):
-        return table[(int(round(float(s[0]))), tuple(int(round(v)) for v in a))]
-
+    q = state.fitted[(0, 1)]
     for k in range(0, batch.n_steps, 7):
         for i in range(policy.m):
             ref = mc_marginalized_baseline(
@@ -187,11 +179,7 @@ def test_optimal_action_batch_matches_reference():
     spec = BaselineSpec(kind="optimal_action", tabular=True)
     state = BaselineState.initial(spec).refit(batch, policy)
     out = state.evaluate(batch, policy)
-    table = state.fitted["table"]
-
-    def q(s, a):
-        return table[(int(round(float(s[0]))), tuple(int(round(v)) for v in a))]
-
+    q = state.fitted[(0, 1)]
     for k in range(0, batch.n_steps, 7):
         for i in range(policy.m):
             ref = optimal_action_baseline(q, policy, batch.states[k], batch.actions[k], i)
@@ -211,11 +199,11 @@ def test_mean_q_batch_matches_reference():
     spec = BaselineSpec(kind="mean_q", features="linear")
     state = BaselineState.initial(spec).refit(batch, policy)
     out = state.evaluate(batch, policy)
-    qmodel = state.fitted["q"]
+    qmodel = state.fitted[(0, 1)]
     for k in range(0, batch.n_steps, 5):
         for i in range(policy.m):
             ref = mean_marginalized_baseline(
-                lambda s, a: qmodel(s, a), policy, batch.states[k], batch.actions[k], i
+                qmodel, policy, batch.states[k], batch.actions[k], i
             )
             assert_allclose(out[k, i], ref, atol=1e-12)
 
@@ -311,7 +299,6 @@ def test_spec_validation():
     with pytest.raises(ValueError):
         BaselineSpec(kind="mc_q", mc_samples=0)
     assert BaselineSpec(kind="mean_q", features="quadratic").features == "quadratic"
-    assert spec_with(BaselineSpec(kind="mc_q"), mc_samples=4).mc_samples == 4
 
 
 def test_descriptor_is_json_serializable():
@@ -324,3 +311,48 @@ def test_descriptor_is_json_serializable():
     ):
         state = BaselineState.initial(spec).refit(batch, policy)
         json.dumps(state.descriptor())
+
+
+def test_tabular_state_value_keys_on_every_state_column():
+    # states differ only in column 1; a table keyed on column 0 alone would
+    # merge them into one entry
+    states = np.array([[0.0, 0.0], [0.0, 1.0], [0.0, 0.0], [0.0, 1.0]])
+    actions = np.zeros((4, 1))
+    batch = Batch(
+        [Trajectory(states[k:k + 1], actions[k:k + 1], np.array([r]))
+         for k, r in enumerate([1.0, 5.0, 3.0, 7.0])],
+        gamma=1.0,
+    )
+    policy = IndependentGaussianPolicy.zeros(1, 2)
+    spec = BaselineSpec(kind="state_value", tabular=True)
+    state = BaselineState.initial(spec).refit(batch, policy)
+    assert_allclose(state.evaluate(batch, policy)[:, 0], [2.0, 6.0, 2.0, 6.0], atol=1e-14)
+
+
+def test_table_model_predicts_zero_on_unseen_rows():
+    table = TableModel.fit(np.array([[0.0, 1.0], [0.0, 1.0], [1.0, 0.0]]), np.array([2.0, 4.0, -1.0]))
+    got = table.predict(np.array([[1.0, 0.0], [5.0, 5.0], [0.0, 1.0], [1.0, 1.0]]))
+    assert_allclose(got, [-1.0, 0.0, 3.0, 0.0], atol=1e-14)
+
+
+def test_one_fitted_model_per_keep_set():
+    policy = _two_factor_policy(seed=25)
+    batch = _categorical_batch(policy, seed=26)
+    dag = DagPolicy(
+        [CategoricalHead(np.zeros((2, 2))), CategoricalHead(np.zeros((3, 4)))],
+        parents=((), (0,)),
+        features=IndicatorFeatures(2),
+    )
+    cases = [
+        (BaselineSpec(kind="state_value", tabular=True), policy, [()]),
+        (BaselineSpec(kind="optimal_state"), policy, [()]),
+        (BaselineSpec(kind="mc_q", exact=True, tabular=True), policy, [(0, 1)]),
+        (BaselineSpec(kind="dag", tabular=True), policy, [(1,), (0,)]),
+        # factor 1 descends from factor 0, so b_0 sees the state alone
+        (BaselineSpec(kind="dag", tabular=True), dag, [(), (0,)]),
+    ]
+    for spec, pol, keeps in cases:
+        state = BaselineState.initial(spec).refit(batch, pol)
+        assert list(state.fitted) == keeps
+        desc = json.loads(json.dumps(state.descriptor()))
+        assert [entry["columns"] for entry in desc["fitted"]] == [list(k) for k in keeps]

@@ -61,7 +61,6 @@ def test_arm_fields_pass_through():
                     "kind": "mc_q",
                     "mc_samples": 25,
                     "exact": True,
-                    "max_aggregation": True,
                     "features": "quadratic",
                     "ridge": 1e-8,
                     "tabular": False,
@@ -72,7 +71,6 @@ def test_arm_fields_pass_through():
     spec = cfg.arms[0].spec
     assert spec.mc_samples == 25
     assert spec.exact is True
-    assert spec.max_aggregation is True
     assert spec.features == "quadratic"
     assert spec.ridge == 1e-8
 
@@ -111,6 +109,7 @@ def test_malformed_json_reports_config_error(tmp_path):
         lambda d: d.update(n_iterations=0),
         lambda d: d.update(seeds=[]),
         lambda d: d.update(typo_field=3),
+        lambda d: d.update(arms=[{"kind": "mc_q", "exact": True, "max_aggregation": True}]),
     ],
 )
 def test_invalid_configs_rejected(mutate):

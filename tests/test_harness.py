@@ -1,5 +1,6 @@
 """Run directories, CSV round-trips, solve-time tables, and rerun determinism."""
 
+import importlib.resources
 import json
 import os
 
@@ -162,6 +163,31 @@ def test_run_experiment_writes_full_layout(tmp_path):
     assert stored == summarize_run(out)
     with open(os.path.join(out, "config.json")) as fh:
         assert json.load(fh)["n_trajectories"] == 16
+
+
+def test_tabular_state_arm_checkpoint_round_trips(tmp_path):
+    chain = importlib.resources.files("factored_pg").joinpath("fixtures", "chain_two_step.json")
+    cfg = config_from_dict(
+        {
+            "env": {"name": "tabular", "params": {"path": str(chain)}},
+            "policy": {"features": "indicator"},
+            "arms": [{"name": "state", "kind": "state_value", "tabular": True}],
+            "n_iterations": 2,
+            "n_trajectories": 8,
+            "seeds": [0],
+            "out_dir": str(tmp_path / "run"),
+        }
+    )
+    out = run_experiment(cfg)
+    with open(os.path.join(out, "checkpoints", "state_seed0.json")) as fh:
+        baseline = json.load(fh)["baseline"]
+    assert baseline["spec"]["tabular"] is True
+    (entry,) = baseline["fitted"]
+    assert entry["columns"] == [] and entry["map"] is None
+    table = entry["model"]
+    assert table["kind"] == "table"
+    assert len(table["keys"]) == len(table["values"]) >= 1
+    assert all(isinstance(v, int) for key in table["keys"] for v in key)
 
 
 def test_run_experiment_rerun_is_byte_identical(tmp_path):

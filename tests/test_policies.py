@@ -102,20 +102,22 @@ def test_joint_score_is_sum_of_factor_scores():
     assert_allclose(pol.joint_score(s, a), total, atol=1e-14)
 
 
-def test_score_blocks_batch_matches_single():
+@pytest.mark.parametrize("kind", ["gaussian", "categorical", "dag"])
+def test_score_matrix_matches_joint_scores(kind):
     rng = np.random.default_rng(7)
-    pol = _gaussian(m=2, state_dim=2, seed=2)
-    states = rng.standard_normal((6, 2))
-    actions = pol.sample_batch(states, rng)
-    blocks = pol.score_blocks_batch(states, actions)  # (n, m, block)
-    assert blocks.shape == (6, pol.m, pol.block_size)
+    if kind == "gaussian":
+        pol = _gaussian(m=2, state_dim=2, seed=2)
+        states = rng.standard_normal((6, 2))
+    else:
+        # unequal cardinalities: categorical blocks of 2 and 3 rows
+        pol = _categorical(seed=2) if kind == "categorical" else _dag(seed=2)
+        n_states = pol.features.n_states
+        states = rng.integers(n_states, size=(6, 1)).astype(float)
+    actions = np.stack([pol.sample(s, rng) for s in states])
+    scores = pol.score_matrix(states, actions)
+    assert scores.shape == (6, pol.n_params)
     for n in range(6):
-        for i in range(pol.m):
-            assert_allclose(
-                blocks[n, i], pol.score_block(states[n], actions[n], i), atol=1e-12
-            )
-    # categorical blocks vary in size, so the batch path is unavailable there
-    assert _categorical(seed=2).score_blocks_batch(states[:2, :1], actions[:2]) is None
+        assert_allclose(scores[n], pol.joint_score(states[n], actions[n]), atol=1e-12)
 
 
 def test_joint_score_sq_norms_match_joint_scores():
