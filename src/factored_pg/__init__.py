@@ -116,6 +116,6 @@ from .policies import (
     policy_from_checkpoint,
     policy_to_checkpoint,
 )
-from .trajectory import Batch, Trajectory, returns_to_go
+from .trajectory import Batch, returns_to_go
 
 __version__ = "0.1.0"

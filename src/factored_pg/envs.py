@@ -9,12 +9,11 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, EnumerationSizeError, NotEnumerableError
-from .trajectory import Trajectory
 
 ENUMERATION_BUDGET = 1_000_000
 
@@ -59,7 +58,6 @@ class MdpSpec:
 @dataclass
 class Step:
     state: np.ndarray
-    action: np.ndarray
     reward: float
     terminal: bool
 
@@ -128,7 +126,7 @@ class TargetMatching(Environment):
     def step(self, state, action, rng) -> Step:
         action = self._check_action(action)
         reward = -float(np.sum((action - self.target) ** 2))
-        return Step(np.zeros(1), action, reward, True)
+        return Step(np.zeros(1), reward, True)
 
 
 # ---------------------------------------------------------------------------
@@ -143,13 +141,15 @@ class EnumeratedTrajectory:
     probabilities, so one enumeration serves every parameter vector.
     """
 
-    trajectory: Trajectory
+    states: np.ndarray   # (T, 1), the state index as a float
+    actions: np.ndarray  # (T, m)
+    rewards: np.ndarray  # (T,)
     env_prob: float
 
     def probability(self, policy) -> float:
         logp = 0.0
-        for t in range(len(self.trajectory)):
-            logp += policy.log_prob(self.trajectory.states[t], self.trajectory.actions[t])
+        for state, action in zip(self.states, self.actions):
+            logp += policy.log_prob(state, action)
         return self.env_prob * float(np.exp(logp))
 
 
@@ -215,7 +215,7 @@ class TabularMdp(Environment):
         reward = float(self.rewards[s, aj])
         row = self.transitions[s, aj]
         s2 = int(min(np.searchsorted(np.cumsum(row), rng.random(), side="right"), self.n_states - 1))
-        return Step(np.array([float(s2)]), action, reward, False)
+        return Step(np.array([float(s2)]), reward, False)
 
     def enumerate_trajectories(self) -> list:
         """All length-horizon paths with their environment probabilities.
@@ -237,12 +237,12 @@ class TabularMdp(Environment):
 
         def extend(s, t, states, actions, rewards, prob):
             if t == self.spec.horizon:
-                traj = Trajectory(
+                out.append(EnumeratedTrajectory(
                     np.array(states, dtype=float)[:, None],
                     np.array(actions, dtype=float),
                     np.array(rewards, dtype=float),
-                )
-                out.append(EnumeratedTrajectory(traj, prob))
+                    prob,
+                ))
                 return
             for a in joint_actions:
                 aj = int(np.ravel_multi_index(a, self.cardinalities))
@@ -325,7 +325,7 @@ class PointMass(Environment):
         vel = state[2:] + self.dt * action
         pos = state[:2] + self.dt * vel
         reward = -float(np.sum(pos**2) + self.action_cost * np.sum(action**2))
-        return Step(np.concatenate([pos, vel]), action, reward, False)
+        return Step(np.concatenate([pos, vel]), reward, False)
 
 
 class CommunicateTargetLite(Environment):
@@ -366,7 +366,7 @@ class CommunicateTargetLite(Environment):
         reward = -float(
             np.linalg.norm(pos1 - goals[0:2]) + np.linalg.norm(pos2 - goals[2:4])
         )
-        return Step(next_state, action, reward, False)
+        return Step(next_state, reward, False)
 
 
 # ---------------------------------------------------------------------------

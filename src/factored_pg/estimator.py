@@ -93,29 +93,22 @@ def score_matrix(batch: Batch, policy) -> np.ndarray:
 def gae_advantages(batch: Batch, baseline_values: np.ndarray, lam: float) -> np.ndarray:
     """Per-factor generalized advantages from one-step baseline residuals.
 
-    delta_t^i = r_t + gamma * b_i(t+1) - b_i(t), accumulated backward with
-    factor gamma*lam; episode ends bootstrap with zero. At lam = 1 the sum
-    telescopes to qhat_t - b_i(t) for every factor, so the lam knob
+    delta_t^i = r_t + gamma * b_i(t+1) - b_i(t), with b_i(t+1) = 0 at every
+    trajectory end, is one vector expression over the whole batch; the
+    deltas are then accumulated backward with factor gamma*lam by
+    ``Batch.suffix_sums``, the recursion that also gives qhat. At lam = 1 the
+    sum telescopes to qhat_t - b_i(t) for every factor, so the lam knob
     interpolates between the one-step residual and the full-return advantage.
     """
     baseline_values = np.asarray(baseline_values, dtype=float)
-    n, m = baseline_values.shape
+    n, _ = baseline_values.shape
     if n != batch.n_steps:
         raise ValueError("baseline rows must match batch steps")
-    out = np.empty((n, m))
-    glam = batch.gamma * lam
-    zero = np.zeros(m)
-    for k in range(batch.n_trajectories):
-        sl = batch.traj_slice(k)
-        r = batch.rewards[sl]
-        b = baseline_values[sl]
-        acc = zero
-        for t in range(len(r) - 1, -1, -1):
-            b_next = b[t + 1] if t + 1 < len(r) else zero
-            delta = r[t] + batch.gamma * b_next - b[t]
-            acc = delta + glam * acc
-            out[sl][t] = acc
-    return out
+    b_next = np.zeros_like(baseline_values)
+    b_next[:-1] = baseline_values[1:]
+    b_next[batch.offsets + batch.lengths - 1] = 0.0
+    deltas = batch.rewards[:, None] + batch.gamma * b_next - baseline_values
+    return batch.suffix_sums(deltas, batch.gamma * lam)
 
 
 def gradient_variance(per_trajectory: np.ndarray, weights: np.ndarray | None = None) -> float:

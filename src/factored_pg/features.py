@@ -140,10 +140,6 @@ class LinearModel:
             out = out + self.weights[-1]
         return float(out[0]) if squeeze else out
 
-    @classmethod
-    def zeros(cls, n_features: int, bias: bool = True) -> "LinearModel":
-        return cls(np.zeros(n_features + (1 if bias else 0)), bias=bias)
-
     def descriptor(self) -> dict:
         return {"weights": self.weights.tolist(), "bias": self.bias}
 

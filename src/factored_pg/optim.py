@@ -20,7 +20,7 @@ import numpy as np
 
 from .baselines import BaselineSpec, BaselineState
 from .estimator import gae_advantages, gradient_variance, pg_estimate, score_matrix
-from .trajectory import Batch, Trajectory
+from .trajectory import Batch
 
 # substream tags for the keyed rng scheme: default_rng([seed, tag, iteration, k])
 STREAM_ENV = 0
@@ -98,7 +98,10 @@ def vanilla_step(gradient: np.ndarray, cfg: VanillaConfig) -> np.ndarray:
 # rollout collection
 
 
-def rollout(env, policy, env_rng, policy_rng) -> Trajectory:
+def rollout(env, policy, env_rng, policy_rng):
+    """One trajectory as ``(states, actions, rewards)`` arrays of shapes
+    (T, state_dim), (T, m) and (T,); ``states[t]`` is where ``actions[t]``
+    was taken, and T stops short of the horizon at a terminal step."""
     states, actions, rewards = [], [], []
     state = env.reset(env_rng)
     for _ in range(env.spec.horizon):
@@ -110,18 +113,16 @@ def rollout(env, policy, env_rng, policy_rng) -> Trajectory:
         state = step.state
         if step.terminal:
             break
-    return Trajectory(
-        states=np.array(states), actions=np.array(actions), rewards=np.array(rewards)
-    )
+    return np.array(states), np.array(actions), np.array(rewards)
 
 
 def collect_batch(env, policy, n_trajectories: int, seed: int, iteration: int) -> Batch:
-    trajs = []
+    paths = []
     for k in range(n_trajectories):
         env_rng = substream(seed, STREAM_ENV, iteration, k)
         pol_rng = substream(seed, STREAM_POLICY, iteration, k)
-        trajs.append(rollout(env, policy, env_rng, pol_rng))
-    return Batch(trajectories=trajs, gamma=env.spec.gamma)
+        paths.append(rollout(env, policy, env_rng, pol_rng))
+    return Batch.from_paths(paths, gamma=env.spec.gamma)
 
 
 # ---------------------------------------------------------------------------

@@ -27,6 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EnumerationSizeError, NotEnumerableError, ZeroScoreNormError
+from .trajectory import returns_to_go
 
 ORACLE_BASELINE_KINDS = (
     "none",
@@ -87,12 +88,11 @@ def _mu_samples(problem: EnumerableProblem) -> _MuSamples:
     norm = sum(gamma**t for t in range(horizon))
     weights, states, actions, qhat = [], [], [], []
     for et, p in zip(problem.enumerated, probs):
-        traj = et.trajectory
-        rets = traj.returns(gamma)
-        for t in range(len(traj)):
+        rets = returns_to_go(et.rewards, gamma)
+        for t in range(len(rets)):
             weights.append(p * gamma**t / norm)
-            states.append(int(round(float(traj.states[t, 0]))))
-            actions.append(tuple(int(round(v)) for v in traj.actions[t]))
+            states.append(int(round(float(et.states[t, 0]))))
+            actions.append(tuple(int(round(v)) for v in et.actions[t]))
             qhat.append(float(rets[t]))
     return _MuSamples(np.array(weights), states, actions, np.array(qhat))
 
@@ -129,7 +129,7 @@ def exact_eta(problem: EnumerableProblem) -> float:
     gamma = problem.gamma
     total = 0.0
     for et, p in zip(problem.enumerated, probs):
-        rewards = et.trajectory.rewards
+        rewards = et.rewards
         total += p * float(sum(gamma**t * rewards[t] for t in range(len(rewards))))
     return total
 
@@ -141,11 +141,10 @@ def exact_gradient(problem: EnumerableProblem) -> np.ndarray:
     gamma = problem.gamma
     g = np.zeros(problem.policy.n_params)
     for et, p in zip(problem.enumerated, probs):
-        traj = et.trajectory
-        rets = traj.returns(gamma)
-        for t in range(len(traj)):
-            s = int(round(float(traj.states[t, 0])))
-            a = tuple(int(round(v)) for v in traj.actions[t])
+        rets = returns_to_go(et.rewards, gamma)
+        for t in range(len(rets)):
+            s = int(round(float(et.states[t, 0])))
+            a = tuple(int(round(v)) for v in et.actions[t])
             zs = scores(s, a)
             g += (p * gamma**t * rets[t]) * np.sum(zs, axis=0)
     return g
@@ -163,12 +162,11 @@ def exact_pg_expectation(problem: EnumerableProblem, baseline) -> np.ndarray:
     gamma = problem.gamma
     g = np.zeros(problem.policy.n_params)
     for et, p in zip(problem.enumerated, probs):
-        traj = et.trajectory
-        rets = traj.returns(gamma)
+        rets = returns_to_go(et.rewards, gamma)
         contrib = np.zeros_like(g)
-        for t in range(len(traj)):
-            s = int(round(float(traj.states[t, 0])))
-            a = tuple(int(round(v)) for v in traj.actions[t])
+        for t in range(len(rets)):
+            s = int(round(float(et.states[t, 0])))
+            a = tuple(int(round(v)) for v in et.actions[t])
             zs = scores(s, a)
             for i in range(problem.m):
                 contrib += (gamma**t * (rets[t] - baseline(i, s, a))) * zs[i]

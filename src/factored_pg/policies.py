@@ -412,13 +412,14 @@ class CategoricalPolicy(FactoredPolicy):
 
     def kl(self, other: "CategoricalPolicy", states) -> float:
         states = np.atleast_2d(states)
-        total = 0.0
-        for s in states:
-            for i in range(self.m):
-                p = self.factor_probs(s, i)
-                q = other.factor_probs(s, i)
-                total += float(np.sum(p * (np.log(p) - np.log(q))))
-        return total / len(states)
+        per_step = np.empty((len(states), self.m))
+        for i in range(self.m):
+            p = self.factor_probs_batch(states, i)
+            q = other.factor_probs_batch(states, i)
+            per_step[:, i] = np.sum(p * (np.log(p) - np.log(q)), axis=1)
+        # a sequential sum in (state, factor) order; np.sum would pair terms
+        # differently and move the last bits of the logged KL
+        return float(np.cumsum(per_step.ravel())[-1]) / len(states)
 
     def descriptor(self) -> dict:
         return {

@@ -1,8 +1,14 @@
-"""Trajectory and batch containers shared by environments, estimator, and training loop."""
+"""The batch container shared by environments, estimator, and training loop.
+
+A batch stores every visited step in flat arrays, trajectory after trajectory,
+and the trajectory boundaries as one length per trajectory. Per-trajectory
+quantities (returns-to-go, GAE) are backward recursions that run over all
+trajectories at once; nothing keeps a per-trajectory object.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -10,9 +16,9 @@ import numpy as np
 def returns_to_go(rewards: np.ndarray, gamma: float) -> np.ndarray:
     """Discounted suffix sums q_t = r_t + gamma * q_{t+1}, q_T = 0.
 
-    The backward recursion is the reference operation order; the GAE path with
-    lambda = 1 and a zero baseline reduces to the identical sequence of float
-    operations, which a test asserts bit-for-bit.
+    The backward recursion is the reference operation order: ``Batch.qhat``
+    and the GAE path with lambda = 1 and a zero baseline perform the identical
+    sequence of float operations, which tests assert bit-for-bit.
     """
     rewards = np.asarray(rewards, dtype=float)
     out = np.empty_like(rewards)
@@ -24,94 +30,98 @@ def returns_to_go(rewards: np.ndarray, gamma: float) -> np.ndarray:
 
 
 @dataclass
-class Trajectory:
-    """One rollout: states visited, factored actions taken, rewards received.
-
-    ``states[t]`` is the state at which ``actions[t]`` was taken. Discounted
-    returns-to-go are cached per discount value; the cache is an optimization
-    only and always reproduces ``returns_to_go`` exactly.
-    """
-
-    states: np.ndarray   # (T, state_dim)
-    actions: np.ndarray  # (T, action_dim), factor values concatenated
-    rewards: np.ndarray  # (T,)
-    _returns: dict = field(default_factory=dict, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        self.states = np.atleast_2d(np.asarray(self.states, dtype=float))
-        self.actions = np.atleast_2d(np.asarray(self.actions, dtype=float))
-        self.rewards = np.asarray(self.rewards, dtype=float).ravel()
-        if not (len(self.states) == len(self.actions) == len(self.rewards)):
-            raise ValueError(
-                f"inconsistent trajectory lengths: {len(self.states)} states, "
-                f"{len(self.actions)} actions, {len(self.rewards)} rewards"
-            )
-
-    def __len__(self) -> int:
-        return len(self.rewards)
-
-    @property
-    def total_reward(self) -> float:
-        return float(np.sum(self.rewards))
-
-    def returns(self, gamma: float) -> np.ndarray:
-        key = float(gamma)
-        if key not in self._returns:
-            self._returns[key] = returns_to_go(self.rewards, key)
-        return self._returns[key]
-
-
-@dataclass
 class Batch:
-    """A set of trajectories flattened into step-level arrays for vector math.
+    """Trajectories as flat step arrays plus one length per trajectory.
 
-    ``weights`` are per-trajectory probabilities summing to one; rollout batches
-    use uniform 1/N, while exact-enumeration batches carry occurrence
-    probabilities so the same estimator code computes exact expectations.
+    Rows ``offsets[k] : offsets[k] + lengths[k]`` of ``states``, ``actions``
+    and ``rewards`` are trajectory k, in time order; ``states[t]`` is the
+    state at which ``actions[t]`` was taken. ``weights`` are per-trajectory
+    probabilities summing to one; rollout batches use uniform 1/N, while
+    exact-enumeration batches carry occurrence probabilities so the same
+    estimator code computes exact expectations.
     """
 
-    trajectories: list
+    states: np.ndarray   # (n, state_dim)
+    actions: np.ndarray  # (n, m), factor values concatenated
+    rewards: np.ndarray  # (n,)
+    lengths: np.ndarray  # (n_traj,), every entry >= 1
     gamma: float
     weights: np.ndarray = None  # (n_traj,), defaults to uniform
 
-    def __post_init__(self) -> None:
-        if not self.trajectories:
+    @classmethod
+    def from_paths(cls, paths, gamma: float, weights=None) -> "Batch":
+        """Batch of ``(states, actions, rewards)`` triples, one per trajectory."""
+        paths = list(paths)
+        if not paths:
             raise ValueError("empty batch")
-        n_traj = len(self.trajectories)
+        lengths = [len(r) for _, _, r in paths]
+        if any(len(s) != n or len(a) != n for (s, a, _), n in zip(paths, lengths)):
+            raise ValueError("a path's states, actions and rewards differ in length")
+        states, actions, rewards = (np.concatenate(column, dtype=float) for column in zip(*paths))
+        return cls(states, actions, rewards, lengths, gamma, weights)
+
+    def __post_init__(self) -> None:
+        self.lengths = np.asarray(self.lengths, dtype=int).ravel()
+        n_traj = len(self.lengths)
+        if n_traj == 0:
+            raise ValueError("empty batch")
+        if np.any(self.lengths < 1):
+            raise ValueError("every trajectory needs at least one step")
+        n = int(np.sum(self.lengths))
+        if not (len(self.states) == len(self.actions) == len(self.rewards) == n):
+            raise ValueError(
+                f"{len(self.states)} states, {len(self.actions)} actions and "
+                f"{len(self.rewards)} rewards for trajectory lengths summing to {n}"
+            )
         if self.weights is None:
             self.weights = np.full(n_traj, 1.0 / n_traj)
         else:
             self.weights = np.asarray(self.weights, dtype=float).ravel()
             if len(self.weights) != n_traj:
                 raise ValueError("one weight per trajectory required")
-        lengths = np.array([len(t) for t in self.trajectories])
-        self.offsets = np.concatenate([[0], np.cumsum(lengths)])[:-1]
-        self.states = np.concatenate([t.states for t in self.trajectories], axis=0)
-        self.actions = np.concatenate([t.actions for t in self.trajectories], axis=0)
-        self.rewards = np.concatenate([t.rewards for t in self.trajectories])
-        self.qhat = np.concatenate([t.returns(self.gamma) for t in self.trajectories])
-        self.t_index = np.concatenate([np.arange(n) for n in lengths])
-        self.traj_index = np.repeat(np.arange(n_traj), lengths)
+        self.offsets = np.concatenate([[0], np.cumsum(self.lengths)])[:-1]
+        self.traj_index = np.repeat(np.arange(n_traj), self.lengths)
+        self.t_index = np.arange(n) - self.offsets[self.traj_index]
         self.gamma_pow = self.gamma ** self.t_index
+        self.qhat = self.suffix_sums(self.rewards, self.gamma)
+        # np.sum per trajectory, not np.add.reduceat: the two differ in the
+        # last bits, and logged returns keep the per-trajectory summation order
+        self.totals = np.array([np.sum(self.rewards[self.traj_slice(k)]) for k in range(n_traj)])
 
     @property
     def n_trajectories(self) -> int:
-        return len(self.trajectories)
+        return len(self.lengths)
 
     @property
     def n_steps(self) -> int:
         return len(self.rewards)
 
     def traj_slice(self, k: int) -> slice:
-        start = self.offsets[k]
-        stop = start + len(self.trajectories[k])
-        return slice(int(start), int(stop))
+        start = int(self.offsets[k])
+        return slice(start, start + int(self.lengths[k]))
+
+    def suffix_sums(self, x: np.ndarray, factor: float) -> np.ndarray:
+        """out[t] = x[t] + factor * out[t+1] within each trajectory, zero past
+        its end, in the same float-operation order as ``returns_to_go``.
+
+        Trajectories become the rows of a zero-padded (n_traj, max_len)
+        array, and the recursion takes one vector step per column from the
+        last; padding keeps every trajectory's accumulator at exactly 0 until
+        its own last step.
+        """
+        x = np.asarray(x, dtype=float)
+        padded = np.zeros((self.n_trajectories, int(self.lengths.max())) + x.shape[1:])
+        padded[self.traj_index, self.t_index] = x
+        acc = np.zeros_like(padded[:, 0])
+        for t in range(padded.shape[1] - 1, -1, -1):
+            acc = padded[:, t] + factor * acc
+            padded[:, t] = acc
+        return padded[self.traj_index, self.t_index]
 
     def mean_return(self) -> float:
-        return float(np.mean([t.total_reward for t in self.trajectories]))
+        return float(np.mean(self.totals))
 
     def sd_return(self) -> float:
-        totals = [t.total_reward for t in self.trajectories]
-        if len(totals) < 2:
+        if len(self.totals) < 2:
             return 0.0
-        return float(np.std(totals, ddof=1))
+        return float(np.std(self.totals, ddof=1))

@@ -41,7 +41,7 @@ from .policies import (
     IndicatorFeatures,
     RawFeatures,
 )
-from .trajectory import Batch, Trajectory
+from .trajectory import Batch
 
 FIXTURE_NAMES = ("bandit_two_arm", "bandit_two_factor", "chain_two_step")
 
@@ -186,17 +186,13 @@ def check_gae_telescoping(tol: float = 1e-12) -> CheckResult:
     the one-step residual, on random finite trajectories."""
     rng = np.random.default_rng(20240817)
     m = 3
-    trajs = []
+    paths = []
     for _ in range(4):
         T = int(rng.integers(2, 7))
-        trajs.append(
-            Trajectory(
-                states=rng.standard_normal((T, 2)),
-                actions=rng.standard_normal((T, m)),
-                rewards=rng.standard_normal(T),
-            )
+        paths.append(
+            (rng.standard_normal((T, 2)), rng.standard_normal((T, m)), rng.standard_normal(T))
         )
-    batch = Batch(trajectories=trajs, gamma=0.9)
+    batch = Batch.from_paths(paths, gamma=0.9)
     baselines = rng.standard_normal((batch.n_steps, m))
 
     full = gae_advantages(batch, baselines, lam=1.0)

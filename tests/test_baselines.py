@@ -22,7 +22,7 @@ from factored_pg.policies import (
     IndependentGaussianPolicy,
     IndicatorFeatures,
 )
-from factored_pg.trajectory import Batch, Trajectory
+from factored_pg.trajectory import Batch
 
 S0 = np.array([0.0])
 
@@ -141,15 +141,15 @@ def test_fit_q_quadratic_features_recover_quadratic_return():
 def _categorical_batch(policy, n_traj=40, horizon=2, seed=7):
     """Synthetic batch with integer states, policy-sampled actions."""
     rng = np.random.default_rng(seed)
-    trajs = []
+    paths = []
     for _ in range(n_traj):
         states = rng.integers(2, size=(horizon, 1)).astype(float)
         actions = policy.sample_batch(states, rng)
         rewards = np.array(
             [float(a[0]) - 0.5 * float(a[1]) + 0.2 * float(s[0]) for s, a in zip(states, actions)]
         )
-        trajs.append(Trajectory(states, actions, rewards))
-    return Batch(trajs, gamma=1.0)
+        paths.append((states, actions, rewards))
+    return Batch.from_paths(paths, gamma=1.0)
 
 
 def _two_factor_policy(seed=11):
@@ -189,13 +189,13 @@ def test_optimal_action_batch_matches_reference():
 def test_mean_q_batch_matches_reference():
     rng = np.random.default_rng(13)
     policy = IndependentGaussianPolicy.zeros(2, 1).with_theta(0.3 * rng.standard_normal(6))
-    trajs = []
+    paths = []
     for _ in range(30):
         states = rng.standard_normal((2, 1))
         actions = policy.sample_batch(states, rng)
         rewards = actions.sum(axis=1)
-        trajs.append(Trajectory(states, actions, rewards))
-    batch = Batch(trajs, gamma=1.0)
+        paths.append((states, actions, rewards))
+    batch = Batch.from_paths(paths, gamma=1.0)
     spec = BaselineSpec(kind="mean_q", features="linear")
     state = BaselineState.initial(spec).refit(batch, policy)
     out = state.evaluate(batch, policy)
@@ -213,7 +213,7 @@ def test_exact_mc_q_rejects_continuous_factors():
     policy = IndependentGaussianPolicy.zeros(1, 1)
     states = rng.standard_normal((3, 1))
     actions = policy.sample_batch(states, rng)
-    batch = Batch([Trajectory(states, actions, np.zeros(3))], gamma=1.0)
+    batch = Batch.from_paths([(states, actions, np.zeros(3))], gamma=1.0)
     spec = BaselineSpec(kind="mc_q", exact=True, features="linear")
     state = BaselineState.initial(spec).refit(batch, policy)
     with pytest.raises(ValueError):
@@ -242,9 +242,7 @@ def test_enumerated_score_baseline_orthogonality():
                 for v, pv in enumerate(probs):
                     a = batch.actions[k].copy()
                     a[i] = v
-                    sub = Batch(
-                        [Trajectory(s[None, :], a[None, :], np.zeros(1))], gamma=1.0
-                    )
+                    sub = Batch.from_paths([(s[None, :], a[None, :], np.zeros(1))], gamma=1.0)
                     b = state.evaluate(sub, policy)[0, i]
                     moment += pv * b * policy.score_factor(s, a, i)
                 assert_allclose(moment, 0.0, atol=1e-12, err_msg=f"{spec.kind} factor {i}")
@@ -318,8 +316,8 @@ def test_tabular_state_value_keys_on_every_state_column():
     # merge them into one entry
     states = np.array([[0.0, 0.0], [0.0, 1.0], [0.0, 0.0], [0.0, 1.0]])
     actions = np.zeros((4, 1))
-    batch = Batch(
-        [Trajectory(states[k:k + 1], actions[k:k + 1], np.array([r]))
+    batch = Batch.from_paths(
+        [(states[k:k + 1], actions[k:k + 1], np.array([r]))
          for k, r in enumerate([1.0, 5.0, 3.0, 7.0])],
         gamma=1.0,
     )

@@ -14,14 +14,14 @@ from factored_pg.estimator import (
 )
 from factored_pg.oracle import exact_gradient, trajectory_probabilities
 from factored_pg.policies import IndependentGaussianPolicy
-from factored_pg.trajectory import Batch, Trajectory, returns_to_go
+from factored_pg.trajectory import Batch, returns_to_go
 from factored_pg.verify import fixture_problem
 
 
 def _enumerated_batch(problem):
     probs = trajectory_probabilities(problem)
-    trajs = [et.trajectory for et in problem.enumerated]
-    return Batch(trajs, gamma=problem.gamma, weights=probs)
+    paths = [(et.states, et.actions, et.rewards) for et in problem.enumerated]
+    return Batch.from_paths(paths, gamma=problem.gamma, weights=probs)
 
 
 def test_enumeration_weighted_estimate_is_exact_gradient():
@@ -48,18 +48,18 @@ def test_estimate_stays_exact_under_fitted_baselines():
         assert_allclose(report.gradient, grad, atol=1e-10, err_msg=spec.kind)
 
 
-def _gaussian_batch(seed=0, n_traj=6, horizon=4, m=2):
+def _gaussian_batch(seed=0, lengths=(4, 1, 6, 3, 4, 2), m=2):
     rng = np.random.default_rng(seed)
     policy = IndependentGaussianPolicy.zeros(m, 1).with_theta(
         0.3 * rng.standard_normal(3 * m)
     )
-    trajs = []
-    for _ in range(n_traj):
+    paths = []
+    for horizon in lengths:
         states = rng.standard_normal((horizon, 1))
         actions = policy.sample_batch(states, rng)
         rewards = rng.standard_normal(horizon)
-        trajs.append(Trajectory(states, actions, rewards))
-    return Batch(trajs, gamma=0.9), policy
+        paths.append((states, actions, rewards))
+    return Batch.from_paths(paths, gamma=0.9), policy
 
 
 def test_gae_lambda_one_telescopes_to_full_advantage():
@@ -71,11 +71,14 @@ def test_gae_lambda_one_telescopes_to_full_advantage():
 
 
 def test_gae_lambda_one_zero_baseline_is_bitwise_returns_to_go():
+    # qhat and lam = 1 GAE both run Batch.suffix_sums; returns_to_go is the
+    # independent per-trajectory reference
     batch, policy = _gaussian_batch(seed=3)
     adv = gae_advantages(batch, np.zeros((batch.n_steps, policy.m)), lam=1.0)
     for k in range(batch.n_trajectories):
         sl = batch.traj_slice(k)
         expect = returns_to_go(batch.rewards[sl], batch.gamma)
+        assert np.array_equal(batch.qhat[sl], expect)
         for i in range(policy.m):
             assert np.array_equal(adv[sl][:, i], expect)
 
@@ -90,7 +93,7 @@ def test_gae_lambda_zero_is_one_step_td():
         r, bb = batch.rewards[sl], b[sl]
         for t in range(len(r)):
             b_next = bb[t + 1] if t + 1 < len(r) else np.zeros(policy.m)
-            assert_allclose(adv[sl][t], r[t] + batch.gamma * b_next - bb[t], atol=1e-12)
+            assert np.array_equal(adv[sl][t], r[t] + batch.gamma * b_next - bb[t])
 
 
 def test_gae_rejects_mismatched_rows():
@@ -129,7 +132,7 @@ def test_gradient_equals_weighted_per_trajectory_mean():
 
 
 def test_score_matrix_rows_are_joint_scores():
-    batch, policy = _gaussian_batch(seed=10, n_traj=2, horizon=3)
+    batch, policy = _gaussian_batch(seed=10, lengths=(3, 3))
     rows = score_matrix(batch, policy)
     assert rows.shape == (batch.n_steps, policy.n_params)
     for n in range(batch.n_steps):

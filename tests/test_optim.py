@@ -89,11 +89,13 @@ def test_substream_keyed_independence_and_determinism():
 def test_rollout_shapes_and_horizon():
     env = TargetMatching(np.array([0.5, -0.3]))
     policy = IndependentGaussianPolicy.zeros(2, 1)
-    traj = rollout(env, policy, np.random.default_rng(0), np.random.default_rng(1))
-    assert traj.states.shape == (1, 1)
-    assert traj.actions.shape == (1, 2)
-    assert traj.rewards.shape == (1,)
-    assert traj.rewards[0] <= 0.0
+    states, actions, rewards = rollout(
+        env, policy, np.random.default_rng(0), np.random.default_rng(1)
+    )
+    assert states.shape == (1, 1)
+    assert actions.shape == (1, 2)
+    assert rewards.shape == (1,)
+    assert rewards[0] <= 0.0
 
 
 def test_collect_batch_deterministic_in_seed_and_iteration():

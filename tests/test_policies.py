@@ -184,6 +184,23 @@ def test_gaussian_kl_hand_value():
     assert_allclose(pol.kl(pol, np.zeros((2, 1))), 0.0, atol=1e-15)
 
 
+def test_categorical_kl_hand_value():
+    # cardinalities 2 and 3 over two indicator states; column s holds state
+    # s's logits. State 0 is uniform in both policies; in state 1 the first
+    # policy has factor 0 at (3/4, 1/4) and factor 1 at (1/2, 1/4, 1/4)
+    pol = CategoricalPolicy(
+        [np.array([[0.0, np.log(3.0)], [0.0, 0.0]]),
+         np.array([[0.0, np.log(2.0)], [0.0, 0.0], [0.0, 0.0]])],
+        IndicatorFeatures(2),
+    )
+    uniform = CategoricalPolicy.zeros([2, 3], IndicatorFeatures(2))
+    states = np.array([[0.0], [1.0]])
+    kl_factor0 = 0.75 * np.log(0.75 / 0.5) + 0.25 * np.log(0.25 / 0.5)
+    kl_factor1 = 0.5 * np.log(0.5 / (1 / 3)) + 2 * 0.25 * np.log(0.25 / (1 / 3))
+    assert_allclose(pol.kl(uniform, states), (kl_factor0 + kl_factor1) / 2, atol=1e-14)
+    assert pol.kl(pol, states) == 0.0
+
+
 def test_mean_action_and_support():
     g = _gaussian(m=2, seed=11)
     assert_allclose(g.mean_action(np.zeros(1)), g.biases, atol=1e-12)

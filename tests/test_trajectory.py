@@ -1,19 +1,15 @@
-"""Trajectory containers and return computations."""
+"""Batch container and return computations."""
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from factored_pg.trajectory import Batch, Trajectory, returns_to_go
+from factored_pg.trajectory import Batch, returns_to_go
 
 
-def _traj(rewards, m=2):
+def _path(rewards, m=2):
     T = len(rewards)
-    return Trajectory(
-        states=np.zeros((T, 1)),
-        actions=np.zeros((T, m)),
-        rewards=np.asarray(rewards, dtype=float),
-    )
+    return np.zeros((T, 1)), np.zeros((T, m)), np.asarray(rewards, dtype=float)
 
 
 def test_returns_to_go_hand_example():
@@ -30,21 +26,27 @@ def test_returns_to_go_single_step():
     assert_allclose(returns_to_go(np.array([-4.0]), 0.9), [-4.0])
 
 
-def test_trajectory_totals_and_cached_returns():
-    t = _traj([1.0, 0.0, 2.0])
-    assert t.total_reward == 3.0
-    assert len(t) == 3
-    assert_allclose(t.returns(0.5), [1.5, 1.0, 2.0])
-    assert t.returns(0.5) is t.returns(0.5)  # cache hit
-
-
-def test_trajectory_rejects_inconsistent_lengths():
+@pytest.mark.parametrize(
+    "make",
+    [
+        # a path whose states, actions and rewards disagree in length
+        lambda: Batch.from_paths(
+            [(np.zeros((2, 1)), np.zeros((2, 1)), np.zeros(3))], gamma=1.0
+        ),
+        # flat rows that do not add up to the trajectory lengths
+        lambda: Batch(np.zeros((3, 1)), np.zeros((3, 1)), np.zeros(3), [2, 2], gamma=1.0),
+        # a zero-length trajectory
+        lambda: Batch(np.zeros((2, 1)), np.zeros((2, 1)), np.zeros(2), [2, 0], gamma=1.0),
+    ],
+    ids=["path_lengths", "row_count", "zero_length"],
+)
+def test_batch_rejects_inconsistent_lengths(make):
     with pytest.raises(ValueError):
-        Trajectory(states=np.zeros((2, 1)), actions=np.zeros((2, 1)), rewards=np.zeros(3))
+        make()
 
 
 def test_batch_layout_and_per_trajectory_views():
-    batch = Batch([_traj([1.0, 2.0]), _traj([3.0])], gamma=0.5)
+    batch = Batch.from_paths([_path([1.0, 2.0]), _path([3.0])], gamma=0.5)
     assert batch.n_trajectories == 2
     assert batch.n_steps == 3
     assert batch.traj_slice(0) == slice(0, 2)
@@ -57,18 +59,18 @@ def test_batch_layout_and_per_trajectory_views():
 
 
 def test_batch_return_statistics():
-    batch = Batch([_traj([1.0, 1.0]), _traj([4.0])], gamma=1.0)
+    batch = Batch.from_paths([_path([1.0, 1.0]), _path([4.0])], gamma=1.0)
     assert_allclose(batch.mean_return(), 3.0)
     # sample sd over totals (2, 4) with ddof=1
     assert_allclose(batch.sd_return(), np.sqrt(2.0))
-    assert Batch([_traj([1.0])], gamma=1.0).sd_return() == 0.0
+    assert Batch.from_paths([_path([1.0])], gamma=1.0).sd_return() == 0.0
 
 
 def test_batch_explicit_weights_checked():
     with pytest.raises(ValueError):
-        Batch([_traj([1.0])], gamma=1.0, weights=np.array([0.5, 0.5]))
+        Batch.from_paths([_path([1.0])], gamma=1.0, weights=np.array([0.5, 0.5]))
 
 
 def test_batch_requires_at_least_one_trajectory():
     with pytest.raises(ValueError):
-        Batch([], gamma=1.0)
+        Batch.from_paths([], gamma=1.0)
