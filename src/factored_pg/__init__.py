@@ -105,11 +105,9 @@ from .oracle import (
     zy_tables,
 )
 from .policies import (
-    CategoricalHead,
     CategoricalPolicy,
     DagPolicy,
     FactoredPolicy,
-    GaussianHead,
     IndependentGaussianPolicy,
     IndicatorFeatures,
     RawFeatures,

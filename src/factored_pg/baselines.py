@@ -44,6 +44,7 @@ from .features import (
     fit_linear,
     median_bandwidth,
 )
+from .policies import DagPolicy
 
 BASELINE_KINDS = (
     "none",
@@ -80,6 +81,10 @@ class BaselineSpec:
             raise ValueError(f"features must be 'linear', 'quadratic', or 'rff', got {self.features!r}")
         if self.mc_samples < 1:
             raise ValueError("mc_samples must be >= 1")
+        if self.n_features < 1:
+            raise ValueError(f"n_features must be >= 1, got {self.n_features}")
+        if self.ridge is not None and not (np.isfinite(self.ridge) and self.ridge >= 0):
+            raise ValueError(f"ridge must be None or a finite value >= 0, got {self.ridge}")
 
 
 # ---------------------------------------------------------------------------
@@ -214,14 +219,16 @@ def _swap(actions: np.ndarray, i: int, value) -> np.ndarray:
 
 def _mean_substitution(states, policy, spec, rng):
     """Q with a^i replaced by its policy mean; continuous factors only."""
+    _require_independent(policy, "marginalized baselines")
     if any(kind != "gaussian" for kind in policy.factor_kinds):
         raise ValueError("mean substitution requires continuous factors")
-    means = policy.mean_actions_batch(states)
+    means = policy.mean_actions(states)
     return lambda q, actions, i: q(_swap(actions, i, means[:, i]))
 
 
 def _marginal_mean(states, policy, spec, rng):
     """E_{a^i}[Q]: exact sum over a categorical support, else a sample mean."""
+    _require_independent(policy, "marginalized baselines")
     if not spec.exact and rng is None:
         raise ValueError("rng required for sampled marginalization")
 
@@ -231,8 +238,8 @@ def _marginal_mean(states, policy, spec, rng):
             if support is None:
                 raise ValueError("exact marginalization requires categorical factors")
             vals = np.stack([q(_swap(actions, i, v)) for v in support], axis=1)
-            return np.sum(policy.factor_probs_batch(states, i) * vals, axis=1)
-        draws = policy.sample_factor_batch(states, i, spec.mc_samples, rng)
+            return np.sum(policy.factor_probs(states, i) * vals, axis=1)
+        draws = policy.sample_factor(states, i, spec.mc_samples, rng)
         return np.mean(np.stack([q(_swap(actions, i, v)) for v in draws.T], axis=1), axis=1)
 
     return rule
@@ -244,22 +251,23 @@ def _score_weighted(states, policy, spec, rng):
     Categorical factors sum over their support; continuous ones take a
     shared-draw Monte Carlo ratio (same draws in numerator and denominator).
     """
+    _require_independent(policy, "the optimal action baseline")
     continuous = "gaussian" in policy.factor_kinds
     if continuous and rng is None:
         raise ValueError("rng required for the continuous-factor ratio estimator")
     phi_sq = np.sum(policy.features.batch(states) ** 2, axis=1)
-    mus = policy.mean_actions_batch(states) if continuous else None
+    mus = policy.mean_actions(states) if continuous else None
 
     def rule(q, actions, i):
         support = policy.factor_support(i)
         if support is not None:
             # ||z_i(v)||^2 = (1 - 2 p_v + sum_u p_u^2) ||phi||^2 for softmax heads
-            probs = policy.factor_probs_batch(states, i)
+            probs = policy.factor_probs(states, i)
             psum = np.sum(probs**2, axis=1)
             values, weights = support, probs.T
             zsqs = [(1.0 - 2.0 * p + psum) * phi_sq for p in weights]
         else:
-            values = policy.sample_factor_batch(states, i, spec.mc_samples, rng).T
+            values = policy.sample_factor(states, i, spec.mc_samples, rng).T
             weights = np.ones(len(values))
             resid = values - mus[:, i]
             d = resid / float(np.exp(2.0 * policy.log_std[i]))
@@ -278,8 +286,17 @@ def _score_weighted(states, policy, spec, rng):
 _RULES = {"mean_q": _mean_substitution, "mc_q": _marginal_mean, "optimal_action": _score_weighted}
 
 
+def _require_independent(policy, what: str) -> None:
+    # a^i's descendants carry information about a^i, so marginalizing a^i
+    # while holding them fixed would leave a^i inside the baseline; a DAG
+    # policy offers no per-factor marginals even with an empty parent map
+    if isinstance(policy, DagPolicy) or any(policy.parents(i) for i in range(policy.m)):
+        raise ValueError(f"{what} assume independent factors; fit per-factor regressions instead")
+
+
 # ---------------------------------------------------------------------------
-# reference single-sample marginalizations (vectorized paths must match these)
+# reference single-sample marginalizations (vectorized paths must match these);
+# the policy's batched methods are called on one-row arrays
 
 
 def mc_marginalized_baseline(
@@ -306,10 +323,10 @@ def mc_marginalized_baseline(
         if support is None:
             raise ValueError("exact marginalization requires a categorical factor")
         values = [q(state, _swap(action, i, v)) for v in support]
-        return float(np.dot(policy.factor_probs(state, i), values))
+        return float(np.dot(policy.factor_probs(np.atleast_2d(state), i)[0], values))
     if rng is None:
         raise ValueError("rng required for sampled marginalization")
-    draws = policy.sample_factor(state, i, n_samples, rng)
+    draws = policy.sample_factor(np.atleast_2d(state), i, n_samples, rng)[0]
     return float(np.mean([q(state, _swap(action, i, v)) for v in draws]))
 
 
@@ -326,7 +343,8 @@ def mean_marginalized_baseline(q, policy, state, action, i: int) -> float:
             "mean substitution requires a continuous factor; "
             "use exact marginalization for categorical factors"
         )
-    return float(q(state, _swap(np.asarray(action, dtype=float), i, policy.mean_action(state)[i])))
+    mean = policy.mean_actions(np.atleast_2d(state))[0, i]
+    return float(q(state, _swap(np.asarray(action, dtype=float), i, mean)))
 
 
 def optimal_action_baseline(
@@ -345,28 +363,25 @@ def optimal_action_baseline(
     """
     _require_independent(policy, "the optimal action baseline")
     action = np.asarray(action, dtype=float)
+    states = np.atleast_2d(state)
     support = policy.factor_support(i)
     if support is not None:
-        values, weights = support, policy.factor_probs(state, i)
+        values, weights = support, policy.factor_probs(states, i)[0]
     else:
         if rng is None:
             raise ValueError("rng required for the continuous-factor ratio estimator")
-        values = policy.sample_factor(state, i, n_samples, rng)
+        values = policy.sample_factor(states, i, n_samples, rng)[0]
         weights = np.ones(len(values))
     num = den = 0.0
     for v, w in zip(values, weights):
         swapped = _swap(action, i, v)
-        zsq = float(np.sum(policy.score_block(state, swapped, i) ** 2))
+        z_i = policy.score_matrix(states, swapped[None, :])[0, policy.block_slices[i]]
+        zsq = float(np.sum(z_i**2))
         num += float(w) * zsq * q(state, swapped)
         den += float(w) * zsq
     if den <= 0.0:
         raise ZeroScoreNormError(f"factor {i} has vanishing score norm; ratio undefined")
     return num / den
-
-
-def _require_independent(policy, what: str) -> None:
-    if any(policy.parents(i) for i in range(policy.m)):
-        raise ValueError(f"{what} assume independent factors; fit per-factor regressions instead")
 
 
 # ---------------------------------------------------------------------------

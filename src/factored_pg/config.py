@@ -109,15 +109,18 @@ def _arm_from_dict(d: dict, env_name: str) -> ArmConfig:
         raise ConfigError(f"unknown baseline kind {kind!r}; valid kinds: {list(BASELINE_KINDS)}")
     name = d.pop("name", kind)
     feat_kind, feat_count = _default_features(env_name)
-    spec = BaselineSpec(
-        kind=kind,
-        mc_samples=int(d.pop("mc_samples", 10)),
-        exact=bool(d.pop("exact", False)),
-        features=str(d.pop("features", feat_kind)),
-        n_features=int(d.pop("n_features", feat_count or 100)),
-        ridge=None if d.get("ridge") is None else float(d.get("ridge")),
-        tabular=bool(d.pop("tabular", False)),
-    )
+    try:
+        spec = BaselineSpec(
+            kind=kind,
+            mc_samples=int(d.pop("mc_samples", 10)),
+            exact=bool(d.pop("exact", False)),
+            features=str(d.pop("features", feat_kind)),
+            n_features=int(d.pop("n_features", feat_count or 100)),
+            ridge=None if d.get("ridge") is None else float(d.get("ridge")),
+            tabular=bool(d.pop("tabular", False)),
+        )
+    except ValueError as exc:
+        raise ConfigError(f"arm {name!r}: {exc}") from exc
     d.pop("ridge", None)
     if d:
         raise ConfigError(f"unknown arm fields: {sorted(d)}")

@@ -147,9 +147,7 @@ class EnumeratedTrajectory:
     env_prob: float
 
     def probability(self, policy) -> float:
-        logp = 0.0
-        for state, action in zip(self.states, self.actions):
-            logp += policy.log_prob(state, action)
+        logp = float(np.sum(policy.log_prob(self.states, self.actions)))
         return self.env_prob * float(np.exp(logp))
 
 
@@ -189,6 +187,9 @@ class TabularMdp(Environment):
             raise ValueError("transition rows must sum to 1")
         if not np.isclose(self.rho0.sum(), 1.0, atol=1e-9):
             raise ValueError("initial distribution must sum to 1")
+        # sampling tables for reset/step, summed in the same sequential order
+        self._rho0_cdf = np.cumsum(self.rho0)
+        self._transition_cdf = np.cumsum(self.transitions, axis=2)
         self.spec = MdpSpec(
             state_dim=1,
             factors=tuple(CategoricalFactor(k) for k in self.cardinalities),
@@ -205,7 +206,7 @@ class TabularMdp(Environment):
         return int(np.ravel_multi_index(values, self.cardinalities))
 
     def reset(self, rng) -> np.ndarray:
-        s = int(np.searchsorted(np.cumsum(self.rho0), rng.random(), side="right"))
+        s = int(np.searchsorted(self._rho0_cdf, rng.random(), side="right"))
         return np.array([float(min(s, self.n_states - 1))])
 
     def step(self, state, action, rng) -> Step:
@@ -213,8 +214,8 @@ class TabularMdp(Environment):
         s = int(round(float(state[0])))
         aj = self.joint_index(action)
         reward = float(self.rewards[s, aj])
-        row = self.transitions[s, aj]
-        s2 = int(min(np.searchsorted(np.cumsum(row), rng.random(), side="right"), self.n_states - 1))
+        cdf = self._transition_cdf[s, aj]
+        s2 = int(min(np.searchsorted(cdf, rng.random(), side="right"), self.n_states - 1))
         return Step(np.array([float(s2)]), reward, False)
 
     def enumerate_trajectories(self) -> list:

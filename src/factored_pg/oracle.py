@@ -105,9 +105,13 @@ def _score_cache(problem: EnumerableProblem):
     def scores(s: int, a: tuple) -> list:
         key = (s, a)
         if key not in cache:
-            sv = np.array([float(s)])
-            av = np.array(a, dtype=float)
-            cache[key] = [policy.score_factor(sv, av, i) for i in range(policy.m)]
+            row = policy.score_matrix(np.array([[float(s)]]), np.array([a], dtype=float))[0]
+            per_factor = []
+            for block in policy.block_slices:
+                z = np.zeros(policy.n_params)
+                z[block] = row[block]
+                per_factor.append(z)
+            cache[key] = per_factor
         return cache[key]
 
     return scores
@@ -276,7 +280,7 @@ def make_oracle_baseline(problem: EnumerableProblem, kind: str):
         policy = problem.policy
 
         def marginalized(i, s, a):
-            probs = policy.factor_probs(np.array([float(s)]), i)
+            probs = policy.factor_probs(np.array([[float(s)]]), i)[0]
             total = 0.0
             for v, pv in enumerate(probs):
                 swapped = tuple(v if j == i else a[j] for j in range(problem.m))

@@ -8,11 +8,13 @@ analysis relies on; tests assert the property at machine zero.
 
 Action vectors hold one slot per factor: continuous factors store the sampled
 real value, categorical factors store the integer category as a float.
+
+Every density, score and marginal takes (n, .) arrays of states and actions;
+``sample(state, rng)`` is the one per-state method, called once per rollout
+step.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,8 +49,13 @@ class IndicatorFeatures:
         self.n_states = int(n_states)
         self.dim = self.n_states
 
+    def _out_of_range(self, idx: int) -> ValueError:
+        return ValueError(f"state index {idx} outside [0, n_states={self.n_states})")
+
     def __call__(self, state: np.ndarray) -> np.ndarray:
         idx = int(round(float(np.asarray(state).ravel()[0])))
+        if not 0 <= idx < self.n_states:
+            raise self._out_of_range(idx)
         out = np.zeros(self.n_states)
         out[idx] = 1.0
         return out
@@ -56,6 +63,9 @@ class IndicatorFeatures:
     def batch(self, states: np.ndarray) -> np.ndarray:
         states = np.atleast_2d(np.asarray(states, dtype=float))
         idx = np.rint(states[:, 0]).astype(int)
+        bad = (idx < 0) | (idx >= self.n_states)
+        if np.any(bad):
+            raise self._out_of_range(int(idx[bad][0]))
         out = np.zeros((len(idx), self.n_states))
         out[np.arange(len(idx)), idx] = 1.0
         return out
@@ -81,7 +91,10 @@ class FactoredPolicy:
     """Shared plumbing; concrete classes fill in per-factor math.
 
     Parameter updates never mutate a policy: ``with_theta`` returns a fresh
-    instance, so policies are safe to share read-only across workers.
+    instance, so policies are safe to share read-only across workers. The
+    independent classes also expose the per-factor marginals that baselines
+    integrate over: ``factor_probs`` (categorical), ``mean_actions``
+    (Gaussian) and ``sample_factor`` (both).
     """
 
     m: int
@@ -106,56 +119,26 @@ class FactoredPolicy:
     def descendants(self, i: int) -> tuple:
         return (i,)
 
-    # -- sampling and densities
+    # -- sampling, densities and scores
 
     def sample(self, state: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         raise NotImplementedError
 
-    def sample_batch(self, states: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        states = np.atleast_2d(states)
-        return np.stack([self.sample(s, rng) for s in states])
-
-    def factor_log_prob(self, state, action, i: int) -> float:
+    def log_prob(self, states, actions) -> np.ndarray:
+        """log pi(a_n | s_n) per row, (n,)."""
         raise NotImplementedError
-
-    def log_prob(self, state, action) -> float:
-        return float(sum(self.factor_log_prob(state, action, i) for i in range(self.m)))
-
-    def prob(self, state, action) -> float:
-        return float(np.exp(self.log_prob(state, action)))
-
-    # -- scores
-
-    def score_block(self, state, action, i: int) -> np.ndarray:
-        """Gradient of log pi(a^i | ...) w.r.t. factor i's parameter block."""
-        raise NotImplementedError
-
-    def score_factor(self, state, action, i: int) -> np.ndarray:
-        out = np.zeros(self.n_params)
-        out[self.block_slices[i]] = self.score_block(state, action, i)
-        return out
-
-    def joint_score(self, state, action) -> np.ndarray:
-        out = np.zeros(self.n_params)
-        for i in range(self.m):
-            out[self.block_slices[i]] = self.score_block(state, action, i)
-        return out
 
     def score_matrix(self, states, actions) -> np.ndarray:
-        """Joint score rows, (n, n_params); stacks per-step joint scores
-        unless the policy computes them batched."""
-        rows = [self.joint_score(s, a) for s, a in zip(np.atleast_2d(states), np.atleast_2d(actions))]
-        return np.array(rows, dtype=float).reshape(-1, self.n_params)
+        """Joint score rows grad log pi(a_n | s_n), (n, n_params); factor i
+        fills only the columns of its block."""
+        raise NotImplementedError
 
     def joint_score_sq_norms(self, states, actions) -> np.ndarray:
         """||grad log pi(a|s)||^2 per sample; weights for the optimal state fit."""
         scores = self.score_matrix(states, actions)
         return np.einsum("np,np->n", scores, scores)
 
-    # -- moments and divergences
-
-    def mean_action(self, state) -> np.ndarray:
-        raise NotImplementedError
+    # -- supports and divergences
 
     def factor_support(self, i: int):
         """Category values for categorical factors, None for continuous ones."""
@@ -218,43 +201,21 @@ class IndependentGaussianPolicy(FactoredPolicy):
             stacked[:, :f].copy(), stacked[:, f].copy(), stacked[:, f + 1].copy(), self.features
         )
 
-    def _mu_sigma(self, state):
-        phi = self.features(state)
-        mu = self.weights @ phi + self.biases
-        return mu, np.exp(self.log_std)
-
-    def _mu_batch(self, states):
+    def _phi_mu(self, states):
         phis = self.features.batch(states)
         return phis, phis @ self.weights.T + self.biases
 
     def sample(self, state, rng) -> np.ndarray:
-        mu, sigma = self._mu_sigma(state)
-        return mu + sigma * rng.standard_normal(self.m)
+        mu = self.weights @ self.features(state) + self.biases
+        return mu + np.exp(self.log_std) * rng.standard_normal(self.m)
 
-    def sample_batch(self, states, rng) -> np.ndarray:
-        _, mus = self._mu_batch(states)
-        return mus + np.exp(self.log_std) * rng.standard_normal(mus.shape)
-
-    def factor_log_prob(self, state, action, i: int) -> float:
-        mu, sigma = self._mu_sigma(state)
-        z = (float(action[i]) - mu[i]) / sigma[i]
-        return float(-0.5 * z * z - self.log_std[i] - 0.5 * LOG_2PI)
-
-    def log_prob(self, state, action) -> float:
-        mu, sigma = self._mu_sigma(state)
-        z = (np.asarray(action, dtype=float) - mu) / sigma
-        return float(np.sum(-0.5 * z * z - self.log_std - 0.5 * LOG_2PI))
-
-    def score_block(self, state, action, i: int) -> np.ndarray:
-        phi = self.features(state)
-        mu_i = float(self.weights[i] @ phi + self.biases[i])
-        var_i = float(np.exp(2.0 * self.log_std[i]))
-        resid = float(action[i]) - mu_i
-        d = resid / var_i
-        return np.concatenate([d * phi, [d, d * resid - 1.0]])
+    def log_prob(self, states, actions) -> np.ndarray:
+        actions = np.atleast_2d(np.asarray(actions, dtype=float))
+        z = (actions - self.mean_actions(states)) / np.exp(self.log_std)
+        return np.sum(-0.5 * z * z - self.log_std - 0.5 * LOG_2PI, axis=1)
 
     def score_matrix(self, states, actions) -> np.ndarray:
-        phis, mus = self._mu_batch(states)
+        phis, mus = self._phi_mu(states)
         actions = np.atleast_2d(np.asarray(actions, dtype=float))
         resid = actions - mus
         d = resid / np.exp(2.0 * self.log_std)
@@ -265,25 +226,18 @@ class IndependentGaussianPolicy(FactoredPolicy):
         out[:, :, self.features.dim + 1] = d * resid - 1.0
         return out.reshape(n, -1)
 
-    def mean_action(self, state) -> np.ndarray:
-        mu, _ = self._mu_sigma(state)
-        return mu
+    def mean_actions(self, states) -> np.ndarray:
+        return self._phi_mu(states)[1]
 
-    def mean_actions_batch(self, states) -> np.ndarray:
-        return self._mu_batch(states)[1]
-
-    def sample_factor(self, state, i: int, size: int, rng) -> np.ndarray:
-        mu, sigma = self._mu_sigma(state)
-        return mu[i] + sigma[i] * rng.standard_normal(size)
-
-    def sample_factor_batch(self, states, i: int, size: int, rng) -> np.ndarray:
-        _, mus = self._mu_batch(states)
+    def sample_factor(self, states, i: int, size: int, rng) -> np.ndarray:
+        """``size`` draws of factor i per state, (n, size)."""
+        _, mus = self._phi_mu(states)
         sigma_i = float(np.exp(self.log_std[i]))
         return mus[:, i][:, None] + sigma_i * rng.standard_normal((len(mus), size))
 
     def kl(self, other: "IndependentGaussianPolicy", states) -> float:
-        _, mu1 = self._mu_batch(states)
-        _, mu2 = other._mu_batch(states)
+        _, mu1 = self._phi_mu(states)
+        _, mu2 = other._phi_mu(states)
         v1 = np.exp(2.0 * self.log_std)
         v2 = np.exp(2.0 * other.log_std)
         per_factor = (
@@ -344,33 +298,35 @@ class CategoricalPolicy(FactoredPolicy):
         ]
         return CategoricalPolicy(ws, self.features)
 
-    def factor_probs(self, state, i: int) -> np.ndarray:
-        logits = self.logit_weights[i] @ self.features(state)
-        logits = logits - np.max(logits)
-        e = np.exp(logits)
-        return e / np.sum(e)
+    def _logits(self, states, i: int) -> np.ndarray:
+        logits = self.features.batch(np.atleast_2d(states)) @ self.logit_weights[i].T
+        return logits - np.max(logits, axis=1, keepdims=True)
+
+    def factor_probs(self, states, i: int) -> np.ndarray:
+        """Factor i's category probabilities per state, (n, k_i)."""
+        e = np.exp(self._logits(states, i))
+        return e / np.sum(e, axis=1, keepdims=True)
 
     def sample(self, state, rng) -> np.ndarray:
+        phi = self.features(state)
         action = np.empty(self.m)
-        for i in range(self.m):
-            p = self.factor_probs(state, i)
+        for i, w in enumerate(self.logit_weights):
+            logits = w @ phi
+            e = np.exp(logits - np.max(logits))
+            p = e / np.sum(e)
             u = rng.random()
             action[i] = float(min(np.searchsorted(np.cumsum(p), u, side="right"), len(p) - 1))
         return action
 
-    def factor_log_prob(self, state, action, i: int) -> float:
-        logits = self.logit_weights[i] @ self.features(state)
-        logits = logits - np.max(logits)
-        v = int(round(float(action[i])))
-        return float(logits[v] - np.log(np.sum(np.exp(logits))))
-
-    def score_block(self, state, action, i: int) -> np.ndarray:
-        phi = self.features(state)
-        p = self.factor_probs(state, i)
-        v = int(round(float(action[i])))
-        coeff = -p
-        coeff[v] += 1.0
-        return (coeff[:, None] * phi[None, :]).ravel()
+    def log_prob(self, states, actions) -> np.ndarray:
+        actions = np.atleast_2d(np.asarray(actions, dtype=float))
+        rows = np.arange(len(actions))
+        out = np.zeros(len(actions))
+        for i in range(self.m):
+            logits = self._logits(states, i)
+            chosen = logits[rows, np.rint(actions[:, i]).astype(int)]
+            out += chosen - np.log(np.sum(np.exp(logits), axis=1))
+        return out
 
     def score_matrix(self, states, actions) -> np.ndarray:
         phis = self.features.batch(states)
@@ -378,35 +334,20 @@ class CategoricalPolicy(FactoredPolicy):
         rows = np.arange(len(phis))
         blocks = []
         for i in range(self.m):
-            coeff = -self.factor_probs_batch(states, i)
+            coeff = -self.factor_probs(states, i)
             coeff[rows, np.rint(actions[:, i]).astype(int)] += 1.0
             blocks.append((coeff[:, :, None] * phis[:, None, :]).reshape(len(phis), -1))
         return np.hstack(blocks)
 
-    def mean_action(self, state) -> np.ndarray:
-        """Concatenated per-factor probability vectors (expected one-hots)."""
-        return np.concatenate([self.factor_probs(state, i) for i in range(self.m)])
-
     def factor_support(self, i: int) -> np.ndarray:
         return np.arange(self.cardinalities[i], dtype=float)
 
-    def sample_factor(self, state, i: int, size: int, rng) -> np.ndarray:
-        p = self.factor_probs(state, i)
-        u = rng.random(size)
-        idx = np.minimum(np.searchsorted(np.cumsum(p), u, side="right"), len(p) - 1)
-        return idx.astype(float)
-
-    def factor_probs_batch(self, states, i: int) -> np.ndarray:
-        logits = self.features.batch(np.atleast_2d(states)) @ self.logit_weights[i].T
-        logits = logits - np.max(logits, axis=1, keepdims=True)
-        e = np.exp(logits)
-        return e / np.sum(e, axis=1, keepdims=True)
-
-    def sample_factor_batch(self, states, i: int, size: int, rng) -> np.ndarray:
-        p = self.factor_probs_batch(states, i)
+    def sample_factor(self, states, i: int, size: int, rng) -> np.ndarray:
+        """``size`` draws of factor i per state, (n, size)."""
+        p = self.factor_probs(states, i)
         cdf = np.cumsum(p, axis=1)
         u = rng.random((len(p), size))
-        # count of cdf entries <= u, matching searchsorted side="right" above
+        # count of cdf entries <= u, matching searchsorted side="right" in sample
         idx = np.minimum(np.sum(cdf[:, None, :] <= u[:, :, None], axis=2), p.shape[1] - 1)
         return idx.astype(float)
 
@@ -414,8 +355,8 @@ class CategoricalPolicy(FactoredPolicy):
         states = np.atleast_2d(states)
         per_step = np.empty((len(states), self.m))
         for i in range(self.m):
-            p = self.factor_probs_batch(states, i)
-            q = other.factor_probs_batch(states, i)
+            p = self.factor_probs(states, i)
+            q = other.factor_probs(states, i)
             per_step[:, i] = np.sum(p * (np.log(p) - np.log(q)), axis=1)
         # a sequential sum in (state, factor) order; np.sum would pair terms
         # differently and move the last bits of the logged KL
@@ -433,101 +374,15 @@ class CategoricalPolicy(FactoredPolicy):
 # general DAG factorization
 
 
-@dataclass
-class GaussianHead:
-    """Scalar Gaussian head: mean = w . inputs + b, free log_std."""
-
-    weights: np.ndarray
-    bias: float
-    log_std: float
-
-    def __post_init__(self):
-        self.weights = np.asarray(self.weights, dtype=float).ravel()
-
-    @property
-    def block_size(self) -> int:
-        return len(self.weights) + 2
-
-    @property
-    def block(self) -> np.ndarray:
-        return np.concatenate([self.weights, [self.bias, self.log_std]])
-
-    @classmethod
-    def from_block(cls, block: np.ndarray) -> "GaussianHead":
-        block = np.asarray(block, dtype=float)
-        return cls(block[:-2], float(block[-2]), float(block[-1]))
-
-    def mean(self, inputs: np.ndarray) -> float:
-        return float(self.weights @ inputs + self.bias)
-
-    def sample(self, inputs, rng) -> float:
-        return self.mean(inputs) + float(np.exp(self.log_std)) * rng.standard_normal()
-
-    def log_prob(self, inputs, value: float) -> float:
-        z = (value - self.mean(inputs)) / np.exp(self.log_std)
-        return float(-0.5 * z * z - self.log_std - 0.5 * LOG_2PI)
-
-    def score(self, inputs, value: float) -> np.ndarray:
-        var = float(np.exp(2.0 * self.log_std))
-        resid = value - self.mean(inputs)
-        d = resid / var
-        return np.concatenate([d * inputs, [d, d * resid - 1.0]])
-
-
-@dataclass
-class CategoricalHead:
-    """Categorical head: logits = W . inputs."""
-
-    weights: np.ndarray  # (k, input_dim)
-
-    def __post_init__(self):
-        self.weights = np.atleast_2d(np.asarray(self.weights, dtype=float))
-
-    @property
-    def cardinality(self) -> int:
-        return self.weights.shape[0]
-
-    @property
-    def block_size(self) -> int:
-        return self.weights.size
-
-    @property
-    def block(self) -> np.ndarray:
-        return self.weights.ravel()
-
-    def with_block(self, block: np.ndarray) -> "CategoricalHead":
-        return CategoricalHead(np.asarray(block, dtype=float).reshape(self.weights.shape))
-
-    def probs(self, inputs) -> np.ndarray:
-        logits = self.weights @ inputs
-        logits = logits - np.max(logits)
-        e = np.exp(logits)
-        return e / np.sum(e)
-
-    def sample(self, inputs, rng) -> float:
-        p = self.probs(inputs)
-        u = rng.random()
-        return float(min(np.searchsorted(np.cumsum(p), u, side="right"), len(p) - 1))
-
-    def log_prob(self, inputs, value: float) -> float:
-        logits = self.weights @ inputs
-        logits = logits - np.max(logits)
-        return float(logits[int(round(value))] - np.log(np.sum(np.exp(logits))))
-
-    def score(self, inputs, value: float) -> np.ndarray:
-        p = self.probs(inputs)
-        coeff = -p
-        coeff[int(round(value))] += 1.0
-        return (coeff[:, None] * np.asarray(inputs)[None, :]).ravel()
-
-
 class DagPolicy(FactoredPolicy):
     """Autoregressive factorization pi(a|s) = prod_i pi(a^i | s, a^{parents(i)}).
 
-    Head i sees state features concatenated with encoded parent values
-    (continuous parents contribute their raw value, categorical parents a
-    one-hot). Factors are sampled in topological order. An empty parent map
-    recovers the independent factorization exactly.
+    Head i is a one-factor policy (``IndependentGaussianPolicy`` or
+    ``CategoricalPolicy``) on ``RawFeatures`` of its head input: the state
+    features followed by the encoded parent values (continuous parents
+    contribute their raw value, categorical parents a one-hot). Factors are
+    sampled in topological order. An empty parent map recovers the
+    independent factorization exactly.
     """
 
     def __init__(self, heads: list, parents: tuple, features):
@@ -537,25 +392,24 @@ class DagPolicy(FactoredPolicy):
         self.m = len(self.heads)
         if len(self.parent_map) != self.m:
             raise ValueError("one parent tuple per factor required")
-        self.factor_kinds = tuple(
-            "gaussian" if isinstance(h, GaussianHead) else "categorical" for h in self.heads
-        )
+        if any(h.m != 1 for h in self.heads):
+            raise ValueError("every head must be a one-factor policy")
+        self.factor_kinds = tuple(h.factor_kinds[0] for h in self.heads)
         self._topo = self._toposort()
         self._descendants = self._closure()
-        sizes = [h.block_size for h in self.heads]
+        sizes = [h.n_params for h in self.heads]
         bounds = np.concatenate([[0], np.cumsum(sizes)])
         self.block_slices = tuple(slice(int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:]))
         self.n_params = int(bounds[-1])
         for i, h in enumerate(self.heads):
             expected = self._input_dim(i)
-            got = len(h.weights.ravel()) if isinstance(h, GaussianHead) else h.weights.shape[1]
-            if got != expected:
-                raise ValueError(f"head {i} expects inputs of dim {expected}, has {got}")
+            if not isinstance(h.features, RawFeatures) or h.features.dim != expected:
+                raise ValueError(f"head {i} needs RawFeatures({expected}) inputs")
 
     def _parent_enc_dim(self, j: int) -> int:
         if self.factor_kinds[j] == "gaussian":
             return 1
-        return self.heads[j].cardinality
+        return self.heads[j].cardinalities[0]
 
     def _input_dim(self, i: int) -> int:
         return self.features.dim + sum(self._parent_enc_dim(j) for j in self.parent_map[i])
@@ -605,78 +459,52 @@ class DagPolicy(FactoredPolicy):
         """Factor i together with everything reachable through the parent map."""
         return self._descendants[i]
 
-    def head_inputs(self, state, action, i: int) -> np.ndarray:
-        parts = [self.features(state)]
+    def head_inputs(self, states, actions, i: int) -> np.ndarray:
+        """Head i's input rows: state features, then each parent's encoding."""
+        actions = np.atleast_2d(np.asarray(actions, dtype=float))
+        parts = [self.features.batch(states)]
         for j in self.parent_map[i]:
+            column = actions[:, j : j + 1]
             if self.factor_kinds[j] == "gaussian":
-                parts.append(np.array([float(action[j])]))
+                parts.append(column)
             else:
-                onehot = np.zeros(self.heads[j].cardinality)
-                onehot[int(round(float(action[j])))] = 1.0
-                parts.append(onehot)
-        return np.concatenate(parts)
+                parts.append(IndicatorFeatures(self._parent_enc_dim(j)).batch(column))
+        return np.hstack(parts)
 
     @property
     def theta(self) -> np.ndarray:
-        return np.concatenate([h.block for h in self.heads])
+        return np.concatenate([h.theta for h in self.heads])
 
     def with_theta(self, theta: np.ndarray) -> "DagPolicy":
         theta = np.asarray(theta, dtype=float).ravel()
         if len(theta) != self.n_params:
             raise ValueError(f"expected {self.n_params} parameters, got {len(theta)}")
-        heads = []
-        for h, sl in zip(self.heads, self.block_slices):
-            if isinstance(h, GaussianHead):
-                heads.append(GaussianHead.from_block(theta[sl]))
-            else:
-                heads.append(h.with_block(theta[sl]))
+        heads = [h.with_theta(theta[sl]) for h, sl in zip(self.heads, self.block_slices)]
         return DagPolicy(heads, self.parent_map, self.features)
 
     def sample(self, state, rng) -> np.ndarray:
-        action = np.zeros(self.m)
+        states = np.atleast_2d(state)
+        action = np.zeros((1, self.m))
         for i in self._topo:
-            action[i] = self.heads[i].sample(self.head_inputs(state, action, i), rng)
-        return action
+            action[0, i] = self.heads[i].sample(self.head_inputs(states, action, i)[0], rng)[0]
+        return action[0]
 
-    def factor_log_prob(self, state, action, i: int) -> float:
-        return self.heads[i].log_prob(self.head_inputs(state, action, i), float(action[i]))
+    def log_prob(self, states, actions) -> np.ndarray:
+        actions = np.atleast_2d(np.asarray(actions, dtype=float))
+        return sum(
+            h.log_prob(self.head_inputs(states, actions, i), actions[:, i : i + 1])
+            for i, h in enumerate(self.heads)
+        )
 
-    def score_block(self, state, action, i: int) -> np.ndarray:
-        return self.heads[i].score(self.head_inputs(state, action, i), float(action[i]))
-
-    def conditional_mean(self, state, action, i: int):
-        """Mean of factor i given the parent values recorded in ``action``.
-
-        Gaussian heads return a scalar mean, categorical heads the probability
-        vector (the expected one-hot).
-        """
-        inputs = self.head_inputs(state, action, i)
-        head = self.heads[i]
-        if isinstance(head, GaussianHead):
-            return head.mean(inputs)
-        return head.probs(inputs)
+    def score_matrix(self, states, actions) -> np.ndarray:
+        actions = np.atleast_2d(np.asarray(actions, dtype=float))
+        return np.hstack([
+            h.score_matrix(self.head_inputs(states, actions, i), actions[:, i : i + 1])
+            for i, h in enumerate(self.heads)
+        ])
 
     def factor_support(self, i: int):
-        if self.factor_kinds[i] == "categorical":
-            return np.arange(self.heads[i].cardinality, dtype=float)
-        return None
-
-    def factor_probs(self, state, action, i: int) -> np.ndarray:
-        if self.factor_kinds[i] != "categorical":
-            raise ValueError("factor_probs requires a categorical factor")
-        return self.heads[i].probs(self.head_inputs(state, action, i))
-
-    def mean_action(self, state) -> np.ndarray:
-        if any(self.parent_map):
-            raise ValueError(
-                "unconditional means are undefined under a nontrivial factorization; "
-                "use conditional_mean(state, action, i)"
-            )
-        out = []
-        for i in range(self.m):
-            cm = self.conditional_mean(state, np.zeros(self.m), i)
-            out.append(np.atleast_1d(np.asarray(cm, dtype=float)))
-        return np.concatenate(out)
+        return self.heads[i].factor_support(0)
 
     def descriptor(self) -> dict:
         return {
@@ -684,8 +512,8 @@ class DagPolicy(FactoredPolicy):
             "parents": [list(p) for p in self.parent_map],
             "factor_kinds": list(self.factor_kinds),
             "cardinalities": [
-                self.heads[i].cardinality if self.factor_kinds[i] == "categorical" else None
-                for i in range(self.m)
+                h.cardinalities[0] if kind == "categorical" else None
+                for h, kind in zip(self.heads, self.factor_kinds)
             ],
             "features": self.features.descriptor(),
         }
@@ -711,21 +539,16 @@ def policy_from_checkpoint(data: dict) -> FactoredPolicy:
         base = CategoricalPolicy.zeros(desc["cardinalities"], features)
         return base.with_theta(theta)
     if kind == "dag":
+        kinds, cards = desc["factor_kinds"], desc["cardinalities"]
         heads = []
-        offset = 0
-        for i, fk in enumerate(desc["factor_kinds"]):
-            parents = desc["parents"][i]
-            input_dim = features.dim
-            for j in parents:
-                if desc["factor_kinds"][j] == "gaussian":
-                    input_dim += 1
-                else:
-                    input_dim += int(desc["cardinalities"][j])
-            if fk == "gaussian":
-                heads.append(GaussianHead(np.zeros(input_dim), 0.0, 0.0))
+        for i, parents in enumerate(desc["parents"]):
+            input_dim = features.dim + sum(
+                1 if kinds[j] == "gaussian" else int(cards[j]) for j in parents
+            )
+            if kinds[i] == "gaussian":
+                heads.append(IndependentGaussianPolicy.zeros(1, input_dim))
             else:
-                heads.append(CategoricalHead(np.zeros((int(desc["cardinalities"][i]), input_dim))))
-            offset += heads[-1].block_size
+                heads.append(CategoricalPolicy.zeros([int(cards[i])], RawFeatures(input_dim)))
         base = DagPolicy(heads, [tuple(p) for p in desc["parents"]], features)
         return base.with_theta(theta)
     raise ValueError(f"unknown policy kind {kind!r}")

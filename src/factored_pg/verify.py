@@ -34,7 +34,6 @@ from .oracle import (
     state_baseline_gap,
 )
 from .policies import (
-    CategoricalHead,
     CategoricalPolicy,
     DagPolicy,
     IndependentGaussianPolicy,
@@ -78,9 +77,10 @@ def dag_fixture_problem() -> EnumerableProblem:
     """Two-factor bandit where factor 1's logits condition on factor 0's value."""
     env = load_fixture("bandit_two_factor")
     heads = [
-        CategoricalHead(np.array([[0.4], [-0.2]])),
-        CategoricalHead(
-            np.array([[0.1, 0.3, -0.2], [0.7, -0.5, 0.0], [-0.5, 0.2, 0.4]])
+        CategoricalPolicy([np.array([[0.4], [-0.2]])], RawFeatures(1)),
+        CategoricalPolicy(
+            [np.array([[0.1, 0.3, -0.2], [0.7, -0.5, 0.0], [-0.5, 0.2, 0.4]])],
+            RawFeatures(3),
         ),
     ]
     policy = DagPolicy(heads, parents=((), (0,)), features=IndicatorFeatures(1))
@@ -238,14 +238,15 @@ def _random_policies(rng):
 
 
 def check_score_fd(tol: float = 1e-5) -> CheckResult:
-    """Analytic joint scores match central differences of log pi on 50 random
-    (policy, state, action) triples."""
+    """Rows of the training score matrix match central differences of log pi
+    on 50 random (policy, state, action) triples."""
     rng = np.random.default_rng(77)
     h = 1e-6
     worst = 0.0
     for pol, state in _random_policies(rng):
-        action = pol.sample(state, rng)
-        analytic = pol.joint_score(state, action)
+        states = state[None, :]
+        actions = pol.sample(state, rng)[None, :]
+        analytic = pol.score_matrix(states, actions)[0]
         theta = pol.theta
         fd = np.empty_like(theta)
         for k in range(len(theta)):
@@ -253,8 +254,8 @@ def check_score_fd(tol: float = 1e-5) -> CheckResult:
             up[k] += h
             dn[k] -= h
             fd[k] = (
-                pol.with_theta(up).log_prob(state, action)
-                - pol.with_theta(dn).log_prob(state, action)
+                pol.with_theta(up).log_prob(states, actions)[0]
+                - pol.with_theta(dn).log_prob(states, actions)[0]
             ) / (2 * h)
         rel = float(np.max(np.abs(fd - analytic))) / max(1.0, float(np.max(np.abs(analytic))))
         worst = max(worst, rel)
@@ -303,18 +304,19 @@ def check_orthogonality(tol: float = 1e-12) -> CheckResult:
         for kind in ORACLE_BASELINE_KINDS:
             baseline = make_oracle_baseline(problem, kind)
             for s in range(env.n_states):
-                sv = np.array([float(s)])
+                sv = np.array([[float(s)]])
                 for a in itertools.product(*[range(k) for k in cards]):
                     for i in range(policy.m):
-                        probs = policy.factor_probs(sv, i)
-                        total = np.zeros(policy.n_params)
+                        block = policy.block_slices[i]
+                        probs = policy.factor_probs(sv, i)[0]
+                        total = np.zeros(block.stop - block.start)
                         for v, pv in enumerate(probs):
                             swapped = tuple(v if j == i else a[j] for j in range(policy.m))
-                            av = np.array(swapped, dtype=float)
+                            av = np.array([swapped], dtype=float)
                             total += (
                                 float(pv)
                                 * baseline(i, s, swapped)
-                                * policy.score_factor(sv, av, i)
+                                * policy.score_matrix(sv, av)[0, block]
                             )
                         worst = max(worst, float(np.max(np.abs(total))))
     return CheckResult(
@@ -341,7 +343,7 @@ def check_marginalization(tol: float = 1e-12) -> CheckResult:
         return 1.0 + 2.0 * a[0] - 1.5 * a[1] + 0.7 * a[0] * a[1]
 
     action = np.array([0.0, 1.0])
-    probs = cat.factor_probs(state, 1)
+    probs = cat.factor_probs(state[None, :], 1)[0]
     by_hand = probs[0] * q_cat(state, (0.0, 0.0)) + probs[1] * q_cat(state, (0.0, 1.0))
     got = mc_marginalized_baseline(q_cat, cat, state, action, i=1, exact=True)
     if abs(got - by_hand) > tol:
@@ -367,7 +369,7 @@ def check_marginalization(tol: float = 1e-12) -> CheckResult:
     )
     n_draws = 1000
     rng = np.random.default_rng(555)
-    draws = gauss.sample_factor(np.zeros(1), i, n_draws, rng)
+    draws = gauss.sample_factor(np.zeros((1, 1)), i, n_draws, rng)[0]
     vals = []
     for v in draws:
         swapped = action.copy()

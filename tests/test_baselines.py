@@ -16,13 +16,14 @@ from factored_pg.baselines import (
     optimal_action_baseline,
 )
 from factored_pg.policies import (
-    CategoricalHead,
     CategoricalPolicy,
     DagPolicy,
     IndependentGaussianPolicy,
     IndicatorFeatures,
+    RawFeatures,
 )
 from factored_pg.trajectory import Batch
+from factored_pg.verify import dag_fixture_problem
 
 S0 = np.array([0.0])
 
@@ -32,6 +33,14 @@ def _binary_policy(p0: float) -> CategoricalPolicy:
     return CategoricalPolicy(
         [np.log(np.array([[p0], [1.0 - p0]]))], IndicatorFeatures(1)
     )
+
+
+def _cat_head(cardinality, input_dim):
+    return CategoricalPolicy.zeros([cardinality], RawFeatures(input_dim))
+
+
+def _sampled(policy, states, rng):
+    return np.stack([policy.sample(s, rng) for s in states])
 
 
 def _lookup_q(table):
@@ -95,7 +104,7 @@ def test_mean_substitution_exact_for_linear_q():
 
     s = np.array([0.7])
     a = np.array([0.5, -0.2])
-    mu = policy.mean_action(s)
+    mu = policy.mean_actions(s[None, :])[0]
     # linear Q: plugging in the mean equals the full marginal expectation
     assert_allclose(
         mean_marginalized_baseline(q, policy, s, a, 1),
@@ -116,13 +125,30 @@ def test_mean_substitution_rejects_categorical_factor():
 
 
 def test_marginalized_baselines_reject_dag_policies():
-    heads = [CategoricalHead(np.zeros((2, 1))), CategoricalHead(np.zeros((2, 3)))]
+    heads = [_cat_head(2, 1), _cat_head(2, 3)]
     dag = DagPolicy(heads, parents=((), (0,)), features=IndicatorFeatures(1))
     q = lambda s, a: 0.0
     with pytest.raises(ValueError):
         mc_marginalized_baseline(q, dag, S0, np.array([0.0, 0.0]), 0, exact=True)
     with pytest.raises(ValueError):
         optimal_action_baseline(q, dag, S0, np.array([0.0, 0.0]), 0)
+    # the batched rules refuse too: a^0's child a^1 is in Q's input and
+    # carries information about a^0. A DAG without edges has no per-factor
+    # marginals either.
+    unlinked = DagPolicy(heads[:1] * 2, parents=((), ()), features=IndicatorFeatures(1))
+    for policy in (dag_fixture_problem().policy, unlinked):  # one-state bandits
+        rng = np.random.default_rng(27)
+        states = np.zeros((20, 1))
+        actions = _sampled(policy, states, rng)
+        batch = Batch.from_paths([(states, actions, actions[:, 0] - actions[:, 1])], gamma=1.0)
+        for spec in (
+            BaselineSpec(kind="mean_q", tabular=True),
+            BaselineSpec(kind="mc_q", exact=True, tabular=True),
+            BaselineSpec(kind="optimal_action", tabular=True),
+        ):
+            state = BaselineState.initial(spec).refit(batch, policy)
+            with pytest.raises(ValueError, match="independent"):
+                state.evaluate(batch, policy)
 
 
 def test_fit_q_quadratic_features_recover_quadratic_return():
@@ -144,7 +170,7 @@ def _categorical_batch(policy, n_traj=40, horizon=2, seed=7):
     paths = []
     for _ in range(n_traj):
         states = rng.integers(2, size=(horizon, 1)).astype(float)
-        actions = policy.sample_batch(states, rng)
+        actions = _sampled(policy, states, rng)
         rewards = np.array(
             [float(a[0]) - 0.5 * float(a[1]) + 0.2 * float(s[0]) for s, a in zip(states, actions)]
         )
@@ -192,7 +218,7 @@ def test_mean_q_batch_matches_reference():
     paths = []
     for _ in range(30):
         states = rng.standard_normal((2, 1))
-        actions = policy.sample_batch(states, rng)
+        actions = _sampled(policy, states, rng)
         rewards = actions.sum(axis=1)
         paths.append((states, actions, rewards))
     batch = Batch.from_paths(paths, gamma=1.0)
@@ -212,7 +238,7 @@ def test_exact_mc_q_rejects_continuous_factors():
     rng = np.random.default_rng(14)
     policy = IndependentGaussianPolicy.zeros(1, 1)
     states = rng.standard_normal((3, 1))
-    actions = policy.sample_batch(states, rng)
+    actions = _sampled(policy, states, rng)
     batch = Batch.from_paths([(states, actions, np.zeros(3))], gamma=1.0)
     spec = BaselineSpec(kind="mc_q", exact=True, features="linear")
     state = BaselineState.initial(spec).refit(batch, policy)
@@ -237,14 +263,15 @@ def test_enumerated_score_baseline_orthogonality():
         for k in range(0, batch.n_steps, 11):
             s = batch.states[k]
             for i in range(policy.m):
-                probs = policy.factor_probs(s, i)
-                moment = np.zeros(policy.n_params)
+                block = policy.block_slices[i]
+                probs = policy.factor_probs(s[None, :], i)[0]
+                moment = np.zeros(block.stop - block.start)
                 for v, pv in enumerate(probs):
                     a = batch.actions[k].copy()
                     a[i] = v
                     sub = Batch.from_paths([(s[None, :], a[None, :], np.zeros(1))], gamma=1.0)
                     b = state.evaluate(sub, policy)[0, i]
-                    moment += pv * b * policy.score_factor(s, a, i)
+                    moment += pv * b * policy.score_matrix(s[None, :], a[None, :])[0, block]
                 assert_allclose(moment, 0.0, atol=1e-12, err_msg=f"{spec.kind} factor {i}")
 
 
@@ -296,6 +323,12 @@ def test_spec_validation():
         BaselineSpec(kind="none", features="cubic")
     with pytest.raises(ValueError):
         BaselineSpec(kind="mc_q", mc_samples=0)
+    for bad in (-1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            BaselineSpec(kind="state_value", ridge=bad)
+    with pytest.raises(ValueError):
+        BaselineSpec(kind="state_value", features="rff", n_features=0)
+    assert BaselineSpec(kind="state_value", ridge=0.0).ridge == 0.0
     assert BaselineSpec(kind="mean_q", features="quadratic").features == "quadratic"
 
 
@@ -337,7 +370,7 @@ def test_one_fitted_model_per_keep_set():
     policy = _two_factor_policy(seed=25)
     batch = _categorical_batch(policy, seed=26)
     dag = DagPolicy(
-        [CategoricalHead(np.zeros((2, 2))), CategoricalHead(np.zeros((3, 4)))],
+        [_cat_head(2, 2), _cat_head(3, 4)],
         parents=((), (0,)),
         features=IndicatorFeatures(2),
     )
@@ -354,3 +387,4 @@ def test_one_fitted_model_per_keep_set():
         assert list(state.fitted) == keeps
         desc = json.loads(json.dumps(state.descriptor()))
         assert [entry["columns"] for entry in desc["fitted"]] == [list(k) for k in keeps]
+

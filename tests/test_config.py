@@ -110,6 +110,10 @@ def test_malformed_json_reports_config_error(tmp_path):
         lambda d: d.update(seeds=[]),
         lambda d: d.update(typo_field=3),
         lambda d: d.update(arms=[{"kind": "mc_q", "exact": True, "max_aggregation": True}]),
+        lambda d: d.update(arms=[{"kind": "state_value", "ridge": -1}]),
+        lambda d: d.update(arms=[{"kind": "state_value", "features": "rff", "n_features": 0}]),
+        lambda d: d.update(arms=[{"kind": "state_value", "features": "cubic"}]),
+        lambda d: d.update(arms=[{"kind": "mc_q", "mc_samples": 0}]),
     ],
 )
 def test_invalid_configs_rejected(mutate):

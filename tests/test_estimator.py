@@ -56,7 +56,7 @@ def _gaussian_batch(seed=0, lengths=(4, 1, 6, 3, 4, 2), m=2):
     paths = []
     for horizon in lengths:
         states = rng.standard_normal((horizon, 1))
-        actions = policy.sample_batch(states, rng)
+        actions = np.stack([policy.sample(s, rng) for s in states])
         rewards = rng.standard_normal(horizon)
         paths.append((states, actions, rewards))
     return Batch.from_paths(paths, gamma=0.9), policy
@@ -135,8 +135,17 @@ def test_score_matrix_rows_are_joint_scores():
     batch, policy = _gaussian_batch(seed=10, lengths=(3, 3))
     rows = score_matrix(batch, policy)
     assert rows.shape == (batch.n_steps, policy.n_params)
-    for n in range(batch.n_steps):
-        assert_allclose(rows[n], policy.joint_score(batch.states[n], batch.actions[n]), atol=1e-13)
+    # central differences of log pi(a_n | s_n), the joint score by definition
+    h, theta = 1e-6, policy.theta
+    for j in range(len(theta)):
+        up, dn = theta.copy(), theta.copy()
+        up[j] += h
+        dn[j] -= h
+        fd = (
+            policy.with_theta(up).log_prob(batch.states, batch.actions)
+            - policy.with_theta(dn).log_prob(batch.states, batch.actions)
+        ) / (2 * h)
+        assert_allclose(rows[:, j], fd, rtol=1e-5, atol=1e-7)
 
 
 def test_gradient_variance_hand_value():

@@ -5,10 +5,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 from factored_pg.policies import (
-    CategoricalHead,
     CategoricalPolicy,
     DagPolicy,
-    GaussianHead,
     IndependentGaussianPolicy,
     IndicatorFeatures,
     RawFeatures,
@@ -29,27 +27,55 @@ def _categorical(cards=(2, 3), n_states=2, seed=0):
     return pol.with_theta(0.5 * rng.standard_normal(pol.n_params))
 
 
+def _cat_head(weights):
+    """One categorical factor with logits weights @ head_input."""
+    weights = np.atleast_2d(weights)
+    return CategoricalPolicy([weights], RawFeatures(weights.shape[1]))
+
+
+def _gauss_head(weights, bias, log_std):
+    """One Gaussian factor with mean weights . head_input + bias."""
+    weights = np.atleast_2d(weights)
+    return IndependentGaussianPolicy(weights, [bias], [log_std], RawFeatures(weights.shape[1]))
+
+
 def _dag(seed=0):
     rng = np.random.default_rng(seed)
     heads = [
-        CategoricalHead(0.3 * rng.standard_normal((2, 1))),
-        CategoricalHead(0.3 * rng.standard_normal((3, 3))),  # sees state + parent one-hot
+        _cat_head(0.3 * rng.standard_normal((2, 1))),
+        _cat_head(0.3 * rng.standard_normal((3, 3))),  # sees state + parent one-hot
     ]
     return DagPolicy(heads, parents=((), (0,)), features=IndicatorFeatures(1))
 
 
-def _fd_score(policy, state, action, i, h=1e-6):
+def _mixed_dag(seed=0):
+    """Categorical a^0 -> Gaussian a^1 -> categorical a^2 on a raw 1-d state."""
+    rng = np.random.default_rng(seed)
+    heads = [
+        _cat_head(0.5 * rng.standard_normal((3, 1))),
+        _gauss_head(0.5 * rng.standard_normal(1 + 3), 0.2, -0.3),  # state + one-hot of a^0
+        _cat_head(0.5 * rng.standard_normal((2, 1 + 1))),  # state + raw a^1
+    ]
+    return DagPolicy(heads, parents=((), (0,), (1,)), features=RawFeatures(1))
+
+
+def _fd_scores(policy, states, actions, h=1e-6):
+    """Central differences of log_prob, one row per (state, action)."""
     theta = policy.theta
-    grad = np.zeros_like(theta)
+    grad = np.zeros((len(states), len(theta)))
     for j in range(len(theta)):
         up, dn = theta.copy(), theta.copy()
         up[j] += h
         dn[j] -= h
-        grad[j] = (
-            policy.with_theta(up).factor_log_prob(state, action, i)
-            - policy.with_theta(dn).factor_log_prob(state, action, i)
+        grad[:, j] = (
+            policy.with_theta(up).log_prob(states, actions)
+            - policy.with_theta(dn).log_prob(states, actions)
         ) / (2 * h)
     return grad
+
+
+def _sampled(policy, states, rng):
+    return np.stack([policy.sample(s, rng) for s in states])
 
 
 def test_gaussian_score_hand_example():
@@ -60,7 +86,7 @@ def test_gaussian_score_hand_example():
         log_std=np.array([np.log(2.0)]),
         features=RawFeatures(1),
     )
-    score = pol.score_factor(np.array([2.0]), np.array([3.0]), 0)
+    score = pol.score_matrix(np.array([[2.0]]), np.array([[3.0]]))[0]
     assert_allclose(score, [1.9 / 4 * 2.0, 1.9 / 4, 1.9 ** 2 / 4 - 1.0], atol=1e-12)
 
 
@@ -69,91 +95,100 @@ def test_scores_match_finite_differences():
     cases = []
     for seed in range(5):
         pol = _gaussian(m=2, state_dim=2, seed=seed)
-        s = rng.standard_normal(2)
-        a = pol.sample(s, rng)
-        cases.append((pol, s, a))
+        s = rng.standard_normal((3, 2))
+        cases.append((pol, s, _sampled(pol, s, rng)))
         polc = _categorical(seed=seed)
-        sc = np.array([float(rng.integers(2))])
-        ac = polc.sample(sc, rng)
-        cases.append((polc, sc, ac))
+        sc = rng.integers(2, size=(3, 1)).astype(float)
+        cases.append((polc, sc, _sampled(polc, sc, rng)))
     for pol, s, a in cases:
-        for i in range(pol.m):
-            exact = pol.score_factor(s, a, i)
-            fd = _fd_score(pol, s, a, i)
-            assert_allclose(exact, fd, rtol=1e-5, atol=1e-7)
+        assert_allclose(pol.score_matrix(s, a), _fd_scores(pol, s, a), rtol=1e-5, atol=1e-7)
 
 
-def test_score_factor_zero_outside_own_block():
+def test_score_matrix_block_depends_only_on_own_factor():
     pol = _gaussian(m=3, seed=1)
-    s, a = np.zeros(1), np.array([0.3, -0.1, 0.8])
+    s, a = np.zeros((1, 1)), np.array([[0.3, -0.1, 0.8]])
+    base = pol.score_matrix(s, a)[0]
     for i in range(3):
-        full = pol.score_factor(s, a, i)
-        block = pol.block_slices[i]
-        mask = np.ones(pol.n_params, dtype=bool)
-        mask[block] = False
-        assert_allclose(full[mask], 0.0)
-        assert_allclose(full[block], pol.score_block(s, a, i))
+        moved = a.copy()
+        moved[0, i] += 0.5
+        changed = pol.score_matrix(s, moved)[0] != base
+        mask = np.zeros(pol.n_params, dtype=bool)
+        mask[pol.block_slices[i]] = True
+        assert changed.any()
+        assert not changed[~mask].any()
 
 
 def test_joint_score_is_sum_of_factor_scores():
+    # each factor's block is the score of that factor alone as a one-factor policy
     pol = _categorical(seed=3)
-    s, a = np.array([1.0]), np.array([1.0, 2.0])
-    total = sum(pol.score_factor(s, a, i) for i in range(pol.m))
-    assert_allclose(pol.joint_score(s, a), total, atol=1e-14)
+    s, a = np.array([[1.0], [0.0]]), np.array([[1.0, 2.0], [0.0, 1.0]])
+    singles = [CategoricalPolicy([w], pol.features) for w in pol.logit_weights]
+    expect = np.hstack([p.score_matrix(s, a[:, i : i + 1]) for i, p in enumerate(singles)])
+    assert_allclose(pol.score_matrix(s, a), expect, atol=1e-14)
 
 
-@pytest.mark.parametrize("kind", ["gaussian", "categorical", "dag"])
+@pytest.mark.parametrize("kind", ["gaussian", "categorical", "dag", "mixed_dag"])
 def test_score_matrix_matches_joint_scores(kind):
     rng = np.random.default_rng(7)
     if kind == "gaussian":
         pol = _gaussian(m=2, state_dim=2, seed=2)
         states = rng.standard_normal((6, 2))
+    elif kind == "mixed_dag":
+        pol = _mixed_dag(seed=2)
+        states = rng.standard_normal((6, 1))
     else:
         # unequal cardinalities: categorical blocks of 2 and 3 rows
         pol = _categorical(seed=2) if kind == "categorical" else _dag(seed=2)
         n_states = pol.features.n_states
         states = rng.integers(n_states, size=(6, 1)).astype(float)
-    actions = np.stack([pol.sample(s, rng) for s in states])
+    actions = _sampled(pol, states, rng)
     scores = pol.score_matrix(states, actions)
     assert scores.shape == (6, pol.n_params)
-    for n in range(6):
-        assert_allclose(scores[n], pol.joint_score(states[n], actions[n]), atol=1e-12)
+    assert_allclose(scores, _fd_scores(pol, states, actions), rtol=1e-5, atol=1e-7)
 
 
 def test_joint_score_sq_norms_match_joint_scores():
     pol = _categorical(seed=5)
     rng = np.random.default_rng(9)
     states = rng.integers(2, size=(5, 1)).astype(float)
-    actions = pol.sample_batch(states, rng)
+    actions = _sampled(pol, states, rng)
     norms = pol.joint_score_sq_norms(states, actions)
     for n in range(5):
-        expect = np.sum(pol.joint_score(states[n], actions[n]) ** 2)
+        expect = np.sum(pol.score_matrix(states[n : n + 1], actions[n : n + 1]) ** 2)
         assert_allclose(norms[n], expect, atol=1e-12)
 
 
 def test_log_prob_sums_factor_log_probs():
     pol = _gaussian(m=3, seed=4)
-    s, a = np.zeros(1), np.array([0.1, 0.2, -0.4])
-    total = sum(pol.factor_log_prob(s, a, i) for i in range(3))
-    assert_allclose(pol.log_prob(s, a), total, atol=1e-13)
-    assert_allclose(pol.prob(s, a), np.exp(total), atol=1e-13)
+    s, a = np.zeros((2, 1)), np.array([[0.1, 0.2, -0.4], [0.5, -1.0, 0.0]])
+    mu, sd = pol.mean_actions(s), np.exp(pol.log_std)
+    per_factor = -0.5 * ((a - mu) / sd) ** 2 - np.log(sd * np.sqrt(2.0 * np.pi))
+    assert pol.log_prob(s, a).shape == (2,)
+    assert_allclose(pol.log_prob(s, a), per_factor.sum(axis=1), atol=1e-13)
 
 
 def test_categorical_probs_normalize_and_batch_agrees():
     pol = _categorical(cards=(2, 3), seed=6)
     states = np.array([[0.0], [1.0], [0.0]])
     for i in range(2):
-        batch = pol.factor_probs_batch(states, i)
+        batch = pol.factor_probs(states, i)
         assert_allclose(batch.sum(axis=1), 1.0, atol=1e-12)
-        for n, s in enumerate(states):
-            assert_allclose(batch[n], pol.factor_probs(s, i), atol=1e-14)
+        for n in range(len(states)):
+            assert_allclose(batch[n], pol.factor_probs(states[n : n + 1], i)[0], atol=1e-14)
+    # log_prob of the joint is the sum of the chosen per-factor log-probs
+    actions = np.array([[1.0, 2.0], [0.0, 0.0], [1.0, 1.0]])
+    rows = np.arange(3)
+    expect = sum(
+        np.log(pol.factor_probs(states, i)[rows, actions[:, i].astype(int)]) for i in range(2)
+    )
+    assert_allclose(pol.log_prob(states, actions), expect, atol=1e-14)
 
 
 def test_sample_factor_batch_frequencies_match_probs():
     pol = _categorical(cards=(3,), n_states=1, seed=8)
     states = np.zeros((1, 1))
-    probs = pol.factor_probs(states[0], 0)
-    draws = pol.sample_factor_batch(np.repeat(states, 5, axis=0), 0, 4000, np.random.default_rng(0))
+    probs = pol.factor_probs(states, 0)[0]
+    draws = pol.sample_factor(np.repeat(states, 5, axis=0), 0, 4000, np.random.default_rng(0))
     assert draws.shape == (5, 4000)
     freq = np.mean(draws.reshape(-1)[:, None] == np.arange(3)[None, :], axis=0)
     se = np.sqrt(probs * (1 - probs) / draws.size)
@@ -163,8 +198,8 @@ def test_sample_factor_batch_frequencies_match_probs():
 def test_gaussian_sample_factor_batch_moments():
     pol = _gaussian(m=2, seed=9)
     states = np.zeros((3, 1))
-    draws = pol.sample_factor_batch(states, 1, 8000, np.random.default_rng(1))
-    mu = pol.mean_actions_batch(states)[:, 1]
+    draws = pol.sample_factor(states, 1, 8000, np.random.default_rng(1))
+    mu = pol.mean_actions(states)[:, 1]
     sd = np.exp(pol.log_std[1])
     assert draws.shape == (3, 8000)
     assert np.all(np.abs(draws.mean(axis=1) - mu) < 5 * sd / np.sqrt(8000))
@@ -203,9 +238,19 @@ def test_categorical_kl_hand_value():
 
 def test_mean_action_and_support():
     g = _gaussian(m=2, seed=11)
-    assert_allclose(g.mean_action(np.zeros(1)), g.biases, atol=1e-12)
+    assert_allclose(g.mean_actions(np.zeros((3, 1))), np.tile(g.biases, (3, 1)), atol=1e-12)
     c = _categorical(cards=(4,), n_states=1, seed=11)
     assert_allclose(c.factor_support(0), [0, 1, 2, 3])
+
+
+def test_indicator_features_reject_out_of_range_index():
+    feats = IndicatorFeatures(3)
+    assert_allclose(feats.batch([[2.0], [0.0]]), [[0, 0, 1], [1, 0, 0]])
+    for states in ([[-1.0]], [[1.0], [3.0]]):
+        with pytest.raises(ValueError, match=r"state index (-1|3) .*n_states=3"):
+            feats.batch(states)
+    with pytest.raises(ValueError, match=r"state index -1 .*n_states=3"):
+        feats(np.array([-1.0]))
 
 
 def test_theta_round_trip():
@@ -215,8 +260,8 @@ def test_theta_round_trip():
         assert_allclose(clone.theta, theta)
         s = np.zeros(1)
         rng = np.random.default_rng(0)
-        a = pol.sample(s, rng)
-        assert_allclose(clone.log_prob(s, a), pol.log_prob(s, a), atol=1e-14)
+        a = pol.sample(s, rng)[None, :]
+        assert_allclose(clone.log_prob(s[None, :], a), pol.log_prob(s[None, :], a), atol=1e-14)
 
 
 def test_dag_structure_queries():
@@ -225,25 +270,42 @@ def test_dag_structure_queries():
     assert pol.parents(0) == ()
     assert pol.descendants(0) == (0, 1)
     assert pol.descendants(1) == (1,)
+    mixed = _mixed_dag()
+    assert mixed.factor_kinds == ("categorical", "gaussian", "categorical")
+    assert [mixed.descendants(i) for i in range(3)] == [(0, 1, 2), (1, 2), (2,)]
+    assert [mixed.factor_support(i) is None for i in range(3)] == [False, True, False]
+
+
+def test_dag_head_inputs_encode_parents():
+    pol = _mixed_dag(seed=17)
+    rng = np.random.default_rng(3)
+    states = rng.standard_normal((4, 1))
+    actions = _sampled(pol, states, rng)
+    # the Gaussian head reads a^0 as a one-hot, the last head reads a^1 raw
+    assert_allclose(pol.head_inputs(states, actions, 0), states)
+    assert_allclose(pol.head_inputs(states, actions, 1),
+                    np.hstack([states, np.eye(3)[actions[:, 0].astype(int)]]))
+    assert_allclose(pol.head_inputs(states, actions, 2), np.hstack([states, actions[:, 1:2]]))
 
 
 def test_dag_cycle_rejected():
-    heads = [
-        CategoricalHead(np.zeros((2, 1 + 3))),
-        CategoricalHead(np.zeros((3, 1 + 2))),
-    ]
+    heads = [_cat_head(np.zeros((2, 1 + 3))), _cat_head(np.zeros((3, 1 + 2)))]
     with pytest.raises(ValueError):
         DagPolicy(heads, parents=((1,), (0,)), features=IndicatorFeatures(1))
 
 
 def test_dag_conditional_depends_on_parent_value():
     pol = _dag(seed=13)
-    s = np.zeros(1)
-    p_given0 = [pol.factor_log_prob(s, np.array([0.0, v]), 1) for v in range(3)]
-    p_given1 = [pol.factor_log_prob(s, np.array([1.0, v]), 1) for v in range(3)]
-    assert not np.allclose(p_given0, p_given1)
-    assert_allclose(np.exp(p_given0).sum(), 1.0, atol=1e-12)
-    assert_allclose(np.exp(p_given1).sum(), 1.0, atol=1e-12)
+    states = np.zeros((3, 1))
+    conditionals = []
+    for parent in (0.0, 1.0):
+        actions = np.array([[parent, v] for v in range(3)])
+        # log pi(a^1 | a^0) = log pi(a) - log pi(a^0); a^0 has no parents
+        marginal = pol.heads[0].log_prob(pol.head_inputs(states, actions, 0), actions[:, :1])
+        conditionals.append(pol.log_prob(states, actions) - marginal)
+    assert not np.allclose(conditionals[0], conditionals[1])
+    for cond in conditionals:
+        assert_allclose(np.exp(cond).sum(), 1.0, atol=1e-12)
 
 
 def test_dag_empty_parent_map_matches_independent():
@@ -251,27 +313,30 @@ def test_dag_empty_parent_map_matches_independent():
     flat = CategoricalPolicy.zeros(list(cards), IndicatorFeatures(2))
     rng = np.random.default_rng(14)
     flat = flat.with_theta(0.4 * rng.standard_normal(flat.n_params))
-    heads = [CategoricalHead(w.copy()) for w in flat.logit_weights]
+    heads = [_cat_head(w.copy()) for w in flat.logit_weights]
     dag = DagPolicy(heads, parents=((), ()), features=IndicatorFeatures(2))
-    s = np.array([1.0])
-    for a in ([0.0, 2.0], [1.0, 0.0]):
-        assert_allclose(dag.log_prob(s, np.array(a)), flat.log_prob(s, np.array(a)), atol=1e-13)
+    s = np.array([[1.0], [1.0], [0.0]])
+    a = np.array([[0.0, 2.0], [1.0, 0.0], [1.0, 1.0]])
+    assert_allclose(dag.log_prob(s, a), flat.log_prob(s, a), atol=1e-13)
+    assert_allclose(dag.score_matrix(s, a), flat.score_matrix(s, a), atol=1e-14)
 
 
 def test_dag_scores_match_finite_differences():
     pol = _dag(seed=15)
     rng = np.random.default_rng(2)
-    s = np.zeros(1)
-    a = pol.sample(s, rng)
-    for i in range(pol.m):
-        assert_allclose(pol.score_factor(s, a, i), _fd_score(pol, s, a, i), rtol=1e-5, atol=1e-7)
+    s = np.zeros((4, 1))
+    a = _sampled(pol, s, rng)
+    assert_allclose(pol.score_matrix(s, a), _fd_scores(pol, s, a), rtol=1e-5, atol=1e-7)
 
 
 def test_checkpoint_round_trip_all_policy_types():
     rng = np.random.default_rng(16)
-    s = np.zeros(1)
-    for pol in (_gaussian(seed=16), _categorical(seed=16), _dag(seed=16)):
-        clone = policy_from_checkpoint(policy_to_checkpoint(pol))
+    s = np.zeros((1, 1))
+    for pol in (_gaussian(seed=16), _categorical(seed=16), _dag(seed=16), _mixed_dag(seed=16)):
+        data = policy_to_checkpoint(pol)
+        clone = policy_from_checkpoint(data)
+        assert clone.descriptor() == data["descriptor"]
         assert_allclose(clone.theta, pol.theta)
-        a = pol.sample(s, rng)
+        a = pol.sample(s[0], rng)[None, :]
         assert_allclose(clone.log_prob(s, a), pol.log_prob(s, a), atol=1e-14)
+        assert_allclose(clone.score_matrix(s, a), pol.score_matrix(s, a), atol=1e-14)
