@@ -76,8 +76,6 @@ from .harness import (
     table1_report,
 )
 from .optim import (
-    NpgConfig,
-    VanillaConfig,
     collect_batch,
     conjugate_gradient,
     make_fvp,

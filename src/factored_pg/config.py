@@ -17,25 +17,32 @@ Layout (all fields overridable; defaults shown):
   "out_dir": "results/run"
 }
 
-Arm entries accept every baseline field (kind, mc_samples, exact, features,
-n_features, ridge, tabular); unset baseline feature kinds default per
-environment: raw linear features on the matching task, 100 random Fourier
-features on point mass, 250 elsewhere.
+Each section is read into its dataclass, where its defaults live, by one
+parser (``_section``); ``env.params`` is passed through as is.
+
+Arm entries accept a ``name`` (default: the kind) and every baseline field
+(kind, mc_samples, exact, features, n_features, ridge, tabular); unset
+baseline feature kinds default per environment: raw linear features on the
+matching task, 100 random Fourier features on point mass, 250 elsewhere.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+import math
+import typing
+from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
 
-from .baselines import BASELINE_KINDS, BaselineSpec
+from .baselines import BaselineSpec
 from .errors import ConfigError
+from .optim import OptimizerConfig
 
+# merged under each arm's own keys; what neither sets takes BaselineSpec's default
 _ENV_FEATURE_DEFAULTS = {
-    "target_matching": ("linear", 0),
-    "point_mass": ("rff", 100),
+    "target_matching": {"features": "linear"},
+    "point_mass": {"features": "rff", "n_features": 100},
 }
-_FALLBACK_FEATURES = ("rff", 250)
+_FALLBACK_FEATURES = {"features": "rff", "n_features": 250}
 
 
 @dataclass(frozen=True)
@@ -49,18 +56,11 @@ class PolicyConfig:
     features: str = "linear"  # linear | indicator
     log_std_init: float = 0.0
 
-
-@dataclass(frozen=True)
-class OptimizerConfig:
-    kind: str = "npg"  # npg | vanilla
-    lr: float = 0.05
-    kl: float = 0.025
-    cg_iters: int = 10
-    damping: float = 1e-4
-
     def __post_init__(self):
-        if self.kind not in ("npg", "vanilla"):
-            raise ConfigError(f"optimizer kind must be 'npg' or 'vanilla', got {self.kind!r}")
+        if self.features not in ("linear", "indicator"):
+            raise ConfigError(f"policy features must be linear or indicator, got {self.features!r}")
+        if not math.isfinite(self.log_std_init):
+            raise ConfigError(f"log_std_init must be finite, got {self.log_std_init}")
 
 
 @dataclass(frozen=True)
@@ -73,7 +73,7 @@ class ArmConfig:
 class ExperimentConfig:
     env: EnvConfig
     arms: tuple
-    seeds: tuple
+    seeds: tuple[int, ...] = (0, 1, 2, 3, 4)
     policy: PolicyConfig = PolicyConfig()
     optimizer: OptimizerConfig = OptimizerConfig()
     n_iterations: int = 100
@@ -90,96 +90,86 @@ class ExperimentConfig:
             raise ConfigError(f"arm names must be unique, got {names}")
         if not self.seeds:
             raise ConfigError("at least one seed required")
+        if min(self.seeds) < 0:
+            raise ConfigError(f"seeds must be >= 0, got {list(self.seeds)}")
         if not (0.0 <= self.lam <= 1.0):
             raise ConfigError(f"lam must lie in [0, 1], got {self.lam}")
         if self.n_iterations < 1 or self.n_trajectories < 1:
             raise ConfigError("n_iterations and n_trajectories must be >= 1")
 
 
-def _default_features(env_name: str) -> tuple:
-    return _ENV_FEATURE_DEFAULTS.get(env_name, _FALLBACK_FEATURES)
+def _object(raw, where: str) -> dict:
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{where} must be a JSON object, got {type(raw).__name__}")
+    return raw
 
 
-def _arm_from_dict(d: dict, env_name: str) -> ArmConfig:
-    d = dict(d)
-    kind = d.pop("kind", None)
-    if kind is None:
-        raise ConfigError("each arm needs a baseline 'kind'")
-    if kind not in BASELINE_KINDS:
-        raise ConfigError(f"unknown baseline kind {kind!r}; valid kinds: {list(BASELINE_KINDS)}")
-    name = d.pop("name", kind)
-    feat_kind, feat_count = _default_features(env_name)
+def _value(hint, value, where: str):
+    """``value`` checked against the field type ``hint``."""
+    if is_dataclass(hint):
+        return _section(hint, value, where)
+    args = typing.get_args(hint)
+    if typing.get_origin(hint) is tuple:  # tuple[T, ...] from a JSON list
+        if not isinstance(value, list):
+            raise ConfigError(f"{where} must be a list, got {type(value).__name__}")
+        return tuple(_value(args[0], v, where) for v in value)
+    if args:  # T | None
+        if value is None:
+            return None
+        hint = args[0]
+    if hint is float and type(value) is int:
+        return float(value)
+    if type(value) is not hint:
+        raise ConfigError(f"{where} must be {hint.__name__}, got {value!r:.60}")
+    return value
+
+
+def _section(cls, raw, where: str, **given):
+    """The dataclass ``cls`` from the JSON object ``raw``, with the fields in
+    ``given`` built by the caller. An unknown key, a missing required field,
+    a value of the wrong JSON type (a bool is not an int; an int is accepted
+    for a float) or a ``ValueError`` from ``cls`` is a ``ConfigError`` naming
+    ``where``."""
+    raw = _object(raw, where)
+    known = fields(cls)
+    unknown = sorted(set(raw) - {f.name for f in known})
+    if unknown:
+        raise ConfigError(f"{where}: unknown fields {unknown}; valid: {[f.name for f in known]}")
+    missing = [f.name for f in known if f.name not in raw and f.name not in given
+               and f.default is MISSING and f.default_factory is MISSING]
+    if missing:
+        raise ConfigError(f"{where}: missing required fields {missing}")
+    hints = typing.get_type_hints(cls)
+    values = {k: _value(hints[k], v, f"{where}.{k}") for k, v in raw.items() if k not in given}
     try:
-        spec = BaselineSpec(
-            kind=kind,
-            mc_samples=int(d.pop("mc_samples", 10)),
-            exact=bool(d.pop("exact", False)),
-            features=str(d.pop("features", feat_kind)),
-            n_features=int(d.pop("n_features", feat_count or 100)),
-            ridge=None if d.get("ridge") is None else float(d.get("ridge")),
-            tabular=bool(d.pop("tabular", False)),
-        )
+        return cls(**values, **given)
     except ValueError as exc:
-        raise ConfigError(f"arm {name!r}: {exc}") from exc
-    d.pop("ridge", None)
-    if d:
-        raise ConfigError(f"unknown arm fields: {sorted(d)}")
-    return ArmConfig(name=name, spec=spec)
+        raise ConfigError(f"{where}: {exc}") from exc
+
+
+def _arm(raw, env_name: str) -> ArmConfig:
+    spec_raw = {**_ENV_FEATURE_DEFAULTS.get(env_name, _FALLBACK_FEATURES), **_object(raw, "arm")}
+    name = spec_raw.pop("name", spec_raw.get("kind"))
+    where = f"arm {name!r}"
+    return _section(ArmConfig, {"name": name}, where, spec=_section(BaselineSpec, spec_raw, where))
 
 
 def config_from_dict(raw: dict) -> ExperimentConfig:
-    raw = dict(raw)
-    env_raw = raw.pop("env", None)
-    if not isinstance(env_raw, dict) or "name" not in env_raw:
-        raise ConfigError("config requires env: {name, params}")
-    env = EnvConfig(name=env_raw["name"], params=dict(env_raw.get("params", {})))
-
-    arms_raw = raw.pop("arms", None)
-    if not arms_raw:
-        raise ConfigError("config requires a non-empty arms list")
-    arms = tuple(_arm_from_dict(a, env.name) for a in arms_raw)
-
-    pol_raw = dict(raw.pop("policy", {}))
-    policy = PolicyConfig(
-        features=pol_raw.get("features", "linear"),
-        log_std_init=float(pol_raw.get("log_std_init", 0.0)),
-    )
-    opt_raw = dict(raw.pop("optimizer", {}))
-    optimizer = OptimizerConfig(
-        kind=opt_raw.get("kind", "npg"),
-        lr=float(opt_raw.get("lr", 0.05)),
-        kl=float(opt_raw.get("kl", 0.025)),
-        cg_iters=int(opt_raw.get("cg_iters", 10)),
-        damping=float(opt_raw.get("damping", 1e-4)),
-    )
-
-    known = {
-        "seeds": tuple(int(s) for s in raw.pop("seeds", (0, 1, 2, 3, 4))),
-        "n_iterations": int(raw.pop("n_iterations", 100)),
-        "n_trajectories": int(raw.pop("n_trajectories", 150)),
-        "lam": float(raw.pop("lam", 0.97)),
-        "normalize": bool(raw.pop("normalize", True)),
-        "out_dir": str(raw.pop("out_dir", "results/run")),
-    }
-    if raw:
-        raise ConfigError(f"unknown config fields: {sorted(raw)}")
-    return ExperimentConfig(env=env, arms=arms, policy=policy, optimizer=optimizer, **known)
+    raw = _object(raw, "config")
+    env = _section(EnvConfig, raw.get("env"), "env")
+    arms = raw.get("arms")
+    if not isinstance(arms, list):
+        raise ConfigError(f"config requires arms: a list of objects, got {type(arms).__name__}")
+    return _section(ExperimentConfig, raw, "config", env=env,
+                    arms=tuple(_arm(a, env.name) for a in arms))
 
 
 def config_to_dict(cfg: ExperimentConfig) -> dict:
     """Fully-resolved form: every field explicit, suitable for provenance."""
-    return {
-        "env": {"name": cfg.env.name, "params": dict(cfg.env.params)},
-        "policy": asdict(cfg.policy),
-        "optimizer": asdict(cfg.optimizer),
-        "arms": [{"name": arm.name, **asdict(arm.spec)} for arm in cfg.arms],
-        "n_iterations": cfg.n_iterations,
-        "n_trajectories": cfg.n_trajectories,
-        "lam": cfg.lam,
-        "normalize": cfg.normalize,
-        "seeds": list(cfg.seeds),
-        "out_dir": cfg.out_dir,
-    }
+    out = asdict(cfg)
+    out.update(arms=[{"name": arm.name, **asdict(arm.spec)} for arm in cfg.arms],
+               seeds=list(cfg.seeds))
+    return out
 
 
 def load_config(path: str) -> ExperimentConfig:

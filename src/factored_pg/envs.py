@@ -93,6 +93,12 @@ def solve_threshold_default(m: int) -> float:
     return table.get(int(m), -0.0025 * int(m))
 
 
+def matching_dimension(params: dict) -> int:
+    """The m of a ``target_matching`` params dict: the size of an explicit
+    ``target`` when one is given, else ``m`` (default 12)."""
+    return int(np.size(params["target"])) if "target" in params else int(params.get("m", 12))
+
+
 class TargetMatching(Environment):
     """Single-state, horizon-1 task: reward -(||a - c||^2) for a hidden target c.
 
@@ -151,6 +157,12 @@ class EnumeratedTrajectory:
         return self.env_prob * float(np.exp(logp))
 
 
+# fixture key -> its JSON types; gamma and name are optional
+_FIXTURE_TYPES = {"transitions": (list,), "rewards": (list,), "rho0": (list,),
+                  "factor_cardinalities": (list,), "horizon": (int,),
+                  "gamma": (int, float), "name": (str,)}
+
+
 class TabularMdp(Environment):
     """Finite MDP with factored categorical actions, exact tables throughout.
 
@@ -183,6 +195,13 @@ class TabularMdp(Environment):
             )
         if self.rewards.shape != (n_states, n_joint):
             raise ValueError(f"rewards must have shape {(n_states, n_joint)}")
+        if not self.cardinalities or min(self.cardinalities) < 1 or int(horizon) < 1:
+            raise ValueError("need at least one factor, cardinalities >= 1 and horizon >= 1")
+        if not np.all(np.isfinite(self.rewards)):
+            raise ValueError("rewards must be finite")
+        for label, probs in (("transition", self.transitions), ("initial", self.rho0)):
+            if not np.all((probs >= 0.0) & (probs <= 1.0)):
+                raise ValueError(f"{label} probabilities must lie in [0, 1]")
         if not np.allclose(self.transitions.sum(axis=2), 1.0, atol=1e-9):
             raise ValueError("transition rows must sum to 1")
         if not np.isclose(self.rho0.sum(), 1.0, atol=1e-9):
@@ -270,15 +289,26 @@ class TabularMdp(Environment):
 
     @classmethod
     def from_dict(cls, data: dict) -> "TabularMdp":
-        return cls(
-            transitions=np.asarray(data["transitions"], dtype=float),
-            rewards=np.asarray(data["rewards"], dtype=float),
-            rho0=np.asarray(data["rho0"], dtype=float),
-            cardinalities=data["factor_cardinalities"],
-            horizon=data["horizon"],
-            gamma=data.get("gamma", 1.0),
-            name=data.get("name", "tabular"),
-        )
+        """Build from the ``to_dict`` layout. A missing, unknown or mistyped
+        key, or tables whose shapes or values do not fit together, is a
+        ``ConfigError``."""
+        if not isinstance(data, dict):
+            raise ConfigError(f"tabular MDP must be a JSON object, got {type(data).__name__}")
+        data = {"gamma": 1.0, "name": "tabular", **data}
+        unknown = sorted(set(data) - set(_FIXTURE_TYPES))
+        if unknown:
+            raise ConfigError(f"tabular MDP: unknown keys {unknown}")
+        for key, kinds in _FIXTURE_TYPES.items():
+            if type(data.get(key)) not in kinds:
+                raise ConfigError(f"tabular MDP {key!r} must be {kinds[-1].__name__}, "
+                                  f"got {data.get(key)!r:.40}")
+        if any(type(k) is not int for k in data["factor_cardinalities"]):
+            raise ConfigError("tabular MDP 'factor_cardinalities' must be integers")
+        try:
+            return cls(data["transitions"], data["rewards"], data["rho0"],
+                       data["factor_cardinalities"], data["horizon"], data["gamma"], data["name"])
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"tabular MDP: {exc}") from exc
 
     def to_dict(self) -> dict:
         return {
@@ -375,19 +405,10 @@ class CommunicateTargetLite(Environment):
 
 
 ENV_BUILDERS = {
-    "target_matching": lambda params, rng: (
-        TargetMatching(
-            np.asarray(params["target"], dtype=float),
-            solve_threshold=params.get("solve_threshold"),
-            gamma=float(params.get("gamma", 0.995)),
-        )
-        if "target" in params
-        else TargetMatching.with_random_target(
-            int(params.get("m", 12)),
-            rng,
-            solve_threshold=params.get("solve_threshold"),
-            gamma=float(params.get("gamma", 0.995)),
-        )
+    "target_matching": lambda params, rng: TargetMatching(
+        params["target"] if "target" in params else rng.standard_normal(matching_dimension(params)),
+        solve_threshold=params.get("solve_threshold"),
+        gamma=float(params.get("gamma", 0.995)),
     ),
     "point_mass": lambda params, rng: PointMass(
         horizon=int(params.get("horizon", 100)),

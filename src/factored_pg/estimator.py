@@ -44,14 +44,17 @@ def whiten(values: np.ndarray, eps: float = 1e-8) -> np.ndarray:
 def pg_estimate(
     batch: Batch,
     policy,
+    scores: np.ndarray,
     baseline_values: np.ndarray | None = None,
     advantages: np.ndarray | None = None,
     normalize: bool = False,
 ) -> GradientReport:
     """Estimate the policy gradient from a batch.
 
-    Pass either ``baseline_values`` (n_steps, m) to form advantages
-    qhat - b_i, or precomputed ``advantages`` directly (takes precedence).
+    ``scores`` is ``score_matrix(batch, policy)``, built once by the caller
+    and shared with the natural-gradient step. Pass either
+    ``baseline_values`` (n_steps, m) to form advantages qhat - b_i, or
+    precomputed ``advantages`` directly (takes precedence).
     ``normalize`` whitens the advantages used for the returned gradient; the
     per-trajectory diagnostic contributions always use the raw advantages so
     variance comparisons are not distorted by the rescaling.
@@ -65,7 +68,6 @@ def pg_estimate(
     if advantages.shape != (batch.n_steps, m):
         raise ValueError(f"advantages must have shape {(batch.n_steps, m)}")
 
-    scores = policy.score_matrix(batch.states, batch.actions)
     per_traj = _per_trajectory_sums(batch, policy, scores, advantages)
     if normalize:
         used = whiten(advantages)

@@ -18,14 +18,20 @@ from __future__ import annotations
 import csv
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .config import ExperimentConfig, config_to_dict
-from .envs import CategoricalFactor, ContinuousFactor, make_env
+from .config import ExperimentConfig, load_config, save_config
+from .envs import (
+    CategoricalFactor,
+    ContinuousFactor,
+    make_env,
+    matching_dimension,
+    solve_threshold_default,
+)
 from .errors import ConfigError
-from .optim import NpgConfig, VanillaConfig, train
+from .optim import train
 from .policies import (
     CategoricalPolicy,
     IndependentGaussianPolicy,
@@ -51,6 +57,8 @@ def build_env(cfg: ExperimentConfig):
 def build_policy(env, policy_cfg):
     factors = env.spec.factors
     if all(isinstance(f, ContinuousFactor) for f in factors):
+        if policy_cfg.features == "indicator":
+            raise ConfigError("indicator policy features need categorical factors")
         m = len(factors)
         feats = RawFeatures(env.spec.state_dim)
         return IndependentGaussianPolicy(
@@ -69,13 +77,6 @@ def build_policy(env, policy_cfg):
     raise ConfigError("mixed continuous/categorical factor policies are not supported")
 
 
-def _optimizer(cfg: ExperimentConfig):
-    o = cfg.optimizer
-    if o.kind == "vanilla":
-        return VanillaConfig(lr=o.lr)
-    return NpgConfig(kl=o.kl, cg_iters=o.cg_iters, damping=o.damping)
-
-
 # ---------------------------------------------------------------------------
 # running
 
@@ -85,12 +86,9 @@ def run_experiment(cfg: ExperimentConfig, echo=None) -> str:
     out = cfg.out_dir
     os.makedirs(os.path.join(out, "curves"), exist_ok=True)
     os.makedirs(os.path.join(out, "checkpoints"), exist_ok=True)
-    with open(os.path.join(out, "config.json"), "w") as fh:
-        json.dump(config_to_dict(cfg), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    save_config(cfg, os.path.join(out, "config.json"))
 
     env = build_env(cfg)
-    optimizer = _optimizer(cfg)
     for arm in cfg.arms:
         for seed in cfg.seeds:
             policy = build_policy(env, cfg.policy)
@@ -101,7 +99,7 @@ def run_experiment(cfg: ExperimentConfig, echo=None) -> str:
                 n_iterations=cfg.n_iterations,
                 n_trajectories=cfg.n_trajectories,
                 seed=seed,
-                optimizer=optimizer,
+                optimizer=cfg.optimizer,
                 lam=cfg.lam,
                 normalize=cfg.normalize,
             )
@@ -176,17 +174,12 @@ def first_crossing(returns: np.ndarray, threshold: float):
 
 def summarize_run(out_dir: str) -> dict:
     """Recompute all summary statistics from the stored CSVs and config."""
-    with open(os.path.join(out_dir, "config.json")) as fh:
-        cfg_raw = json.load(fh)
-    env_name = cfg_raw["env"]["name"]
-    threshold = _run_threshold(cfg_raw)
+    cfg = load_config(os.path.join(out_dir, "config.json"))
+    _, threshold = _solve_task(cfg)
 
     arms_summary: dict = {}
-    for arm in cfg_raw["arms"]:
-        name = arm["name"]
-        curves = []
-        for seed in cfg_raw["seeds"]:
-            curves.append(load_curve(_curve_path(out_dir, name, seed)))
+    for arm in cfg.arms:
+        curves = [load_curve(_curve_path(out_dir, arm.name, seed)) for seed in cfg.seeds]
         returns = np.stack([c["mean_return"] for c in curves])  # (seeds, iters)
         entry = {
             "final_mean_return": float(np.mean(returns[:, -1])),
@@ -204,26 +197,24 @@ def summarize_run(out_dir: str) -> dict:
             entry["mean_curve_solve_iterations"] = first_crossing(
                 np.mean(returns, axis=0), threshold
             )
-        arms_summary[name] = entry
+        arms_summary[arm.name] = entry
     return {
-        "env": env_name,
+        "env": cfg.env.name,
         "solve_threshold": threshold,
-        "n_iterations": cfg_raw["n_iterations"],
-        "seeds": cfg_raw["seeds"],
+        "n_iterations": cfg.n_iterations,
+        "seeds": list(cfg.seeds),
         "arms": arms_summary,
     }
 
 
-def _run_threshold(cfg_raw: dict):
-    if cfg_raw["env"]["name"] != "target_matching":
-        return None
-    params = cfg_raw["env"]["params"]
-    if params.get("solve_threshold") is not None:
-        return float(params["solve_threshold"])
-    from .envs import solve_threshold_default
-
-    m = int(params.get("m", len(params.get("target", [])) or 12))
-    return solve_threshold_default(m)
+def _solve_task(cfg: ExperimentConfig) -> tuple:
+    """(m, solve threshold) of a target_matching run; (0, None) for other envs."""
+    if cfg.env.name != "target_matching":
+        return 0, None
+    params = cfg.env.params
+    m = matching_dimension(params)
+    threshold = params.get("solve_threshold")
+    return m, solve_threshold_default(m) if threshold is None else float(threshold)
 
 
 @dataclass
@@ -239,15 +230,7 @@ class SolveTimeRow:
     comparison_arm: str
 
     def to_dict(self) -> dict:
-        return {
-            "m": self.m,
-            "arm_iterations": self.arm_iterations,
-            "delta": self.delta,
-            "improvement_pct": self.improvement_pct,
-            "mean_curve_iterations": self.mean_curve_iterations,
-            "reference_arm": self.reference_arm,
-            "comparison_arm": self.comparison_arm,
-        }
+        return asdict(self)
 
 
 def table1_report(run_dirs) -> list:
@@ -260,9 +243,8 @@ def table1_report(run_dirs) -> list:
     rows = []
     for run_dir in run_dirs:
         summary = summarize_run(run_dir)
-        with open(os.path.join(run_dir, "config.json")) as fh:
-            cfg_raw = json.load(fh)
-        arm_names = [a["name"] for a in cfg_raw["arms"]]
+        m, _ = _solve_task(load_config(os.path.join(run_dir, "config.json")))
+        arm_names = list(summary["arms"])
         if len(arm_names) < 2:
             raise ValueError(f"{run_dir}: solve-time table needs two arms, got {arm_names}")
         reference = "state" if "state" in arm_names else arm_names[0]
@@ -282,7 +264,6 @@ def table1_report(run_dirs) -> list:
         else:
             delta = ref - cmp_
             improvement = 100.0 * delta / ref
-        m = int(cfg_raw["env"]["params"].get("m", 0))
         rows.append(
             SolveTimeRow(
                 m=m,
@@ -320,18 +301,9 @@ def format_solve_table(rows) -> str:
 
 def lambda_sweep(cfg: ExperimentConfig, lam_values, echo=None) -> dict:
     """One run per λ under out_dir/lam_<value>, shared seeds; returns
-    {lam: run_dir}."""
-    from dataclasses import replace
-
-    for lam in lam_values:
-        if not (0.0 <= float(lam) <= 1.0):
-            raise ConfigError(f"lambda values must lie in [0, 1], got {lam}")
-    out: dict = {}
-    for lam in lam_values:
-        sub = replace(
-            cfg,
-            lam=float(lam),
-            out_dir=os.path.join(cfg.out_dir, f"lam_{lam}"),
-        )
-        out[float(lam)] = run_experiment(sub, echo=echo)
-    return out
+    {lam: run_dir}. Every λ is checked before the first run starts."""
+    runs = {
+        float(lam): replace(cfg, lam=float(lam), out_dir=os.path.join(cfg.out_dir, f"lam_{lam}"))
+        for lam in lam_values
+    }
+    return {lam: run_experiment(sub, echo=echo) for lam, sub in runs.items()}

@@ -14,11 +14,13 @@ and differ only through the direction quality of their gradient estimates.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .baselines import BaselineSpec, BaselineState
+from .errors import ConfigError
 from .estimator import gae_advantages, gradient_variance, pg_estimate, score_matrix
 from .trajectory import Batch
 
@@ -34,15 +36,27 @@ def substream(seed: int, tag: int, iteration: int, index: int = 0) -> np.random.
 
 
 @dataclass(frozen=True)
-class VanillaConfig:
+class OptimizerConfig:
+    """The update rule: ``npg`` takes natural steps at KL budget ``kl``
+    (``cg_iters`` damped conjugate-gradient iterations), ``vanilla`` steps
+    ``lr`` times the gradient."""
+
+    kind: str = "npg"  # npg | vanilla
     lr: float = 0.05
-
-
-@dataclass(frozen=True)
-class NpgConfig:
     kl: float = 0.025
     cg_iters: int = 10
     damping: float = 1e-4
+
+    def __post_init__(self):
+        if self.kind not in ("npg", "vanilla"):
+            raise ConfigError(f"optimizer kind must be 'npg' or 'vanilla', got {self.kind!r}")
+        for name in ("lr", "kl"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ConfigError(f"{name} must be finite and > 0, got {getattr(self, name)}")
+        if self.cg_iters < 1:
+            raise ConfigError(f"cg_iters must be >= 1, got {self.cg_iters}")
+        if not 0.0 <= self.damping < math.inf:
+            raise ConfigError(f"damping must be finite and >= 0, got {self.damping}")
 
 
 def conjugate_gradient(matvec, b: np.ndarray, iters: int = 10, tol: float = 1e-10) -> np.ndarray:
@@ -78,7 +92,7 @@ def make_fvp(scores: np.ndarray, damping: float):
     return fvp
 
 
-def npg_step(gradient: np.ndarray, scores: np.ndarray, cfg: NpgConfig) -> np.ndarray:
+def npg_step(gradient: np.ndarray, scores: np.ndarray, cfg: OptimizerConfig) -> np.ndarray:
     """KL-constrained natural step; falls back to a normalized vanilla step
     when the curvature solve produces a non-finite or non-positive scale."""
     fvp = make_fvp(scores, cfg.damping)
@@ -90,7 +104,7 @@ def npg_step(gradient: np.ndarray, scores: np.ndarray, cfg: NpgConfig) -> np.nda
     return np.sqrt(2.0 * cfg.kl / (gg + 1e-8)) * gradient
 
 
-def vanilla_step(gradient: np.ndarray, cfg: VanillaConfig) -> np.ndarray:
+def vanilla_step(gradient: np.ndarray, cfg: OptimizerConfig) -> np.ndarray:
     return cfg.lr * gradient
 
 
@@ -155,7 +169,7 @@ def train(
     n_iterations: int,
     n_trajectories: int,
     seed: int,
-    optimizer: VanillaConfig | NpgConfig,
+    optimizer: OptimizerConfig,
     lam: float = 1.0,
     normalize: bool = True,
     callback=None,
@@ -174,10 +188,11 @@ def train(
         base_rng = substream(seed, STREAM_BASELINE, it)
         baseline_values = state.evaluate(batch, policy, base_rng)
         advantages = gae_advantages(batch, baseline_values, lam)
-        report = pg_estimate(batch, policy, advantages=advantages, normalize=normalize)
+        scores = score_matrix(batch, policy)
+        report = pg_estimate(batch, policy, scores, advantages=advantages, normalize=normalize)
 
-        if isinstance(optimizer, NpgConfig):
-            step = npg_step(report.gradient, score_matrix(batch, policy), optimizer)
+        if optimizer.kind == "npg":
+            step = npg_step(report.gradient, scores, optimizer)
         else:
             step = vanilla_step(report.gradient, optimizer)
         new_policy = policy.with_theta(policy.theta + step)

@@ -75,6 +75,23 @@ def test_arm_fields_pass_through():
     assert spec.ridge == 1e-8
 
 
+def test_ints_accepted_for_float_fields():
+    cfg = config_from_dict(
+        {
+            "env": {"name": "target_matching"},
+            "policy": {"log_std_init": 0},
+            "optimizer": {"kl": 1, "damping": 0},
+            "arms": [{"kind": "state_value", "ridge": 2}],
+            "lam": 1,
+        }
+    )
+    values = (cfg.policy.log_std_init, cfg.optimizer.kl, cfg.optimizer.damping,
+              cfg.arms[0].spec.ridge, cfg.lam)
+    assert values == (0.0, 1.0, 0.0, 2.0, 1.0)
+    assert all(type(v) is float for v in values)
+    assert json.dumps(config_to_dict(cfg)["optimizer"]["kl"]) == "1.0"
+
+
 def test_round_trip_through_dict_and_file(tmp_path):
     cfg = matching_task_config(12, seeds=(3, 4))
     again = config_from_dict(config_to_dict(cfg))
@@ -91,6 +108,9 @@ def test_round_trip_through_dict_and_file(tmp_path):
 def test_malformed_json_reports_config_error(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("{not json")
+    with pytest.raises(ConfigError):
+        load_config(path)
+    path.write_text(json.dumps([MINIMAL]))
     with pytest.raises(ConfigError):
         load_config(path)
 
@@ -114,6 +134,27 @@ def test_malformed_json_reports_config_error(tmp_path):
         lambda d: d.update(arms=[{"kind": "state_value", "features": "rff", "n_features": 0}]),
         lambda d: d.update(arms=[{"kind": "state_value", "features": "cubic"}]),
         lambda d: d.update(arms=[{"kind": "mc_q", "mc_samples": 0}]),
+        lambda d: d["env"].update(bogus=1),
+        lambda d: d.update(policy={"featurs": "linear"}),
+        lambda d: d.update(optimizer={"klx": 0.1}),
+        lambda d: d.update(normalize="false"),
+        lambda d: d.update(arms=[{"kind": "mc_q", "exact": "false"}]),
+        lambda d: d.update(n_iterations=True),
+        lambda d: d.update(n_iterations=2.9),
+        lambda d: d.update(arms=[{"kind": "mc_q", "mc_samples": 2.5}]),
+        lambda d: d.update(seeds=[0.7]),
+        lambda d: d.update(seeds=3),
+        lambda d: d.update(arms=["state_value"]),
+        lambda d: d["env"].update(params=[1]),
+        lambda d: d.update(optimizer={"kl": 0}),
+        lambda d: d.update(optimizer={"kl": -1}),
+        lambda d: d.update(optimizer={"kl": float("nan")}),
+        lambda d: d.update(optimizer={"cg_iters": 0}),
+        lambda d: d.update(optimizer={"damping": -1}),
+        lambda d: d.update(optimizer={"kind": "vanilla", "lr": 0}),
+        lambda d: d.update(policy={"features": "indikator"}),
+        lambda d: d.update(policy={"log_std_init": float("inf")}),
+        lambda d: d.update(seeds=[-1]),
     ],
 )
 def test_invalid_configs_rejected(mutate):

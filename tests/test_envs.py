@@ -12,6 +12,7 @@ from factored_pg.envs import (
     make_env,
     solve_threshold_default,
 )
+from factored_pg.errors import ConfigError
 from factored_pg.policies import CategoricalPolicy, IndicatorFeatures
 from factored_pg.verify import fixture_path, load_fixture
 
@@ -87,6 +88,24 @@ def test_tabular_round_trip():
     step_a = env.step(np.array([0.0]), np.array([1.0]), np.random.default_rng(0))
     step_b = clone.step(np.array([0.0]), np.array([1.0]), np.random.default_rng(0))
     assert step_a.reward == step_b.reward
+
+
+@pytest.mark.parametrize(
+    "mutate, match",
+    [
+        (lambda d: d.update(rho0=[1.5, -0.5, 0.0]), "probabilities"),
+        (lambda d: d["rewards"][0].__setitem__(1, float("nan")), "finite"),
+        (lambda d: d.pop("horizon"), "horizon"),
+        (lambda d: d.update(factor_cardinalities=[2, 3]), r"\(3, 6, 3\)"),
+        (lambda d: d.update(horizon="3"), "horizon"),
+        (lambda d: d.update(factor_cardinalities=[-2, -2]), "cardinalities"),
+    ],
+)
+def test_tabular_from_dict_rejects_malformed_fixture(mutate, match):
+    data = load_fixture("chain_two_step").to_dict()
+    mutate(data)
+    with pytest.raises(ConfigError, match=match):
+        TabularMdp.from_dict(data)
 
 
 def test_fixture_files_ship_with_package():

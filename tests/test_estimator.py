@@ -28,7 +28,7 @@ def test_enumeration_weighted_estimate_is_exact_gradient():
     for name in ("bandit_two_factor", "chain_two_step"):
         problem = fixture_problem(name)
         batch = _enumerated_batch(problem)
-        report = pg_estimate(batch, problem.policy)
+        report = pg_estimate(batch, problem.policy, score_matrix(batch, problem.policy))
         assert_allclose(report.gradient, exact_gradient(problem), atol=1e-10, err_msg=name)
 
 
@@ -44,7 +44,8 @@ def test_estimate_stays_exact_under_fitted_baselines():
     ):
         state = BaselineState.initial(spec).refit(batch, problem.policy)
         values = state.evaluate(batch, problem.policy)
-        report = pg_estimate(batch, problem.policy, baseline_values=values)
+        scores = score_matrix(batch, problem.policy)
+        report = pg_estimate(batch, problem.policy, scores, baseline_values=values)
         assert_allclose(report.gradient, grad, atol=1e-10, err_msg=spec.kind)
 
 
@@ -110,24 +111,25 @@ def test_whiten_hand_value():
 
 def test_normalize_whitens_gradient_but_not_diagnostics():
     batch, policy = _gaussian_batch(seed=7)
-    raw = pg_estimate(batch, policy)
-    norm = pg_estimate(batch, policy, normalize=True)
+    scores = score_matrix(batch, policy)
+    raw = pg_estimate(batch, policy, scores)
+    norm = pg_estimate(batch, policy, scores, normalize=True)
     # diagnostics keep raw advantages either way
     assert_allclose(norm.per_trajectory, raw.per_trajectory, atol=1e-14)
     assert_allclose(norm.advantages, whiten(batch.qhat[:, None] - 0.0 * norm.advantages), atol=1e-12)
-    rebuilt = pg_estimate(batch, policy, advantages=whiten(raw.advantages)).gradient
+    rebuilt = pg_estimate(batch, policy, scores, advantages=whiten(raw.advantages)).gradient
     assert_allclose(norm.gradient, rebuilt, atol=1e-12)
 
 
 def test_advantages_shape_validated():
     batch, policy = _gaussian_batch(seed=8)
     with pytest.raises(ValueError):
-        pg_estimate(batch, policy, advantages=np.zeros((3, policy.m)))
+        pg_estimate(batch, policy, score_matrix(batch, policy), advantages=np.zeros((3, policy.m)))
 
 
 def test_gradient_equals_weighted_per_trajectory_mean():
     batch, policy = _gaussian_batch(seed=9)
-    report = pg_estimate(batch, policy)
+    report = pg_estimate(batch, policy, score_matrix(batch, policy))
     assert_allclose(report.gradient, batch.weights @ report.per_trajectory, atol=1e-13)
 
 
@@ -167,12 +169,13 @@ def test_variance_reduction_visible_on_enumerated_fixture():
     # optimal action baseline lowers the per-trajectory variance vs none
     problem = fixture_problem("bandit_two_factor")
     batch = _enumerated_batch(problem)
-    none = pg_estimate(batch, problem.policy)
+    scores = score_matrix(batch, problem.policy)
+    none = pg_estimate(batch, problem.policy, scores)
     state = BaselineState.initial(
         BaselineSpec(kind="optimal_action", tabular=True)
     ).refit(batch, problem.policy)
     better = pg_estimate(
-        batch, problem.policy, baseline_values=state.evaluate(batch, problem.policy)
+        batch, problem.policy, scores, baseline_values=state.evaluate(batch, problem.policy)
     )
     v_none = gradient_variance(none.per_trajectory, batch.weights)
     v_opt = gradient_variance(better.per_trajectory, batch.weights)

@@ -3,12 +3,14 @@
 import importlib.resources
 import json
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from factored_pg.config import config_from_dict, save_config
+from factored_pg.envs import solve_threshold_default
 from factored_pg.errors import ConfigError
 from factored_pg.harness import (
     CSV_COLUMNS,
@@ -125,6 +127,18 @@ def test_table1_rows_sorted_by_dimension(tmp_path):
     cfg_path.write_text(json.dumps(raw))
     rows = table1_report([str(big), str(small_dir)])
     assert [r.m for r in rows] == [2, 4]
+
+
+def test_table1_dimension_of_explicit_target(tmp_path):
+    run = tmp_path / "run"
+    _fabricated_run(run, {"state": 6, "action": 3})
+    cfg_path = run / "config.json"
+    raw = json.loads(cfg_path.read_text())
+    raw["env"]["params"] = {"target": [0.1, -0.2, 0.3, 0.4]}
+    cfg_path.write_text(json.dumps(raw))
+    # the summary threshold and the table row both read m = 4 off the target
+    assert summarize_run(str(run))["solve_threshold"] == solve_threshold_default(4)
+    assert table1_report([str(run)])[0].m == 4
 
 
 def test_table1_requires_two_arms(tmp_path):
@@ -275,6 +289,8 @@ def test_build_policy_shapes_and_mixed_rejection():
 
     with pytest.raises(ConfigError):
         build_policy(Mixed(), cfg.policy)
+    with pytest.raises(ConfigError):
+        build_policy(env, replace(cfg.policy, features="indicator"))
 
 
 def test_build_env_target_seed_controls_task():

@@ -9,8 +9,7 @@ from factored_pg.optim import (
     STREAM_BASELINE,
     STREAM_ENV,
     STREAM_POLICY,
-    NpgConfig,
-    VanillaConfig,
+    OptimizerConfig,
     collect_batch,
     conjugate_gradient,
     make_fvp,
@@ -53,7 +52,7 @@ def test_npg_step_identity_fisher_hits_kl_budget():
     p = 4
     scores = np.sqrt(p) * np.eye(p)  # S'S / n = I
     g = np.array([0.3, -0.2, 0.5, 0.1])
-    cfg = NpgConfig(kl=0.025, cg_iters=20, damping=0.0)
+    cfg = OptimizerConfig(kl=0.025, cg_iters=20, damping=0.0)
     step = npg_step(g, scores, cfg)
     # x = g, so 0.5 * step' F step = kl (up to the 1e-8 guard in the scale)
     assert_allclose(0.5 * step @ step, cfg.kl, rtol=1e-6)
@@ -64,12 +63,12 @@ def test_npg_step_identity_fisher_hits_kl_budget():
 
 def test_npg_step_falls_back_on_degenerate_curvature():
     g = np.array([3.0, 4.0])
-    step = npg_step(g, np.zeros((2, 2)), NpgConfig(kl=0.02, damping=0.0))
+    step = npg_step(g, np.zeros((2, 2)), OptimizerConfig(kl=0.02, damping=0.0))
     assert_allclose(step, np.sqrt(2 * 0.02 / (25.0 + 1e-8)) * g, atol=1e-12)
 
 
 def test_vanilla_step():
-    assert_allclose(vanilla_step(np.array([2.0, -4.0]), VanillaConfig(lr=0.1)), [0.2, -0.4])
+    assert_allclose(vanilla_step(np.array([2.0, -4.0]), OptimizerConfig(kind="vanilla", lr=0.1)), [0.2, -0.4])
 
 
 def test_substream_keyed_independence_and_determinism():
@@ -119,7 +118,7 @@ def test_train_improves_matching_task():
         n_iterations=40,
         n_trajectories=30,
         seed=0,
-        optimizer=NpgConfig(kl=0.025, damping=0.1),
+        optimizer=OptimizerConfig(kl=0.025, damping=0.1),
     )
     returns = result.mean_returns()
     assert len(returns) == 40
@@ -139,7 +138,7 @@ def test_train_reruns_bitwise_identical():
         n_iterations=6,
         n_trajectories=12,
         seed=11,
-        optimizer=NpgConfig(),
+        optimizer=OptimizerConfig(),
     )
     one = train(env, policy, **kw)
     two = train(env, policy, **kw)
@@ -158,7 +157,7 @@ def test_train_callback_sees_every_iteration():
         n_iterations=3,
         n_trajectories=4,
         seed=1,
-        optimizer=VanillaConfig(lr=0.01),
+        optimizer=OptimizerConfig(kind="vanilla", lr=0.01),
         callback=lambda it, batch, pol, log: seen.append((it, batch.n_trajectories)),
     )
     assert seen == [(0, 4), (1, 4), (2, 4)]

@@ -53,7 +53,7 @@ def test_tracer_attaches_and_uninstall_restores():
             n_iterations=2,
             n_trajectories=4,
             seed=0,
-            optimizer=optim.NpgConfig(),
+            optimizer=optim.OptimizerConfig(),
         )
     finally:
         tracer.uninstall()
