@@ -13,9 +13,6 @@ from .baselines import (
     QModel,
     TableModel,
     fit_q,
-    mc_marginalized_baseline,
-    mean_marginalized_baseline,
-    optimal_action_baseline,
 )
 from .config import (
     ArmConfig,
@@ -31,7 +28,6 @@ from .config import (
 )
 from .envs import (
     CategoricalFactor,
-    CommunicateTargetLite,
     ContinuousFactor,
     Environment,
     MdpSpec,

@@ -3,7 +3,9 @@
 Layout (all fields overridable; defaults shown):
 
 {
-  "env": {"name": "target_matching", "params": {"m": 12, "target_seed": 0}},
+  "env": {"name": "target_matching",
+          "params": {"m": 12, "target": null, "target_seed": 0,
+                     "solve_threshold": null, "gamma": 0.995}},
   "policy": {"features": "linear", "log_std_init": 0.0},
   "optimizer": {"kind": "npg", "lr": 0.05, "kl": 0.025,
                 "cg_iters": 10, "damping": 0.0001},
@@ -18,37 +20,36 @@ Layout (all fields overridable; defaults shown):
 }
 
 Each section is read into its dataclass, where its defaults live, by one
-parser (``_section``); ``env.params`` is passed through as is.
+parser (``schema.section``). ``env.params`` is read into the params dataclass
+of the named environment (``envs.ENV_PARAMS``), so a bad name, key, type or
+value is a ``ConfigError`` before anything is written. The other names take
+``point_mass``: {"horizon": 100, "dt": 0.1, "gamma": 0.995,
+"action_cost": 0.001} and ``tabular``: {"path": <fixture JSON>} (required).
 
 Arm entries accept a ``name`` (default: the kind) and every baseline field
 (kind, mc_samples, exact, features, n_features, ridge, tabular); unset
-baseline feature kinds default per environment: raw linear features on the
-matching task, 100 random Fourier features on point mass, 250 elsewhere.
+baseline feature kinds take the environment's default
+(``baseline_features`` on its params): raw linear features on the matching
+task, 100 random Fourier features on point mass, 250 on tabular MDPs.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import typing
-from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
+from dataclasses import asdict, dataclass
 
 from .baselines import BaselineSpec
+from .envs import EnvParams, env_params
 from .errors import ConfigError
 from .optim import OptimizerConfig
-
-# merged under each arm's own keys; what neither sets takes BaselineSpec's default
-_ENV_FEATURE_DEFAULTS = {
-    "target_matching": {"features": "linear"},
-    "point_mass": {"features": "rff", "n_features": 100},
-}
-_FALLBACK_FEATURES = {"features": "rff", "n_features": 250}
+from .schema import json_object, section
 
 
 @dataclass(frozen=True)
 class EnvConfig:
     name: str
-    params: dict = field(default_factory=dict)
+    params: EnvParams
 
 
 @dataclass(frozen=True)
@@ -98,70 +99,24 @@ class ExperimentConfig:
             raise ConfigError("n_iterations and n_trajectories must be >= 1")
 
 
-def _object(raw, where: str) -> dict:
-    if not isinstance(raw, dict):
-        raise ConfigError(f"{where} must be a JSON object, got {type(raw).__name__}")
-    return raw
-
-
-def _value(hint, value, where: str):
-    """``value`` checked against the field type ``hint``."""
-    if is_dataclass(hint):
-        return _section(hint, value, where)
-    args = typing.get_args(hint)
-    if typing.get_origin(hint) is tuple:  # tuple[T, ...] from a JSON list
-        if not isinstance(value, list):
-            raise ConfigError(f"{where} must be a list, got {type(value).__name__}")
-        return tuple(_value(args[0], v, where) for v in value)
-    if args:  # T | None
-        if value is None:
-            return None
-        hint = args[0]
-    if hint is float and type(value) is int:
-        return float(value)
-    if type(value) is not hint:
-        raise ConfigError(f"{where} must be {hint.__name__}, got {value!r:.60}")
-    return value
-
-
-def _section(cls, raw, where: str, **given):
-    """The dataclass ``cls`` from the JSON object ``raw``, with the fields in
-    ``given`` built by the caller. An unknown key, a missing required field,
-    a value of the wrong JSON type (a bool is not an int; an int is accepted
-    for a float) or a ``ValueError`` from ``cls`` is a ``ConfigError`` naming
-    ``where``."""
-    raw = _object(raw, where)
-    known = fields(cls)
-    unknown = sorted(set(raw) - {f.name for f in known})
-    if unknown:
-        raise ConfigError(f"{where}: unknown fields {unknown}; valid: {[f.name for f in known]}")
-    missing = [f.name for f in known if f.name not in raw and f.name not in given
-               and f.default is MISSING and f.default_factory is MISSING]
-    if missing:
-        raise ConfigError(f"{where}: missing required fields {missing}")
-    hints = typing.get_type_hints(cls)
-    values = {k: _value(hints[k], v, f"{where}.{k}") for k, v in raw.items() if k not in given}
-    try:
-        return cls(**values, **given)
-    except ValueError as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
-
-
-def _arm(raw, env_name: str) -> ArmConfig:
-    spec_raw = {**_ENV_FEATURE_DEFAULTS.get(env_name, _FALLBACK_FEATURES), **_object(raw, "arm")}
+def _arm(raw, feature_defaults: dict) -> ArmConfig:
+    # the environment's feature defaults sit under the arm's own keys
+    spec_raw = {**feature_defaults, **json_object(raw, "arm")}
     name = spec_raw.pop("name", spec_raw.get("kind"))
     where = f"arm {name!r}"
-    return _section(ArmConfig, {"name": name}, where, spec=_section(BaselineSpec, spec_raw, where))
+    return section(ArmConfig, {"name": name}, where, spec=section(BaselineSpec, spec_raw, where))
 
 
 def config_from_dict(raw: dict) -> ExperimentConfig:
-    raw = _object(raw, "config")
-    env = _section(EnvConfig, raw.get("env"), "env")
+    raw = json_object(raw, "config")
+    env_raw = json_object(raw.get("env"), "env")
+    env = section(EnvConfig, env_raw, "env",
+                  params=env_params(env_raw.get("name"), env_raw.get("params", {})))
     arms = raw.get("arms")
     if not isinstance(arms, list):
         raise ConfigError(f"config requires arms: a list of objects, got {type(arms).__name__}")
-    return _section(ExperimentConfig, raw, "config", env=env,
-                    arms=tuple(_arm(a, env.name) for a in arms))
+    return section(ExperimentConfig, raw, "config", env=env,
+                   arms=tuple(_arm(a, env.params.baseline_features) for a in arms))
 
 
 def config_to_dict(cfg: ExperimentConfig) -> dict:

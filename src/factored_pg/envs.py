@@ -1,19 +1,23 @@
 """Task environments: the scalable target-matching family, enumerable tabular
-MDPs for exact oracles, and two small multi-step control tasks.
+MDPs for exact oracles, and a small multi-step control task.
 
 Environments are value objects: ``step`` is a pure function of (state, action,
 generator draw), so rollouts parallelize and replays are exact given the seed.
+Each registered environment has one frozen params dataclass, read from JSON
+by ``schema.section``, that validates its values and builds the environment.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, EnumerationSizeError, NotEnumerableError
+from .schema import section
 
 ENUMERATION_BUDGET = 1_000_000
 
@@ -28,6 +32,13 @@ class CategoricalFactor:
     cardinality: int
 
 
+def _check_horizon_gamma(horizon: int, gamma: float) -> None:
+    if horizon < 1:
+        raise ValueError(f"horizon must be >= 1, got {horizon}")
+    if not (0.0 < gamma <= 1.0):
+        raise ValueError(f"gamma must lie in (0, 1], got {gamma}")
+
+
 @dataclass(frozen=True)
 class MdpSpec:
     """Dimensions and horizon of a task; policies are built against this."""
@@ -38,10 +49,7 @@ class MdpSpec:
     gamma: float
 
     def __post_init__(self):
-        if self.horizon < 1:
-            raise ValueError("horizon must be >= 1")
-        if not (0.0 < self.gamma <= 1.0):
-            raise ValueError("gamma must lie in (0, 1]")
+        _check_horizon_gamma(self.horizon, self.gamma)
         if not self.factors:
             raise ValueError("at least one action factor required")
 
@@ -93,12 +101,6 @@ def solve_threshold_default(m: int) -> float:
     return table.get(int(m), -0.0025 * int(m))
 
 
-def matching_dimension(params: dict) -> int:
-    """The m of a ``target_matching`` params dict: the size of an explicit
-    ``target`` when one is given, else ``m`` (default 12)."""
-    return int(np.size(params["target"])) if "target" in params else int(params.get("m", 12))
-
-
 class TargetMatching(Environment):
     """Single-state, horizon-1 task: reward -(||a - c||^2) for a hidden target c.
 
@@ -108,23 +110,15 @@ class TargetMatching(Environment):
     baseline arms on this task is pure variance, never bias.
     """
 
-    def __init__(self, target: np.ndarray, solve_threshold: float | None = None, gamma: float = 0.995):
+    def __init__(self, target: np.ndarray, gamma: float = 0.995):
         self.target = np.asarray(target, dtype=float).ravel()
         m = len(self.target)
-        self.solve_threshold = (
-            solve_threshold_default(m) if solve_threshold is None else float(solve_threshold)
-        )
         self.spec = MdpSpec(
             state_dim=1,
             factors=tuple(ContinuousFactor() for _ in range(m)),
             horizon=1,
             gamma=gamma,
         )
-
-    @classmethod
-    def with_random_target(cls, m: int, rng: np.random.Generator, **kw) -> "TargetMatching":
-        """Target drawn once from a seeded standard normal, then frozen."""
-        return cls(rng.standard_normal(m), **kw)
 
     def reset(self, rng) -> np.ndarray:
         return np.zeros(1)
@@ -157,10 +151,20 @@ class EnumeratedTrajectory:
         return self.env_prob * float(np.exp(logp))
 
 
-# fixture key -> its JSON types; gamma and name are optional
-_FIXTURE_TYPES = {"transitions": (list,), "rewards": (list,), "rho0": (list,),
-                  "factor_cardinalities": (list,), "horizon": (int,),
-                  "gamma": (int, float), "name": (str,)}
+_Row = tuple[float, ...]
+
+
+@dataclass(frozen=True)
+class TabularFixture:
+    """The JSON layout of a tabular MDP, as ``TabularMdp.to_dict`` writes it."""
+
+    transitions: tuple[tuple[_Row, ...], ...]
+    rewards: tuple[_Row, ...]
+    rho0: _Row
+    factor_cardinalities: tuple[int, ...]
+    horizon: int
+    gamma: float = 1.0
+    name: str = "tabular"
 
 
 class TabularMdp(Environment):
@@ -288,26 +292,15 @@ class TabularMdp(Environment):
         return cls.from_dict(data)
 
     @classmethod
-    def from_dict(cls, data: dict) -> "TabularMdp":
+    def from_dict(cls, data) -> "TabularMdp":
         """Build from the ``to_dict`` layout. A missing, unknown or mistyped
         key, or tables whose shapes or values do not fit together, is a
         ``ConfigError``."""
-        if not isinstance(data, dict):
-            raise ConfigError(f"tabular MDP must be a JSON object, got {type(data).__name__}")
-        data = {"gamma": 1.0, "name": "tabular", **data}
-        unknown = sorted(set(data) - set(_FIXTURE_TYPES))
-        if unknown:
-            raise ConfigError(f"tabular MDP: unknown keys {unknown}")
-        for key, kinds in _FIXTURE_TYPES.items():
-            if type(data.get(key)) not in kinds:
-                raise ConfigError(f"tabular MDP {key!r} must be {kinds[-1].__name__}, "
-                                  f"got {data.get(key)!r:.40}")
-        if any(type(k) is not int for k in data["factor_cardinalities"]):
-            raise ConfigError("tabular MDP 'factor_cardinalities' must be integers")
+        f = section(TabularFixture, data, "tabular MDP")
         try:
-            return cls(data["transitions"], data["rewards"], data["rho0"],
-                       data["factor_cardinalities"], data["horizon"], data["gamma"], data["name"])
-        except (TypeError, ValueError) as exc:
+            return cls(f.transitions, f.rewards, f.rho0, f.factor_cardinalities,
+                       f.horizon, f.gamma, f.name)
+        except ValueError as exc:
             raise ConfigError(f"tabular MDP: {exc}") from exc
 
     def to_dict(self) -> dict:
@@ -323,23 +316,22 @@ class TabularMdp(Environment):
 
 
 # ---------------------------------------------------------------------------
-# multi-step control tasks
+# multi-step control task
 
 
 class PointMass(Environment):
     """2-D double integrator with quadratic state-action cost.
 
-    State (px, py, vx, vy); the two force coordinates are separate factors.
-    Reward is -(||p'||^2 + 0.001 ||a||^2) on the post-step position. The task
+    State (px, py, vx, vy), starting at rest from a standard-normal position;
+    the two force coordinates are separate factors. Reward is
+    -(||p'||^2 + action_cost ||a||^2) on the post-step position. The task
     exists to exercise multi-step advantage estimation (lambda sweeps), where
     bootstrapped advantages trade variance against baseline-model bias.
     """
 
-    def __init__(self, horizon: int = 100, dt: float = 0.1, gamma: float = 0.995,
-                 action_cost: float = 0.001, start_scale: float = 1.0):
+    def __init__(self, horizon: int, dt: float, gamma: float, action_cost: float):
         self.dt = float(dt)
         self.action_cost = float(action_cost)
-        self.start_scale = float(start_scale)
         self.spec = MdpSpec(
             state_dim=4,
             factors=(ContinuousFactor(), ContinuousFactor()),
@@ -348,8 +340,7 @@ class PointMass(Environment):
         )
 
     def reset(self, rng) -> np.ndarray:
-        pos = self.start_scale * rng.standard_normal(2)
-        return np.concatenate([pos, np.zeros(2)])
+        return np.concatenate([rng.standard_normal(2), np.zeros(2)])
 
     def step(self, state, action, rng) -> Step:
         action = self._check_action(action)
@@ -359,79 +350,104 @@ class PointMass(Environment):
         return Step(np.concatenate([pos, vel]), reward, False)
 
 
-class CommunicateTargetLite(Environment):
-    """Two point agents, each rewarded for reaching a private goal.
-
-    Per-agent action = 2 motion dims + 2 broadcast dims, m = 8 factors total.
-    The state exposes both positions, both goals, and the previous broadcasts;
-    reward is -(|pos1 - goal1| + |pos2 - goal2|). A desk-scale stand-in for
-    cooperative tasks with large factored action spaces.
-    """
-
-    STATE_DIM = 12  # pos1, pos2, goal1, goal2, last broadcast1, last broadcast2
-
-    def __init__(self, horizon: int = 25, dt: float = 0.2, gamma: float = 0.995,
-                 goal_scale: float = 1.0):
-        self.dt = float(dt)
-        self.goal_scale = float(goal_scale)
-        self.spec = MdpSpec(
-            state_dim=self.STATE_DIM,
-            factors=tuple(ContinuousFactor() for _ in range(8)),
-            horizon=int(horizon),
-            gamma=gamma,
-        )
-
-    def reset(self, rng) -> np.ndarray:
-        pos = 0.5 * rng.standard_normal(4)
-        goals = self.goal_scale * rng.standard_normal(4)
-        return np.concatenate([pos, goals, np.zeros(4)])
-
-    def step(self, state, action, rng) -> Step:
-        action = self._check_action(action)
-        move1, comm1 = action[0:2], action[2:4]
-        move2, comm2 = action[4:6], action[6:8]
-        pos1 = state[0:2] + self.dt * move1
-        pos2 = state[2:4] + self.dt * move2
-        goals = state[4:8]
-        next_state = np.concatenate([pos1, pos2, goals, comm1, comm2])
-        reward = -float(
-            np.linalg.norm(pos1 - goals[0:2]) + np.linalg.norm(pos2 - goals[2:4])
-        )
-        return Step(next_state, reward, False)
-
-
 # ---------------------------------------------------------------------------
-# registry
+# registry: one params dataclass per environment name. Each also carries its
+# default baseline features and its solve task (m, threshold), which is None
+# off the matching task.
 
 
-ENV_BUILDERS = {
-    "target_matching": lambda params, rng: TargetMatching(
-        params["target"] if "target" in params else rng.standard_normal(matching_dimension(params)),
-        solve_threshold=params.get("solve_threshold"),
-        gamma=float(params.get("gamma", 0.995)),
-    ),
-    "point_mass": lambda params, rng: PointMass(
-        horizon=int(params.get("horizon", 100)),
-        dt=float(params.get("dt", 0.1)),
-        gamma=float(params.get("gamma", 0.995)),
-        action_cost=float(params.get("action_cost", 0.001)),
-    ),
-    "communicate_target_lite": lambda params, rng: CommunicateTargetLite(
-        horizon=int(params.get("horizon", 25)),
-        dt=float(params.get("dt", 0.2)),
-        gamma=float(params.get("gamma", 0.995)),
-    ),
-    "tabular": lambda params, rng: (
-        TabularMdp.from_json(params["path"]) if "path" in params else TabularMdp.from_dict(params)
-    ),
+@dataclass(frozen=True)
+class TargetMatchingParams:
+    """``target_matching``: ``target`` when given, whose length is then m;
+    else m (default 12) standard-normal coordinates drawn from
+    ``default_rng([target_seed])``, so arms sharing a config share the task.
+    ``solve_threshold`` defaults to ``solve_threshold_default(m)``."""
+
+    m: int | None = None
+    target: tuple[float, ...] | None = None
+    target_seed: int = 0
+    solve_threshold: float | None = None
+    gamma: float = 0.995
+
+    baseline_features = {"features": "linear"}
+
+    def __post_init__(self):
+        m = self.m if self.target is None else len(self.target)
+        if self.m not in (None, m):
+            raise ValueError(f"m is {self.m} but target has {m} entries")
+        object.__setattr__(self, "m", 12 if m is None else m)
+        if self.m < 1:
+            raise ValueError(f"m and the length of target must be >= 1, got {self.m}")
+        if self.target is not None and not all(map(math.isfinite, self.target)):
+            raise ValueError("target entries must be finite")
+        if self.target_seed < 0:
+            raise ValueError(f"target_seed must be >= 0, got {self.target_seed}")
+        _check_horizon_gamma(1, self.gamma)
+
+    @property
+    def solve_task(self) -> tuple[int, float]:
+        threshold = self.solve_threshold
+        return self.m, solve_threshold_default(self.m) if threshold is None else threshold
+
+    def build(self) -> TargetMatching:
+        target = self.target
+        if target is None:  # drawn once, then frozen
+            target = np.random.default_rng([self.target_seed]).standard_normal(self.m)
+        return TargetMatching(target, self.gamma)
+
+
+@dataclass(frozen=True)
+class PointMassParams:
+    """``point_mass``: horizon >= 1 steps of length dt > 0, gamma in (0, 1]
+    and action_cost >= 0."""
+
+    horizon: int = 100
+    dt: float = 0.1
+    gamma: float = 0.995
+    action_cost: float = 0.001
+
+    baseline_features = {"features": "rff", "n_features": 100}
+    solve_task = None
+
+    def __post_init__(self):
+        _check_horizon_gamma(self.horizon, self.gamma)
+        if not (0.0 < self.dt < math.inf and 0.0 <= self.action_cost < math.inf):
+            raise ValueError(f"need finite dt > 0 and action_cost >= 0, "
+                             f"got {self.dt} and {self.action_cost}")
+
+    def build(self) -> PointMass:
+        return PointMass(self.horizon, self.dt, self.gamma, self.action_cost)
+
+
+@dataclass(frozen=True)
+class TabularParams:
+    """``tabular``: the ``path`` of a JSON fixture in the ``TabularFixture`` layout."""
+
+    path: str
+
+    baseline_features = {"features": "rff", "n_features": 250}
+    solve_task = None
+
+    def build(self) -> TabularMdp:
+        return TabularMdp.from_json(self.path)
+
+
+ENV_PARAMS = {
+    "target_matching": TargetMatchingParams,
+    "point_mass": PointMassParams,
+    "tabular": TabularParams,
 }
+EnvParams = TargetMatchingParams | PointMassParams | TabularParams
 
 
-def make_env(name: str, params: dict | None = None, rng: np.random.Generator | None = None) -> Environment:
-    """Build a registered environment; task-level randomness (e.g. the matching
-    target) is drawn from ``rng`` so arms sharing a seed share the task."""
-    if name not in ENV_BUILDERS:
-        raise ConfigError(f"unknown environment {name!r}; valid names: {sorted(ENV_BUILDERS)}")
-    if rng is None:
-        rng = np.random.default_rng(0)
-    return ENV_BUILDERS[name](params or {}, rng)
+def env_params(name, raw) -> EnvParams:
+    """The params of environment ``name`` read from the JSON object ``raw``;
+    an unknown name or a bad key, type or value is a ``ConfigError``."""
+    if not isinstance(name, str) or name not in ENV_PARAMS:
+        raise ConfigError(f"unknown environment {name!r}; valid names: {sorted(ENV_PARAMS)}")
+    return section(ENV_PARAMS[name], raw, "env.params")
+
+
+def make_env(name: str, params: dict | None = None) -> Environment:
+    """Build a registered environment from its JSON params."""
+    return env_params(name, {} if params is None else params).build()

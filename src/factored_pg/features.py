@@ -163,21 +163,23 @@ def fit_linear(
 ) -> LinearModel:
     """Solve argmin_w ||F w - t||^2 + ridge * ||w||^2 in closed form.
 
-    With ridge = 0 a rank-deficient system raises SingularSystemError; with
-    ridge > 0 the solve always returns finite weights (a least-squares fallback
-    covers pathological conditioning). ``sample_weights`` turns the objective
-    into weighted least squares, used by the variance-optimal state baseline.
+    Non-finite features, targets or sample weights, a rank-deficient system
+    with ridge = 0, and a failed or non-finite solve raise
+    SingularSystemError. ``sample_weights`` turns the objective into weighted
+    least squares, used by the variance-optimal state baseline.
     """
     features = np.atleast_2d(np.asarray(features, dtype=float))
     targets = np.asarray(targets, dtype=float).ravel()
+    sw = None if sample_weights is None else np.asarray(sample_weights, dtype=float).ravel()
     if len(features) != len(targets):
         raise ValueError("features and targets disagree on sample count")
     if ridge < 0 or not np.isfinite(ridge):
         raise ValueError(f"ridge must be finite and >= 0, got {ridge}")
+    if not all(np.all(np.isfinite(x)) for x in (features, targets, sw) if x is not None):
+        raise SingularSystemError("features, targets and sample weights must be finite")
     design = np.hstack([features, np.ones((len(features), 1))]) if bias else features
     t = targets
-    if sample_weights is not None:
-        sw = np.asarray(sample_weights, dtype=float).ravel()
+    if sw is not None:
         if len(sw) != len(design):
             raise ValueError("one sample weight per row required")
         if np.any(sw < 0):
@@ -187,32 +189,22 @@ def fit_linear(
         t = t * root
 
     n, p = design.shape
-    if ridge == 0.0:
-        if np.linalg.matrix_rank(design) < p:
-            raise SingularSystemError(
-                f"rank-deficient design ({n} rows, {p} columns) with ridge=0; "
-                "regularize or drop degenerate features"
-            )
-        w, *_ = np.linalg.lstsq(design, t, rcond=None)
-    elif p <= n:
-        a = design.T @ design + ridge * np.eye(p)
-        b = design.T @ t
-        w = _solve_spd(a, b)
-    else:
-        # Dual form for wide designs: w = F'(FF' + ridge I)^{-1} t, identical
-        # to the primal ridge solution but an n x n solve instead of p x p.
-        a = design @ design.T + ridge * np.eye(n)
-        w = design.T @ _solve_spd(a, t)
-    if not np.all(np.isfinite(w)):
-        raise SingularSystemError("non-finite solution; inputs may contain NaN/Inf")
-    return LinearModel(w, bias=bias)
-
-
-def _solve_spd(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     try:
-        w = np.linalg.solve(a, b)
-    except np.linalg.LinAlgError:
-        w = None
-    if w is None or not np.all(np.isfinite(w)):
-        w, *_ = np.linalg.lstsq(a, b, rcond=None)
-    return w
+        if ridge == 0.0:
+            if np.linalg.matrix_rank(design) < p:
+                raise SingularSystemError(
+                    f"rank-deficient design ({n} rows, {p} columns) with ridge=0; "
+                    "regularize or drop degenerate features"
+                )
+            w, *_ = np.linalg.lstsq(design, t, rcond=None)
+        elif p <= n:
+            w = np.linalg.solve(design.T @ design + ridge * np.eye(p), design.T @ t)
+        else:
+            # Dual form for wide designs: w = F'(FF' + ridge I)^{-1} t, identical
+            # to the primal ridge solution but an n x n solve instead of p x p.
+            w = design.T @ np.linalg.solve(design @ design.T + ridge * np.eye(n), t)
+    except np.linalg.LinAlgError as exc:
+        raise SingularSystemError(f"least-squares solve failed: {exc}") from exc
+    if not np.all(np.isfinite(w)):
+        raise SingularSystemError("non-finite solution; the solve overflowed or is ill-conditioned")
+    return LinearModel(w, bias=bias)

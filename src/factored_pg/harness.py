@@ -23,13 +23,7 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from .config import ExperimentConfig, load_config, save_config
-from .envs import (
-    CategoricalFactor,
-    ContinuousFactor,
-    make_env,
-    matching_dimension,
-    solve_threshold_default,
-)
+from .envs import CategoricalFactor, ContinuousFactor
 from .errors import ConfigError
 from .optim import train
 from .policies import (
@@ -49,9 +43,7 @@ def _fmt(x: float) -> str:
 
 
 def build_env(cfg: ExperimentConfig):
-    params = dict(cfg.env.params)
-    task_rng = np.random.default_rng([int(params.get("target_seed", 0))])
-    return make_env(cfg.env.name, params, task_rng)
+    return cfg.env.params.build()
 
 
 def build_policy(env, policy_cfg):
@@ -83,12 +75,12 @@ def build_policy(env, policy_cfg):
 
 def run_experiment(cfg: ExperimentConfig, echo=None) -> str:
     """Train every (arm, seed) pair and write the run directory; returns its path."""
+    env = build_env(cfg)  # a missing fixture fails before the run directory exists
     out = cfg.out_dir
     os.makedirs(os.path.join(out, "curves"), exist_ok=True)
     os.makedirs(os.path.join(out, "checkpoints"), exist_ok=True)
     save_config(cfg, os.path.join(out, "config.json"))
 
-    env = build_env(cfg)
     for arm in cfg.arms:
         for seed in cfg.seeds:
             policy = build_policy(env, cfg.policy)
@@ -175,7 +167,8 @@ def first_crossing(returns: np.ndarray, threshold: float):
 def summarize_run(out_dir: str) -> dict:
     """Recompute all summary statistics from the stored CSVs and config."""
     cfg = load_config(os.path.join(out_dir, "config.json"))
-    _, threshold = _solve_task(cfg)
+    task = cfg.env.params.solve_task
+    threshold = None if task is None else task[1]
 
     arms_summary: dict = {}
     for arm in cfg.arms:
@@ -207,16 +200,6 @@ def summarize_run(out_dir: str) -> dict:
     }
 
 
-def _solve_task(cfg: ExperimentConfig) -> tuple:
-    """(m, solve threshold) of a target_matching run; (0, None) for other envs."""
-    if cfg.env.name != "target_matching":
-        return 0, None
-    params = cfg.env.params
-    m = matching_dimension(params)
-    threshold = params.get("solve_threshold")
-    return m, solve_threshold_default(m) if threshold is None else float(threshold)
-
-
 @dataclass
 class SolveTimeRow:
     """Per-dimension solve-time comparison between the two baseline arms."""
@@ -243,7 +226,6 @@ def table1_report(run_dirs) -> list:
     rows = []
     for run_dir in run_dirs:
         summary = summarize_run(run_dir)
-        m, _ = _solve_task(load_config(os.path.join(run_dir, "config.json")))
         arm_names = list(summary["arms"])
         if len(arm_names) < 2:
             raise ValueError(f"{run_dir}: solve-time table needs two arms, got {arm_names}")
@@ -251,6 +233,7 @@ def table1_report(run_dirs) -> list:
         comparison = next(n for n in arm_names if n != reference)
         if summary["solve_threshold"] is None:
             raise ValueError(f"{run_dir}: environment has no solve threshold")
+        m, _ = load_config(os.path.join(run_dir, "config.json")).env.params.solve_task
 
         per_arm = {
             name: summary["arms"][name]["mean_solve_iterations"] for name in arm_names

@@ -4,7 +4,9 @@ Each check computes a quantity two independent ways (closed form vs brute
 force, analytic vs finite difference, sampled vs exact) and passes only when
 they agree at tight tolerances. The CLI ``verify`` subcommand runs the whole
 list; the test suite reuses the same functions so a green ``verify`` and a
-green test run certify the same math.
+green test run certify the same math. The single-sample reference
+marginalizations that the batched baseline rules are tested against live
+here too.
 """
 
 from __future__ import annotations
@@ -14,12 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .baselines import (
-    mc_marginalized_baseline,
-    mean_marginalized_baseline,
-    optimal_action_baseline,
-)
+from .baselines import _require_independent, _swap
 from .envs import TabularMdp
+from .errors import ZeroScoreNormError
 from .estimator import gae_advantages
 from .oracle import (
     ORACLE_BASELINE_KINDS,
@@ -91,6 +90,97 @@ def all_problems():
     out = [(name, fixture_problem(name)) for name in FIXTURE_NAMES]
     out.append(("bandit_two_factor_dag", dag_fixture_problem()))
     return out
+
+
+# ---------------------------------------------------------------------------
+# reference single-sample marginalizations (vectorized paths must match these);
+# the policy's batched methods are called on one-row arrays
+
+
+def mc_marginalized_baseline(
+    q,
+    policy,
+    state,
+    action,
+    i: int,
+    n_samples: int = 10,
+    rng: np.random.Generator | None = None,
+    exact: bool = False,
+) -> float:
+    """Marginalize factor i out of Q by resampling it from the policy.
+
+    ``q`` is any callable (state, action) -> real. The candidates never depend
+    on the sampled a^i, so the result is a valid baseline. With ``exact`` the
+    average runs over a categorical factor's full support with its exact
+    probabilities.
+    """
+    _require_independent(policy, "marginalized baselines")
+    action = np.asarray(action, dtype=float)
+    if exact:
+        support = policy.factor_support(i)
+        if support is None:
+            raise ValueError("exact marginalization requires a categorical factor")
+        values = [q(state, _swap(action, i, v)) for v in support]
+        return float(np.dot(policy.factor_probs(np.atleast_2d(state), i)[0], values))
+    if rng is None:
+        raise ValueError("rng required for sampled marginalization")
+    draws = policy.sample_factor(np.atleast_2d(state), i, n_samples, rng)[0]
+    return float(np.mean([q(state, _swap(action, i, v)) for v in draws]))
+
+
+def mean_marginalized_baseline(q, policy, state, action, i: int) -> float:
+    """Evaluate Q with factor i replaced by its policy mean.
+
+    Defined for continuous factors only: the expected value of a categorical
+    factor is a probability vector, not an action; use exact marginalization
+    there instead. For Q linear in the action this equals full marginalization.
+    """
+    _require_independent(policy, "marginalized baselines")
+    if policy.factor_kinds[i] != "gaussian":
+        raise ValueError(
+            "mean substitution requires a continuous factor; "
+            "use exact marginalization for categorical factors"
+        )
+    mean = policy.mean_actions(np.atleast_2d(state))[0, i]
+    return float(q(state, _swap(np.asarray(action, dtype=float), i, mean)))
+
+
+def optimal_action_baseline(
+    q,
+    policy,
+    state,
+    action,
+    i: int,
+    n_samples: int = 10,
+    rng: np.random.Generator | None = None,
+) -> float:
+    """Score-norm-weighted marginalization E[z_i'z_i Q] / E[z_i'z_i] over a^i.
+
+    Uses the exact support sum for categorical factors and a shared-draw Monte
+    Carlo ratio (same draws in numerator and denominator) for continuous ones.
+    """
+    _require_independent(policy, "the optimal action baseline")
+    action = np.asarray(action, dtype=float)
+    states = np.atleast_2d(state)
+    support = policy.factor_support(i)
+    if support is not None:
+        values, weights = support, policy.factor_probs(states, i)[0]
+    else:
+        if rng is None:
+            raise ValueError("rng required for the continuous-factor ratio estimator")
+        values = policy.sample_factor(states, i, n_samples, rng)[0]
+        weights = np.ones(len(values))
+    num = den = 0.0
+    for v, w in zip(values, weights):
+        swapped = _swap(action, i, v)
+        z_i = policy.score_matrix(states, swapped[None, :])[0, policy.block_slices[i]]
+        zsq = float(np.sum(z_i**2))
+        num += float(w) * zsq * q(state, swapped)
+        den += float(w) * zsq
+    if den <= 0.0:
+        raise ZeroScoreNormError(f"factor {i} has vanishing score norm; ratio undefined")
+    return num / den
+
 
 
 @dataclass

@@ -6,15 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from factored_pg.baselines import (
-    BaselineSpec,
-    BaselineState,
-    TableModel,
-    fit_q,
-    mc_marginalized_baseline,
-    mean_marginalized_baseline,
-    optimal_action_baseline,
-)
+from factored_pg.baselines import BaselineSpec, BaselineState, TableModel, fit_q
 from factored_pg.policies import (
     CategoricalPolicy,
     DagPolicy,
@@ -23,7 +15,12 @@ from factored_pg.policies import (
     RawFeatures,
 )
 from factored_pg.trajectory import Batch
-from factored_pg.verify import dag_fixture_problem
+from factored_pg.verify import (
+    dag_fixture_problem,
+    mc_marginalized_baseline,
+    mean_marginalized_baseline,
+    optimal_action_baseline,
+)
 
 S0 = np.array([0.0])
 
@@ -190,7 +187,8 @@ def test_exact_mc_q_batch_matches_reference():
     spec = BaselineSpec(kind="mc_q", exact=True, tabular=True)
     state = BaselineState.initial(spec).refit(batch, policy)
     out = state.evaluate(batch, policy)
-    q = state.fitted[(0, 1)]
+    model = state.fitted[(0, 1)]
+    q = lambda s, a: model.predict(s[None], a[None])[0]
     for k in range(0, batch.n_steps, 7):
         for i in range(policy.m):
             ref = mc_marginalized_baseline(
@@ -205,7 +203,8 @@ def test_optimal_action_batch_matches_reference():
     spec = BaselineSpec(kind="optimal_action", tabular=True)
     state = BaselineState.initial(spec).refit(batch, policy)
     out = state.evaluate(batch, policy)
-    q = state.fitted[(0, 1)]
+    model = state.fitted[(0, 1)]
+    q = lambda s, a: model.predict(s[None], a[None])[0]
     for k in range(0, batch.n_steps, 7):
         for i in range(policy.m):
             ref = optimal_action_baseline(q, policy, batch.states[k], batch.actions[k], i)
@@ -225,11 +224,12 @@ def test_mean_q_batch_matches_reference():
     spec = BaselineSpec(kind="mean_q", features="linear")
     state = BaselineState.initial(spec).refit(batch, policy)
     out = state.evaluate(batch, policy)
-    qmodel = state.fitted[(0, 1)]
+    model = state.fitted[(0, 1)]
+    q = lambda s, a: model.predict(s[None], a[None])[0]
     for k in range(0, batch.n_steps, 5):
         for i in range(policy.m):
             ref = mean_marginalized_baseline(
-                qmodel, policy, batch.states[k], batch.actions[k], i
+                q, policy, batch.states[k], batch.actions[k], i
             )
             assert_allclose(out[k, i], ref, atol=1e-12)
 

@@ -7,8 +7,10 @@ is raise anything but ``ConfigError``.
 """
 
 import copy
+import importlib.util
 import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -17,6 +19,7 @@ from factored_pg.envs import TabularMdp
 from factored_pg.errors import ConfigError
 from factored_pg.verify import fixture_path
 
+WORKLOADS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 N_MUTATIONS = 200
 RETYPED = ["x", None, True, 0, 2.5, -1, [], [1, "x"], {}, {"k": 1}]
 
@@ -77,10 +80,29 @@ def _fuzz(valid: dict, parse, seed: int) -> None:
             pytest.fail(f"mutation {k} ({what}) raised {type(exc).__name__}: {exc}")
 
 
-def test_mutated_configs_raise_only_config_error():
+def _matching_config() -> dict:
     valid = config_to_dict(matching_task_config(12))
     valid["arms"].append({"name": "mc", "kind": "mc_q", "exact": True, "ridge": None})
-    _fuzz(valid, config_from_dict, seed=0)
+    return valid
+
+
+def _perfbench_config(name: str) -> dict:
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS_PATH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.WORKLOADS[name]["config"]
+
+
+@pytest.mark.parametrize(
+    "valid, seed",
+    [
+        pytest.param(_matching_config(), 0, id="matching_m12"),
+        pytest.param(_perfbench_config("point_mass"), 2, id="point_mass"),
+        pytest.param(_perfbench_config("tabular_chain"), 3, id="tabular_chain"),
+    ],
+)
+def test_mutated_configs_raise_only_config_error(valid, seed):
+    _fuzz(valid, config_from_dict, seed=seed)
 
 
 def test_mutated_fixtures_raise_only_config_error():

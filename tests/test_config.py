@@ -15,7 +15,9 @@ from factored_pg.config import (
     matching_task_config,
     save_config,
 )
+from factored_pg.envs import PointMassParams, TargetMatchingParams
 from factored_pg.errors import ConfigError
+from factored_pg.verify import fixture_path
 
 MINIMAL = {
     "env": {"name": "target_matching", "params": {"m": 4}},
@@ -44,11 +46,12 @@ def test_env_feature_defaults_per_environment():
     )
     assert pm.arms[0].spec.features == "rff"
     assert pm.arms[0].spec.n_features == 100
-    other = config_from_dict(
-        {"env": {"name": "communicate_target"}, "arms": [{"kind": "state_value"}]}
+    tab = config_from_dict(
+        {"env": {"name": "tabular", "params": {"path": fixture_path("chain_two_step")}},
+         "arms": [{"kind": "state_value"}]}
     )
-    assert other.arms[0].spec.features == "rff"
-    assert other.arms[0].spec.n_features == 250
+    assert tab.arms[0].spec.features == "rff"
+    assert tab.arms[0].spec.n_features == 250
 
 
 def test_arm_fields_pass_through():
@@ -155,6 +158,14 @@ def test_malformed_json_reports_config_error(tmp_path):
         lambda d: d.update(policy={"features": "indikator"}),
         lambda d: d.update(policy={"log_std_init": float("inf")}),
         lambda d: d.update(seeds=[-1]),
+        lambda d: d["env"].update(params={"mm": 4}),
+        lambda d: d["env"].update(params={"m": "3"}),
+        lambda d: d.update(env={"name": "point_mass", "params": {"horizon": 2.9}}),
+        lambda d: d["env"].update(params={"m": 0}),
+        lambda d: d["env"].update(params={"m": 4, "gamma": 1.5}),
+        lambda d: d["env"].update(params={"target": []}),
+        lambda d: d.update(env={"name": "point_mass", "params": {"target_seed": 0}}),
+        lambda d: d.update(env={"name": "communicate_target_lite"}),
     ],
 )
 def test_invalid_configs_rejected(mutate):
@@ -171,7 +182,7 @@ def test_arm_missing_kind_rejected():
 
 def test_matching_task_config_frozen_protocol():
     cfg = matching_task_config(100)
-    assert cfg.env.params == {"m": 100, "target_seed": 0}
+    assert cfg.env.params == TargetMatchingParams(m=100, target_seed=0)
     assert cfg.optimizer == OptimizerConfig(kind="npg", lr=0.05, kl=0.025, cg_iters=10, damping=0.1)
     assert cfg.n_trajectories == 250
     assert cfg.lam == 1.0
@@ -189,7 +200,8 @@ def test_matching_task_config_frozen_protocol():
 
 def test_direct_dataclass_validation():
     arm = ArmConfig(name="a", spec=matching_task_config(4).arms[0].spec)
+    env = EnvConfig(name="point_mass", params=PointMassParams())
     with pytest.raises(ConfigError):
-        ExperimentConfig(env=EnvConfig(name="x"), arms=(arm,), seeds=())
+        ExperimentConfig(env=env, arms=(arm,), seeds=())
     with pytest.raises(ConfigError):
-        ExperimentConfig(env=EnvConfig(name="x"), arms=(), seeds=(0,))
+        ExperimentConfig(env=env, arms=(), seeds=(0,))

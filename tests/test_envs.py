@@ -5,10 +5,9 @@ import pytest
 from numpy.testing import assert_allclose
 
 from factored_pg.envs import (
-    CommunicateTargetLite,
-    PointMass,
     TabularMdp,
     TargetMatching,
+    TargetMatchingParams,
     make_env,
     solve_threshold_default,
 )
@@ -31,7 +30,7 @@ def test_target_matching_hand_reward():
 
 
 def test_target_matching_reward_nonpositive():
-    env = TargetMatching.with_random_target(5, np.random.default_rng(3))
+    env = TargetMatching(np.random.default_rng(3).standard_normal(5))
     rng = np.random.default_rng(1)
     for _ in range(20):
         a = rng.standard_normal(5)
@@ -46,8 +45,8 @@ def test_target_matching_single_state():
 
 
 def test_target_matching_random_target_seeded():
-    a = TargetMatching.with_random_target(4, np.random.default_rng(12))
-    b = TargetMatching.with_random_target(4, np.random.default_rng(12))
+    a = TargetMatchingParams(m=4, target_seed=12).build()
+    b = TargetMatchingParams(m=4, target_seed=12).build()
     assert_allclose(a.target, b.target)
 
 
@@ -115,7 +114,7 @@ def test_fixture_files_ship_with_package():
 
 
 def test_point_mass_shapes_and_cost_sign():
-    env = PointMass()
+    env = make_env("point_mass")
     rng = np.random.default_rng(0)
     s = env.reset(rng)
     assert s.shape == (4,)
@@ -124,16 +123,6 @@ def test_point_mass_shapes_and_cost_sign():
     assert step.reward <= 0.0
     assert not step.terminal
     assert env.spec.horizon == 100
-
-
-def test_communicate_target_lite_contract():
-    env = CommunicateTargetLite()
-    rng = np.random.default_rng(0)
-    s = env.reset(rng)
-    assert env.spec.n_factors == 8
-    assert env.spec.horizon == 25
-    step = env.step(s, np.zeros(env.spec.action_dim), rng)
-    assert step.reward <= 0.0
 
 
 def test_make_env_registry_and_errors():
@@ -145,6 +134,19 @@ def test_make_env_registry_and_errors():
 
 
 def test_make_env_seeded_target():
-    a = make_env("target_matching", {"m": 4}, rng=np.random.default_rng(5))
-    b = make_env("target_matching", {"m": 4}, rng=np.random.default_rng(5))
+    a = make_env("target_matching", {"m": 4, "target_seed": 5})
+    b = make_env("target_matching", {"m": 4, "target_seed": 5})
     assert_allclose(a.target, b.target)
+    assert_allclose(a.target, np.random.default_rng([5]).standard_normal(4))
+    assert not np.allclose(a.target, make_env("target_matching", {"m": 4}).target)
+
+
+def test_make_env_rejects_misspelt_param():
+    with pytest.raises(ConfigError, match="horizn"):
+        make_env("point_mass", {"horizn": 5})
+
+
+def test_target_matching_m_must_match_explicit_target():
+    assert make_env("target_matching", {"target": [0.5, 1.0]}).spec.n_factors == 2
+    with pytest.raises(ConfigError, match="target has 2 entries"):
+        make_env("target_matching", {"m": 3, "target": [0.5, 1.0]})

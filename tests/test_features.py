@@ -85,6 +85,30 @@ def test_invalid_ridge_rejected():
         fit_linear(np.array([[1.0]]), np.array([1.0]), ridge=float("nan"))
 
 
+@pytest.mark.parametrize("ridge", [0.0, 1e-3])
+@pytest.mark.parametrize("bad", ["features", "targets", "weights"])
+def test_non_finite_inputs_raise_singular_system(ridge, bad, capfd):
+    # a ridge fit on a NaN design once fell into an lstsq fallback that
+    # raised a bare LinAlgError after LAPACK printed to stderr
+    inputs = {"features": np.array([[1.0], [2.0], [3.0]]),
+              "targets": np.array([1.0, 2.0, 3.0]),
+              "weights": np.ones(3)}
+    inputs[bad] = inputs[bad].copy()
+    inputs[bad][1] = np.nan if bad != "targets" else np.inf
+    with pytest.raises(SingularSystemError, match="finite"):
+        fit_linear(inputs["features"], inputs["targets"], ridge=ridge,
+                   sample_weights=inputs["weights"])
+    assert capfd.readouterr().err == ""
+
+
+@pytest.mark.parametrize("shape", [(5, 1), (2, 2)], ids=["primal", "dual"])
+def test_failed_ridge_solve_raises_singular_system(shape):
+    # a ridge lost to rounding leaves the system exactly singular; no
+    # least-squares fallback hides it
+    with pytest.raises(SingularSystemError, match="solve failed"):
+        fit_linear(np.ones(shape), np.arange(float(shape[0])), ridge=1e-300)
+
+
 def test_wide_design_uses_dual_solve():
     # p > n: ridge solution must still reproduce near-interpolation on train.
     rng = np.random.default_rng(11)
