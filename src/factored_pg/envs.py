@@ -2,7 +2,10 @@
 MDPs for exact oracles, and a small multi-step control task.
 
 Environments are value objects: ``step`` is a pure function of (state, action,
-generator draw), so rollouts parallelize and replays are exact given the seed.
+generator draw), so replays are exact given the seed. ``reset`` and ``step``
+take n trajectories at once, one row each, and row k draws only from its own
+generator ``rngs[k]``; an environment that draws nothing never reads
+``rngs``, so lazily built generators stay unbuilt.
 Each registered environment has one frozen params dataclass, read from JSON
 by ``schema.section``, that validates its values and builds the environment.
 """
@@ -65,27 +68,33 @@ class MdpSpec:
 
 @dataclass
 class Step:
-    state: np.ndarray
-    reward: float
-    terminal: bool
+    """One transition of n trajectories: next states (n, state_dim), rewards
+    (n,) and terminal flags (n,)."""
+
+    states: np.ndarray
+    rewards: np.ndarray
+    terminal: np.ndarray
 
 
 class Environment:
     spec: MdpSpec
 
-    def reset(self, rng: np.random.Generator) -> np.ndarray:
+    def reset(self, rngs) -> np.ndarray:
+        """Initial states (n, state_dim), row k drawn from ``rngs[k]``."""
         raise NotImplementedError
 
-    def step(self, state: np.ndarray, action: np.ndarray, rng: np.random.Generator) -> Step:
+    def step(self, states: np.ndarray, actions: np.ndarray, rngs) -> Step:
+        """Row k moves from ``states[k]`` under ``actions[k]``, drawing from
+        ``rngs[k]``."""
         raise NotImplementedError
 
-    def _check_action(self, action) -> np.ndarray:
-        action = np.asarray(action, dtype=float).ravel()
-        if len(action) != self.spec.action_dim:
+    def _check_actions(self, actions) -> np.ndarray:
+        actions = np.asarray(actions, dtype=float)
+        if actions.ndim != 2 or actions.shape[1] != self.spec.action_dim:
             raise ValueError(
-                f"expected action of dim {self.spec.action_dim}, got {len(action)}"
+                f"expected (n, {self.spec.action_dim}) actions, got shape {actions.shape}"
             )
-        return action
+        return actions
 
     def enumerate_trajectories(self):
         raise NotEnumerableError(f"{type(self).__name__} does not support exact enumeration")
@@ -120,13 +129,14 @@ class TargetMatching(Environment):
             gamma=gamma,
         )
 
-    def reset(self, rng) -> np.ndarray:
-        return np.zeros(1)
+    def reset(self, rngs) -> np.ndarray:
+        return np.zeros((len(rngs), 1))
 
-    def step(self, state, action, rng) -> Step:
-        action = self._check_action(action)
-        reward = -float(np.sum((action - self.target) ** 2))
-        return Step(np.zeros(1), reward, True)
+    def step(self, states, actions, rngs) -> Step:
+        actions = self._check_actions(actions)
+        rewards = -np.sum((actions - self.target) ** 2, axis=1)
+        n = len(actions)
+        return Step(np.zeros((n, 1)), rewards, np.ones(n, dtype=bool))
 
 
 # ---------------------------------------------------------------------------
@@ -224,22 +234,20 @@ class TabularMdp(Environment):
     def n_states(self) -> int:
         return len(self.rho0)
 
-    def joint_index(self, action) -> int:
-        values = [int(round(float(v))) for v in np.asarray(action).ravel()]
-        return int(np.ravel_multi_index(values, self.cardinalities))
+    def reset(self, rngs) -> np.ndarray:
+        u = np.array([rng.random() for rng in rngs])
+        s = np.searchsorted(self._rho0_cdf, u, side="right")
+        return np.minimum(s, self.n_states - 1).astype(float)[:, None]
 
-    def reset(self, rng) -> np.ndarray:
-        s = int(np.searchsorted(self._rho0_cdf, rng.random(), side="right"))
-        return np.array([float(min(s, self.n_states - 1))])
-
-    def step(self, state, action, rng) -> Step:
-        action = self._check_action(action)
-        s = int(round(float(state[0])))
-        aj = self.joint_index(action)
-        reward = float(self.rewards[s, aj])
-        cdf = self._transition_cdf[s, aj]
-        s2 = int(min(np.searchsorted(cdf, rng.random(), side="right"), self.n_states - 1))
-        return Step(np.array([float(s2)]), reward, False)
+    def step(self, states, actions, rngs) -> Step:
+        actions = self._check_actions(actions)
+        s = np.rint(states[:, 0]).astype(int)
+        aj = np.ravel_multi_index(np.rint(actions).astype(int).T, self.cardinalities)
+        u = np.array([rng.random() for rng in rngs])
+        # count of cdf entries <= u, as searchsorted with side="right"
+        s2 = np.sum(self._transition_cdf[s, aj] <= u[:, None], axis=1)
+        s2 = np.minimum(s2, self.n_states - 1).astype(float)[:, None]
+        return Step(s2, self.rewards[s, aj], np.zeros(len(s), dtype=bool))
 
     def enumerate_trajectories(self) -> list:
         """All length-horizon paths with their environment probabilities.
@@ -287,8 +295,15 @@ class TabularMdp(Environment):
 
     @classmethod
     def from_json(cls, path) -> "TabularMdp":
-        with open(path) as fh:
-            data = json.load(fh)
+        """Build from a fixture file; an unreadable file or one that is not
+        JSON is a ``ConfigError`` naming the path."""
+        try:
+            with open(path) as fh:
+                data = json.load(fh)
+        except OSError as exc:
+            raise ConfigError(f"tabular MDP fixture {path!r}: {exc.strerror}") from exc
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"tabular MDP fixture {path!r} is not valid JSON: {exc}") from exc
         return cls.from_dict(data)
 
     @classmethod
@@ -339,15 +354,16 @@ class PointMass(Environment):
             gamma=gamma,
         )
 
-    def reset(self, rng) -> np.ndarray:
-        return np.concatenate([rng.standard_normal(2), np.zeros(2)])
+    def reset(self, rngs) -> np.ndarray:
+        pos = np.array([rng.standard_normal(2) for rng in rngs])
+        return np.hstack([pos, np.zeros_like(pos)])
 
-    def step(self, state, action, rng) -> Step:
-        action = self._check_action(action)
-        vel = state[2:] + self.dt * action
-        pos = state[:2] + self.dt * vel
-        reward = -float(np.sum(pos**2) + self.action_cost * np.sum(action**2))
-        return Step(np.concatenate([pos, vel]), reward, False)
+    def step(self, states, actions, rngs) -> Step:
+        actions = self._check_actions(actions)
+        vel = states[:, 2:] + self.dt * actions
+        pos = states[:, :2] + self.dt * vel
+        rewards = -(np.sum(pos**2, axis=1) + self.action_cost * np.sum(actions**2, axis=1))
+        return Step(np.hstack([pos, vel]), rewards, np.zeros(len(states), dtype=bool))
 
 
 # ---------------------------------------------------------------------------

@@ -19,3 +19,7 @@ class ZeroScoreNormError(ValueError):
 
 class ConfigError(ValueError):
     """Invalid experiment configuration: unknown names or bad field values."""
+
+
+class NonFiniteError(ValueError):
+    """A training quantity (batch rewards, gradient or step) is NaN or infinite."""

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import os
 from dataclasses import asdict, dataclass, replace
 
@@ -24,7 +25,7 @@ import numpy as np
 
 from .config import ExperimentConfig, load_config, save_config
 from .envs import CategoricalFactor, ContinuousFactor
-from .errors import ConfigError
+from .errors import ConfigError, NonFiniteError
 from .optim import train
 from .policies import (
     CategoricalPolicy,
@@ -74,7 +75,9 @@ def build_policy(env, policy_cfg):
 
 
 def run_experiment(cfg: ExperimentConfig, echo=None) -> str:
-    """Train every (arm, seed) pair and write the run directory; returns its path."""
+    """Train every (arm, seed) pair and write the run directory; returns its
+    path. A non-finite value raises ``NonFiniteError`` naming the arm, and no
+    curve is written for that (arm, seed)."""
     env = build_env(cfg)  # a missing fixture fails before the run directory exists
     out = cfg.out_dir
     os.makedirs(os.path.join(out, "curves"), exist_ok=True)
@@ -84,17 +87,20 @@ def run_experiment(cfg: ExperimentConfig, echo=None) -> str:
     for arm in cfg.arms:
         for seed in cfg.seeds:
             policy = build_policy(env, cfg.policy)
-            result = train(
-                env,
-                policy,
-                arm.spec,
-                n_iterations=cfg.n_iterations,
-                n_trajectories=cfg.n_trajectories,
-                seed=seed,
-                optimizer=cfg.optimizer,
-                lam=cfg.lam,
-                normalize=cfg.normalize,
-            )
+            try:
+                result = train(
+                    env,
+                    policy,
+                    arm.spec,
+                    n_iterations=cfg.n_iterations,
+                    n_trajectories=cfg.n_trajectories,
+                    seed=seed,
+                    optimizer=cfg.optimizer,
+                    lam=cfg.lam,
+                    normalize=cfg.normalize,
+                )
+            except NonFiniteError as exc:
+                raise NonFiniteError(f"arm {arm.name!r}: {exc}") from exc
             _write_curve(out, arm.name, seed, result.logs)
             _write_checkpoint(out, cfg, arm, seed, result)
             if echo is not None:
@@ -114,6 +120,12 @@ def _curve_path(out: str, arm: str, seed: int) -> str:
 
 
 def _write_curve(out: str, arm: str, seed: int, logs) -> None:
+    for log in logs:
+        if not all(map(math.isfinite, (log.mean_return, log.sd_return,
+                                       log.grad_variance, log.realized_kl))):
+            raise NonFiniteError(
+                f"arm {arm!r}: non-finite log at iteration {log.iteration}, seed {seed}"
+            )
     with open(_curve_path(out, arm, seed), "w", newline="") as fh:
         fh.write(",".join(CSV_COLUMNS) + "\n")
         for log in logs:

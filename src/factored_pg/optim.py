@@ -14,13 +14,15 @@ and differ only through the direction quality of their gradient estimates.
 
 from __future__ import annotations
 
+import functools
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .baselines import BaselineSpec, BaselineState
-from .errors import ConfigError
+from .errors import ConfigError, NonFiniteError
 from .estimator import gae_advantages, gradient_variance, pg_estimate, score_matrix
 from .trajectory import Batch
 
@@ -112,31 +114,55 @@ def vanilla_step(gradient: np.ndarray, cfg: OptimizerConfig) -> np.ndarray:
 # rollout collection
 
 
-def rollout(env, policy, env_rng, policy_rng):
-    """One trajectory as ``(states, actions, rewards)`` arrays of shapes
-    (T, state_dim), (T, m) and (T,); ``states[t]`` is where ``actions[t]``
-    was taken, and T stops short of the horizon at a terminal step."""
-    states, actions, rewards = [], [], []
-    state = env.reset(env_rng)
+class _Rows(Sequence):
+    """``entry(k)`` for each k in ``keys``, looked up on access, so entries
+    built on first use stay unbuilt until read."""
+
+    def __init__(self, entry, keys):
+        self.entry, self.keys = entry, keys
+
+    def __len__(self) -> int:
+        return len(self.keys)
+
+    def __getitem__(self, j: int):
+        return self.entry(int(self.keys[j]))
+
+
+def rollout(env, policy, env_rngs, policy_rngs) -> Batch:
+    """One trajectory per generator pair, all stepped together: one
+    ``env.reset``, then per time step one ``policy.sample`` and one
+    ``env.step`` over the trajectories not yet terminal. Trajectory k draws
+    only from ``env_rngs[k]`` and ``policy_rngs[k]``, in the order it would
+    alone. Returns the trajectory-major batch; a trajectory stops short of
+    the horizon at its terminal step."""
+    alive = np.arange(len(env_rngs))
+    state = env.reset(env_rngs)
+    steps = []  # per time step: (trajectory index, state, action, reward) rows
     for _ in range(env.spec.horizon):
-        action = policy.sample(state, policy_rng)
-        step = env.step(state, action, env_rng)
-        states.append(state)
-        actions.append(action)
-        rewards.append(step.reward)
-        state = step.state
-        if step.terminal:
+        action = policy.sample(state, _Rows(policy_rngs.__getitem__, alive))
+        step = env.step(state, action, _Rows(env_rngs.__getitem__, alive))
+        steps.append((alive, state, action, step.rewards))
+        running = ~step.terminal
+        alive, state = alive[running], step.states[running]
+        if not len(alive):
             break
-    return np.array(states), np.array(actions), np.array(rewards)
+    traj, states, actions, rewards = (np.concatenate(column) for column in zip(*steps))
+    order = np.argsort(traj, kind="stable")  # time order within each trajectory
+    lengths = np.bincount(traj, minlength=len(env_rngs))
+    return Batch(states[order], actions[order], rewards[order], lengths, env.spec.gamma)
 
 
 def collect_batch(env, policy, n_trajectories: int, seed: int, iteration: int) -> Batch:
-    paths = []
-    for k in range(n_trajectories):
-        env_rng = substream(seed, STREAM_ENV, iteration, k)
-        pol_rng = substream(seed, STREAM_POLICY, iteration, k)
-        paths.append(rollout(env, policy, env_rng, pol_rng))
-    return Batch.from_paths(paths, gamma=env.spec.gamma)
+    """``n_trajectories`` rollouts; trajectory k draws from
+    ``substream(seed, STREAM_ENV, iteration, k)`` and
+    ``substream(seed, STREAM_POLICY, iteration, k)``, each built on first
+    use, so an environment that draws nothing builds no generator."""
+
+    def streams(tag: int) -> _Rows:
+        return _Rows(functools.cache(functools.partial(substream, seed, tag, iteration)),
+                     range(n_trajectories))
+
+    return rollout(env, policy, streams(STREAM_ENV), streams(STREAM_POLICY))
 
 
 # ---------------------------------------------------------------------------
@@ -179,22 +205,31 @@ def train(
     Baselines are always one iteration stale: the models evaluated on batch t
     were fitted on batch t-1 (zero at t = 0), so the critic never sees the
     data it corrects. The raw-advantage per-trajectory variance is logged
-    before any normalization.
+    before any normalization. A non-finite batch reward, gradient or step
+    raises ``NonFiniteError`` naming the iteration and seed.
     """
+
+    def require_finite(what: str, values: np.ndarray) -> None:
+        if not np.all(np.isfinite(values)):
+            raise NonFiniteError(f"non-finite {what} at iteration {it}, seed {seed}")
+
     state = BaselineState.initial(baseline_spec)
     logs = []
     for it in range(n_iterations):
         batch = collect_batch(env, policy, n_trajectories, seed, it)
+        require_finite("batch rewards", batch.rewards)
         base_rng = substream(seed, STREAM_BASELINE, it)
         baseline_values = state.evaluate(batch, policy, base_rng)
         advantages = gae_advantages(batch, baseline_values, lam)
         scores = score_matrix(batch, policy)
         report = pg_estimate(batch, policy, scores, advantages=advantages, normalize=normalize)
+        require_finite("gradient", report.gradient)
 
         if optimizer.kind == "npg":
             step = npg_step(report.gradient, scores, optimizer)
         else:
             step = vanilla_step(report.gradient, optimizer)
+        require_finite("step", step)
         new_policy = policy.with_theta(policy.theta + step)
 
         log = IterationLog(

@@ -9,9 +9,10 @@ analysis relies on; tests assert the property at machine zero.
 Action vectors hold one slot per factor: continuous factors store the sampled
 real value, categorical factors store the integer category as a float.
 
-Every density, score and marginal takes (n, .) arrays of states and actions;
-``sample(state, rng)`` is the one per-state method, called once per rollout
-step.
+Every method takes (n, .) arrays of states and actions. ``sample(states,
+rngs)`` draws row k from its own generator ``rngs[k]``, in the order a
+one-row call would, so a trajectory's actions do not depend on which other
+trajectories are sampled with it.
 """
 
 from __future__ import annotations
@@ -32,9 +33,6 @@ class RawFeatures:
         self.state_dim = int(state_dim)
         self.dim = self.state_dim
 
-    def __call__(self, state: np.ndarray) -> np.ndarray:
-        return np.asarray(state, dtype=float).ravel()
-
     def batch(self, states: np.ndarray) -> np.ndarray:
         return np.atleast_2d(np.asarray(states, dtype=float))
 
@@ -51,14 +49,6 @@ class IndicatorFeatures:
 
     def _out_of_range(self, idx: int) -> ValueError:
         return ValueError(f"state index {idx} outside [0, n_states={self.n_states})")
-
-    def __call__(self, state: np.ndarray) -> np.ndarray:
-        idx = int(round(float(np.asarray(state).ravel()[0])))
-        if not 0 <= idx < self.n_states:
-            raise self._out_of_range(idx)
-        out = np.zeros(self.n_states)
-        out[idx] = 1.0
-        return out
 
     def batch(self, states: np.ndarray) -> np.ndarray:
         states = np.atleast_2d(np.asarray(states, dtype=float))
@@ -121,7 +111,8 @@ class FactoredPolicy:
 
     # -- sampling, densities and scores
 
-    def sample(self, state: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    def sample(self, states, rngs) -> np.ndarray:
+        """One action per state, (n, m); row k draws only from ``rngs[k]``."""
         raise NotImplementedError
 
     def log_prob(self, states, actions) -> np.ndarray:
@@ -205,9 +196,12 @@ class IndependentGaussianPolicy(FactoredPolicy):
         phis = self.features.batch(states)
         return phis, phis @ self.weights.T + self.biases
 
-    def sample(self, state, rng) -> np.ndarray:
-        mu = self.weights @ self.features(state) + self.biases
-        return mu + np.exp(self.log_std) * rng.standard_normal(self.m)
+    def sample(self, states, rngs) -> np.ndarray:
+        # one matrix-vector product per row: phis @ W.T rounds differently
+        phis = self.features.batch(states)
+        mus = (self.weights @ phis[:, :, None])[..., 0] + self.biases
+        noise = np.array([rng.standard_normal(self.m) for rng in rngs])
+        return mus + np.exp(self.log_std) * noise
 
     def log_prob(self, states, actions) -> np.ndarray:
         actions = np.atleast_2d(np.asarray(actions, dtype=float))
@@ -307,16 +301,18 @@ class CategoricalPolicy(FactoredPolicy):
         e = np.exp(self._logits(states, i))
         return e / np.sum(e, axis=1, keepdims=True)
 
-    def sample(self, state, rng) -> np.ndarray:
-        phi = self.features(state)
-        action = np.empty(self.m)
+    def sample(self, states, rngs) -> np.ndarray:
+        phis = self.features.batch(states)
+        u = np.array([rng.random(self.m) for rng in rngs])  # factor i reads u[:, i]
+        actions = np.empty((len(phis), self.m))
         for i, w in enumerate(self.logit_weights):
-            logits = w @ phi
-            e = np.exp(logits - np.max(logits))
-            p = e / np.sum(e)
-            u = rng.random()
-            action[i] = float(min(np.searchsorted(np.cumsum(p), u, side="right"), len(p) - 1))
-        return action
+            # one matrix-vector product per row, as in the Gaussian sample
+            logits = (w @ phis[:, :, None])[..., 0]
+            e = np.exp(logits - np.max(logits, axis=1, keepdims=True))
+            cdf = np.cumsum(e / np.sum(e, axis=1, keepdims=True), axis=1)
+            # count of cdf entries <= u, as searchsorted with side="right"
+            actions[:, i] = np.minimum(np.sum(cdf <= u[:, i : i + 1], axis=1), len(w) - 1)
+        return actions
 
     def log_prob(self, states, actions) -> np.ndarray:
         actions = np.atleast_2d(np.asarray(actions, dtype=float))
@@ -482,12 +478,11 @@ class DagPolicy(FactoredPolicy):
         heads = [h.with_theta(theta[sl]) for h, sl in zip(self.heads, self.block_slices)]
         return DagPolicy(heads, self.parent_map, self.features)
 
-    def sample(self, state, rng) -> np.ndarray:
-        states = np.atleast_2d(state)
-        action = np.zeros((1, self.m))
+    def sample(self, states, rngs) -> np.ndarray:
+        actions = np.zeros((len(states), self.m))
         for i in self._topo:
-            action[0, i] = self.heads[i].sample(self.head_inputs(states, action, i)[0], rng)[0]
-        return action[0]
+            actions[:, i] = self.heads[i].sample(self.head_inputs(states, actions, i), rngs)[:, 0]
+        return actions
 
     def log_prob(self, states, actions) -> np.ndarray:
         actions = np.atleast_2d(np.asarray(actions, dtype=float))

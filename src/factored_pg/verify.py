@@ -5,8 +5,9 @@ force, analytic vs finite difference, sampled vs exact) and passes only when
 they agree at tight tolerances. The CLI ``verify`` subcommand runs the whole
 list; the test suite reuses the same functions so a green ``verify`` and a
 green test run certify the same math. The single-sample reference
-marginalizations that the batched baseline rules are tested against live
-here too.
+marginalizations that the batched baseline rules are tested against, and
+the one-trajectory-at-a-time rollout that the lockstep one is tested against,
+live here too.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from .baselines import _require_independent, _swap
 from .envs import TabularMdp
 from .errors import ZeroScoreNormError
 from .estimator import gae_advantages
+from .optim import STREAM_ENV, STREAM_POLICY, substream
 from .oracle import (
     ORACLE_BASELINE_KINDS,
     EnumerableProblem,
@@ -90,6 +92,33 @@ def all_problems():
     out = [(name, fixture_problem(name)) for name in FIXTURE_NAMES]
     out.append(("bandit_two_factor_dag", dag_fixture_problem()))
     return out
+
+
+# ---------------------------------------------------------------------------
+# reference rollout: one trajectory at a time, environment and policy called
+# on one-row arrays with a one-element list of generators
+
+
+def reference_collect_batch(env, policy, n_trajectories: int, seed: int, iteration: int) -> Batch:
+    """What ``optim.collect_batch`` returns, built trajectory by trajectory
+    from the same keyed generators."""
+    paths = []
+    for k in range(n_trajectories):
+        env_rngs = [substream(seed, STREAM_ENV, iteration, k)]
+        policy_rngs = [substream(seed, STREAM_POLICY, iteration, k)]
+        states, actions, rewards = [], [], []
+        state = env.reset(env_rngs)
+        for _ in range(env.spec.horizon):
+            action = policy.sample(state, policy_rngs)
+            step = env.step(state, action, env_rngs)
+            states.append(state[0])
+            actions.append(action[0])
+            rewards.append(step.rewards[0])
+            state = step.states
+            if step.terminal[0]:
+                break
+        paths.append((np.array(states), np.array(actions), np.array(rewards)))
+    return Batch.from_paths(paths, gamma=env.spec.gamma)
 
 
 # ---------------------------------------------------------------------------
@@ -335,7 +364,7 @@ def check_score_fd(tol: float = 1e-5) -> CheckResult:
     worst = 0.0
     for pol, state in _random_policies(rng):
         states = state[None, :]
-        actions = pol.sample(state, rng)[None, :]
+        actions = pol.sample(states, [rng])
         analytic = pol.score_matrix(states, actions)[0]
         theta = pol.theta
         fd = np.empty_like(theta)

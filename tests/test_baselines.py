@@ -37,7 +37,7 @@ def _cat_head(cardinality, input_dim):
 
 
 def _sampled(policy, states, rng):
-    return np.stack([policy.sample(s, rng) for s in states])
+    return np.stack([policy.sample(s[None, :], [rng])[0] for s in states])
 
 
 def _lookup_q(table):

@@ -18,15 +18,16 @@ from factored_pg.verify import fixture_path, load_fixture
 
 def test_target_matching_exact_match_zeroes_loss():
     env = TargetMatching(np.array([1.0, -2.0]))
-    step = env.step(env.reset(np.random.default_rng(0)), np.array([1.0, -2.0]), None)
-    assert step.reward == 0.0
-    assert step.terminal
+    rngs = [np.random.default_rng(0)]
+    step = env.step(env.reset(rngs), np.array([[1.0, -2.0]]), rngs)
+    assert step.rewards[0] == 0.0
+    assert step.terminal[0]
 
 
 def test_target_matching_hand_reward():
     env = TargetMatching(np.array([1.0, 1.0]))
-    step = env.step(np.zeros(1), np.array([0.0, 0.0]), None)
-    assert_allclose(step.reward, -2.0)
+    step = env.step(np.zeros((1, 1)), np.array([[0.0, 0.0]]), [None])
+    assert_allclose(step.rewards[0], -2.0)
 
 
 def test_target_matching_reward_nonpositive():
@@ -34,12 +35,12 @@ def test_target_matching_reward_nonpositive():
     rng = np.random.default_rng(1)
     for _ in range(20):
         a = rng.standard_normal(5)
-        assert env.step(np.zeros(1), a, None).reward <= 0.0
+        assert env.step(np.zeros((1, 1)), a[None, :], [None]).rewards[0] <= 0.0
 
 
 def test_target_matching_single_state():
     env = TargetMatching(np.zeros(3))
-    assert_allclose(env.reset(np.random.default_rng(0)), [0.0])
+    assert_allclose(env.reset([np.random.default_rng(0)])[0], [0.0])
     assert env.spec.horizon == 1
     assert env.spec.n_factors == 3
 
@@ -84,9 +85,9 @@ def test_tabular_round_trip():
     clone = TabularMdp.from_dict(env.to_dict())
     assert clone.spec.horizon == env.spec.horizon
     assert clone.n_states == env.n_states
-    step_a = env.step(np.array([0.0]), np.array([1.0]), np.random.default_rng(0))
-    step_b = clone.step(np.array([0.0]), np.array([1.0]), np.random.default_rng(0))
-    assert step_a.reward == step_b.reward
+    step_a = env.step(np.array([[0.0]]), np.array([[1.0]]), [np.random.default_rng(0)])
+    step_b = clone.step(np.array([[0.0]]), np.array([[1.0]]), [np.random.default_rng(0)])
+    assert step_a.rewards[0] == step_b.rewards[0]
 
 
 @pytest.mark.parametrize(
@@ -115,13 +116,13 @@ def test_fixture_files_ship_with_package():
 
 def test_point_mass_shapes_and_cost_sign():
     env = make_env("point_mass")
-    rng = np.random.default_rng(0)
-    s = env.reset(rng)
+    rngs = [np.random.default_rng(0)]
+    s = env.reset(rngs)[0]
     assert s.shape == (4,)
-    step = env.step(s, np.array([0.3, -0.2]), rng)
-    assert step.state.shape == (4,)
-    assert step.reward <= 0.0
-    assert not step.terminal
+    step = env.step(s[None, :], np.array([[0.3, -0.2]]), rngs)
+    assert step.states[0].shape == (4,)
+    assert step.rewards[0] <= 0.0
+    assert not step.terminal[0]
     assert env.spec.horizon == 100
 
 
@@ -150,3 +151,13 @@ def test_target_matching_m_must_match_explicit_target():
     assert make_env("target_matching", {"target": [0.5, 1.0]}).spec.n_factors == 2
     with pytest.raises(ConfigError, match="target has 2 entries"):
         make_env("target_matching", {"m": 3, "target": [0.5, 1.0]})
+
+
+@pytest.mark.parametrize("content, match", [(None, "No such file"), ("{not json", "not valid JSON")])
+def test_unreadable_tabular_fixture_is_config_error(tmp_path, content, match):
+    path = tmp_path / "fixture.json"
+    if content is not None:
+        path.write_text(content)
+    with pytest.raises(ConfigError, match=match) as err:
+        make_env("tabular", {"path": str(path)})
+    assert str(path) in str(err.value)

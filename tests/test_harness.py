@@ -11,7 +11,8 @@ from numpy.testing import assert_allclose
 
 from factored_pg.config import config_from_dict, save_config
 from factored_pg.envs import solve_threshold_default
-from factored_pg.errors import ConfigError
+from factored_pg.errors import ConfigError, NonFiniteError
+from factored_pg import harness
 from factored_pg.harness import (
     CSV_COLUMNS,
     build_env,
@@ -305,3 +306,14 @@ def test_build_env_target_seed_controls_task():
     again = build_env(_tiny_config("elsewhere"))
     assert np.array_equal(a.target, again.target)
     assert not np.array_equal(a.target, b.target)
+
+
+def test_run_experiment_names_the_arm_of_a_non_finite_run(tmp_path, monkeypatch, nan_reward_env):
+    monkeypatch.setattr(harness, "build_env", lambda cfg: nan_reward_env)
+    with pytest.raises(NonFiniteError, match="arm 'state': .* iteration 0, seed 0"):
+        run_experiment(_tiny_config(tmp_path / "run"))
+    assert os.listdir(tmp_path / "run" / "curves") == []
+    logs = [IterationLog(0, 0.0, 0.0, 0.0, 0.0), IterationLog(1, 0.0, 0.0, 0.0, np.nan)]
+    with pytest.raises(NonFiniteError, match="arm 'state': .* iteration 1, seed 2"):
+        harness._write_curve(str(tmp_path / "run"), "state", 2, logs)
+    assert os.listdir(tmp_path / "run" / "curves") == []

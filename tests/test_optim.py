@@ -1,10 +1,12 @@
 """Optimizers, keyed rng streams, rollout collection, and the training loop."""
 
 import numpy as np
+import pytest
 from numpy.testing import assert_allclose
 
 from factored_pg.baselines import BaselineSpec
 from factored_pg.envs import TargetMatching
+from factored_pg.errors import NonFiniteError
 from factored_pg.optim import (
     STREAM_BASELINE,
     STREAM_ENV,
@@ -88,9 +90,8 @@ def test_substream_keyed_independence_and_determinism():
 def test_rollout_shapes_and_horizon():
     env = TargetMatching(np.array([0.5, -0.3]))
     policy = IndependentGaussianPolicy.zeros(2, 1)
-    states, actions, rewards = rollout(
-        env, policy, np.random.default_rng(0), np.random.default_rng(1)
-    )
+    batch = rollout(env, policy, [np.random.default_rng(0)], [np.random.default_rng(1)])
+    states, actions, rewards = batch.states, batch.actions, batch.rewards
     assert states.shape == (1, 1)
     assert actions.shape == (1, 2)
     assert rewards.shape == (1,)
@@ -161,3 +162,10 @@ def test_train_callback_sees_every_iteration():
         callback=lambda it, batch, pol, log: seen.append((it, batch.n_trajectories)),
     )
     assert seen == [(0, 4), (1, 4), (2, 4)]
+
+
+def test_train_rejects_non_finite_rewards(nan_reward_env):
+    with pytest.raises(NonFiniteError, match="batch rewards at iteration 0, seed 3"):
+        train(nan_reward_env, IndependentGaussianPolicy.zeros(2, 1),
+              BaselineSpec(kind="none"), n_iterations=2, n_trajectories=4, seed=3,
+              optimizer=OptimizerConfig())

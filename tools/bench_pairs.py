@@ -1,0 +1,174 @@
+"""Paired benchmark runs of a parent commit against the working tree.
+
+Usage, from the root of a checkout:
+
+    python3 tools/bench_pairs.py --parent REV --out BENCH_<n>.json
+
+For every workload in ``perfbench/workloads.py``, runs
+``python3 perfbench/run.py --workload W --seed S --seconds 35 --trace 0`` once
+in an export of ``REV`` (``git archive``, so the repository's own git data is
+left alone) and once in this checkout, for ``PAIRS`` pairs. Pair i uses
+seed i, and the side that runs first alternates from pair to pair, so slow
+stretches of a shared machine fall on both sides alike.
+
+The output records the machine (nproc, CPU, BLAS, BLAS thread variables),
+every run's gated metrics, and per workload and metric the median and
+quartiles of each side, the share of pairs the change won (lower is better,
+ties count for neither side) and whether the change's median beats the
+parent's by more than the parent's interquartile range. It also records
+whether every run's curve sha256 per arm was equal between the two sides. The
+file is rewritten after every pair, so an interrupted run keeps what it
+measured.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import re
+import shutil
+import statistics
+import subprocess
+import sys
+import tarfile
+import tempfile
+import time
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+METRICS = ("setup_s", "peak_rss_mb", "state.iter_ms_p90", "action.iter_ms_p90")
+THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+SECONDS = 35
+PAIRS = 10
+RUN_TIMEOUT_S = 400
+
+
+def git(*args: str) -> str:
+    return subprocess.run(["git", *args], cwd=ROOT, check=True, capture_output=True,
+                          text=True).stdout.strip()
+
+
+def export(rev: str, dest: str) -> None:
+    """The committed files of ``rev`` under ``dest``."""
+    archive = os.path.join(dest, "tree.tar")
+    git("archive", "--format=tar", "-o", archive, rev)
+    with tarfile.open(archive) as tar:
+        tar.extractall(dest, filter="data")
+    os.remove(archive)
+
+
+def run_once(checkout: str, workload: str, seed: int) -> dict:
+    """One benchmark run: its result line, its machine record and the curve
+    sha256 of each arm."""
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+           "--seconds", str(SECONDS), "--trace", "0"]
+    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True,
+                          timeout=RUN_TIMEOUT_S)
+    if proc.returncode != 0:
+        raise RuntimeError(f"{' '.join(cmd)} in {checkout} exited {proc.returncode}:\n"
+                           f"{proc.stderr}")
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    summary_path = os.path.join(checkout, ".perfbench", f"{workload}-seed{seed}-trace0",
+                                "summary.json")
+    with open(summary_path) as fh:
+        summary = json.load(fh)
+    shas = {line.split(":")[0]: re.search(r"curve sha256 (\S+)", line).group(1)
+            for line in summary["outcomes"]}
+    return {
+        "correct": result["correct"],
+        "failed": result["failed"],
+        "attempted": result["attempted"],
+        "metrics": {name: result["metrics"][name]["value"] for name in METRICS},
+        "curve_sha256": shas,
+        "machine": summary["machine"],
+    }
+
+
+def spread(values: list) -> dict:
+    q1, median, q3 = statistics.quantiles(values, n=4)
+    return {"median": median, "q1": q1, "q3": q3, "values": values}
+
+
+def compare(runs: list) -> dict:
+    """Per metric: each side's spread, the change's share of pairs won and
+    whether the gain rule (>= 9/10 won, median gap > parent IQR) holds."""
+    out = {}
+    for name in METRICS:
+        parent = [r["parent"]["metrics"][name] for r in runs]
+        change = [r["change"]["metrics"][name] for r in runs]
+        won = sum(c < p for p, c in zip(parent, change))
+        p, c = spread(parent), spread(change)
+        gap = p["median"] - c["median"]
+        share = won / len(runs)
+        out[name] = {
+            "parent": p,
+            "change": c,
+            "pairs": len(runs),
+            "change_won": won,
+            "share_won": share,
+            "median_gap": gap,
+            "parent_iqr": p["q3"] - p["q1"],
+            "relative_change": -gap / p["median"],
+            "gain_rule_met": share >= 0.9 and gap > p["q3"] - p["q1"],
+        }
+    return out
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    p.add_argument("--parent", required=True, help="git revision to compare against")
+    p.add_argument("--out", required=True, help="JSON file to write")
+    args = p.parse_args(argv)
+
+    sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+    from workloads import WORKLOADS
+
+    workloads = sorted(WORKLOADS)
+    parent_rev = git("rev-parse", args.parent)
+    record = {
+        "command": f"python3 perfbench/run.py --workload W --seed S --seconds {SECONDS} --trace 0",
+        "parent": parent_rev,
+        "change": {"head": git("rev-parse", "HEAD"),
+                   "uncommitted_changes": bool(git("status", "--porcelain"))},
+        "thread_env": {k: os.environ.get(k) for k in THREAD_VARS},
+        "machine": None,
+        "pairs_per_workload": PAIRS,
+        "workloads": {},
+    }
+    scratch = tempfile.mkdtemp(prefix="bench-parent-")
+    try:
+        export(parent_rev, scratch)
+        sides = {"parent": scratch, "change": ROOT}
+        for w in workloads:
+            record["workloads"][w] = {"runs": []}
+        for i in range(PAIRS):
+            for w in workloads:
+                order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+                pair = {"pair": i, "seed": i, "first": order[0]}
+                for side in order:
+                    began = time.monotonic()
+                    pair[side] = run_once(sides[side], w, seed=i)
+                    print(f"pair {i} {w} {side}: "
+                          + ", ".join(f"{k} {v:.4g}" for k, v in pair[side]["metrics"].items())
+                          + f" ({time.monotonic() - began:.0f} s)", file=sys.stderr, flush=True)
+                record["machine"] = record["machine"] or pair["parent"]["machine"]
+                for side in order:
+                    del pair[side]["machine"]
+                entry = record["workloads"][w]
+                entry["runs"].append(pair)
+                entry["correct"] = all(r[s]["correct"] for r in entry["runs"]
+                                       for s in ("parent", "change"))
+                entry["curves_equal"] = all(r["parent"]["curve_sha256"] == r["change"]["curve_sha256"]
+                                            for r in entry["runs"])
+                if len(entry["runs"]) > 1:  # quartiles need two values
+                    entry["metrics"] = compare(entry["runs"])
+                with open(args.out, "w") as fh:
+                    json.dump(record, fh, indent=1)
+                    fh.write("\n")
+    finally:
+        shutil.rmtree(scratch, ignore_errors=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
