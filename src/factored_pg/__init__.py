@@ -67,6 +67,7 @@ from .harness import (
     first_crossing,
     lambda_sweep,
     load_curve,
+    load_policy,
     run_experiment,
     summarize_run,
     table1_report,
@@ -105,8 +106,6 @@ from .policies import (
     IndependentGaussianPolicy,
     IndicatorFeatures,
     RawFeatures,
-    policy_from_checkpoint,
-    policy_to_checkpoint,
 )
 from .trajectory import Batch, returns_to_go
 

@@ -40,7 +40,6 @@ from .features import (
     LinearModel,
     QuadraticMap,
     RffMap,
-    default_ridge,
     fit_linear,
     median_bandwidth,
 )
@@ -141,7 +140,7 @@ class QModel:
     def predict(self, states: np.ndarray, actions: np.ndarray) -> np.ndarray:
         x = np.hstack([np.atleast_2d(states), np.atleast_2d(actions)])
         phi = self.feature_map(x) if self.feature_map is not None else x
-        return np.asarray(self.model.predict(phi), dtype=float).ravel()
+        return self.model.predict(phi)
 
     def descriptor(self) -> dict:
         fmap = self.feature_map
@@ -180,10 +179,7 @@ def fit_q(
         return QModel(TableModel.fit(x, targets, sample_weights))
     rmap = frozen_map if frozen_map is not None else _make_map(x, spec, rng)
     phi = rmap(x) if rmap is not None else x
-    ridge = spec.ridge
-    if ridge is None:
-        ridge = default_ridge(np.hstack([phi, np.ones((len(phi), 1))]))
-    return QModel(fit_linear(phi, targets, ridge=ridge, sample_weights=sample_weights), rmap)
+    return QModel(fit_linear(phi, targets, ridge=spec.ridge, sample_weights=sample_weights), rmap)
 
 
 def keep_sets(kind: str, policy) -> list:

@@ -27,7 +27,7 @@ ENUMERATION_BUDGET = 1_000_000
 
 @dataclass(frozen=True)
 class ContinuousFactor:
-    dim: int = 1
+    """A scalar real-valued action factor."""
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,9 @@ class EnumerationSizeError(ValueError):
 
 
 class SingularSystemError(ValueError):
-    """An unregularized least-squares system has no unique solution."""
+    """A linear solve has no unique finite solution: a least-squares fit that is
+    rank-deficient without ridge or fails numerically, or a natural-gradient
+    curvature solve whose Fisher is not positive along a search direction."""
 
 
 class ZeroScoreNormError(ValueError):

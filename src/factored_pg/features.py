@@ -15,6 +15,14 @@ import numpy as np
 from .errors import SingularSystemError
 
 
+def _rows(x: np.ndarray, d: int) -> np.ndarray:
+    """``x`` as a float (n, d) array; any other shape raises ValueError."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 2 or x.shape[1] != d:
+        raise ValueError(f"expected (n, {d}) rows, got shape {x.shape}")
+    return x
+
+
 class RffMap:
     """Feature map y(x) = sin(P x / bandwidth + phase).
 
@@ -35,13 +43,8 @@ class RffMap:
         self.phase = rng.uniform(-np.pi, np.pi, size=self.n_features)
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        squeeze = x.ndim == 1
-        x = np.atleast_2d(x)
-        if x.shape[1] != self.input_dim:
-            raise ValueError(f"expected inputs of dim {self.input_dim}, got {x.shape[1]}")
-        out = np.sin(x @ self.projection.T / self.bandwidth + self.phase)
-        return out[0] if squeeze else out
+        x = _rows(x, self.input_dim)
+        return np.sin(x @ self.projection.T / self.bandwidth + self.phase)
 
     def descriptor(self) -> dict:
         return {
@@ -52,16 +55,6 @@ class RffMap:
             "projection": self.projection.tolist(),
             "phase": self.phase.tolist(),
         }
-
-    @classmethod
-    def from_descriptor(cls, desc: dict) -> "RffMap":
-        obj = cls.__new__(cls)
-        obj.input_dim = int(desc["input_dim"])
-        obj.n_features = int(desc["n_features"])
-        obj.bandwidth = float(desc["bandwidth"])
-        obj.projection = np.asarray(desc["projection"], dtype=float)
-        obj.phase = np.asarray(desc["phase"], dtype=float)
-        return obj
 
 
 class QuadraticMap:
@@ -79,20 +72,11 @@ class QuadraticMap:
         self.n_features = 2 * self.input_dim
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        squeeze = x.ndim == 1
-        x = np.atleast_2d(x)
-        if x.shape[1] != self.input_dim:
-            raise ValueError(f"expected inputs of dim {self.input_dim}, got {x.shape[1]}")
-        out = np.hstack([x, x * x])
-        return out[0] if squeeze else out
+        x = _rows(x, self.input_dim)
+        return np.hstack([x, x * x])
 
     def descriptor(self) -> dict:
         return {"kind": "quadratic", "input_dim": self.input_dim}
-
-    @classmethod
-    def from_descriptor(cls, desc: dict) -> "QuadraticMap":
-        return cls(int(desc["input_dim"]))
 
 
 FeatureMap = RffMap | QuadraticMap
@@ -129,23 +113,14 @@ class LinearModel:
     def n_features(self) -> int:
         return len(self.weights) - (1 if self.bias else 0)
 
-    def predict(self, features: np.ndarray) -> np.ndarray | float:
-        features = np.asarray(features, dtype=float)
-        squeeze = features.ndim == 1
-        features = np.atleast_2d(features)
-        if features.shape[1] != self.n_features:
-            raise ValueError(f"expected {self.n_features} features, got {features.shape[1]}")
-        out = features @ self.weights[: self.n_features]
+    def predict(self, features: np.ndarray) -> np.ndarray:
+        out = _rows(features, self.n_features) @ self.weights[: self.n_features]
         if self.bias:
             out = out + self.weights[-1]
-        return float(out[0]) if squeeze else out
+        return out
 
     def descriptor(self) -> dict:
         return {"weights": self.weights.tolist(), "bias": self.bias}
-
-    @classmethod
-    def from_descriptor(cls, desc: dict) -> "LinearModel":
-        return cls(np.asarray(desc["weights"], dtype=float), bias=bool(desc["bias"]))
 
 
 def default_ridge(design: np.ndarray) -> float:
@@ -157,12 +132,14 @@ def default_ridge(design: np.ndarray) -> float:
 def fit_linear(
     features: np.ndarray,
     targets: np.ndarray,
-    ridge: float = 0.0,
+    ridge: float | None = 0.0,
     bias: bool = True,
     sample_weights: np.ndarray | None = None,
 ) -> LinearModel:
     """Solve argmin_w ||F w - t||^2 + ridge * ||w||^2 in closed form.
 
+    F is ``features`` with a ones column appended when ``bias``; ``ridge=None``
+    means ``default_ridge(F)``, taken before any sample weighting.
     Non-finite features, targets or sample weights, a rank-deficient system
     with ridge = 0, and a failed or non-finite solve raise
     SingularSystemError. ``sample_weights`` turns the objective into weighted
@@ -173,11 +150,13 @@ def fit_linear(
     sw = None if sample_weights is None else np.asarray(sample_weights, dtype=float).ravel()
     if len(features) != len(targets):
         raise ValueError("features and targets disagree on sample count")
-    if ridge < 0 or not np.isfinite(ridge):
-        raise ValueError(f"ridge must be finite and >= 0, got {ridge}")
+    if ridge is not None and not 0 <= ridge < np.inf:
+        raise ValueError(f"ridge must be None or finite and >= 0, got {ridge}")
     if not all(np.all(np.isfinite(x)) for x in (features, targets, sw) if x is not None):
         raise SingularSystemError("features, targets and sample weights must be finite")
     design = np.hstack([features, np.ones((len(features), 1))]) if bias else features
+    if ridge is None:
+        ridge = default_ridge(design)
     t = targets
     if sw is not None:
         if len(sw) != len(design):

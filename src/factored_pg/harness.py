@@ -6,11 +6,13 @@ Run directory layout:
       config.json                  fully-resolved config (provenance)
       curves/<arm>_seed<k>.csv     iteration,seed,arm,mean_return,sd_return,
                                    grad_variance,realized_kl
-      checkpoints/<arm>_seed<k>.json
+      checkpoints/<arm>_seed<k>.json   final theta, baseline snapshot, rng scheme
       summary.json                 recomputed from the CSVs, never from memory
 
 Floats are written with repr-exact precision so reruns of the same config are
-byte-identical and summaries round-trip through the CSVs.
+byte-identical and summaries round-trip through the CSVs. A checkpoint stores
+the policy's theta, not its structure: ``load_policy`` rebuilds the policy
+from config.json and sets the stored theta.
 """
 
 from __future__ import annotations
@@ -25,14 +27,13 @@ import numpy as np
 
 from .config import ExperimentConfig, load_config, save_config
 from .envs import CategoricalFactor, ContinuousFactor
-from .errors import ConfigError, NonFiniteError
+from .errors import ConfigError, NonFiniteError, SingularSystemError
 from .optim import train
 from .policies import (
     CategoricalPolicy,
     IndependentGaussianPolicy,
     IndicatorFeatures,
     RawFeatures,
-    policy_to_checkpoint,
 )
 
 CSV_COLUMNS = ("iteration", "seed", "arm", "mean_return", "sd_return",
@@ -76,7 +77,8 @@ def build_policy(env, policy_cfg):
 
 def run_experiment(cfg: ExperimentConfig, echo=None) -> str:
     """Train every (arm, seed) pair and write the run directory; returns its
-    path. A non-finite value raises ``NonFiniteError`` naming the arm, and no
+    path. A non-finite value (``NonFiniteError``) or a failed ridge or
+    curvature solve (``SingularSystemError``) is raised naming the arm, and no
     curve is written for that (arm, seed)."""
     env = build_env(cfg)  # a missing fixture fails before the run directory exists
     out = cfg.out_dir
@@ -99,8 +101,8 @@ def run_experiment(cfg: ExperimentConfig, echo=None) -> str:
                     lam=cfg.lam,
                     normalize=cfg.normalize,
                 )
-            except NonFiniteError as exc:
-                raise NonFiniteError(f"arm {arm.name!r}: {exc}") from exc
+            except (NonFiniteError, SingularSystemError) as exc:
+                raise type(exc)(f"arm {arm.name!r}: {exc}") from exc
             _write_curve(out, arm.name, seed, result.logs)
             _write_checkpoint(out, cfg, arm, seed, result)
             if echo is not None:
@@ -136,19 +138,31 @@ def _write_curve(out: str, arm: str, seed: int, logs) -> None:
             )
 
 
+def _checkpoint_path(out: str, arm: str, seed: int) -> str:
+    return os.path.join(out, "checkpoints", f"{arm}_seed{seed}.json")
+
+
 def _write_checkpoint(out: str, cfg: ExperimentConfig, arm, seed: int, result) -> None:
     payload = {
         "arm": arm.name,
         "seed": seed,
         "iterations": cfg.n_iterations,
-        "policy": policy_to_checkpoint(result.policy),
+        "policy": {"theta": result.policy.theta.tolist()},
         "baseline": result.baseline_state.descriptor(),
         "rng_scheme": "default_rng([seed, stream, iteration, trajectory])",
     }
-    path = os.path.join(out, "checkpoints", f"{arm.name}_seed{seed}.json")
-    with open(path, "w") as fh:
+    with open(_checkpoint_path(out, arm.name, seed), "w") as fh:
         json.dump(payload, fh, sort_keys=True)
         fh.write("\n")
+
+
+def load_policy(out_dir: str, arm: str, seed: int):
+    """The final policy of one (arm, seed): built from the run's config.json
+    as ``run_experiment`` built it, then given the checkpoint's theta."""
+    cfg = load_config(os.path.join(out_dir, "config.json"))
+    with open(_checkpoint_path(out_dir, arm, seed)) as fh:
+        theta = json.load(fh)["policy"]["theta"]
+    return build_policy(build_env(cfg), cfg.policy).with_theta(np.asarray(theta, dtype=float))
 
 
 def load_curve(path: str) -> dict:

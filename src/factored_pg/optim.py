@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .baselines import BaselineSpec, BaselineState
-from .errors import ConfigError, NonFiniteError
+from .errors import ConfigError, NonFiniteError, SingularSystemError
 from .estimator import gae_advantages, gradient_variance, pg_estimate, score_matrix
 from .trajectory import Batch
 
@@ -62,6 +62,9 @@ class OptimizerConfig:
 
 
 def conjugate_gradient(matvec, b: np.ndarray, iters: int = 10, tol: float = 1e-10) -> np.ndarray:
+    """Approximate A^-1 b for a positive definite ``matvec``; a non-finite or
+    non-positive curvature p'Ap along a search direction raises
+    SingularSystemError."""
     x = np.zeros_like(b)
     r = b.copy()
     p = r.copy()
@@ -71,8 +74,8 @@ def conjugate_gradient(matvec, b: np.ndarray, iters: int = 10, tol: float = 1e-1
     for _ in range(iters):
         ap = matvec(p)
         denom = float(p @ ap)
-        if denom <= 0.0 or not np.isfinite(denom):
-            break  # operator not positive along p; keep the best iterate so far
+        if not 0.0 < denom < math.inf:
+            raise SingularSystemError(f"curvature p'Ap = {denom} along a CG direction")
         alpha = rs / denom
         x = x + alpha * p
         r = r - alpha * ap
@@ -95,15 +98,16 @@ def make_fvp(scores: np.ndarray, damping: float):
 
 
 def npg_step(gradient: np.ndarray, scores: np.ndarray, cfg: OptimizerConfig) -> np.ndarray:
-    """KL-constrained natural step; falls back to a normalized vanilla step
-    when the curvature solve produces a non-finite or non-positive scale."""
+    """KL-constrained natural step. A zero gradient takes a zero step; a
+    non-finite direction x or x'Fx <= 0 raises SingularSystemError."""
+    if not np.any(gradient):
+        return np.zeros_like(gradient)
     fvp = make_fvp(scores, cfg.damping)
     x = conjugate_gradient(fvp, gradient, iters=cfg.cg_iters)
     xfx = float(x @ fvp(x))
-    if np.isfinite(xfx) and xfx > 0.0 and np.all(np.isfinite(x)):
-        return np.sqrt(2.0 * cfg.kl / (xfx + 1e-8)) * x
-    gg = float(gradient @ gradient)
-    return np.sqrt(2.0 * cfg.kl / (gg + 1e-8)) * gradient
+    if not (0.0 < xfx < math.inf and np.all(np.isfinite(x))):
+        raise SingularSystemError(f"natural-gradient direction has x'Fx = {xfx}")
+    return np.sqrt(2.0 * cfg.kl / (xfx + 1e-8)) * x
 
 
 def vanilla_step(gradient: np.ndarray, cfg: OptimizerConfig) -> np.ndarray:
@@ -206,12 +210,19 @@ def train(
     were fitted on batch t-1 (zero at t = 0), so the critic never sees the
     data it corrects. The raw-advantage per-trajectory variance is logged
     before any normalization. A non-finite batch reward, gradient or step
-    raises ``NonFiniteError`` naming the iteration and seed.
+    raises ``NonFiniteError``, and a failed ridge or curvature solve raises
+    ``SingularSystemError``; both name the iteration and seed.
     """
 
     def require_finite(what: str, values: np.ndarray) -> None:
         if not np.all(np.isfinite(values)):
             raise NonFiniteError(f"non-finite {what} at iteration {it}, seed {seed}")
+
+    def solve(fn, *args):
+        try:
+            return fn(*args)
+        except SingularSystemError as exc:
+            raise SingularSystemError(f"{exc} at iteration {it}, seed {seed}") from exc
 
     state = BaselineState.initial(baseline_spec)
     logs = []
@@ -226,7 +237,7 @@ def train(
         require_finite("gradient", report.gradient)
 
         if optimizer.kind == "npg":
-            step = npg_step(report.gradient, scores, optimizer)
+            step = solve(npg_step, report.gradient, scores, optimizer)
         else:
             step = vanilla_step(report.gradient, optimizer)
         require_finite("step", step)
@@ -243,6 +254,6 @@ def train(
         if callback is not None:
             callback(it, batch, policy, log)
 
-        state = state.refit(batch, policy, base_rng)
+        state = solve(state.refit, batch, policy, base_rng)
         policy = new_policy
     return TrainResult(policy=policy, logs=logs, baseline_state=state)

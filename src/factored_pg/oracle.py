@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EnumerationSizeError, NotEnumerableError, ZeroScoreNormError
+from .errors import NotEnumerableError, ZeroScoreNormError
 from .trajectory import returns_to_go
 
 ORACLE_BASELINE_KINDS = (
@@ -47,9 +47,7 @@ class EnumerableProblem:
             raise NotEnumerableError("exact oracles require categorical factors")
         self.env = env
         self.policy = policy
-        self.enumerated = env.enumerate_trajectories()
-        if len(self.enumerated) > 1_000_000:
-            raise EnumerationSizeError("trajectory count exceeds enumeration budget")
+        self.enumerated = env.enumerate_trajectories()  # raises past the budget
         self.gamma = env.spec.gamma
         self.m = policy.m
 

@@ -30,14 +30,10 @@ class RawFeatures:
     """Identity map on the raw state; linear heads add their own bias."""
 
     def __init__(self, state_dim: int):
-        self.state_dim = int(state_dim)
-        self.dim = self.state_dim
+        self.dim = int(state_dim)
 
     def batch(self, states: np.ndarray) -> np.ndarray:
         return np.atleast_2d(np.asarray(states, dtype=float))
-
-    def descriptor(self) -> dict:
-        return {"kind": "raw", "state_dim": self.state_dim}
 
 
 class IndicatorFeatures:
@@ -59,18 +55,6 @@ class IndicatorFeatures:
         out = np.zeros((len(idx), self.n_states))
         out[np.arange(len(idx)), idx] = 1.0
         return out
-
-    def descriptor(self) -> dict:
-        return {"kind": "indicator", "n_states": self.n_states}
-
-
-def features_from_descriptor(desc: dict):
-    kind = desc["kind"]
-    if kind == "raw":
-        return RawFeatures(desc["state_dim"])
-    if kind == "indicator":
-        return IndicatorFeatures(desc["n_states"])
-    raise ValueError(f"unknown feature map kind {kind!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -137,9 +121,6 @@ class FactoredPolicy:
 
     def kl(self, other: "FactoredPolicy", states: np.ndarray) -> float:
         """Mean over states of KL(self(.|s) || other(.|s))."""
-        raise NotImplementedError
-
-    def descriptor(self) -> dict:
         raise NotImplementedError
 
 
@@ -238,14 +219,6 @@ class IndependentGaussianPolicy(FactoredPolicy):
             other.log_std - self.log_std + (v1 + (mu1 - mu2) ** 2) / (2.0 * v2) - 0.5
         )
         return float(np.mean(np.sum(per_factor, axis=1)))
-
-    def descriptor(self) -> dict:
-        return {
-            "kind": "independent_gaussian",
-            "m": self.m,
-            "features": self.features.descriptor(),
-            "block_size": self.block_size,
-        }
 
 
 # ---------------------------------------------------------------------------
@@ -357,13 +330,6 @@ class CategoricalPolicy(FactoredPolicy):
         # a sequential sum in (state, factor) order; np.sum would pair terms
         # differently and move the last bits of the logged KL
         return float(np.cumsum(per_step.ravel())[-1]) / len(states)
-
-    def descriptor(self) -> dict:
-        return {
-            "kind": "categorical",
-            "cardinalities": list(self.cardinalities),
-            "features": self.features.descriptor(),
-        }
 
 
 # ---------------------------------------------------------------------------
@@ -500,50 +466,3 @@ class DagPolicy(FactoredPolicy):
 
     def factor_support(self, i: int):
         return self.heads[i].factor_support(0)
-
-    def descriptor(self) -> dict:
-        return {
-            "kind": "dag",
-            "parents": [list(p) for p in self.parent_map],
-            "factor_kinds": list(self.factor_kinds),
-            "cardinalities": [
-                h.cardinalities[0] if kind == "categorical" else None
-                for h, kind in zip(self.heads, self.factor_kinds)
-            ],
-            "features": self.features.descriptor(),
-        }
-
-
-# ---------------------------------------------------------------------------
-# serialization
-
-
-def policy_to_checkpoint(policy: FactoredPolicy) -> dict:
-    return {"descriptor": policy.descriptor(), "theta": policy.theta.tolist()}
-
-
-def policy_from_checkpoint(data: dict) -> FactoredPolicy:
-    desc = data["descriptor"]
-    theta = np.asarray(data["theta"], dtype=float)
-    features = features_from_descriptor(desc["features"])
-    kind = desc["kind"]
-    if kind == "independent_gaussian":
-        base = IndependentGaussianPolicy.zeros(desc["m"], features.state_dim)
-        return base.with_theta(theta)
-    if kind == "categorical":
-        base = CategoricalPolicy.zeros(desc["cardinalities"], features)
-        return base.with_theta(theta)
-    if kind == "dag":
-        kinds, cards = desc["factor_kinds"], desc["cardinalities"]
-        heads = []
-        for i, parents in enumerate(desc["parents"]):
-            input_dim = features.dim + sum(
-                1 if kinds[j] == "gaussian" else int(cards[j]) for j in parents
-            )
-            if kinds[i] == "gaussian":
-                heads.append(IndependentGaussianPolicy.zeros(1, input_dim))
-            else:
-                heads.append(CategoricalPolicy.zeros([int(cards[i])], RawFeatures(input_dim)))
-        base = DagPolicy(heads, [tuple(p) for p in desc["parents"]], features)
-        return base.with_theta(theta)
-    raise ValueError(f"unknown policy kind {kind!r}")

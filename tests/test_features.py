@@ -118,19 +118,20 @@ def test_wide_design_uses_dual_solve():
     assert_allclose(model.predict(F), t, atol=1e-6)
 
 
+def test_fit_linear_default_ridge_uses_its_own_unweighted_design():
+    rng = np.random.default_rng(11)
+    F, t, sw = rng.standard_normal((30, 4)), rng.standard_normal(30), rng.random(30)
+    ridge = default_ridge(np.hstack([F, np.ones((30, 1))]))
+    for weights in (None, sw):
+        auto = fit_linear(F, t, ridge=None, sample_weights=weights)
+        explicit = fit_linear(F, t, ridge=ridge, sample_weights=weights)
+        assert np.array_equal(auto.weights, explicit.weights)
+
+
 def test_default_ridge_hand_value():
     design = np.array([[1.0, 1.0], [1.0, 1.0]])
     # 1e-5 * sum(F^2) / rows = 1e-5 * 4 / 2
     assert_allclose(default_ridge(design), 2e-5)
-
-
-def test_linear_model_round_trip():
-    model = LinearModel(np.array([1.5, -2.0, 0.25]), bias=True)
-    clone = LinearModel.from_descriptor(model.descriptor())
-    assert clone.bias == model.bias
-    assert_allclose(clone.weights, model.weights)
-    x = np.array([[0.5, 2.0]])
-    assert_allclose(clone.predict(x), model.predict(x))
 
 
 def test_rff_map_identical_under_identical_seeds():
@@ -141,20 +142,13 @@ def test_rff_map_identical_under_identical_seeds():
     assert_allclose(a.projection, b.projection)
 
 
-def test_rff_map_descriptor_round_trip():
-    m = RffMap(2, 8, 1.5, np.random.default_rng(5))
-    clone = RffMap.from_descriptor(m.descriptor())
-    x = np.random.default_rng(1).standard_normal((4, 2))
-    assert_allclose(clone(x), m(x))
-
-
 def test_rff_map_output_shape_and_range():
     m = RffMap(4, 10, 1.0, np.random.default_rng(2))
     x = np.random.default_rng(3).standard_normal((6, 4))
     y = m(x)
     assert y.shape == (6, 10)
     assert np.all(np.abs(y) <= 1.0)
-    assert m(x[0]).shape == (10,)
+    assert m(x[:1]).shape == (1, 10)
 
 
 def test_rff_map_validates_inputs():
@@ -166,21 +160,21 @@ def test_rff_map_validates_inputs():
     m = RffMap(2, 4, 1.0, rng)
     with pytest.raises(ValueError):
         m(np.zeros((3, 5)))
+    with pytest.raises(ValueError, match=r"\(n, 2\)"):
+        m(np.zeros(2))
 
 
 def test_quadratic_map_appends_elementwise_squares():
     m = QuadraticMap(2)
-    assert_allclose(m(np.array([2.0, -1.0])), [2.0, -1.0, 4.0, 1.0])
+    assert_allclose(m(np.array([[2.0, -1.0]])), [[2.0, -1.0, 4.0, 1.0]])
     batch = m(np.array([[1.0, 3.0], [0.0, -2.0]]))
     assert_allclose(batch, [[1.0, 3.0, 1.0, 9.0], [0.0, -2.0, 0.0, 4.0]])
 
 
-def test_quadratic_map_descriptor_round_trip():
-    m = QuadraticMap(3)
-    clone = QuadraticMap.from_descriptor(m.descriptor())
-    x = np.random.default_rng(4).standard_normal((5, 3))
-    assert_allclose(clone(x), m(x))
-    assert clone.n_features == 6
+def test_linear_model_predict_takes_rows_only():
+    for rows in (np.zeros(2), np.zeros((1, 3))):
+        with pytest.raises(ValueError, match=r"\(n, 2\)"):
+            LinearModel(np.zeros(3)).predict(rows)
 
 
 def test_quadratic_map_validates_dimension():
@@ -188,6 +182,8 @@ def test_quadratic_map_validates_dimension():
         QuadraticMap(0)
     with pytest.raises(ValueError):
         QuadraticMap(2)(np.zeros((1, 3)))
+    with pytest.raises(ValueError, match=r"\(n, 2\)"):
+        QuadraticMap(2)(np.zeros(2))
 
 
 def test_quadratic_features_fit_separable_quadratic_exactly():

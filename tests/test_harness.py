@@ -9,9 +9,9 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from factored_pg.config import config_from_dict, save_config
+from factored_pg.config import config_from_dict, matching_task_config, save_config
 from factored_pg.envs import solve_threshold_default
-from factored_pg.errors import ConfigError, NonFiniteError
+from factored_pg.errors import ConfigError, NonFiniteError, SingularSystemError
 from factored_pg import harness
 from factored_pg.harness import (
     CSV_COLUMNS,
@@ -21,11 +21,12 @@ from factored_pg.harness import (
     format_solve_table,
     lambda_sweep,
     load_curve,
+    load_policy,
     run_experiment,
     summarize_run,
     table1_report,
 )
-from factored_pg.optim import IterationLog
+from factored_pg.optim import IterationLog, train
 
 
 def _tiny_config(out_dir, seeds=(0,), n_iterations=4):
@@ -205,6 +206,50 @@ def test_tabular_state_arm_checkpoint_round_trips(tmp_path):
     assert all(isinstance(v, int) for key in table["keys"] for v in key)
 
 
+def _chain_config(out_dir):
+    chain = importlib.resources.files("factored_pg").joinpath("fixtures", "chain_two_step.json")
+    return config_from_dict(
+        {
+            "env": {"name": "tabular", "params": {"path": str(chain)}},
+            "policy": {"features": "indicator"},
+            "arms": [
+                {"name": "state", "kind": "state_value", "tabular": True},
+                {"name": "action", "kind": "mc_q", "exact": True, "tabular": True},
+            ],
+            "n_iterations": 3,
+            "n_trajectories": 8,
+            "seeds": [1],
+            "out_dir": str(out_dir),
+        }
+    )
+
+
+@pytest.mark.parametrize("make_config", [
+    lambda out: replace(matching_task_config(3, seeds=(1,), n_iterations=3, out_dir=str(out)),
+                        n_trajectories=12),
+    _chain_config,
+], ids=["gaussian", "categorical_indicator"])
+def test_load_policy_matches_the_trained_policy(tmp_path, make_config):
+    cfg = make_config(tmp_path / "run")
+    out = run_experiment(cfg)
+    env = build_env(cfg)
+    rngs = [np.random.default_rng(k) for k in range(5)]
+    states = env.reset(rngs)
+    for arm in cfg.arms:
+        trained = train(env, build_policy(env, cfg.policy), arm.spec,
+                        n_iterations=cfg.n_iterations, n_trajectories=cfg.n_trajectories,
+                        seed=1, optimizer=cfg.optimizer, lam=cfg.lam,
+                        normalize=cfg.normalize).policy
+        loaded = load_policy(out, arm.name, 1)
+        assert type(loaded) is type(trained)
+        assert np.array_equal(loaded.theta, trained.theta)
+        assert np.any(trained.theta != 0.0)
+        actions = trained.sample(states, rngs)
+        assert np.array_equal(loaded.log_prob(states, actions), trained.log_prob(states, actions))
+        assert np.array_equal(loaded.score_matrix(states, actions),
+                              trained.score_matrix(states, actions))
+
+
 def test_run_experiment_rerun_is_byte_identical(tmp_path):
     cfg = _tiny_config(tmp_path / "run", seeds=(0, 1), n_iterations=3)
     out = run_experiment(cfg)
@@ -316,4 +361,15 @@ def test_run_experiment_names_the_arm_of_a_non_finite_run(tmp_path, monkeypatch,
     logs = [IterationLog(0, 0.0, 0.0, 0.0, 0.0), IterationLog(1, 0.0, 0.0, 0.0, np.nan)]
     with pytest.raises(NonFiniteError, match="arm 'state': .* iteration 1, seed 2"):
         harness._write_curve(str(tmp_path / "run"), "state", 2, logs)
+    assert os.listdir(tmp_path / "run" / "curves") == []
+
+
+def test_run_experiment_names_the_arm_of_a_failed_solve(tmp_path):
+    # the matching task has one state, so an unregularized state fit on
+    # [s, 1] is rank-deficient at the first refit
+    cfg = _tiny_config(tmp_path / "run")
+    flat = replace(cfg.arms[0], name="flat", spec=replace(cfg.arms[0].spec, ridge=0.0))
+    cfg = replace(cfg, arms=(flat,))
+    with pytest.raises(SingularSystemError, match="arm 'flat': rank-deficient .* iteration 0, seed 0"):
+        run_experiment(cfg)
     assert os.listdir(tmp_path / "run" / "curves") == []

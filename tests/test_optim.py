@@ -6,7 +6,7 @@ from numpy.testing import assert_allclose
 
 from factored_pg.baselines import BaselineSpec
 from factored_pg.envs import TargetMatching
-from factored_pg.errors import NonFiniteError
+from factored_pg.errors import NonFiniteError, SingularSystemError
 from factored_pg.optim import (
     STREAM_BASELINE,
     STREAM_ENV,
@@ -64,9 +64,20 @@ def test_npg_step_identity_fisher_hits_kl_budget():
 
 
 def test_npg_step_falls_back_on_degenerate_curvature():
+    # degenerate curvature raises; no vanilla fallback step is taken
     g = np.array([3.0, 4.0])
-    step = npg_step(g, np.zeros((2, 2)), OptimizerConfig(kl=0.02, damping=0.0))
-    assert_allclose(step, np.sqrt(2 * 0.02 / (25.0 + 1e-8)) * g, atol=1e-12)
+    with pytest.raises(SingularSystemError, match="curvature"):
+        npg_step(g, np.zeros((2, 2)), OptimizerConfig(kl=0.02, damping=0.0))
+
+
+def test_npg_step_zero_gradient_takes_zero_step():
+    step = npg_step(np.zeros(2), np.zeros((2, 2)), OptimizerConfig(kl=0.02, damping=0.0))
+    assert np.array_equal(step, np.zeros(2))
+
+
+def test_conjugate_gradient_raises_on_negative_curvature():
+    with pytest.raises(SingularSystemError, match="curvature"):
+        conjugate_gradient(lambda v: -v, np.array([1.0, 2.0]))
 
 
 def test_vanilla_step():

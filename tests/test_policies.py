@@ -10,8 +10,6 @@ from factored_pg.policies import (
     IndependentGaussianPolicy,
     IndicatorFeatures,
     RawFeatures,
-    policy_from_checkpoint,
-    policy_to_checkpoint,
 )
 
 
@@ -325,16 +323,3 @@ def test_dag_scores_match_finite_differences():
     s = np.zeros((4, 1))
     a = _sampled(pol, s, rng)
     assert_allclose(pol.score_matrix(s, a), _fd_scores(pol, s, a), rtol=1e-5, atol=1e-7)
-
-
-def test_checkpoint_round_trip_all_policy_types():
-    rng = np.random.default_rng(16)
-    s = np.zeros((1, 1))
-    for pol in (_gaussian(seed=16), _categorical(seed=16), _dag(seed=16), _mixed_dag(seed=16)):
-        data = policy_to_checkpoint(pol)
-        clone = policy_from_checkpoint(data)
-        assert clone.descriptor() == data["descriptor"]
-        assert_allclose(clone.theta, pol.theta)
-        a = pol.sample(s, [rng])
-        assert_allclose(clone.log_prob(s, a), pol.log_prob(s, a), atol=1e-14)
-        assert_allclose(clone.score_matrix(s, a), pol.score_matrix(s, a), atol=1e-14)
