@@ -60,11 +60,6 @@ class MdpSpec:
     def n_factors(self) -> int:
         return len(self.factors)
 
-    @property
-    def action_dim(self) -> int:
-        # one action slot per factor; continuous factors here are scalar
-        return len(self.factors)
-
 
 @dataclass
 class Step:
@@ -90,9 +85,9 @@ class Environment:
 
     def _check_actions(self, actions) -> np.ndarray:
         actions = np.asarray(actions, dtype=float)
-        if actions.ndim != 2 or actions.shape[1] != self.spec.action_dim:
+        if actions.ndim != 2 or actions.shape[1] != self.spec.n_factors:
             raise ValueError(
-                f"expected (n, {self.spec.action_dim}) actions, got shape {actions.shape}"
+                f"expected (n, {self.spec.n_factors}) actions, got shape {actions.shape}"
             )
         return actions
 

@@ -101,26 +101,23 @@ def median_bandwidth(inputs: np.ndarray, max_probe: int = 256) -> float:
 
 @dataclass
 class LinearModel:
-    """Linear predictor on explicit features; bias weight stored last when present."""
+    """Linear predictor on explicit features; the bias weight is stored last."""
 
     weights: np.ndarray
-    bias: bool = True
 
     def __post_init__(self) -> None:
         self.weights = np.asarray(self.weights, dtype=float).ravel()
 
     @property
     def n_features(self) -> int:
-        return len(self.weights) - (1 if self.bias else 0)
+        return len(self.weights) - 1
 
     def predict(self, features: np.ndarray) -> np.ndarray:
-        out = _rows(features, self.n_features) @ self.weights[: self.n_features]
-        if self.bias:
-            out = out + self.weights[-1]
-        return out
+        n = self.n_features
+        return _rows(features, n) @ self.weights[:n] + self.weights[-1]
 
     def descriptor(self) -> dict:
-        return {"weights": self.weights.tolist(), "bias": self.bias}
+        return {"weights": self.weights.tolist()}
 
 
 def default_ridge(design: np.ndarray) -> float:
@@ -133,12 +130,11 @@ def fit_linear(
     features: np.ndarray,
     targets: np.ndarray,
     ridge: float | None = 0.0,
-    bias: bool = True,
     sample_weights: np.ndarray | None = None,
 ) -> LinearModel:
     """Solve argmin_w ||F w - t||^2 + ridge * ||w||^2 in closed form.
 
-    F is ``features`` with a ones column appended when ``bias``; ``ridge=None``
+    F is ``features`` with a ones column appended; ``ridge=None``
     means ``default_ridge(F)``, taken before any sample weighting.
     Non-finite features, targets or sample weights, a rank-deficient system
     with ridge = 0, and a failed or non-finite solve raise
@@ -154,7 +150,7 @@ def fit_linear(
         raise ValueError(f"ridge must be None or finite and >= 0, got {ridge}")
     if not all(np.all(np.isfinite(x)) for x in (features, targets, sw) if x is not None):
         raise SingularSystemError("features, targets and sample weights must be finite")
-    design = np.hstack([features, np.ones((len(features), 1))]) if bias else features
+    design = np.hstack([features, np.ones((len(features), 1))])
     if ridge is None:
         ridge = default_ridge(design)
     t = targets
@@ -186,4 +182,4 @@ def fit_linear(
         raise SingularSystemError(f"least-squares solve failed: {exc}") from exc
     if not np.all(np.isfinite(w)):
         raise SingularSystemError("non-finite solution; the solve overflowed or is ill-conditioned")
-    return LinearModel(w, bias=bias)
+    return LinearModel(w)

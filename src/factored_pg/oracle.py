@@ -18,6 +18,10 @@ sampled estimator can be held to tight tolerances:
   (keep = factors whose values b_i may see), and the variance excess of any
   baseline b over b* is sum_i E[Z_i (b_i - Y_i/Z_i)^2]. The suboptimality of
   the best state-only baseline follows by substituting it for b_i.
+
+Everything but eta reads one table, ``_visits``: each (trajectory, timestep)
+of the enumeration flattened once, with per-factor scores from one batched
+``score_matrix`` call; conditional tables are weighted group means over it.
 """
 
 from __future__ import annotations
@@ -40,85 +44,87 @@ ORACLE_BASELINE_KINDS = (
 
 
 class EnumerableProblem:
-    """A tabular environment paired with a categorical factored policy."""
+    """A tabular environment paired with a categorical factored policy.
 
-    def __init__(self, env, policy):
+    ``enumerated`` reuses an existing enumeration of ``env``'s trajectories;
+    it holds no policy probabilities, so it serves every parameter vector.
+    """
+
+    def __init__(self, env, policy, enumerated=None):
         if any(kind != "categorical" for kind in policy.factor_kinds):
             raise NotEnumerableError("exact oracles require categorical factors")
         self.env = env
         self.policy = policy
-        self.enumerated = env.enumerate_trajectories()  # raises past the budget
+        # raises past the enumeration budget
+        self.enumerated = env.enumerate_trajectories() if enumerated is None else enumerated
         self.gamma = env.spec.gamma
         self.m = policy.m
 
     def with_theta(self, theta: np.ndarray) -> "EnumerableProblem":
-        clone = EnumerableProblem.__new__(EnumerableProblem)
-        clone.env = self.env
-        clone.policy = self.policy.with_theta(theta)
-        clone.enumerated = self.enumerated
-        clone.gamma = self.gamma
-        clone.m = self.m
-        return clone
+        return EnumerableProblem(self.env, self.policy.with_theta(theta), self.enumerated)
 
 
 # ---------------------------------------------------------------------------
-# enumeration plumbing
+# the visitation table
 
 
 def trajectory_probabilities(problem: EnumerableProblem) -> np.ndarray:
     return np.array([et.probability(problem.policy) for et in problem.enumerated])
 
 
-@dataclass
-class _MuSamples:
-    """Flattened (trajectory, timestep) samples under the visitation measure."""
-
-    weights: np.ndarray      # (n,), sums to 1
-    states: list             # int state per sample
-    actions: list            # tuple of int factor values per sample
-    qhat: np.ndarray         # (n,)
-
-
-def _mu_samples(problem: EnumerableProblem) -> _MuSamples:
-    probs = trajectory_probabilities(problem)
-    gamma = problem.gamma
-    horizon = problem.env.spec.horizon
-    norm = sum(gamma**t for t in range(horizon))
-    weights, states, actions, qhat = [], [], [], []
-    for et, p in zip(problem.enumerated, probs):
-        rets = returns_to_go(et.rewards, gamma)
-        for t in range(len(rets)):
-            weights.append(p * gamma**t / norm)
-            states.append(int(round(float(et.states[t, 0]))))
-            actions.append(tuple(int(round(v)) for v in et.actions[t]))
-            qhat.append(float(rets[t]))
-    return _MuSamples(np.array(weights), states, actions, np.array(qhat))
-
-
-def _score_cache(problem: EnumerableProblem):
-    """Per-factor full-length score vectors, memoized over (state, action)."""
-    cache: dict = {}
-    policy = problem.policy
-
-    def scores(s: int, a: tuple) -> list:
-        key = (s, a)
-        if key not in cache:
-            row = policy.score_matrix(np.array([[float(s)]]), np.array([a], dtype=float))[0]
-            per_factor = []
-            for block in policy.block_slices:
-                z = np.zeros(policy.n_params)
-                z[block] = row[block]
-                per_factor.append(z)
-            cache[key] = per_factor
-        return cache[key]
-
-    return scores
-
-
 def _keep_key(problem: EnumerableProblem, i: int, a: tuple) -> tuple:
     """Values of the factors baseline i is allowed to condition on."""
     blocked = set(problem.policy.descendants(i))
     return tuple(a[j] for j in range(problem.m) if j not in blocked)
+
+
+@dataclass
+class _Visits:
+    """Every (trajectory, timestep) of the enumeration, flattened in walk order."""
+
+    mass: np.ndarray     # (n,) p(tau) gamma^t
+    weights: np.ndarray  # (n,) mass / sum_t gamma^t: the visitation measure, sums to 1
+    states: list         # int state per visit
+    actions: list        # tuple of int factor values per visit
+    qhat: np.ndarray     # (n,) discounted return-to-go
+    scores: np.ndarray   # (n, m, n_params); row i holds factor i's score in its block
+    groups: list         # (i, s, keep_key) per (visit, factor) pair, visit-major
+
+
+def _visits(problem: EnumerableProblem) -> _Visits:
+    gamma, m, policy = problem.gamma, problem.m, problem.policy
+    norm = sum(gamma**t for t in range(problem.env.spec.horizon))
+    mass, qhat = [], []
+    for et, p in zip(problem.enumerated, trajectory_probabilities(problem)):
+        mass.extend(p * gamma**t for t in range(len(et.rewards)))
+        qhat.extend(returns_to_go(et.rewards, gamma))
+    rows = np.concatenate([et.states for et in problem.enumerated])
+    acts = np.concatenate([et.actions for et in problem.enumerated])
+    joint = policy.score_matrix(rows, acts)
+    scores = np.zeros((len(joint), m, policy.n_params))
+    for i, block in enumerate(policy.block_slices):
+        scores[:, i, block] = joint[:, block]
+    states = np.rint(rows[:, 0]).astype(int).tolist()
+    actions = [tuple(a) for a in np.rint(acts).astype(int).tolist()]
+    groups = [(i, s, _keep_key(problem, i, a)) for s, a in zip(states, actions) for i in range(m)]
+    mass = np.array(mass)
+    return _Visits(mass, mass / norm, states, actions, np.array(qhat), scores, groups)
+
+
+def _baseline_matrix(problem: EnumerableProblem, v: _Visits, baseline) -> np.ndarray:
+    """baseline(i, s, a) per visit and factor, (n, m)."""
+    return np.array(
+        [[baseline(i, s, a) for i in range(problem.m)] for s, a in zip(v.states, v.actions)]
+    )
+
+
+def _group_means(keys, weights, values) -> dict:
+    """{key: (total weight, weighted mean of values)} in first-seen key order."""
+    sums: dict = {}
+    for key, w, x in zip(keys, weights, values):
+        tot_w, tot_x = sums.get(key, (0.0, 0.0))
+        sums[key] = (tot_w + w, tot_x + w * x)
+    return {k: (w, x / w) for k, (w, x) in sums.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -138,18 +144,8 @@ def exact_eta(problem: EnumerableProblem) -> float:
 
 def exact_gradient(problem: EnumerableProblem) -> np.ndarray:
     """d eta / d theta via sum_tau p(tau) sum_t gamma^t z(s_t,a_t) qhat_t."""
-    probs = trajectory_probabilities(problem)
-    scores = _score_cache(problem)
-    gamma = problem.gamma
-    g = np.zeros(problem.policy.n_params)
-    for et, p in zip(problem.enumerated, probs):
-        rets = returns_to_go(et.rewards, gamma)
-        for t in range(len(rets)):
-            s = int(round(float(et.states[t, 0])))
-            a = tuple(int(round(v)) for v in et.actions[t])
-            zs = scores(s, a)
-            g += (p * gamma**t * rets[t]) * np.sum(zs, axis=0)
-    return g
+    v = _visits(problem)
+    return (v.mass * v.qhat) @ v.scores.sum(axis=1)
 
 
 def exact_pg_expectation(problem: EnumerableProblem, baseline) -> np.ndarray:
@@ -159,21 +155,9 @@ def exact_pg_expectation(problem: EnumerableProblem, baseline) -> np.ndarray:
     depend on the factor's own value; any such function leaves this
     expectation equal to exact_gradient.
     """
-    probs = trajectory_probabilities(problem)
-    scores = _score_cache(problem)
-    gamma = problem.gamma
-    g = np.zeros(problem.policy.n_params)
-    for et, p in zip(problem.enumerated, probs):
-        rets = returns_to_go(et.rewards, gamma)
-        contrib = np.zeros_like(g)
-        for t in range(len(rets)):
-            s = int(round(float(et.states[t, 0])))
-            a = tuple(int(round(v)) for v in et.actions[t])
-            zs = scores(s, a)
-            for i in range(problem.m):
-                contrib += (gamma**t * (rets[t] - baseline(i, s, a))) * zs[i]
-        g += p * contrib
-    return g
+    v = _visits(problem)
+    adv = v.qhat[:, None] - _baseline_matrix(problem, v, baseline)
+    return np.einsum("k,ki,kip->p", v.mass, adv, v.scores)
 
 
 # ---------------------------------------------------------------------------
@@ -182,25 +166,15 @@ def exact_pg_expectation(problem: EnumerableProblem, baseline) -> np.ndarray:
 
 def exact_q_table(problem: EnumerableProblem) -> dict:
     """E[qhat | s, a] under the visitation measure."""
-    mu = _mu_samples(problem)
-    num: dict = {}
-    den: dict = {}
-    for w, s, a, q in zip(mu.weights, mu.states, mu.actions, mu.qhat):
-        key = (s, a)
-        num[key] = num.get(key, 0.0) + w * q
-        den[key] = den.get(key, 0.0) + w
-    return {k: num[k] / den[k] for k in num}
+    v = _visits(problem)
+    groups = _group_means(zip(v.states, v.actions), v.weights, v.qhat)
+    return {key: q for key, (_, q) in groups.items()}
 
 
 def exact_state_values(problem: EnumerableProblem) -> dict:
     """E[qhat | s] under the visitation measure."""
-    mu = _mu_samples(problem)
-    num: dict = {}
-    den: dict = {}
-    for w, s, q in zip(mu.weights, mu.states, mu.qhat):
-        num[s] = num.get(s, 0.0) + w * q
-        den[s] = den.get(s, 0.0) + w
-    return {s: num[s] / den[s] for s in num}
+    v = _visits(problem)
+    return {s: q for s, (_, q) in _group_means(v.states, v.weights, v.qhat).items()}
 
 
 def zy_tables(problem: EnumerableProblem):
@@ -211,17 +185,11 @@ def zy_tables(problem: EnumerableProblem):
     the marginal visitation probabilities of (s, a^keep) and sum to 1 per
     factor.
     """
-    mu = _mu_samples(problem)
-    scores = _score_cache(problem)
-    acc: dict = {}
-    for w, s, a, q in zip(mu.weights, mu.states, mu.actions, mu.qhat):
-        zs = scores(s, a)
-        for i in range(problem.m):
-            zsq = float(zs[i] @ zs[i])
-            key = (i, s, _keep_key(problem, i, a))
-            tot_w, tot_z, tot_y = acc.get(key, (0.0, 0.0, 0.0))
-            acc[key] = (tot_w + w, tot_z + w * zsq, tot_y + w * zsq * q)
-    return {k: (w, z / w, y / w) for k, (w, z, y) in acc.items()}
+    v = _visits(problem)
+    zsq = np.einsum("kip,kip->ki", v.scores, v.scores)
+    moments = np.stack([zsq, zsq * v.qhat[:, None]], axis=-1).reshape(-1, 2)
+    groups = _group_means(v.groups, np.repeat(v.weights, problem.m), moments)
+    return {key: (w, float(z), float(y)) for key, (w, (z, y)) in groups.items()}
 
 
 @dataclass
@@ -242,17 +210,15 @@ def exact_optimal_baselines(problem: EnumerableProblem) -> OptimalBaselines:
                 "the optimal baseline denominator is zero"
             )
         action[key] = y / z
-    # state baseline: ratio of state-conditional sums over factors
-    num: dict = {}
-    den: dict = {}
-    for (i, s, _), (w, z, y) in zy.items():
-        num[s] = num.get(s, 0.0) + w * y
-        den[s] = den.get(s, 0.0) + w * z
+    # b*(s) = sum_i E[Z_i b_i* | s] / sum_i E[Z_i | s]: action baselines averaged with weight Z_i
+    by_state = _group_means(
+        [s for _, s, _ in zy], [w * z for w, z, _ in zy.values()], action.values()
+    )
     state = {}
-    for s in num:
-        if den[s] <= 0.0:
+    for s, (den, b) in by_state.items():
+        if den <= 0.0:
             raise ZeroScoreNormError(f"vanishing joint score norm at state {s}")
-        state[s] = num[s] / den[s]
+        state[s] = b
     return OptimalBaselines(state=state, action=action)
 
 
@@ -287,15 +253,9 @@ def make_oracle_baseline(problem: EnumerableProblem, kind: str):
 
         return marginalized
     if kind == "dag":
-        mu = _mu_samples(problem)
-        num: dict = {}
-        den: dict = {}
-        for w, s, a, qv in zip(mu.weights, mu.states, mu.actions, mu.qhat):
-            for i in range(problem.m):
-                key = (i, s, _keep_key(problem, i, a))
-                num[key] = num.get(key, 0.0) + w * qv
-                den[key] = den.get(key, 0.0) + w
-        table = {k: num[k] / den[k] for k in num}
+        v = _visits(problem)
+        groups = _group_means(v.groups, np.repeat(v.weights, problem.m), np.repeat(v.qhat, problem.m))
+        table = {key: q for key, (_, q) in groups.items()}
         return lambda i, s, a: table[(i, s, _keep_key(problem, i, a))]
     raise ValueError(f"unknown oracle baseline kind {kind!r}; choose from {ORACLE_BASELINE_KINDS}")
 
@@ -321,28 +281,15 @@ class ExactVariance:
 
 
 def exact_variance(problem: EnumerableProblem, baseline) -> ExactVariance:
-    mu = _mu_samples(problem)
-    scores = _score_cache(problem)
-    p = problem.policy.n_params
-    m = problem.m
-    e_g = np.zeros(p)
-    e_gg = 0.0
-    e_gi = np.zeros((m, p))
-    e_gigi = np.zeros(m)
-    e_zq = np.zeros((m, p))
-    for w, s, a, q in zip(mu.weights, mu.states, mu.actions, mu.qhat):
-        zs = scores(s, a)
-        g = np.zeros(p)
-        for i in range(m):
-            gi = zs[i] * (q - baseline(i, s, a))
-            g += gi
-            e_gi[i] += w * gi
-            e_gigi[i] += w * float(gi @ gi)
-            e_zq[i] += (w * q) * zs[i]
-        e_g += w * g
-        e_gg += w * float(g @ g)
-    total = e_gg - float(e_g @ e_g)
-    per_factor = e_gigi - np.einsum("ip,ip->i", e_gi, e_gi)
+    v = _visits(problem)
+    w = v.weights
+    gi = (v.qhat[:, None] - _baseline_matrix(problem, v, baseline))[:, :, None] * v.scores
+    g = gi.sum(axis=1)
+    e_g = w @ g
+    e_gi = np.einsum("k,kip->ip", w, gi)
+    e_zq = np.einsum("k,kip->ip", w * v.qhat, v.scores)
+    total = float(w @ np.einsum("kp,kp->k", g, g) - e_g @ e_g)
+    per_factor = np.einsum("k,kip,kip->i", w, gi, gi) - np.einsum("ip,ip->i", e_gi, e_gi)
     gram = e_zq @ e_zq.T
     cross = float(np.sum(gram) - np.trace(gram))
     return ExactVariance(
@@ -358,7 +305,10 @@ def improvement_over_optimal(problem: EnumerableProblem, baseline) -> float:
     """Closed-form variance excess sum_i E[Z_i (b_i - Y_i/Z_i)^2] of ``baseline``
     over the per-factor optimal baseline; equals the direct variance difference."""
     zy = zy_tables(problem)
-    rep = _group_representatives(problem)
+    v = _visits(problem)
+    rep: dict = {}  # one concrete action tuple per group
+    for j, key in enumerate(v.groups):
+        rep.setdefault(key, v.actions[j // problem.m])
     total = 0.0
     for (i, s, key), (w, z, y) in zy.items():
         if z <= 0.0:
@@ -384,12 +334,3 @@ def state_baseline_gap(problem: EnumerableProblem) -> float:
         total += w * (z * b_state[s] - y) ** 2 / z
     return total
 
-
-def _group_representatives(problem: EnumerableProblem) -> dict:
-    """One concrete action tuple per (factor, state, keep_key) group."""
-    mu = _mu_samples(problem)
-    rep: dict = {}
-    for s, a in zip(mu.states, mu.actions):
-        for i in range(problem.m):
-            rep.setdefault((i, s, _keep_key(problem, i, a)), a)
-    return rep

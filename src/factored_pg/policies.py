@@ -19,6 +19,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .features import _rows
+
 LOG_2PI = float(np.log(2.0 * np.pi))
 
 
@@ -33,7 +35,7 @@ class RawFeatures:
         self.dim = int(state_dim)
 
     def batch(self, states: np.ndarray) -> np.ndarray:
-        return np.atleast_2d(np.asarray(states, dtype=float))
+        return _rows(states, self.dim)
 
 
 class IndicatorFeatures:
@@ -47,8 +49,7 @@ class IndicatorFeatures:
         return ValueError(f"state index {idx} outside [0, n_states={self.n_states})")
 
     def batch(self, states: np.ndarray) -> np.ndarray:
-        states = np.atleast_2d(np.asarray(states, dtype=float))
-        idx = np.rint(states[:, 0]).astype(int)
+        idx = np.rint(_rows(states, 1)[:, 0]).astype(int)
         bad = (idx < 0) | (idx >= self.n_states)
         if np.any(bad):
             raise self._out_of_range(int(idx[bad][0]))
@@ -185,13 +186,13 @@ class IndependentGaussianPolicy(FactoredPolicy):
         return mus + np.exp(self.log_std) * noise
 
     def log_prob(self, states, actions) -> np.ndarray:
-        actions = np.atleast_2d(np.asarray(actions, dtype=float))
+        actions = _rows(actions, self.m)
         z = (actions - self.mean_actions(states)) / np.exp(self.log_std)
         return np.sum(-0.5 * z * z - self.log_std - 0.5 * LOG_2PI, axis=1)
 
     def score_matrix(self, states, actions) -> np.ndarray:
         phis, mus = self._phi_mu(states)
-        actions = np.atleast_2d(np.asarray(actions, dtype=float))
+        actions = _rows(actions, self.m)
         resid = actions - mus
         d = resid / np.exp(2.0 * self.log_std)
         n = len(phis)
@@ -266,7 +267,7 @@ class CategoricalPolicy(FactoredPolicy):
         return CategoricalPolicy(ws, self.features)
 
     def _logits(self, states, i: int) -> np.ndarray:
-        logits = self.features.batch(np.atleast_2d(states)) @ self.logit_weights[i].T
+        logits = self.features.batch(states) @ self.logit_weights[i].T
         return logits - np.max(logits, axis=1, keepdims=True)
 
     def factor_probs(self, states, i: int) -> np.ndarray:
@@ -288,7 +289,7 @@ class CategoricalPolicy(FactoredPolicy):
         return actions
 
     def log_prob(self, states, actions) -> np.ndarray:
-        actions = np.atleast_2d(np.asarray(actions, dtype=float))
+        actions = _rows(actions, self.m)
         rows = np.arange(len(actions))
         out = np.zeros(len(actions))
         for i in range(self.m):
@@ -299,7 +300,7 @@ class CategoricalPolicy(FactoredPolicy):
 
     def score_matrix(self, states, actions) -> np.ndarray:
         phis = self.features.batch(states)
-        actions = np.atleast_2d(np.asarray(actions, dtype=float))
+        actions = _rows(actions, self.m)
         rows = np.arange(len(phis))
         blocks = []
         for i in range(self.m):
@@ -321,7 +322,6 @@ class CategoricalPolicy(FactoredPolicy):
         return idx.astype(float)
 
     def kl(self, other: "CategoricalPolicy", states) -> float:
-        states = np.atleast_2d(states)
         per_step = np.empty((len(states), self.m))
         for i in range(self.m):
             p = self.factor_probs(states, i)
@@ -357,8 +357,7 @@ class DagPolicy(FactoredPolicy):
         if any(h.m != 1 for h in self.heads):
             raise ValueError("every head must be a one-factor policy")
         self.factor_kinds = tuple(h.factor_kinds[0] for h in self.heads)
-        self._topo = self._toposort()
-        self._descendants = self._closure()
+        self._topo, self._descendants = self._structure()
         sizes = [h.n_params for h in self.heads]
         bounds = np.concatenate([[0], np.cumsum(sizes)])
         self.block_slices = tuple(slice(int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:]))
@@ -376,15 +375,16 @@ class DagPolicy(FactoredPolicy):
     def _input_dim(self, i: int) -> int:
         return self.features.dim + sum(self._parent_enc_dim(j) for j in self.parent_map[i])
 
-    def _toposort(self) -> tuple:
-        indeg = [0] * self.m
+    def _structure(self) -> tuple:
+        """Topological order (Kahn's, last in first out) and each factor's
+        descendants, itself included, filled in reverse topological order."""
+        indeg = [len(ps) for ps in self.parent_map]
         children = [[] for _ in range(self.m)]
         for i, ps in enumerate(self.parent_map):
             for j in ps:
                 if not (0 <= j < self.m) or j == i:
                     raise ValueError(f"invalid parent {j} for factor {i}")
                 children[j].append(i)
-                indeg[i] += 1
         order, queue = [], [i for i in range(self.m) if indeg[i] == 0]
         while queue:
             i = queue.pop()
@@ -395,24 +395,10 @@ class DagPolicy(FactoredPolicy):
                     queue.append(c)
         if len(order) != self.m:
             raise ValueError("parent map contains a cycle")
-        return tuple(order)
-
-    def _closure(self) -> tuple:
-        children = [[] for _ in range(self.m)]
-        for i, ps in enumerate(self.parent_map):
-            for j in ps:
-                children[j].append(i)
-        out = []
-        for i in range(self.m):
-            seen = {i}
-            stack = list(children[i])
-            while stack:
-                j = stack.pop()
-                if j not in seen:
-                    seen.add(j)
-                    stack.extend(children[j])
-            out.append(tuple(sorted(seen)))
-        return tuple(out)
+        reach = [set() for _ in range(self.m)]
+        for i in reversed(order):
+            reach[i] = {i}.union(*(reach[c] for c in children[i]))
+        return tuple(order), tuple(tuple(sorted(r)) for r in reach)
 
     def parents(self, i: int) -> tuple:
         return self.parent_map[i]
@@ -423,7 +409,7 @@ class DagPolicy(FactoredPolicy):
 
     def head_inputs(self, states, actions, i: int) -> np.ndarray:
         """Head i's input rows: state features, then each parent's encoding."""
-        actions = np.atleast_2d(np.asarray(actions, dtype=float))
+        actions = _rows(actions, self.m)
         parts = [self.features.batch(states)]
         for j in self.parent_map[i]:
             column = actions[:, j : j + 1]
@@ -451,14 +437,14 @@ class DagPolicy(FactoredPolicy):
         return actions
 
     def log_prob(self, states, actions) -> np.ndarray:
-        actions = np.atleast_2d(np.asarray(actions, dtype=float))
+        actions = _rows(actions, self.m)
         return sum(
             h.log_prob(self.head_inputs(states, actions, i), actions[:, i : i + 1])
             for i, h in enumerate(self.heads)
         )
 
     def score_matrix(self, states, actions) -> np.ndarray:
-        actions = np.atleast_2d(np.asarray(actions, dtype=float))
+        actions = _rows(actions, self.m)
         return np.hstack([
             h.score_matrix(self.head_inputs(states, actions, i), actions[:, i : i + 1])
             for i, h in enumerate(self.heads)

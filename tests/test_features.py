@@ -16,8 +16,8 @@ from factored_pg.features import (
 
 
 def test_scalar_least_squares_mean():
-    # F = [1; 1], t = (2, 4): a lone constant regressor recovers the mean.
-    model = fit_linear(np.array([[1.0], [1.0]]), np.array([2.0, 4.0]), ridge=0.0, bias=False)
+    # no features, t = (2, 4): the bias column alone recovers the mean.
+    model = fit_linear(np.empty((2, 0)), np.array([2.0, 4.0]), ridge=0.0)
     assert_allclose(model.weights, [3.0])
 
 
@@ -57,12 +57,11 @@ def test_large_ridge_shrinks_weights_toward_zero():
 
 
 def test_weighted_fit_reweights_samples():
-    # Same regressor twice, weights (1, 3): weighted mean (2 + 3*4)/4 = 3.5.
+    # Bias column alone, weights (1, 3): weighted mean (2 + 3*4)/4 = 3.5.
     model = fit_linear(
-        np.array([[1.0], [1.0]]),
+        np.empty((2, 0)),
         np.array([2.0, 4.0]),
         ridge=0.0,
-        bias=False,
         sample_weights=np.array([1.0, 3.0]),
     )
     assert_allclose(model.weights, [3.5])
@@ -71,9 +70,8 @@ def test_weighted_fit_reweights_samples():
 def test_weighted_fit_rejects_negative_weights():
     with pytest.raises(ValueError):
         fit_linear(
-            np.array([[1.0], [1.0]]),
+            np.empty((2, 0)),
             np.array([2.0, 4.0]),
-            bias=False,
             sample_weights=np.array([1.0, -1.0]),
         )
 

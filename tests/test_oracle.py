@@ -1,9 +1,14 @@
 """Exact-enumeration oracles checked against closed forms and each other."""
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from factored_pg import oracle
+from factored_pg.envs import TabularMdp
 from factored_pg.errors import NotEnumerableError, ZeroScoreNormError
 from factored_pg.oracle import (
     ORACLE_BASELINE_KINDS,
@@ -152,6 +157,39 @@ def test_variance_ordering_across_baselines():
         assert totals["optimal_action"] <= totals["optimal_state"] + 1e-10, name
         assert totals["optimal_state"] <= totals["state_value"] + 1e-10, name
         assert totals["optimal_state"] <= totals["none"] + 1e-10, name
+
+
+def test_zero_score_factor_raises_for_optimal_baselines_and_is_skipped_in_excess():
+    # factor 1 has a single category, so its score is identically zero
+    env = TabularMdp(np.ones((1, 2, 1)), [[1.0, -1.0]], [1.0], (2, 1), horizon=1)
+    policy = CategoricalPolicy([np.array([[0.3], [-0.2]]), np.zeros((1, 1))], IndicatorFeatures(1))
+    problem = EnumerableProblem(env, policy)
+    with pytest.raises(ZeroScoreNormError, match="factor 1"):
+        exact_optimal_baselines(problem)
+    _, z, y = zy_tables(problem)[(0, 0, (0,))]
+
+    def best(i, s, a):
+        return y / z if i == 0 else 0.0
+
+    none = make_oracle_baseline(problem, "none")
+    direct = exact_variance(problem, none).total - exact_variance(problem, best).total
+    assert direct > 0.01
+    assert_allclose(improvement_over_optimal(problem, none), direct, atol=1e-12)
+    assert_allclose(improvement_over_optimal(problem, best), 0.0, atol=1e-14)
+
+
+def test_oracle_imports_nothing_from_the_training_path():
+    # the oracle is the independent second way of computing each quantity
+    forbidden = ("estimator", "baselines", "features", "optim", "harness")
+    names = set()
+    for node in ast.walk(ast.parse(Path(oracle.__file__).read_text())):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            names.update(f"{node.module or ''}.{alias.name}".strip(".") for alias in node.names)
+    names = {name.removeprefix("factored_pg.") for name in names}
+    bad = {n for n in names if n.split(".")[0] in forbidden or n == "trajectory.Batch"}
+    assert "trajectory.returns_to_go" in names and not bad
 
 
 def test_marginalized_q_rejects_dag_factorization():

@@ -249,6 +249,20 @@ def test_indicator_features_reject_out_of_range_index():
             feats.batch(states)
 
 
+@pytest.mark.parametrize("make", [_gaussian, _categorical, _dag])
+def test_one_dimensional_inputs_raise(make):
+    # a 1-D array is never read as one row: states and actions must be (n, d)
+    pol = make(seed=16)
+    states, actions = np.zeros((3, 1)), np.zeros((3, pol.m))
+    for method in (pol.log_prob, pol.score_matrix):
+        with pytest.raises(ValueError, match=r"\(n, 1\)"):
+            method(states[:, 0], actions)
+        with pytest.raises(ValueError, match=rf"\(n, {pol.m}\)"):
+            method(states, actions[0])
+    with pytest.raises(ValueError, match=r"\(n, 1\)"):
+        pol.sample(states[:, 0], [np.random.default_rng(0)] * 3)
+
+
 def test_theta_round_trip():
     for pol in (_gaussian(seed=12), _categorical(seed=12), _dag(seed=12)):
         theta = pol.theta
@@ -270,6 +284,11 @@ def test_dag_structure_queries():
     assert mixed.factor_kinds == ("categorical", "gaussian", "categorical")
     assert [mixed.descendants(i) for i in range(3)] == [(0, 1, 2), (1, 2), (2,)]
     assert [mixed.factor_support(i) is None for i in range(3)] == [False, True, False]
+    parents = ((), (0,), (0,), (1, 2))
+    diamond = DagPolicy([_cat_head(np.zeros((2, 1 + 2 * len(ps)))) for ps in parents],
+                        parents=parents, features=IndicatorFeatures(1))
+    assert [diamond.descendants(i) for i in range(4)] == [(0, 1, 2, 3), (1, 3), (2, 3), (3,)]
+    assert diamond._topo == (0, 2, 1, 3)  # the order in which heads draw when sampling
 
 
 def test_dag_head_inputs_encode_parents():
@@ -286,8 +305,11 @@ def test_dag_head_inputs_encode_parents():
 
 def test_dag_cycle_rejected():
     heads = [_cat_head(np.zeros((2, 1 + 3))), _cat_head(np.zeros((3, 1 + 2)))]
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="cycle"):
         DagPolicy(heads, parents=((1,), (0,)), features=IndicatorFeatures(1))
+    for parents in (((0,), ()), ((), (2,)), ((-1,), ())):
+        with pytest.raises(ValueError, match="invalid parent"):
+            DagPolicy(heads, parents=parents, features=IndicatorFeatures(1))
 
 
 def test_dag_conditional_depends_on_parent_value():
