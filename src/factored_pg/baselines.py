@@ -6,17 +6,14 @@ correction exactly mean-zero, so all variants below leave the gradient
 estimator unbiased and differ only in variance.
 
 Every kind is the same thing: a regression of the return-to-go qhat on
-(s, a[keep_i]). When keep_i contains factor i, a^i is marginalized out of the
-fitted model by the kind's rule:
+(s, a[keep_i]). The regression kinds read b_i off it; the marginal kinds
+fit Q on every factor and integrate a^i out of it by one rule (``marginal``),
+a weighted mean of Q over candidate values of a^i:
 
-    kind                        keep_i                  rule when i in keep_i
-    state_value, optimal_state  {} (the state alone)    none needed
-    dag                         non-descendants of i    none needed
-    mean_q                      every factor            mean substitution
-    mc_q                        every factor            exact support sum
-                                                        (``exact``) or a
-                                                        Monte-Carlo mean
-    optimal_action              every factor            score-norm-weighted ratio
+    kind                          keep_i
+    state_value, optimal_state    {} (the state alone)
+    dag                           non-descendants of i
+    mean_q, mc_q, optimal_action  every factor; b_i = sum_k w_ik Q(a^i = v_ik) / den_i
 
 ``optimal_state`` weights its regression by the squared joint score norm. One
 model is fitted per distinct keep set. With ``tabular`` the regression is a
@@ -54,6 +51,8 @@ BASELINE_KINDS = (
     "optimal_action",
     "dag",
 )
+# the kinds whose b_i integrates a^i out of a Q fitted on every factor
+MARGINAL_KINDS = ("mean_q", "mc_q", "optimal_action")
 
 
 @dataclass(frozen=True)
@@ -199,8 +198,7 @@ def _kept(actions: np.ndarray, keep: tuple) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# marginalization rules: built once per batch, then applied per factor as
-# rule(q, actions, i) with q(actions) -> predictions for the batch's states
+# marginalization: b_i = sum_k w_ik Q(s, a with a^i = v_ik) / den_i
 
 
 def _swap(actions: np.ndarray, i: int, value) -> np.ndarray:
@@ -210,81 +208,74 @@ def _swap(actions: np.ndarray, i: int, value) -> np.ndarray:
     return out
 
 
-def _mean_substitution(states, policy, spec, rng):
-    """Q with a^i replaced by its policy mean; continuous factors only."""
-    _require_independent(policy, "marginalized baselines")
-    if any(kind != "gaussian" for kind in policy.factor_kinds):
-        raise ValueError("mean substitution requires continuous factors")
-    means = policy.mean_actions(states)
-    return lambda q, actions, i: q(_swap(actions, i, means[:, i]))
-
-
-def _marginal_mean(states, policy, spec, rng):
-    """E_{a^i}[Q]: exact sum over a categorical support, else a sample mean."""
-    _require_independent(policy, "marginalized baselines")
-    if not spec.exact and rng is None:
-        raise ValueError("rng required for sampled marginalization")
-
-    def rule(q, actions, i):
-        if spec.exact:
-            support = policy.factor_support(i)
-            if support is None:
-                raise ValueError("exact marginalization requires categorical factors")
-            vals = np.stack([q(_swap(actions, i, v)) for v in support], axis=1)
-            return np.sum(policy.factor_probs(states, i) * vals, axis=1)
-        draws = policy.sample_factor(states, i, spec.mc_samples, rng)
-        return np.mean(np.stack([q(_swap(actions, i, v)) for v in draws.T], axis=1), axis=1)
-
-    return rule
-
-
-def _score_weighted(states, policy, spec, rng):
-    """E[z_i'z_i Q] / E[z_i'z_i] over a^i, with ||z_i||^2 in closed form.
-
-    Categorical factors sum over their support; continuous ones take a
-    shared-draw Monte Carlo ratio (same draws in numerator and denominator).
-    """
-    _require_independent(policy, "the optimal action baseline")
-    continuous = "gaussian" in policy.factor_kinds
-    if continuous and rng is None:
-        raise ValueError("rng required for the continuous-factor ratio estimator")
-    phi_sq = np.sum(policy.features.batch(states) ** 2, axis=1)
-    mus = policy.mean_actions(states) if continuous else None
-
-    def rule(q, actions, i):
-        support = policy.factor_support(i)
-        if support is not None:
-            # ||z_i(v)||^2 = (1 - 2 p_v + sum_u p_u^2) ||phi||^2 for softmax heads
-            probs = policy.factor_probs(states, i)
-            psum = np.sum(probs**2, axis=1)
-            values, weights = support, probs.T
-            zsqs = [(1.0 - 2.0 * p + psum) * phi_sq for p in weights]
-        else:
-            values = policy.sample_factor(states, i, spec.mc_samples, rng).T
-            weights = np.ones(len(values))
-            resid = values - mus[:, i]
-            d = resid / float(np.exp(2.0 * policy.log_std[i]))
-            zsqs = d * d * (phi_sq + 1.0) + (d * resid - 1.0) ** 2
-        num, den = np.zeros(len(states)), np.zeros(len(states))
-        for v, w, zsq in zip(values, weights, zsqs):
-            num += w * zsq * q(_swap(actions, i, v))
-            den += w * zsq
-        if np.any(den <= 0.0):
-            raise ZeroScoreNormError(f"factor {i} has vanishing score norm in batch")
-        return num / den
-
-    return rule
-
-
-_RULES = {"mean_q": _mean_substitution, "mc_q": _marginal_mean, "optimal_action": _score_weighted}
-
-
 def _require_independent(policy, what: str) -> None:
     # a^i's descendants carry information about a^i, so marginalizing a^i
     # while holding them fixed would leave a^i inside the baseline; a DAG
     # policy offers no per-factor marginals even with an empty parent map
     if isinstance(policy, DagPolicy) or any(policy.parents(i) for i in range(policy.m)):
         raise ValueError(f"{what} assume independent factors; fit per-factor regressions instead")
+
+
+def check_marginal(spec: BaselineSpec, policy) -> None:
+    """Raise ValueError when ``spec``'s kind cannot integrate a^i out of
+    ``policy``'s factors; the regression kinds need no marginal."""
+    if spec.kind not in MARGINAL_KINDS:
+        return
+    _require_independent(policy, f"{spec.kind} baselines")
+    if spec.kind == "mean_q" and set(policy.factor_kinds) != {"gaussian"}:
+        raise ValueError("mean_q substitutes the policy mean, so it requires continuous factors")
+    if spec.kind == "mc_q" and spec.exact and set(policy.factor_kinds) != {"categorical"}:
+        raise ValueError("exact mc_q sums over a support, so it requires categorical factors")
+
+
+def marginal(states: np.ndarray, policy, spec: BaselineSpec, rng):
+    """Candidates v_ik of a^i, weights w_ik and denominators den_i per factor:
+
+        mean_q          the policy mean; w 1, den 1
+        exact mc_q      the support; w the probabilities, den 1
+        sampled mc_q    ``mc_samples`` = K draws; w 1, den K
+        optimal_action  the support, w p ||z_i||^2, or draws, w ||z_i||^2; den sum_k w_ik
+
+    ``values`` lists factor i's (n, K_i) candidates; ``weights`` is (n, m, K)
+    with zero weight past K_i; ``den`` is a scalar or (n, m). Draws come from
+    ``rng``, one (n, K) block per factor in factor order.
+    """
+    check_marginal(spec, policy)
+    n, m = len(states), policy.m
+    if spec.kind == "mean_q":
+        means = policy.mean_actions(states)
+        return [means[:, i:i + 1] for i in range(m)], np.ones((n, m, 1)), 1.0
+    optimal = spec.kind == "optimal_action"
+    if optimal:
+        phi_sq = np.sum(policy.features.batch(states) ** 2, axis=1)[:, None]
+        means = policy.mean_actions(states) if "gaussian" in policy.factor_kinds else None
+    values, weights = [], []
+    for i in range(m):
+        support = policy.factor_support(i)
+        if support is not None and (optimal or spec.exact):
+            v, w = np.broadcast_to(support, (n, len(support))), policy.factor_probs(states, i)
+            if optimal:  # ||z_i(v)||^2 = (1 - 2 p_v + sum_u p_u^2) ||phi||^2 for softmax heads
+                w = w * ((1.0 - 2.0 * w + np.sum(w**2, axis=1)[:, None]) * phi_sq)
+        else:
+            if rng is None:
+                raise ValueError(f"rng required to draw candidate values for {spec.kind}")
+            v = policy.sample_factor(states, i, spec.mc_samples, rng)
+            w = np.ones(v.shape)
+            if optimal:  # ||z_i||^2 of the Gaussian block [d phi, d, d resid - 1]
+                resid = v - means[:, i:i + 1]
+                d = resid / float(np.exp(2.0 * policy.log_std[i]))
+                w = d * d * (phi_sq + 1.0) + (d * resid - 1.0) ** 2
+        values.append(v)
+        weights.append(w)
+    width = max(w.shape[1] for w in weights)
+    padded = np.stack([np.pad(w, ((0, 0), (0, width - w.shape[1]))) for w in weights], axis=1)
+    if not optimal:
+        return values, padded, 1.0 if spec.exact else float(spec.mc_samples)
+    den = np.sum(padded, axis=-1)
+    vanishing = np.flatnonzero(np.any(den <= 0.0, axis=0))
+    if len(vanishing):
+        raise ZeroScoreNormError(f"factor {vanishing[0]} has vanishing score norm in batch")
+    return values, padded, den
 
 
 # ---------------------------------------------------------------------------
@@ -297,9 +288,10 @@ class BaselineState:
     ``fitted`` maps each distinct keep set (a tuple of action columns, see
     ``keep_sets``) to its ``QModel``; it is None before the first refit and
     for kind ``none``. ``evaluate`` produces the (n_steps, n_factors) matrix
-    b_i(s_t, a_t^{-i}) from the previous refit's models: it predicts b_i
-    directly when i is not in keep_i and applies the kind's marginalization
-    rule otherwise. A fresh state evaluates to zero everywhere.
+    b_i(s_t, a_t^{-i}) from the previous refit's models: the regression kinds
+    predict b_i directly, the marginal kinds predict Q at every candidate of
+    ``marginal`` and take one weighted mean. A fresh state evaluates to zero
+    everywhere.
     """
 
     def __init__(self, spec: BaselineSpec, fitted: dict | None = None):
@@ -311,24 +303,21 @@ class BaselineState:
         return cls(spec, fitted=None)
 
     def evaluate(self, batch, policy, rng: np.random.Generator | None = None) -> np.ndarray:
-        n, m = batch.n_steps, policy.m
         if self.fitted is None:
-            return np.zeros((n, m))
+            return np.zeros((batch.n_steps, policy.m))
         states, actions = batch.states, batch.actions
-        out = np.empty((n, m))
-        direct = {}
-        rule = None
-        for i, keep in enumerate(keep_sets(self.spec.kind, policy)):
-            model = self.fitted[keep]
-            if i not in keep:
-                if keep not in direct:
-                    direct[keep] = model.predict(states, _kept(actions, keep))
-                out[:, i] = direct[keep]
-                continue
-            if rule is None:
-                rule = _RULES[self.spec.kind](states, policy, self.spec, rng)
-            out[:, i] = rule(lambda a: model.predict(states, _kept(a, keep)), actions, i)
-        return out
+        keeps = keep_sets(self.spec.kind, policy)
+        if self.spec.kind not in MARGINAL_KINDS:
+            direct = {keep: self.fitted[keep].predict(states, _kept(actions, keep))
+                      for keep in dict.fromkeys(keeps)}
+            return np.stack([direct[keep] for keep in keeps], axis=1)
+        values, weights, den = marginal(states, policy, self.spec, rng)
+        model = self.fitted[keeps[0]]
+        q = np.zeros(weights.shape)
+        for i, candidates in enumerate(values):
+            for k, v in enumerate(candidates.T):
+                q[:, i, k] = model.predict(states, _swap(actions, i, v))
+        return np.sum(weights * q, axis=-1) / den
 
     def refit(self, batch, policy, rng: np.random.Generator | None = None) -> "BaselineState":
         if self.spec.kind == "none":

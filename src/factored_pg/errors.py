@@ -24,4 +24,4 @@ class ConfigError(ValueError):
 
 
 class NonFiniteError(ValueError):
-    """A training quantity (batch rewards, gradient or step) is NaN or infinite."""
+    """A training quantity (batch rewards, advantages, gradient or step) is NaN or infinite."""

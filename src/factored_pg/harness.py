@@ -25,6 +25,7 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
+from .baselines import check_marginal
 from .config import ExperimentConfig, load_config, save_config
 from .envs import CategoricalFactor, ContinuousFactor
 from .errors import ConfigError, NonFiniteError, SingularSystemError
@@ -77,10 +78,18 @@ def build_policy(env, policy_cfg):
 
 def run_experiment(cfg: ExperimentConfig, echo=None) -> str:
     """Train every (arm, seed) pair and write the run directory; returns its
-    path. A non-finite value (``NonFiniteError``) or a failed ridge or
-    curvature solve (``SingularSystemError``) is raised naming the arm, and no
-    curve is written for that (arm, seed)."""
-    env = build_env(cfg)  # a missing fixture fails before the run directory exists
+    path. A missing fixture, a policy or an arm that the env's factors rule
+    out is a ``ConfigError`` before the directory exists. A non-finite value
+    (``NonFiniteError``) or a failed ridge or curvature solve
+    (``SingularSystemError``) is raised naming the arm, and no curve is
+    written for that (arm, seed)."""
+    env = build_env(cfg)
+    policy = build_policy(env, cfg.policy)
+    for arm in cfg.arms:
+        try:
+            check_marginal(arm.spec, policy)
+        except ValueError as exc:
+            raise ConfigError(f"arm {arm.name!r}: {exc}") from exc
     out = cfg.out_dir
     os.makedirs(os.path.join(out, "curves"), exist_ok=True)
     os.makedirs(os.path.join(out, "checkpoints"), exist_ok=True)
@@ -88,7 +97,6 @@ def run_experiment(cfg: ExperimentConfig, echo=None) -> str:
 
     for arm in cfg.arms:
         for seed in cfg.seeds:
-            policy = build_policy(env, cfg.policy)
             try:
                 result = train(
                     env,

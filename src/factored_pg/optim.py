@@ -209,8 +209,8 @@ def train(
     Baselines are always one iteration stale: the models evaluated on batch t
     were fitted on batch t-1 (zero at t = 0), so the critic never sees the
     data it corrects. The raw-advantage per-trajectory variance is logged
-    before any normalization. A non-finite batch reward, gradient or step
-    raises ``NonFiniteError``, and a failed ridge or curvature solve raises
+    before any normalization. A non-finite batch reward, advantage, gradient
+    or step raises ``NonFiniteError``, and a failed ridge or curvature solve raises
     ``SingularSystemError``; both name the iteration and seed.
     """
 
@@ -232,6 +232,7 @@ def train(
         base_rng = substream(seed, STREAM_BASELINE, it)
         baseline_values = state.evaluate(batch, policy, base_rng)
         advantages = gae_advantages(batch, baseline_values, lam)
+        require_finite("advantages", advantages)
         scores = score_matrix(batch, policy)
         report = pg_estimate(batch, policy, scores, advantages=advantages, normalize=normalize)
         require_finite("gradient", report.gradient)

@@ -185,7 +185,10 @@ def zy_tables(problem: EnumerableProblem):
     the marginal visitation probabilities of (s, a^keep) and sum to 1 per
     factor.
     """
-    v = _visits(problem)
+    return _zy(problem, _visits(problem))
+
+
+def _zy(problem: EnumerableProblem, v: _Visits) -> dict:
     zsq = np.einsum("kip,kip->ki", v.scores, v.scores)
     moments = np.stack([zsq, zsq * v.qhat[:, None]], axis=-1).reshape(-1, 2)
     groups = _group_means(v.groups, np.repeat(v.weights, problem.m), moments)
@@ -201,7 +204,10 @@ class OptimalBaselines:
 
 
 def exact_optimal_baselines(problem: EnumerableProblem) -> OptimalBaselines:
-    zy = zy_tables(problem)
+    return _optimal(zy_tables(problem))
+
+
+def _optimal(zy: dict) -> OptimalBaselines:
     action = {}
     for key, (_, z, y) in zy.items():
         if z <= 0.0:
@@ -210,16 +216,11 @@ def exact_optimal_baselines(problem: EnumerableProblem) -> OptimalBaselines:
                 "the optimal baseline denominator is zero"
             )
         action[key] = y / z
-    # b*(s) = sum_i E[Z_i b_i* | s] / sum_i E[Z_i | s]: action baselines averaged with weight Z_i
+    # b*(s) = sum_i E[Z_i b_i* | s] / sum_i E[Z_i | s], a positive sum as every Z_i > 0
     by_state = _group_means(
         [s for _, s, _ in zy], [w * z for w, z, _ in zy.values()], action.values()
     )
-    state = {}
-    for s, (den, b) in by_state.items():
-        if den <= 0.0:
-            raise ZeroScoreNormError(f"vanishing joint score norm at state {s}")
-        state[s] = b
-    return OptimalBaselines(state=state, action=action)
+    return OptimalBaselines(state={s: b for s, (_, b) in by_state.items()}, action=action)
 
 
 def make_oracle_baseline(problem: EnumerableProblem, kind: str):
@@ -304,8 +305,8 @@ def exact_variance(problem: EnumerableProblem, baseline) -> ExactVariance:
 def improvement_over_optimal(problem: EnumerableProblem, baseline) -> float:
     """Closed-form variance excess sum_i E[Z_i (b_i - Y_i/Z_i)^2] of ``baseline``
     over the per-factor optimal baseline; equals the direct variance difference."""
-    zy = zy_tables(problem)
     v = _visits(problem)
+    zy = _zy(problem, v)
     rep: dict = {}  # one concrete action tuple per group
     for j, key in enumerate(v.groups):
         rep.setdefault(key, v.actions[j // problem.m])
@@ -326,7 +327,7 @@ def state_baseline_gap(problem: EnumerableProblem) -> float:
     sum_i E[(1/Z_i) (Z_i b*(s) - Y_i)^2].
     """
     zy = zy_tables(problem)
-    b_state = exact_optimal_baselines(problem).state
+    b_state = _optimal(zy).state
     total = 0.0
     for (i, s, _), (w, z, y) in zy.items():
         if z <= 0.0:

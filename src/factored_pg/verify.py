@@ -5,7 +5,7 @@ force, analytic vs finite difference, sampled vs exact) and passes only when
 they agree at tight tolerances. The CLI ``verify`` subcommand runs the whole
 list; the test suite reuses the same functions so a green ``verify`` and a
 green test run certify the same math. The single-sample reference
-marginalizations that the batched baseline rules are tested against, and
+marginalizations that the batched ``baselines.marginal`` is tested against, and
 the one-trajectory-at-a-time rollout that the lockstep one is tested against,
 live here too.
 """

@@ -129,7 +129,7 @@ def test_marginalized_baselines_reject_dag_policies():
         mc_marginalized_baseline(q, dag, S0, np.array([0.0, 0.0]), 0, exact=True)
     with pytest.raises(ValueError):
         optimal_action_baseline(q, dag, S0, np.array([0.0, 0.0]), 0)
-    # the batched rules refuse too: a^0's child a^1 is in Q's input and
+    # the batched marginal refuses too: a^0's child a^1 is in Q's input and
     # carries information about a^0. A DAG without edges has no per-factor
     # marginals either.
     unlinked = DagPolicy(heads[:1] * 2, parents=((), ()), features=IndicatorFeatures(1))
@@ -232,6 +232,54 @@ def test_mean_q_batch_matches_reference():
                 q, policy, batch.states[k], batch.actions[k], i
             )
             assert_allclose(out[k, i], ref, atol=1e-12)
+
+
+def _gaussian_batch(policy, seed):
+    rng = np.random.default_rng(seed)
+    paths = []
+    for _ in range(20):
+        states = rng.standard_normal((2, 1))
+        actions = _sampled(policy, states, rng)
+        paths.append((states, actions, -np.sum((actions - 0.3) ** 2, axis=1) + states[:, 0]))
+    return Batch.from_paths(paths, gamma=1.0)
+
+
+def _gaussian_case():
+    policy = IndependentGaussianPolicy.zeros(2, 1).with_theta(
+        0.3 * np.random.default_rng(28).standard_normal(6)
+    )
+    return policy, _gaussian_batch(policy, 29), "standard_normal"
+
+
+def _categorical_case():
+    policy = _two_factor_policy(seed=30)
+    return policy, _categorical_batch(policy, seed=31), "random"
+
+
+@pytest.mark.parametrize("spec, case, reference", [
+    (BaselineSpec(kind="optimal_action", mc_samples=7, features="quadratic", ridge=1e-8),
+     _gaussian_case, optimal_action_baseline),
+    (BaselineSpec(kind="mc_q", mc_samples=7, features="quadratic", ridge=1e-8),
+     _gaussian_case, mc_marginalized_baseline),
+    (BaselineSpec(kind="mc_q", mc_samples=5, exact=False, tabular=True),
+     _categorical_case, mc_marginalized_baseline),
+], ids=["optimal_action-gaussian", "sampled_mc_q-gaussian", "sampled_mc_q-categorical"])
+def test_sampled_batch_matches_draw_aligned_reference(spec, case, reference):
+    """Draws of factor i come in one (n, K) block after those of factors < i,
+    so row r of factor i reads the draws after the first (i n + r) K."""
+    policy, batch, draw = case()
+    state = BaselineState.initial(spec).refit(batch, policy, np.random.default_rng(1))
+    out = state.evaluate(batch, policy, np.random.default_rng(2))
+    model = state.fitted[(0, 1)]
+    q = lambda s, a: model.predict(s[None], a[None])[0]
+    n, k = batch.n_steps, spec.mc_samples
+    for i in range(policy.m):
+        for r in range(n):
+            rng = np.random.default_rng(2)
+            getattr(rng, draw)((i * n + r) * k)
+            ref = reference(q, policy, batch.states[r], batch.actions[r], i,
+                            n_samples=k, rng=rng)
+            assert_allclose(out[r, i], ref, rtol=1e-12, atol=1e-12, err_msg=f"factor {i} row {r}")
 
 
 def test_exact_mc_q_rejects_continuous_factors():

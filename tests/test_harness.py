@@ -373,3 +373,25 @@ def test_run_experiment_names_the_arm_of_a_failed_solve(tmp_path):
     with pytest.raises(SingularSystemError, match="arm 'flat': rank-deficient .* iteration 0, seed 0"):
         run_experiment(cfg)
     assert os.listdir(tmp_path / "run" / "curves") == []
+
+
+@pytest.mark.parametrize("env, policy, arm, match", [
+    ("chain", {"features": "indicator"}, {"name": "mean", "kind": "mean_q"},
+     "arm 'mean': mean_q .* continuous factors"),
+    ("matching", {}, {"name": "sum", "kind": "mc_q", "exact": True},
+     "arm 'sum': exact mc_q .* categorical factors"),
+    ("matching", {"features": "indicator"}, {"name": "state", "kind": "state_value"},
+     "indicator policy features need categorical factors"),
+], ids=["mean_q-categorical", "exact_mc_q-gaussian", "indicator-gaussian"])
+def test_incompatible_arm_or_policy_fails_before_the_run_directory(tmp_path, env, policy, arm, match):
+    chain = importlib.resources.files("factored_pg").joinpath("fixtures", "chain_two_step.json")
+    envs = {"chain": {"name": "tabular", "params": {"path": str(chain)}},
+            "matching": {"name": "target_matching", "params": {"m": 2}}}
+    cfg = config_from_dict({
+        "env": envs[env], "policy": policy,
+        "arms": [{"name": "fine", "kind": "state_value"}, arm],
+        "n_iterations": 2, "n_trajectories": 4, "seeds": [0], "out_dir": str(tmp_path / "run"),
+    })
+    with pytest.raises(ConfigError, match=match):
+        run_experiment(cfg)
+    assert not os.path.exists(tmp_path / "run")

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from factored_pg.baselines import BaselineSpec
+from factored_pg.baselines import BaselineSpec, BaselineState
 from factored_pg.envs import TargetMatching
 from factored_pg.errors import NonFiniteError, SingularSystemError
 from factored_pg.optim import (
@@ -179,4 +179,19 @@ def test_train_rejects_non_finite_rewards(nan_reward_env):
     with pytest.raises(NonFiniteError, match="batch rewards at iteration 0, seed 3"):
         train(nan_reward_env, IndependentGaussianPolicy.zeros(2, 1),
               BaselineSpec(kind="none"), n_iterations=2, n_trajectories=4, seed=3,
+              optimizer=OptimizerConfig())
+
+
+def test_train_rejects_non_finite_advantages(monkeypatch):
+    # a baseline value of inf makes the advantage of its step non-finite
+    # while rewards stay finite; it must not surface as a bad gradient
+    def evaluate(self, batch, policy, rng=None):
+        values = np.zeros((batch.n_steps, policy.m))
+        values[1, 0] = np.inf
+        return values
+
+    monkeypatch.setattr(BaselineState, "evaluate", evaluate)
+    with pytest.raises(NonFiniteError, match="advantages at iteration 0, seed 4"):
+        train(TargetMatching(np.array([0.5, -0.3])), IndependentGaussianPolicy.zeros(2, 1),
+              BaselineSpec(kind="state_value"), n_iterations=2, n_trajectories=4, seed=4,
               optimizer=OptimizerConfig())

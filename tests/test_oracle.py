@@ -178,6 +178,18 @@ def test_zero_score_factor_raises_for_optimal_baselines_and_is_skipped_in_excess
     assert_allclose(improvement_over_optimal(problem, best), 0.0, atol=1e-14)
 
 
+def test_excess_routes_build_one_visitation_table(monkeypatch):
+    problem = fixture_problem("chain_two_step")
+    baseline = make_oracle_baseline(problem, "state_value")
+    built = []
+    visits = oracle._visits
+    monkeypatch.setattr(oracle, "_visits", lambda p: built.append(p) or visits(p))
+    improvement_over_optimal(problem, baseline)
+    assert len(built) == 1
+    state_baseline_gap(problem)
+    assert len(built) == 2
+
+
 def test_oracle_imports_nothing_from_the_training_path():
     # the oracle is the independent second way of computing each quantity
     forbidden = ("estimator", "baselines", "features", "optim", "harness")
