@@ -141,6 +141,34 @@ class QModel:
         phi = self.feature_map(x) if self.feature_map is not None else x
         return self.model.predict(phi)
 
+    def at_candidates(self, states: np.ndarray, actions: np.ndarray, values: list) -> np.ndarray:
+        """Q(s, a with a^i = v) for every candidate v in ``values[i]`` (factor
+        i's (n, K_i) array) as an (n, m, K) array, zero past K_i.
+
+        A ridge fit on raw or ``QuadraticMap`` features is separable by input
+        column, so moving a^i to v changes only a^i's own columns:
+        Q(a^i = v) = Q(s, a) + w_i (v - a_i) + w_ii (v^2 - a_i^2). That is one
+        prediction per batch; other models predict once per candidate.
+        """
+        n, m = actions.shape
+        widths = np.array([v.shape[1] for v in values])
+        width = int(widths.max())
+        if isinstance(self.model, LinearModel) and not isinstance(self.feature_map, RffMap):
+            w = self.model.weights
+            cols = np.arange(states.shape[1], states.shape[1] + m)  # a^i's input column
+            cand = np.stack([np.pad(v, ((0, 0), (0, width - v.shape[1]))) if v.shape[1] < width
+                             else v for v in values], axis=1)
+            a = actions[:, :, None]
+            q = self.predict(states, actions)[:, None, None] + w[cols, None] * (cand - a)
+            if self.feature_map is not None:  # QuadraticMap: the squares follow the inputs
+                q += w[self.feature_map.input_dim + cols, None] * (cand * cand - a * a)
+            return np.where(np.arange(width) < widths[:, None], q, 0.0)
+        q = np.zeros((n, m, width))
+        for i, candidates in enumerate(values):
+            for k, v in enumerate(candidates.T):
+                q[:, i, k] = self.predict(states, _swap(actions, i, v))
+        return q
+
     def descriptor(self) -> dict:
         fmap = self.feature_map
         return {"model": self.model.descriptor(),
@@ -312,11 +340,7 @@ class BaselineState:
                       for keep in dict.fromkeys(keeps)}
             return np.stack([direct[keep] for keep in keeps], axis=1)
         values, weights, den = marginal(states, policy, self.spec, rng)
-        model = self.fitted[keeps[0]]
-        q = np.zeros(weights.shape)
-        for i, candidates in enumerate(values):
-            for k, v in enumerate(candidates.T):
-                q[:, i, k] = model.predict(states, _swap(actions, i, v))
+        q = self.fitted[keeps[0]].at_candidates(states, actions, values)
         return np.sum(weights * q, axis=-1) / den
 
     def refit(self, batch, policy, rng: np.random.Generator | None = None) -> "BaselineState":

@@ -91,8 +91,9 @@ class ExperimentConfig:
             raise ConfigError(f"arm names must be unique, got {names}")
         if not self.seeds:
             raise ConfigError("at least one seed required")
-        if min(self.seeds) < 0:
-            raise ConfigError(f"seeds must be >= 0, got {list(self.seeds)}")
+        if min(self.seeds) < 0 or max(self.seeds) >= 2**32:
+            # each seed is one uint32 word of every keyed generator's seed sequence
+            raise ConfigError(f"seeds must lie in [0, 2**32), got {list(self.seeds)}")
         if not (0.0 <= self.lam <= 1.0):
             raise ConfigError(f"lam must lie in [0, 1], got {self.lam}")
         if self.n_iterations < 1 or self.n_trajectories < 1:

@@ -33,8 +33,13 @@ STREAM_BASELINE = 2
 
 
 def substream(seed: int, tag: int, iteration: int, index: int = 0) -> np.random.Generator:
-    """Independent, reconstructible generator for one (purpose, iteration, k)."""
-    return np.random.default_rng([seed, tag, iteration, index])
+    """Independent, reconstructible generator for one (purpose, iteration, k).
+
+    Every key below 2**32 is one uint32 word of the seed sequence, as in
+    ``default_rng([seed, tag, iteration, index])``; the array is cheaper to
+    build from than the list.
+    """
+    return np.random.default_rng(np.array([seed, tag, iteration, index], dtype=np.uint32))
 
 
 @dataclass(frozen=True)

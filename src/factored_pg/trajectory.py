@@ -84,9 +84,16 @@ class Batch:
         self.t_index = np.arange(n) - self.offsets[self.traj_index]
         self.gamma_pow = self.gamma ** self.t_index
         self.qhat = self.suffix_sums(self.rewards, self.gamma)
-        # np.sum per trajectory, not np.add.reduceat: the two differ in the
-        # last bits, and logged returns keep the per-trajectory summation order
-        self.totals = np.array([np.sum(self.rewards[self.traj_slice(k)]) for k in range(n_traj)])
+        # not np.add.reduceat, which differs in the last bits: trajectories of
+        # one length L form the rows of a (count, L) array, and a row sum takes
+        # the same pairwise order as np.sum over that trajectory alone (the
+        # lengths present come from a bincount: np.unique's sort would load
+        # another megabyte of sorting code into a training process)
+        self.totals = np.empty(n_traj)
+        for length in np.flatnonzero(np.bincount(self.lengths)):
+            rows = np.flatnonzero(self.lengths == length)
+            self.totals[rows] = np.sum(self.rewards[self.offsets[rows, None] + np.arange(length)],
+                                       axis=1)
 
     @property
     def n_trajectories(self) -> int:

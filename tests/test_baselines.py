@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from factored_pg.baselines import BaselineSpec, BaselineState, TableModel, fit_q
+from factored_pg.baselines import BaselineSpec, BaselineState, QModel, TableModel, fit_q
 from factored_pg.policies import (
     CategoricalPolicy,
     DagPolicy,
@@ -232,6 +232,63 @@ def test_mean_q_batch_matches_reference():
                 q, policy, batch.states[k], batch.actions[k], i
             )
             assert_allclose(out[k, i], ref, atol=1e-12)
+
+
+def test_mean_q_quadratic_matches_reference():
+    rng = np.random.default_rng(32)
+    policy = IndependentGaussianPolicy.zeros(5, 2).with_theta(0.3 * rng.standard_normal(20))
+    paths = []
+    for _ in range(40):
+        states = rng.standard_normal((2, 2))
+        actions = _sampled(policy, states, rng)
+        paths.append((states, actions, -np.sum((actions - 0.4) ** 2, axis=1) + states[:, 1]))
+    batch = Batch.from_paths(paths, gamma=1.0)
+    spec = BaselineSpec(kind="mean_q", features="quadratic", ridge=1e-8)
+    state = BaselineState.initial(spec).refit(batch, policy)
+    out = state.evaluate(batch, policy)
+    model = state.fitted[tuple(range(5))]
+    q = lambda s, a: model.predict(s[None], a[None])[0]
+    for k in range(batch.n_steps):
+        for i in range(policy.m):
+            ref = mean_marginalized_baseline(q, policy, batch.states[k], batch.actions[k], i)
+            assert_allclose(out[k, i], ref, rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("features", ["linear", "quadratic"])
+@pytest.mark.parametrize("kind, reference", [
+    ("mc_q", lambda q, pol, s, a, i: mc_marginalized_baseline(q, pol, s, a, i, exact=True)),
+    ("optimal_action", optimal_action_baseline),
+], ids=["exact_mc_q", "optimal_action"])
+def test_ragged_categorical_regression_matches_reference(features, kind, reference):
+    """Supports of 2 and 3 values on a ridge fit, so factor 0's candidates
+    are padded to 3 with zero weight."""
+    policy = _two_factor_policy(seed=33)
+    batch = _categorical_batch(policy, seed=34)
+    spec = BaselineSpec(kind=kind, exact=kind == "mc_q", features=features)
+    state = BaselineState.initial(spec).refit(batch, policy)
+    out = state.evaluate(batch, policy)
+    model = state.fitted[(0, 1)]
+    q = lambda s, a: model.predict(s[None], a[None])[0]
+    for k in range(batch.n_steps):
+        for i in range(policy.m):
+            ref = reference(q, policy, batch.states[k], batch.actions[k], i)
+            assert_allclose(out[k, i], ref, rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("features, calls", [("linear", 1), ("quadratic", 1), ("rff", 3 * 4)])
+def test_separable_maps_predict_once_per_batch(monkeypatch, features, calls):
+    """A ridge fit on raw or quadratic features moves a^i by its own columns
+    alone; random features predict once per factor and candidate."""
+    rng = np.random.default_rng(35)
+    policy = IndependentGaussianPolicy.zeros(3, 1).with_theta(0.3 * rng.standard_normal(9))
+    batch = _gaussian_batch(policy, 36)
+    spec = BaselineSpec(kind="mc_q", mc_samples=4, features=features, n_features=20)
+    state = BaselineState.initial(spec).refit(batch, policy, np.random.default_rng(1))
+    counted = []
+    predict = QModel.predict
+    monkeypatch.setattr(QModel, "predict", lambda *args: counted.append(1) or predict(*args))
+    state.evaluate(batch, policy, np.random.default_rng(2))
+    assert len(counted) == calls
 
 
 def _gaussian_batch(policy, seed):

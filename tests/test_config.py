@@ -158,6 +158,7 @@ def test_malformed_json_reports_config_error(tmp_path):
         lambda d: d.update(policy={"features": "indikator"}),
         lambda d: d.update(policy={"log_std_init": float("inf")}),
         lambda d: d.update(seeds=[-1]),
+        lambda d: d.update(seeds=[0, 2**32]),
         lambda d: d["env"].update(params={"mm": 4}),
         lambda d: d["env"].update(params={"m": "3"}),
         lambda d: d.update(env={"name": "point_mass", "params": {"horizon": 2.9}}),

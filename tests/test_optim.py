@@ -98,6 +98,15 @@ def test_substream_keyed_independence_and_determinism():
     assert STREAM_ENV != STREAM_POLICY != STREAM_BASELINE
 
 
+@pytest.mark.parametrize("key", [(0, 0, 0, 0), (7, 1, 3, 2), (2**32 - 1, 0, 2**32 - 1, 0),
+                                 (0, 2**32 - 1, 0, 2**32 - 1)])
+def test_substream_draws_equal_the_list_keyed_generator(key):
+    expected = np.random.default_rng(list(key))
+    got = substream(*key)
+    assert np.array_equal(got.random(5), expected.random(5))
+    assert np.array_equal(got.standard_normal((3, 2)), expected.standard_normal((3, 2)))
+
+
 def test_rollout_shapes_and_horizon():
     env = TargetMatching(np.array([0.5, -0.3]))
     policy = IndependentGaussianPolicy.zeros(2, 1)

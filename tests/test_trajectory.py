@@ -74,3 +74,17 @@ def test_batch_explicit_weights_checked():
 def test_batch_requires_at_least_one_trajectory():
     with pytest.raises(ValueError):
         Batch.from_paths([], gamma=1.0)
+
+
+def test_batch_totals_equal_per_trajectory_sums_bit_for_bit():
+    """Totals sum each length group as rows of one array; every row must keep
+    the pairwise order of np.sum over that trajectory alone."""
+    rng = np.random.default_rng(0)
+    for _ in range(2000):
+        lengths = rng.choice([1, 2, 3, 7, 8, 9, 16, 100, 127, 128, 129, 257, 300],
+                             size=rng.integers(1, 12))
+        rewards = rng.standard_normal(lengths.sum()) * 10.0 ** rng.integers(-3, 4, lengths.sum())
+        batch = Batch(np.zeros((len(rewards), 1)), np.zeros((len(rewards), 1)), rewards,
+                      lengths, gamma=1.0)
+        expected = [np.sum(rewards[batch.traj_slice(k)]) for k in range(len(lengths))]
+        assert batch.totals.tolist() == expected

@@ -13,12 +13,14 @@ stretches of a shared machine fall on both sides alike.
 
 The output records the machine (nproc, CPU, BLAS, BLAS thread variables),
 every run's gated metrics, and per workload and metric the median and
-quartiles of each side, the share of pairs the change won (lower is better,
-ties count for neither side) and whether the change's median beats the
-parent's by more than the parent's interquartile range. It also records
-whether every run's curve sha256 per arm was equal between the two sides. The
-file is rewritten after every pair, so an interrupted run keeps what it
-measured.
+quartiles of each side, the median and quartiles of the per-pair ratio
+change / parent (a paired statistic, which a host that drifts between pairs
+moves less than it moves either side's median), the share of pairs the change
+won (lower is better, ties count for neither side) and whether the change's
+median beats the parent's by more than the parent's interquartile range. It
+also records whether every run's curve sha256 per arm was equal between the
+two sides. The file is rewritten after every pair, so an interrupted run keeps
+what it measured.
 """
 
 from __future__ import annotations
@@ -90,8 +92,9 @@ def spread(values: list) -> dict:
 
 
 def compare(runs: list) -> dict:
-    """Per metric: each side's spread, the change's share of pairs won and
-    whether the gain rule (>= 9/10 won, median gap > parent IQR) holds."""
+    """Per metric: each side's spread, the spread of the per-pair ratio
+    change / parent, the change's share of pairs won and whether the gain
+    rule (>= 9/10 won, median gap > parent IQR) holds."""
     out = {}
     for name in METRICS:
         parent = [r["parent"]["metrics"][name] for r in runs]
@@ -103,6 +106,7 @@ def compare(runs: list) -> dict:
         out[name] = {
             "parent": p,
             "change": c,
+            "pair_ratio": spread([cv / pv for pv, cv in zip(parent, change)]),
             "pairs": len(runs),
             "change_won": won,
             "share_won": share,
