@@ -55,8 +55,10 @@ from .estimator import (
 )
 from .features import (
     FeatureMap,
+    IndicatorFeatures,
     LinearModel,
     QuadraticMap,
+    RawFeatures,
     RffMap,
     default_ridge,
     fit_linear,
@@ -104,8 +106,6 @@ from .policies import (
     DagPolicy,
     FactoredPolicy,
     IndependentGaussianPolicy,
-    IndicatorFeatures,
-    RawFeatures,
 )
 from .trajectory import Batch, returns_to_go
 

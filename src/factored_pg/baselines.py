@@ -36,6 +36,7 @@ from .features import (
     FeatureMap,
     LinearModel,
     QuadraticMap,
+    RawFeatures,
     RffMap,
     fit_linear,
     median_bandwidth,
@@ -130,16 +131,16 @@ class TableModel:
 class QModel:
     """Return-to-go regression on concatenated (state, action) inputs.
 
-    ``model`` is a ridge fit on (optionally mapped) inputs or a ``TableModel``.
+    ``model`` is a ridge fit or a ``TableModel`` on the inputs mapped by
+    ``feature_map``; a table reads them through ``RawFeatures``.
     """
 
     model: LinearModel | TableModel
-    feature_map: FeatureMap | None = None
+    feature_map: FeatureMap
 
     def predict(self, states: np.ndarray, actions: np.ndarray) -> np.ndarray:
         x = np.hstack([np.atleast_2d(states), np.atleast_2d(actions)])
-        phi = self.feature_map(x) if self.feature_map is not None else x
-        return self.model.predict(phi)
+        return self.model.predict(self.feature_map(x))
 
     def at_candidates(self, states: np.ndarray, actions: np.ndarray, values: list) -> np.ndarray:
         """Q(s, a with a^i = v) for every candidate v in ``values[i]`` (factor
@@ -153,15 +154,16 @@ class QModel:
         n, m = actions.shape
         widths = np.array([v.shape[1] for v in values])
         width = int(widths.max())
-        if isinstance(self.model, LinearModel) and not isinstance(self.feature_map, RffMap):
+        fmap = self.feature_map
+        if isinstance(self.model, LinearModel) and isinstance(fmap, (RawFeatures, QuadraticMap)):
             w = self.model.weights
             cols = np.arange(states.shape[1], states.shape[1] + m)  # a^i's input column
             cand = np.stack([np.pad(v, ((0, 0), (0, width - v.shape[1]))) if v.shape[1] < width
                              else v for v in values], axis=1)
             a = actions[:, :, None]
             q = self.predict(states, actions)[:, None, None] + w[cols, None] * (cand - a)
-            if self.feature_map is not None:  # QuadraticMap: the squares follow the inputs
-                q += w[self.feature_map.input_dim + cols, None] * (cand * cand - a * a)
+            if isinstance(fmap, QuadraticMap):  # the squares follow the inputs
+                q += w[fmap.input_dim + cols, None] * (cand * cand - a * a)
             return np.where(np.arange(width) < widths[:, None], q, 0.0)
         q = np.zeros((n, m, width))
         for i, candidates in enumerate(values):
@@ -170,16 +172,14 @@ class QModel:
         return q
 
     def descriptor(self) -> dict:
-        fmap = self.feature_map
-        return {"model": self.model.descriptor(),
-                "map": fmap.descriptor() if fmap is not None else None}
+        return {"model": self.model.descriptor(), "map": self.feature_map.descriptor()}
 
 
-def _make_map(inputs: np.ndarray, spec: BaselineSpec, rng: np.random.Generator) -> FeatureMap | None:
+def _make_map(inputs: np.ndarray, spec: BaselineSpec, rng: np.random.Generator) -> FeatureMap:
+    if spec.tabular or spec.features == "linear":
+        return RawFeatures(inputs.shape[1])
     if spec.features == "quadratic":
         return QuadraticMap(inputs.shape[1])
-    if spec.features != "rff":
-        return None
     if rng is None:
         raise ValueError("rng required to construct a fresh feature map")
     bw = median_bandwidth(inputs)
@@ -199,13 +199,14 @@ def fit_q(
 
     ``actions`` holds only the action columns the model may read. A
     ``frozen_map`` is reused as is; otherwise a fresh map is built from these
-    inputs (``rng`` is needed for random features).
+    inputs (``rng`` is needed for random features), and a tabular fit reads
+    them through ``RawFeatures``.
     """
     x = np.hstack([np.atleast_2d(states), np.atleast_2d(actions)])
-    if spec.tabular:
-        return QModel(TableModel.fit(x, targets, sample_weights))
     rmap = frozen_map if frozen_map is not None else _make_map(x, spec, rng)
-    phi = rmap(x) if rmap is not None else x
+    phi = rmap(x)
+    if spec.tabular:
+        return QModel(TableModel.fit(phi, targets, sample_weights), rmap)
     return QModel(fit_linear(phi, targets, ridge=spec.ridge, sample_weights=sample_weights), rmap)
 
 
@@ -275,7 +276,7 @@ def marginal(states: np.ndarray, policy, spec: BaselineSpec, rng):
         return [means[:, i:i + 1] for i in range(m)], np.ones((n, m, 1)), 1.0
     optimal = spec.kind == "optimal_action"
     if optimal:
-        phi_sq = np.sum(policy.features.batch(states) ** 2, axis=1)[:, None]
+        phi_sq = np.sum(policy.features(states) ** 2, axis=1)[:, None]
         means = policy.mean_actions(states) if "gaussian" in policy.factor_kinds else None
     values, weights = [], []
     for i in range(m):

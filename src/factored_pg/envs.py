@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, EnumerationSizeError, NotEnumerableError
+from .features import _rows
 from .schema import section
 
 ENUMERATION_BUDGET = 1_000_000
@@ -83,14 +84,6 @@ class Environment:
         ``rngs[k]``."""
         raise NotImplementedError
 
-    def _check_actions(self, actions) -> np.ndarray:
-        actions = np.asarray(actions, dtype=float)
-        if actions.ndim != 2 or actions.shape[1] != self.spec.n_factors:
-            raise ValueError(
-                f"expected (n, {self.spec.n_factors}) actions, got shape {actions.shape}"
-            )
-        return actions
-
     def enumerate_trajectories(self):
         raise NotEnumerableError(f"{type(self).__name__} does not support exact enumeration")
 
@@ -128,7 +121,7 @@ class TargetMatching(Environment):
         return np.zeros((len(rngs), 1))
 
     def step(self, states, actions, rngs) -> Step:
-        actions = self._check_actions(actions)
+        actions = _rows(actions, self.spec.n_factors)
         rewards = -np.sum((actions - self.target) ** 2, axis=1)
         n = len(actions)
         return Step(np.zeros((n, 1)), rewards, np.ones(n, dtype=bool))
@@ -177,7 +170,7 @@ class TabularMdp(Environment):
 
     ``transitions[s, a_joint, s']`` and ``rewards[s, a_joint]`` index the joint
     action in mixed-radix order over the per-factor cardinalities. States are
-    presented to policies as the 1-dim vector [state_index].
+    presented to policies as the 1-dim vector [state_index], an index into rho0.
     """
 
     def __init__(
@@ -195,15 +188,15 @@ class TabularMdp(Environment):
         self.rho0 = np.asarray(rho0, dtype=float).ravel()
         self.cardinalities = tuple(int(k) for k in cardinalities)
         self.name = name
-        n_states = len(self.rho0)
+        n = len(self.rho0)
         n_joint = int(np.prod(self.cardinalities))
-        if self.transitions.shape != (n_states, n_joint, n_states):
+        if self.transitions.shape != (n, n_joint, n):
             raise ValueError(
-                f"transitions must have shape {(n_states, n_joint, n_states)}, "
+                f"transitions must have shape {(n, n_joint, n)}, "
                 f"got {self.transitions.shape}"
             )
-        if self.rewards.shape != (n_states, n_joint):
-            raise ValueError(f"rewards must have shape {(n_states, n_joint)}")
+        if self.rewards.shape != (n, n_joint):
+            raise ValueError(f"rewards must have shape {(n, n_joint)}")
         if not self.cardinalities or min(self.cardinalities) < 1 or int(horizon) < 1:
             raise ValueError("need at least one factor, cardinalities >= 1 and horizon >= 1")
         if not np.all(np.isfinite(self.rewards)):
@@ -225,23 +218,19 @@ class TabularMdp(Environment):
             gamma=float(gamma),
         )
 
-    @property
-    def n_states(self) -> int:
-        return len(self.rho0)
-
     def reset(self, rngs) -> np.ndarray:
         u = np.array([rng.random() for rng in rngs])
         s = np.searchsorted(self._rho0_cdf, u, side="right")
-        return np.minimum(s, self.n_states - 1).astype(float)[:, None]
+        return np.minimum(s, len(self.rho0) - 1).astype(float)[:, None]
 
     def step(self, states, actions, rngs) -> Step:
-        actions = self._check_actions(actions)
+        actions = _rows(actions, self.spec.n_factors)
         s = np.rint(states[:, 0]).astype(int)
         aj = np.ravel_multi_index(np.rint(actions).astype(int).T, self.cardinalities)
         u = np.array([rng.random() for rng in rngs])
         # count of cdf entries <= u, as searchsorted with side="right"
         s2 = np.sum(self._transition_cdf[s, aj] <= u[:, None], axis=1)
-        s2 = np.minimum(s2, self.n_states - 1).astype(float)[:, None]
+        s2 = np.minimum(s2, len(self.rho0) - 1).astype(float)[:, None]
         return Step(s2, self.rewards[s, aj], np.zeros(len(s), dtype=bool))
 
     def enumerate_trajectories(self) -> list:
@@ -255,7 +244,7 @@ class TabularMdp(Environment):
         branching = max(
             1, max(int(np.count_nonzero(row)) for plane in self.transitions for row in plane)
         )
-        bound = self.n_states * (len(joint_actions) * branching) ** self.spec.horizon
+        bound = len(self.rho0) * (len(joint_actions) * branching) ** self.spec.horizon
         if bound > ENUMERATION_BUDGET:
             raise EnumerationSizeError(
                 f"enumeration bound {bound} exceeds budget {ENUMERATION_BUDGET}"
@@ -354,7 +343,7 @@ class PointMass(Environment):
         return np.hstack([pos, np.zeros_like(pos)])
 
     def step(self, states, actions, rngs) -> Step:
-        actions = self._check_actions(actions)
+        actions = _rows(actions, self.spec.n_factors)
         vel = states[:, 2:] + self.dt * actions
         pos = states[:, :2] + self.dt * vel
         rewards = -(np.sum(pos**2, axis=1) + self.action_cost * np.sum(actions**2, axis=1))

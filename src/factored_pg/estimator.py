@@ -32,7 +32,6 @@ class GradientReport:
 
     gradient: np.ndarray  # (n_params,)
     per_trajectory: np.ndarray  # (n_traj, n_params), raw advantages
-    advantages: np.ndarray  # (n_steps, m), the advantages used for ``gradient``
 
 
 def whiten(values: np.ndarray, eps: float = 1e-8) -> np.ndarray:
@@ -45,37 +44,29 @@ def pg_estimate(
     batch: Batch,
     policy,
     scores: np.ndarray,
-    baseline_values: np.ndarray | None = None,
-    advantages: np.ndarray | None = None,
+    advantages: np.ndarray,
     normalize: bool = False,
 ) -> GradientReport:
     """Estimate the policy gradient from a batch.
 
     ``scores`` is ``score_matrix(batch, policy)``, built once by the caller
-    and shared with the natural-gradient step. Pass either
-    ``baseline_values`` (n_steps, m) to form advantages qhat - b_i, or
-    precomputed ``advantages`` directly (takes precedence).
-    ``normalize`` whitens the advantages used for the returned gradient; the
-    per-trajectory diagnostic contributions always use the raw advantages so
-    variance comparisons are not distorted by the rescaling.
+    and shared with the natural-gradient step; ``advantages`` is the
+    (n_steps, m) per-factor advantage matrix, e.g. qhat - b_i or
+    ``gae_advantages``. ``normalize`` whitens the advantages used for the
+    returned gradient; the per-trajectory diagnostic contributions always use
+    the raw advantages so variance comparisons are not distorted by the
+    rescaling.
     """
-    m = policy.m
-    if advantages is None:
-        if baseline_values is None:
-            baseline_values = np.zeros((batch.n_steps, m))
-        advantages = batch.qhat[:, None] - np.asarray(baseline_values, dtype=float)
     advantages = np.asarray(advantages, dtype=float)
-    if advantages.shape != (batch.n_steps, m):
-        raise ValueError(f"advantages must have shape {(batch.n_steps, m)}")
+    if advantages.shape != (batch.n_steps, policy.m):
+        raise ValueError(f"advantages must have shape {(batch.n_steps, policy.m)}")
 
     per_traj = _per_trajectory_sums(batch, policy, scores, advantages)
     if normalize:
-        used = whiten(advantages)
-        gradient = batch.weights @ _per_trajectory_sums(batch, policy, scores, used)
+        gradient = batch.weights @ _per_trajectory_sums(batch, policy, scores, whiten(advantages))
     else:
-        used = advantages
         gradient = batch.weights @ per_traj
-    return GradientReport(gradient=gradient, per_trajectory=per_traj, advantages=used)
+    return GradientReport(gradient=gradient, per_trajectory=per_traj)
 
 
 def _per_trajectory_sums(batch: Batch, policy, scores: np.ndarray, advantages: np.ndarray) -> np.ndarray:

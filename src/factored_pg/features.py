@@ -1,9 +1,12 @@
-"""Random Fourier features and ridge-regularized least squares.
+"""Feature maps and ridge-regularized least squares.
 
-The function-approximation stack for baselines is deliberately small: a frozen
-sinusoidal random feature map and a closed-form linear fit. Refitting a linear
-model from scratch each iteration is equivalent to one exact Newton step on the
-squared loss, which is all the training loop needs.
+Policies and baselines are linear heads on feature maps, and every map has one
+protocol: ``map(x)`` takes (n, input_dim) rows and returns (n, n_features).
+The maps are the identity (``RawFeatures``), a one-hot state index
+(``IndicatorFeatures``), appended squares (``QuadraticMap``) and frozen
+sinusoidal random features (``RffMap``). Refitting a linear model from scratch
+each iteration is equivalent to one exact Newton step on the squared loss,
+which is all the training loop needs.
 """
 
 from __future__ import annotations
@@ -21,6 +24,37 @@ def _rows(x: np.ndarray, d: int) -> np.ndarray:
     if x.ndim != 2 or x.shape[1] != d:
         raise ValueError(f"expected (n, {d}) rows, got shape {x.shape}")
     return x
+
+
+class RawFeatures:
+    """Identity map y(x) = x; linear heads and ridge fits add their own bias."""
+
+    def __init__(self, input_dim: int):
+        self.input_dim = self.n_features = int(input_dim)
+
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        return _rows(x, self.input_dim)
+
+    def descriptor(self) -> dict:
+        return {"kind": "linear", "input_dim": self.input_dim}
+
+
+class IndicatorFeatures:
+    """One-hot encoding of an integer index in [0, n_features), for tabular heads."""
+
+    input_dim = 1
+
+    def __init__(self, n_features: int):
+        self.n_features = int(n_features)
+
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        idx = np.rint(_rows(x, 1)[:, 0]).astype(int)
+        bad = (idx < 0) | (idx >= self.n_features)
+        if np.any(bad):
+            raise ValueError(f"state index {idx[bad][0]} outside [0, {self.n_features})")
+        out = np.zeros((len(idx), self.n_features))
+        out[np.arange(len(idx)), idx] = 1.0
+        return out
 
 
 class RffMap:
@@ -79,7 +113,8 @@ class QuadraticMap:
         return {"kind": "quadratic", "input_dim": self.input_dim}
 
 
-FeatureMap = RffMap | QuadraticMap
+# the maps a baseline's regression reads its (state, action) rows through
+FeatureMap = RawFeatures | QuadraticMap | RffMap
 
 
 def median_bandwidth(inputs: np.ndarray, max_probe: int = 256) -> float:
@@ -108,13 +143,9 @@ class LinearModel:
     def __post_init__(self) -> None:
         self.weights = np.asarray(self.weights, dtype=float).ravel()
 
-    @property
-    def n_features(self) -> int:
-        return len(self.weights) - 1
-
     def predict(self, features: np.ndarray) -> np.ndarray:
-        n = self.n_features
-        return _rows(features, n) @ self.weights[:n] + self.weights[-1]
+        w = self.weights
+        return _rows(features, len(w) - 1) @ w[:-1] + w[-1]
 
     def descriptor(self) -> dict:
         return {"weights": self.weights.tolist()}

@@ -29,13 +29,9 @@ from .baselines import check_marginal
 from .config import ExperimentConfig, load_config, save_config
 from .envs import CategoricalFactor, ContinuousFactor
 from .errors import ConfigError, NonFiniteError, SingularSystemError
+from .features import IndicatorFeatures, RawFeatures
 from .optim import train
-from .policies import (
-    CategoricalPolicy,
-    IndependentGaussianPolicy,
-    IndicatorFeatures,
-    RawFeatures,
-)
+from .policies import CategoricalPolicy, IndependentGaussianPolicy
 
 CSV_COLUMNS = ("iteration", "seed", "arm", "mean_return", "sd_return",
                "grad_variance", "realized_kl")
@@ -57,7 +53,7 @@ def build_policy(env, policy_cfg):
         m = len(factors)
         feats = RawFeatures(env.spec.state_dim)
         return IndependentGaussianPolicy(
-            weights=np.zeros((m, feats.dim)),
+            weights=np.zeros((m, feats.n_features)),
             biases=np.zeros(m),
             log_std=np.full(m, policy_cfg.log_std_init),
             features=feats,
@@ -65,7 +61,7 @@ def build_policy(env, policy_cfg):
     if all(isinstance(f, CategoricalFactor) for f in factors):
         cards = tuple(f.cardinality for f in factors)
         if policy_cfg.features == "indicator":
-            feats = IndicatorFeatures(env.n_states)
+            feats = IndicatorFeatures(len(env.rho0))
         else:
             feats = RawFeatures(env.spec.state_dim)
         return CategoricalPolicy.zeros(cards, feats)

@@ -19,43 +19,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .features import _rows
+from .features import IndicatorFeatures, RawFeatures, _rows
 
 LOG_2PI = float(np.log(2.0 * np.pi))
-
-
-# ---------------------------------------------------------------------------
-# state feature maps
-
-
-class RawFeatures:
-    """Identity map on the raw state; linear heads add their own bias."""
-
-    def __init__(self, state_dim: int):
-        self.dim = int(state_dim)
-
-    def batch(self, states: np.ndarray) -> np.ndarray:
-        return _rows(states, self.dim)
-
-
-class IndicatorFeatures:
-    """One-hot encoding of an integer state index, for tabular heads."""
-
-    def __init__(self, n_states: int):
-        self.n_states = int(n_states)
-        self.dim = self.n_states
-
-    def _out_of_range(self, idx: int) -> ValueError:
-        return ValueError(f"state index {idx} outside [0, n_states={self.n_states})")
-
-    def batch(self, states: np.ndarray) -> np.ndarray:
-        idx = np.rint(_rows(states, 1)[:, 0]).astype(int)
-        bad = (idx < 0) | (idx >= self.n_states)
-        if np.any(bad):
-            raise self._out_of_range(int(idx[bad][0]))
-        out = np.zeros((len(idx), self.n_states))
-        out[np.arange(len(idx)), idx] = 1.0
-        return out
 
 
 # ---------------------------------------------------------------------------
@@ -143,9 +109,9 @@ class IndependentGaussianPolicy(FactoredPolicy):
         self.log_std = np.asarray(log_std, dtype=float).ravel()
         self.features = features
         self.m = len(self.biases)
-        if self.weights.shape != (self.m, features.dim) or len(self.log_std) != self.m:
+        if self.weights.shape != (self.m, features.n_features) or len(self.log_std) != self.m:
             raise ValueError("parameter shapes disagree with factor count / feature dim")
-        self.block_size = features.dim + 2
+        self.block_size = features.n_features + 2
         self.n_params = self.m * self.block_size
         self.block_slices = tuple(
             slice(i * self.block_size, (i + 1) * self.block_size) for i in range(self.m)
@@ -155,7 +121,7 @@ class IndependentGaussianPolicy(FactoredPolicy):
     @classmethod
     def zeros(cls, m: int, state_dim: int) -> "IndependentGaussianPolicy":
         feats = RawFeatures(state_dim)
-        return cls(np.zeros((m, feats.dim)), np.zeros(m), np.zeros(m), feats)
+        return cls(np.zeros((m, feats.n_features)), np.zeros(m), np.zeros(m), feats)
 
     @property
     def theta(self) -> np.ndarray:
@@ -169,18 +135,18 @@ class IndependentGaussianPolicy(FactoredPolicy):
         if len(theta) != self.n_params:
             raise ValueError(f"expected {self.n_params} parameters, got {len(theta)}")
         stacked = theta.reshape(self.m, self.block_size)
-        f = self.features.dim
+        f = self.features.n_features
         return IndependentGaussianPolicy(
             stacked[:, :f].copy(), stacked[:, f].copy(), stacked[:, f + 1].copy(), self.features
         )
 
     def _phi_mu(self, states):
-        phis = self.features.batch(states)
+        phis = self.features(states)
         return phis, phis @ self.weights.T + self.biases
 
     def sample(self, states, rngs) -> np.ndarray:
         # one matrix-vector product per row: phis @ W.T rounds differently
-        phis = self.features.batch(states)
+        phis = self.features(states)
         mus = (self.weights @ phis[:, :, None])[..., 0] + self.biases
         noise = np.array([rng.standard_normal(self.m) for rng in rngs])
         return mus + np.exp(self.log_std) * noise
@@ -197,9 +163,9 @@ class IndependentGaussianPolicy(FactoredPolicy):
         d = resid / np.exp(2.0 * self.log_std)
         n = len(phis)
         out = np.empty((n, self.m, self.block_size))
-        out[:, :, : self.features.dim] = d[:, :, None] * phis[:, None, :]
-        out[:, :, self.features.dim] = d
-        out[:, :, self.features.dim + 1] = d * resid - 1.0
+        out[:, :, : self.features.n_features] = d[:, :, None] * phis[:, None, :]
+        out[:, :, self.features.n_features] = d
+        out[:, :, self.features.n_features + 1] = d * resid - 1.0
         return out.reshape(n, -1)
 
     def mean_actions(self, states) -> np.ndarray:
@@ -240,7 +206,7 @@ class CategoricalPolicy(FactoredPolicy):
         self.m = len(self.logit_weights)
         self.cardinalities = tuple(w.shape[0] for w in self.logit_weights)
         for w in self.logit_weights:
-            if w.shape[1] != features.dim:
+            if w.shape[1] != features.n_features:
                 raise ValueError("logit weight columns must match feature dim")
         sizes = [w.size for w in self.logit_weights]
         bounds = np.concatenate([[0], np.cumsum(sizes)])
@@ -250,7 +216,7 @@ class CategoricalPolicy(FactoredPolicy):
 
     @classmethod
     def zeros(cls, cardinalities, features) -> "CategoricalPolicy":
-        return cls([np.zeros((k, features.dim)) for k in cardinalities], features)
+        return cls([np.zeros((k, features.n_features)) for k in cardinalities], features)
 
     @property
     def theta(self) -> np.ndarray:
@@ -267,7 +233,7 @@ class CategoricalPolicy(FactoredPolicy):
         return CategoricalPolicy(ws, self.features)
 
     def _logits(self, states, i: int) -> np.ndarray:
-        logits = self.features.batch(states) @ self.logit_weights[i].T
+        logits = self.features(states) @ self.logit_weights[i].T
         return logits - np.max(logits, axis=1, keepdims=True)
 
     def factor_probs(self, states, i: int) -> np.ndarray:
@@ -276,7 +242,7 @@ class CategoricalPolicy(FactoredPolicy):
         return e / np.sum(e, axis=1, keepdims=True)
 
     def sample(self, states, rngs) -> np.ndarray:
-        phis = self.features.batch(states)
+        phis = self.features(states)
         u = np.array([rng.random(self.m) for rng in rngs])  # factor i reads u[:, i]
         actions = np.empty((len(phis), self.m))
         for i, w in enumerate(self.logit_weights):
@@ -299,7 +265,7 @@ class CategoricalPolicy(FactoredPolicy):
         return out
 
     def score_matrix(self, states, actions) -> np.ndarray:
-        phis = self.features.batch(states)
+        phis = self.features(states)
         actions = _rows(actions, self.m)
         rows = np.arange(len(phis))
         blocks = []
@@ -364,7 +330,7 @@ class DagPolicy(FactoredPolicy):
         self.n_params = int(bounds[-1])
         for i, h in enumerate(self.heads):
             expected = self._input_dim(i)
-            if not isinstance(h.features, RawFeatures) or h.features.dim != expected:
+            if not isinstance(h.features, RawFeatures) or h.features.n_features != expected:
                 raise ValueError(f"head {i} needs RawFeatures({expected}) inputs")
 
     def _parent_enc_dim(self, j: int) -> int:
@@ -373,7 +339,7 @@ class DagPolicy(FactoredPolicy):
         return self.heads[j].cardinalities[0]
 
     def _input_dim(self, i: int) -> int:
-        return self.features.dim + sum(self._parent_enc_dim(j) for j in self.parent_map[i])
+        return self.features.n_features + sum(self._parent_enc_dim(j) for j in self.parent_map[i])
 
     def _structure(self) -> tuple:
         """Topological order (Kahn's, last in first out) and each factor's
@@ -410,13 +376,13 @@ class DagPolicy(FactoredPolicy):
     def head_inputs(self, states, actions, i: int) -> np.ndarray:
         """Head i's input rows: state features, then each parent's encoding."""
         actions = _rows(actions, self.m)
-        parts = [self.features.batch(states)]
+        parts = [self.features(states)]
         for j in self.parent_map[i]:
             column = actions[:, j : j + 1]
             if self.factor_kinds[j] == "gaussian":
                 parts.append(column)
             else:
-                parts.append(IndicatorFeatures(self._parent_enc_dim(j)).batch(column))
+                parts.append(IndicatorFeatures(self._parent_enc_dim(j))(column))
         return np.hstack(parts)
 
     @property

@@ -21,6 +21,7 @@ from .baselines import _require_independent, _swap
 from .envs import TabularMdp
 from .errors import ZeroScoreNormError
 from .estimator import gae_advantages
+from .features import IndicatorFeatures, RawFeatures
 from .optim import STREAM_ENV, STREAM_POLICY, substream
 from .oracle import (
     ORACLE_BASELINE_KINDS,
@@ -34,13 +35,7 @@ from .oracle import (
     make_oracle_baseline,
     state_baseline_gap,
 )
-from .policies import (
-    CategoricalPolicy,
-    DagPolicy,
-    IndependentGaussianPolicy,
-    IndicatorFeatures,
-    RawFeatures,
-)
+from .policies import CategoricalPolicy, DagPolicy, IndependentGaussianPolicy
 from .trajectory import Batch
 
 FIXTURE_NAMES = ("bandit_two_arm", "bandit_two_factor", "chain_two_step")
@@ -69,7 +64,7 @@ def fixture_problem(name: str) -> EnumerableProblem:
     env = load_fixture(name)
     policy = CategoricalPolicy(
         [np.array(w, dtype=float) for w in _FIXTURE_LOGITS[name]],
-        IndicatorFeatures(env.n_states),
+        IndicatorFeatures(len(env.rho0)),
     )
     return EnumerableProblem(env, policy)
 
@@ -422,7 +417,7 @@ def check_orthogonality(tol: float = 1e-12) -> CheckResult:
         cards = env.cardinalities
         for kind in ORACLE_BASELINE_KINDS:
             baseline = make_oracle_baseline(problem, kind)
-            for s in range(env.n_states):
+            for s in range(len(env.rho0)):
                 sv = np.array([[float(s)]])
                 for a in itertools.product(*[range(k) for k in cards]):
                     for i in range(policy.m):

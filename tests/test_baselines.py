@@ -7,13 +7,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 from factored_pg.baselines import BaselineSpec, BaselineState, QModel, TableModel, fit_q
-from factored_pg.policies import (
-    CategoricalPolicy,
-    DagPolicy,
-    IndependentGaussianPolicy,
-    IndicatorFeatures,
-    RawFeatures,
-)
+from factored_pg.features import IndicatorFeatures, RawFeatures
+from factored_pg.policies import CategoricalPolicy, DagPolicy, IndependentGaussianPolicy
 from factored_pg.trajectory import Batch
 from factored_pg.verify import (
     dag_fixture_problem,

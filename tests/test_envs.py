@@ -12,7 +12,8 @@ from factored_pg.envs import (
     solve_threshold_default,
 )
 from factored_pg.errors import ConfigError
-from factored_pg.policies import CategoricalPolicy, IndicatorFeatures
+from factored_pg.features import IndicatorFeatures
+from factored_pg.policies import CategoricalPolicy
 from factored_pg.verify import fixture_path, load_fixture
 
 
@@ -74,7 +75,7 @@ def test_bandit_enumeration_count():
 def test_enumerated_probabilities_sum_to_one():
     env = load_fixture("chain_two_step")
     policy = CategoricalPolicy.zeros(
-        [f.cardinality for f in env.spec.factors], IndicatorFeatures(env.n_states)
+        [f.cardinality for f in env.spec.factors], IndicatorFeatures(len(env.rho0))
     )
     total = sum(et.probability(policy) for et in env.enumerate_trajectories())
     assert_allclose(total, 1.0, atol=1e-12)
@@ -84,7 +85,7 @@ def test_tabular_round_trip():
     env = load_fixture("bandit_two_arm")
     clone = TabularMdp.from_dict(env.to_dict())
     assert clone.spec.horizon == env.spec.horizon
-    assert clone.n_states == env.n_states
+    assert np.array_equal(clone.rho0, env.rho0)
     step_a = env.step(np.array([[0.0]]), np.array([[1.0]]), [np.random.default_rng(0)])
     step_b = clone.step(np.array([[0.0]]), np.array([[1.0]]), [np.random.default_rng(0)])
     assert step_a.rewards[0] == step_b.rewards[0]
@@ -161,3 +162,17 @@ def test_unreadable_tabular_fixture_is_config_error(tmp_path, content, match):
     with pytest.raises(ConfigError, match=match) as err:
         make_env("tabular", {"path": str(path)})
     assert str(path) in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "name, params",
+    [("target_matching", {"m": 3}), ("point_mass", {"horizon": 5}),
+     ("tabular", {"path": fixture_path("chain_two_step")})],
+)
+def test_step_takes_one_row_of_factors_per_trajectory(name, params):
+    env = make_env(name, params)
+    m = env.spec.n_factors
+    states = env.reset([np.random.default_rng(0)])
+    for actions in (np.zeros(m), np.zeros((1, m + 1))):
+        with pytest.raises(ValueError, match=rf"\(n, {m}\) rows"):
+            env.step(states, actions, [np.random.default_rng(1)])

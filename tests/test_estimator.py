@@ -24,11 +24,17 @@ def _enumerated_batch(problem):
     return Batch.from_paths(paths, gamma=problem.gamma, weights=probs)
 
 
+def _raw_returns(batch, m):
+    """Zero-baseline advantages: every factor's advantage is qhat."""
+    return np.repeat(batch.qhat[:, None], m, axis=1)
+
+
 def test_enumeration_weighted_estimate_is_exact_gradient():
     for name in ("bandit_two_factor", "chain_two_step"):
         problem = fixture_problem(name)
         batch = _enumerated_batch(problem)
-        report = pg_estimate(batch, problem.policy, score_matrix(batch, problem.policy))
+        scores = score_matrix(batch, problem.policy)
+        report = pg_estimate(batch, problem.policy, scores, _raw_returns(batch, problem.policy.m))
         assert_allclose(report.gradient, exact_gradient(problem), atol=1e-10, err_msg=name)
 
 
@@ -45,7 +51,7 @@ def test_estimate_stays_exact_under_fitted_baselines():
         state = BaselineState.initial(spec).refit(batch, problem.policy)
         values = state.evaluate(batch, problem.policy)
         scores = score_matrix(batch, problem.policy)
-        report = pg_estimate(batch, problem.policy, scores, baseline_values=values)
+        report = pg_estimate(batch, problem.policy, scores, batch.qhat[:, None] - values)
         assert_allclose(report.gradient, grad, atol=1e-10, err_msg=spec.kind)
 
 
@@ -112,12 +118,12 @@ def test_whiten_hand_value():
 def test_normalize_whitens_gradient_but_not_diagnostics():
     batch, policy = _gaussian_batch(seed=7)
     scores = score_matrix(batch, policy)
-    raw = pg_estimate(batch, policy, scores)
-    norm = pg_estimate(batch, policy, scores, normalize=True)
+    advantages = _raw_returns(batch, policy.m)
+    raw = pg_estimate(batch, policy, scores, advantages)
+    norm = pg_estimate(batch, policy, scores, advantages, normalize=True)
     # diagnostics keep raw advantages either way
     assert_allclose(norm.per_trajectory, raw.per_trajectory, atol=1e-14)
-    assert_allclose(norm.advantages, whiten(batch.qhat[:, None] - 0.0 * norm.advantages), atol=1e-12)
-    rebuilt = pg_estimate(batch, policy, scores, advantages=whiten(raw.advantages)).gradient
+    rebuilt = pg_estimate(batch, policy, scores, whiten(advantages)).gradient
     assert_allclose(norm.gradient, rebuilt, atol=1e-12)
 
 
@@ -129,7 +135,7 @@ def test_advantages_shape_validated():
 
 def test_gradient_equals_weighted_per_trajectory_mean():
     batch, policy = _gaussian_batch(seed=9)
-    report = pg_estimate(batch, policy, score_matrix(batch, policy))
+    report = pg_estimate(batch, policy, score_matrix(batch, policy), _raw_returns(batch, policy.m))
     assert_allclose(report.gradient, batch.weights @ report.per_trajectory, atol=1e-13)
 
 
@@ -170,12 +176,12 @@ def test_variance_reduction_visible_on_enumerated_fixture():
     problem = fixture_problem("bandit_two_factor")
     batch = _enumerated_batch(problem)
     scores = score_matrix(batch, problem.policy)
-    none = pg_estimate(batch, problem.policy, scores)
+    none = pg_estimate(batch, problem.policy, scores, _raw_returns(batch, problem.policy.m))
     state = BaselineState.initial(
         BaselineSpec(kind="optimal_action", tabular=True)
     ).refit(batch, problem.policy)
     better = pg_estimate(
-        batch, problem.policy, scores, baseline_values=state.evaluate(batch, problem.policy)
+        batch, problem.policy, scores, batch.qhat[:, None] - state.evaluate(batch, problem.policy)
     )
     v_none = gradient_variance(none.per_trajectory, batch.weights)
     v_opt = gradient_variance(better.per_trajectory, batch.weights)

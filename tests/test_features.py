@@ -6,8 +6,10 @@ from numpy.testing import assert_allclose
 
 from factored_pg.errors import SingularSystemError
 from factored_pg.features import (
+    IndicatorFeatures,
     LinearModel,
     QuadraticMap,
+    RawFeatures,
     RffMap,
     default_ridge,
     fit_linear,
@@ -155,11 +157,30 @@ def test_rff_map_validates_inputs():
         RffMap(0, 4, 1.0, rng)
     with pytest.raises(ValueError):
         RffMap(2, 4, 0.0, rng)
-    m = RffMap(2, 4, 1.0, rng)
-    with pytest.raises(ValueError):
-        m(np.zeros((3, 5)))
-    with pytest.raises(ValueError, match=r"\(n, 2\)"):
-        m(np.zeros(2))
+
+
+MAPS = {
+    "raw": lambda: RawFeatures(2),
+    "indicator": lambda: IndicatorFeatures(3),
+    "quadratic": lambda: QuadraticMap(2),
+    "rff": lambda: RffMap(2, 5, 1.0, np.random.default_rng(0)),
+}
+
+
+@pytest.mark.parametrize("name", MAPS)
+def test_feature_maps_take_rows_and_return_n_features(name):
+    fmap = MAPS[name]()
+    d = fmap.input_dim
+    x = np.random.default_rng(1).integers(3, size=(4, d)).astype(float)
+    assert fmap(x).shape == (4, fmap.n_features)
+    for rows in (np.zeros(d), np.zeros((4, d + 1))):
+        with pytest.raises(ValueError, match=rf"\(n, {d}\) rows"):
+            fmap(rows)
+    if name == "indicator":
+        assert_allclose(fmap([[2.0], [0.0]]), [[0, 0, 1], [1, 0, 0]])
+        for states in ([[-1.0]], [[1.0], [3.0]]):
+            with pytest.raises(ValueError, match=r"state index (-1|3) outside \[0, 3\)"):
+                fmap(states)
 
 
 def test_quadratic_map_appends_elementwise_squares():
@@ -178,10 +199,6 @@ def test_linear_model_predict_takes_rows_only():
 def test_quadratic_map_validates_dimension():
     with pytest.raises(ValueError):
         QuadraticMap(0)
-    with pytest.raises(ValueError):
-        QuadraticMap(2)(np.zeros((1, 3)))
-    with pytest.raises(ValueError, match=r"\(n, 2\)"):
-        QuadraticMap(2)(np.zeros(2))
 
 
 def test_quadratic_features_fit_separable_quadratic_exactly():

@@ -199,7 +199,7 @@ def test_tabular_state_arm_checkpoint_round_trips(tmp_path):
         baseline = json.load(fh)["baseline"]
     assert baseline["spec"]["tabular"] is True
     (entry,) = baseline["fitted"]
-    assert entry["columns"] == [] and entry["map"] is None
+    assert entry["columns"] == [] and entry["map"] == {"kind": "linear", "input_dim": 1}
     table = entry["model"]
     assert table["kind"] == "table"
     assert len(table["keys"]) == len(table["values"]) >= 1

@@ -26,14 +26,15 @@ from factored_pg.oracle import (
     trajectory_probabilities,
     zy_tables,
 )
-from factored_pg.policies import CategoricalPolicy, IndependentGaussianPolicy, IndicatorFeatures
+from factored_pg.features import IndicatorFeatures
+from factored_pg.policies import CategoricalPolicy, IndependentGaussianPolicy
 from factored_pg.verify import FIXTURE_NAMES, all_problems, fixture_problem, load_fixture
 
 
 def test_uniform_policy_eta_is_mean_reward():
     # one-step bandit, uniform over the 6 joint arms: eta = mean of the rewards
     env = load_fixture("bandit_two_factor")
-    uni = CategoricalPolicy.zeros(list(env.cardinalities), IndicatorFeatures(env.n_states))
+    uni = CategoricalPolicy.zeros(list(env.cardinalities), IndicatorFeatures(len(env.rho0)))
     assert_allclose(exact_eta(EnumerableProblem(env, uni)), 0.5833333333333334, atol=1e-14)
 
 

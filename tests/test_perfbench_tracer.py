@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
-from factored_pg import envs, optim, trajectory
+from factored_pg import baselines, envs, features, optim, trajectory
 from factored_pg.baselines import BaselineSpec
 from factored_pg.policies import IndependentGaussianPolicy
 
@@ -21,7 +21,15 @@ GUARDED = [
     (optim, name)
     for name in ("rollout", "collect_batch", "substream", "gae_advantages",
                  "pg_estimate", "score_matrix", "npg_step", "make_fvp")
-] + [(trajectory.Batch, "__post_init__")] + [
+] + [
+    (trajectory.Batch, "__post_init__"),
+    (features.QuadraticMap, "__call__"),
+    (features.RffMap, "__call__"),
+    (baselines.QModel, "predict"),
+    (baselines.BaselineState, "evaluate"),
+    (baselines.BaselineState, "refit"),
+    (baselines, "fit_linear"),
+] + [
     (cls, method)
     for cls in (envs.TargetMatching, envs.PointMass, envs.TabularMdp)
     for method in ("reset", "step")
@@ -61,7 +69,9 @@ def test_tracer_attaches_and_uninstall_restores():
     for name in ("optim.collect_batch", "optim.substream", "optim.rollout",
                  "trajectory.Batch", "envs.reset", "envs.step", "policies.sample",
                  "estimator.gae_advantages", "estimator.pg_estimate",
-                 "estimator.score_matrix", "policies.kl", "optim.npg_step", "optim.fvp"):
+                 "estimator.score_matrix", "policies.kl", "optim.npg_step", "optim.fvp",
+                 "baselines.evaluate", "baselines.refit", "baselines.QModel.predict",
+                 "features.fit_linear"):
         assert summary[name]["calls"] > 0, name
     assert tracer.iteration == 1
     for owner, attr, original in patched:

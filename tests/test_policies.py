@@ -4,13 +4,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from factored_pg.policies import (
-    CategoricalPolicy,
-    DagPolicy,
-    IndependentGaussianPolicy,
-    IndicatorFeatures,
-    RawFeatures,
-)
+from factored_pg.features import IndicatorFeatures, RawFeatures
+from factored_pg.policies import CategoricalPolicy, DagPolicy, IndependentGaussianPolicy
 
 
 def _gaussian(m=2, state_dim=1, seed=0):
@@ -137,8 +132,7 @@ def test_score_matrix_matches_joint_scores(kind):
     else:
         # unequal cardinalities: categorical blocks of 2 and 3 rows
         pol = _categorical(seed=2) if kind == "categorical" else _dag(seed=2)
-        n_states = pol.features.n_states
-        states = rng.integers(n_states, size=(6, 1)).astype(float)
+        states = rng.integers(pol.features.n_features, size=(6, 1)).astype(float)
     actions = _sampled(pol, states, rng)
     scores = pol.score_matrix(states, actions)
     assert scores.shape == (6, pol.n_params)
@@ -239,14 +233,6 @@ def test_mean_action_and_support():
     assert_allclose(g.mean_actions(np.zeros((3, 1))), np.tile(g.biases, (3, 1)), atol=1e-12)
     c = _categorical(cards=(4,), n_states=1, seed=11)
     assert_allclose(c.factor_support(0), [0, 1, 2, 3])
-
-
-def test_indicator_features_reject_out_of_range_index():
-    feats = IndicatorFeatures(3)
-    assert_allclose(feats.batch([[2.0], [0.0]]), [[0, 0, 1], [1, 0, 0]])
-    for states in ([[-1.0]], [[1.0], [3.0]]):
-        with pytest.raises(ValueError, match=r"state index (-1|3) .*n_states=3"):
-            feats.batch(states)
 
 
 @pytest.mark.parametrize("make", [_gaussian, _categorical, _dag])

@@ -17,7 +17,8 @@ from factored_pg.envs import (
     TargetMatchingParams,
     make_env,
 )
-from factored_pg.policies import DagPolicy, IndependentGaussianPolicy, RawFeatures
+from factored_pg.features import RawFeatures, _rows
+from factored_pg.policies import DagPolicy, IndependentGaussianPolicy
 from factored_pg.verify import dag_fixture_problem, fixture_problem, reference_collect_batch
 
 
@@ -33,7 +34,7 @@ class _RandomStop(Environment):
         return np.array([[rng.standard_normal()] for rng in rngs])
 
     def step(self, states, actions, rngs):
-        actions = self._check_actions(actions)
+        actions = _rows(actions, self.spec.n_factors)
         u = np.array([rng.random() for rng in rngs])
         return Step(states + actions[:, :1], states[:, 0] - np.sum(actions**2, axis=1), u < 0.3)
 

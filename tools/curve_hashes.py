@@ -1,0 +1,103 @@
+"""Check that a refactor keeps the training curves byte-identical.
+
+Usage, from the root of a checkout:
+
+    python3 tools/curve_hashes.py --parent REV
+
+Runs the same short, fixed experiments in an export of ``REV`` (``git
+archive``, as ``tools/bench_pairs.py`` makes it) and in this checkout, each
+side importing its own ``src/``:
+
+- ``matching_task_config(12)``, seeds 0-1, 60 iterations;
+- ``matching_task_config(100)``, seed 0, 40 iterations;
+- the ``point_mass`` and ``tabular_chain`` configs of
+  ``perfbench/workloads.py``, seeds 0-1, 30 iterations.
+
+Every run trains both arms. Prints each curve CSV's sha256 on both sides and
+exits 1 if any curve differs or is missing on one side. Everything is written
+under one temporary directory, which is removed afterwards.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+
+from bench_pairs import export, git
+
+# Run in each side's root with that side's src/ first on sys.path; prints
+# {"<run>/<arm>_seed<k>.csv": sha256} as one JSON line. It uses only names
+# that every revision with perfbench/workloads.py has.
+SIDE_SCRIPT = r"""
+import hashlib, importlib.util, json, os, sys
+from factored_pg.config import config_from_dict, matching_task_config
+from factored_pg.harness import run_experiment
+
+out = sys.argv[1]
+spec = importlib.util.spec_from_file_location("workloads", "perfbench/workloads.py")
+workloads = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(workloads)
+runs = [
+    matching_task_config(12, (0, 1), 60, os.path.join(out, "matching_m12")),
+    matching_task_config(100, (0,), 40, os.path.join(out, "matching_m100")),
+] + [
+    config_from_dict(dict(workloads.WORKLOADS[name]["config"], n_iterations=30, seeds=[0, 1],
+                          out_dir=os.path.join(out, name)))
+    for name in ("point_mass", "tabular_chain")
+]
+hashes = {}
+for cfg in runs:
+    run_dir = run_experiment(cfg)
+    for csv in sorted(os.listdir(os.path.join(run_dir, "curves"))):
+        with open(os.path.join(run_dir, "curves", csv), "rb") as fh:
+            hashes[f"{os.path.basename(run_dir)}/{csv}"] = hashlib.sha256(fh.read()).hexdigest()
+print(json.dumps(hashes))
+"""
+RUN_TIMEOUT_S = 600
+
+
+def side_hashes(checkout: str, out: str) -> dict:
+    """Curve sha256 per '<run>/<csv>' for the code in ``checkout``."""
+    env = dict(os.environ, PYTHONPATH=os.path.join(checkout, "src"), PYTHONDONTWRITEBYTECODE="1")
+    proc = subprocess.run([sys.executable, "-c", SIDE_SCRIPT, out], cwd=checkout, env=env,
+                          capture_output=True, text=True, timeout=RUN_TIMEOUT_S)
+    if proc.returncode != 0:
+        raise RuntimeError(f"curve runs in {checkout} exited {proc.returncode}:\n{proc.stderr}")
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    p.add_argument("--parent", required=True, help="git revision to compare against")
+    args = p.parse_args(argv)
+
+    parent_rev = git("rev-parse", args.parent)
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    scratch = tempfile.mkdtemp(prefix="curve-hashes-")
+    try:
+        tree = os.path.join(scratch, "parent")
+        os.makedirs(tree)
+        export(parent_rev, tree)
+        parent = side_hashes(tree, os.path.join(scratch, "runs-parent"))
+        change = side_hashes(root, os.path.join(scratch, "runs-change"))
+    finally:
+        shutil.rmtree(scratch, ignore_errors=True)
+
+    keys = sorted(set(parent) | set(change))
+    differ = [key for key in keys if parent.get(key) != change.get(key)]
+    print(f"parent: {parent_rev}; change: the working tree")
+    for key in keys:
+        print(f"{'DIFFER' if key in differ else 'same'}  {key}")
+        print(f"  parent  {parent.get(key, 'missing')}")
+        print(f"  change  {change.get(key, 'missing')}")
+    print(f"{len(keys) - len(differ)} of {len(keys)} curves byte-identical")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
