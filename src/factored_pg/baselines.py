@@ -62,7 +62,7 @@ class BaselineSpec:
 
     ``exact`` switches Monte-Carlo marginalization to an exact sum over a
     categorical factor's support. ``tabular`` replaces regressions with exact
-    group-mean tables for discrete problems.
+    group-mean tables for discrete problems and takes no regression settings.
     """
 
     kind: str
@@ -84,6 +84,9 @@ class BaselineSpec:
             raise ValueError(f"n_features must be >= 1, got {self.n_features}")
         if self.ridge is not None and not (np.isfinite(self.ridge) and self.ridge >= 0):
             raise ValueError(f"ridge must be None or a finite value >= 0, got {self.ridge}")
+        if self.tabular and (self.features, self.n_features, self.ridge) != ("linear", 100, None):
+            raise ValueError("a tabular baseline keys on raw rows; it takes no features, "
+                             "n_features or ridge")
 
 
 # ---------------------------------------------------------------------------
@@ -122,9 +125,6 @@ class TableModel:
         lookup = np.zeros(len(both))
         lookup[rows[: len(self.keys)]] = self.values
         return lookup[rows[len(self.keys):]]
-
-    def descriptor(self) -> dict:
-        return {"kind": "table", "keys": self.keys.tolist(), "values": self.values.tolist()}
 
 
 @dataclass
@@ -171,12 +171,9 @@ class QModel:
                 q[:, i, k] = self.predict(states, _swap(actions, i, v))
         return q
 
-    def descriptor(self) -> dict:
-        return {"model": self.model.descriptor(), "map": self.feature_map.descriptor()}
-
 
 def _make_map(inputs: np.ndarray, spec: BaselineSpec, rng: np.random.Generator) -> FeatureMap:
-    if spec.tabular or spec.features == "linear":
+    if spec.features == "linear":
         return RawFeatures(inputs.shape[1])
     if spec.features == "quadratic":
         return QuadraticMap(inputs.shape[1])
@@ -356,11 +353,3 @@ class BaselineState:
             fitted[keep] = fit_q(batch.states, _kept(batch.actions, keep), batch.qhat,
                                  self.spec, rng, frozen, weights)
         return BaselineState(self.spec, fitted)
-
-    def descriptor(self) -> dict:
-        """JSON-serializable snapshot (checkpointing): the spec and one entry
-        per keep set with its action columns, model and feature map."""
-        fitted = None if self.fitted is None else [
-            {"columns": list(keep), **q.descriptor()} for keep, q in self.fitted.items()
-        ]
-        return {"spec": self.spec.__dict__.copy(), "fitted": fitted}

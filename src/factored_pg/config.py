@@ -30,7 +30,8 @@ Arm entries accept a ``name`` (default: the kind) and every baseline field
 (kind, mc_samples, exact, features, n_features, ridge, tabular); unset
 baseline feature kinds take the environment's default
 (``baseline_features`` on its params): raw linear features on the matching
-task, 100 random Fourier features on point mass, 250 on tabular MDPs.
+task, 100 random Fourier features on point mass, 250 on tabular MDPs. A
+``tabular`` arm takes no features, n_features or ridge.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from .baselines import BaselineSpec
 from .envs import EnvParams, env_params
 from .errors import ConfigError
 from .optim import OptimizerConfig
-from .schema import json_object, section
+from .schema import json_object, section, write_json
 
 
 @dataclass(frozen=True)
@@ -101,8 +102,10 @@ class ExperimentConfig:
 
 
 def _arm(raw, feature_defaults: dict) -> ArmConfig:
-    # the environment's feature defaults sit under the arm's own keys
-    spec_raw = {**feature_defaults, **json_object(raw, "arm")}
+    # the environment's feature defaults sit under the arm's own keys; a
+    # tabular arm keys on raw rows and takes none
+    raw = json_object(raw, "arm")
+    spec_raw = dict(raw) if raw.get("tabular") is True else {**feature_defaults, **raw}
     name = spec_raw.pop("name", spec_raw.get("kind"))
     where = f"arm {name!r}"
     return section(ArmConfig, {"name": name}, where, spec=section(BaselineSpec, spec_raw, where))
@@ -137,10 +140,8 @@ def load_config(path: str) -> ExperimentConfig:
     return config_from_dict(raw)
 
 
-def save_config(cfg: ExperimentConfig, path: str) -> None:
-    with open(path, "w") as fh:
-        json.dump(config_to_dict(cfg), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+def save_config(cfg: ExperimentConfig, path) -> None:
+    write_json(path, config_to_dict(cfg), indent=2)
 
 
 def matching_task_config(

@@ -35,9 +35,6 @@ class RawFeatures:
     def __call__(self, x: np.ndarray) -> np.ndarray:
         return _rows(x, self.input_dim)
 
-    def descriptor(self) -> dict:
-        return {"kind": "linear", "input_dim": self.input_dim}
-
 
 class IndicatorFeatures:
     """One-hot encoding of an integer index in [0, n_features), for tabular heads."""
@@ -80,16 +77,6 @@ class RffMap:
         x = _rows(x, self.input_dim)
         return np.sin(x @ self.projection.T / self.bandwidth + self.phase)
 
-    def descriptor(self) -> dict:
-        return {
-            "kind": "rff",
-            "input_dim": self.input_dim,
-            "n_features": self.n_features,
-            "bandwidth": self.bandwidth,
-            "projection": self.projection.tolist(),
-            "phase": self.phase.tolist(),
-        }
-
 
 class QuadraticMap:
     """Feature map y(x) = [x, x * x] (elementwise squares appended).
@@ -108,9 +95,6 @@ class QuadraticMap:
     def __call__(self, x: np.ndarray) -> np.ndarray:
         x = _rows(x, self.input_dim)
         return np.hstack([x, x * x])
-
-    def descriptor(self) -> dict:
-        return {"kind": "quadratic", "input_dim": self.input_dim}
 
 
 # the maps a baseline's regression reads its (state, action) rows through
@@ -146,9 +130,6 @@ class LinearModel:
     def predict(self, features: np.ndarray) -> np.ndarray:
         w = self.weights
         return _rows(features, len(w) - 1) @ w[:-1] + w[-1]
-
-    def descriptor(self) -> dict:
-        return {"weights": self.weights.tolist()}
 
 
 def default_ridge(design: np.ndarray) -> float:

@@ -4,15 +4,17 @@ Run directory layout:
 
     out_dir/
       config.json                  fully-resolved config (provenance)
-      curves/<arm>_seed<k>.csv     iteration,seed,arm,mean_return,sd_return,
-                                   grad_variance,realized_kl
-      checkpoints/<arm>_seed<k>.json   final theta, baseline snapshot, rng scheme
+      curves/<arm>_seed<k>.csv     CSV_COLUMNS: iteration, seed, arm, then
+                                   the other ``IterationLog`` fields
+      checkpoints/<arm>_seed<k>.json   arm, seed, iterations, final theta,
+                                   rng scheme
       summary.json                 recomputed from the CSVs, never from memory
 
-Floats are written with repr-exact precision so reruns of the same config are
-byte-identical and summaries round-trip through the CSVs. A checkpoint stores
-the policy's theta, not its structure: ``load_policy`` rebuilds the policy
-from config.json and sets the stored theta.
+Every file goes through ``schema.write_text``: written to ``<path>.tmp`` and
+renamed into place. Floats are written with repr-exact precision so reruns of
+the same config are byte-identical and summaries round-trip through the CSVs.
+A checkpoint stores the policy's theta, not its structure: ``load_policy``
+rebuilds the policy from config.json and sets the stored theta.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import csv
 import json
 import math
 import os
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
@@ -30,11 +32,13 @@ from .config import ExperimentConfig, load_config, save_config
 from .envs import CategoricalFactor, ContinuousFactor
 from .errors import ConfigError, NonFiniteError, SingularSystemError
 from .features import IndicatorFeatures, RawFeatures
-from .optim import train
+from .optim import RNG_SCHEME, IterationLog, train
 from .policies import CategoricalPolicy, IndependentGaussianPolicy
+from .schema import write_json, write_text
 
-CSV_COLUMNS = ("iteration", "seed", "arm", "mean_return", "sd_return",
-               "grad_variance", "realized_kl")
+CSV_COLUMNS = ("iteration", "seed", "arm") + tuple(
+    f.name for f in fields(IterationLog) if f.name != "iteration")
+_FLOAT_COLUMNS = CSV_COLUMNS[3:]
 
 
 def _fmt(x: float) -> str:
@@ -108,16 +112,19 @@ def run_experiment(cfg: ExperimentConfig, echo=None) -> str:
             except (NonFiniteError, SingularSystemError) as exc:
                 raise type(exc)(f"arm {arm.name!r}: {exc}") from exc
             _write_curve(out, arm.name, seed, result.logs)
-            _write_checkpoint(out, cfg, arm, seed, result)
+            write_json(_checkpoint_path(out, arm.name, seed), {
+                "arm": arm.name,
+                "seed": seed,
+                "iterations": cfg.n_iterations,
+                "policy": {"theta": result.policy.theta.tolist()},
+                "rng_scheme": RNG_SCHEME,
+            })
             if echo is not None:
                 echo(
                     f"{arm.name} seed {seed}: "
                     f"final mean return {result.logs[-1].mean_return:.4f}"
                 )
-    summary = summarize_run(out)
-    with open(os.path.join(out, "summary.json"), "w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(os.path.join(out, "summary.json"), summarize_run(out), indent=2)
     return out
 
 
@@ -126,38 +133,19 @@ def _curve_path(out: str, arm: str, seed: int) -> str:
 
 
 def _write_curve(out: str, arm: str, seed: int, logs) -> None:
+    lines = [",".join(CSV_COLUMNS)]
     for log in logs:
-        if not all(map(math.isfinite, (log.mean_return, log.sd_return,
-                                       log.grad_variance, log.realized_kl))):
+        values = [getattr(log, col) for col in _FLOAT_COLUMNS]
+        if not all(map(math.isfinite, values)):
             raise NonFiniteError(
                 f"arm {arm!r}: non-finite log at iteration {log.iteration}, seed {seed}"
             )
-    with open(_curve_path(out, arm, seed), "w", newline="") as fh:
-        fh.write(",".join(CSV_COLUMNS) + "\n")
-        for log in logs:
-            fh.write(
-                f"{log.iteration},{seed},{arm},{_fmt(log.mean_return)},"
-                f"{_fmt(log.sd_return)},{_fmt(log.grad_variance)},"
-                f"{_fmt(log.realized_kl)}\n"
-            )
+        lines.append(",".join([str(log.iteration), str(seed), arm, *map(_fmt, values)]))
+    write_text(_curve_path(out, arm, seed), "\n".join(lines) + "\n")
 
 
 def _checkpoint_path(out: str, arm: str, seed: int) -> str:
     return os.path.join(out, "checkpoints", f"{arm}_seed{seed}.json")
-
-
-def _write_checkpoint(out: str, cfg: ExperimentConfig, arm, seed: int, result) -> None:
-    payload = {
-        "arm": arm.name,
-        "seed": seed,
-        "iterations": cfg.n_iterations,
-        "policy": {"theta": result.policy.theta.tolist()},
-        "baseline": result.baseline_state.descriptor(),
-        "rng_scheme": "default_rng([seed, stream, iteration, trajectory])",
-    }
-    with open(_checkpoint_path(out, arm.name, seed), "w") as fh:
-        json.dump(payload, fh, sort_keys=True)
-        fh.write("\n")
 
 
 def load_policy(out_dir: str, arm: str, seed: int):
@@ -179,7 +167,7 @@ def load_curve(path: str) -> dict:
     out: dict = {"arm": rows[0]["arm"] if rows else ""}
     out["iteration"] = np.array([int(r["iteration"]) for r in rows])
     out["seed"] = np.array([int(r["seed"]) for r in rows])
-    for col in ("mean_return", "sd_return", "grad_variance", "realized_kl"):
+    for col in _FLOAT_COLUMNS:
         out[col] = np.array([float(r[col]) for r in rows])
     return out
 

@@ -30,6 +30,8 @@ from .trajectory import Batch
 STREAM_ENV = 0
 STREAM_POLICY = 1
 STREAM_BASELINE = 2
+# the scheme's name in every checkpoint; a change to the scheme changes it
+RNG_SCHEME = "default_rng([seed, stream, iteration, trajectory])"
 
 
 def substream(seed: int, tag: int, iteration: int, index: int = 0) -> np.random.Generator:
@@ -180,6 +182,8 @@ def collect_batch(env, policy, n_trajectories: int, seed: int, iteration: int) -
 
 @dataclass
 class IterationLog:
+    """One curve row; the fields after ``iteration`` are its float columns."""
+
     iteration: int
     mean_return: float
     sd_return: float

@@ -1,11 +1,15 @@
-"""The one typed reader of JSON documents: configs, env params and fixtures.
+"""The one typed reader of JSON documents (configs, env params and fixtures)
+and the one writer of run-directory files.
 
 Each document section is a frozen dataclass; ``section`` fills it from a JSON
 object and turns every way the object can be wrong into a ``ConfigError``.
+``write_text`` and ``write_json`` write a file whole or not at all.
 """
 
 from __future__ import annotations
 
+import json
+import os
 import typing
 from dataclasses import MISSING, fields, is_dataclass
 
@@ -57,3 +61,17 @@ def section(cls, raw, where: str, **given):
         return cls(**values, **given)
     except ValueError as exc:
         raise ConfigError(f"{where}: {exc}") from exc
+
+
+def write_text(path, text: str) -> None:
+    """Write ``text`` to ``<path>.tmp`` and rename it to ``path`` (a str or
+    path-like), so ``path`` never holds a partial file."""
+    tmp = os.fspath(path) + ".tmp"
+    with open(tmp, "w", newline="") as fh:
+        fh.write(text)
+    os.replace(tmp, path)
+
+
+def write_json(path, obj, indent: int | None = None) -> None:
+    """``obj`` as sorted-key JSON plus a newline, through ``write_text``."""
+    write_text(path, json.dumps(obj, indent=indent, sort_keys=True) + "\n")

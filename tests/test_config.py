@@ -52,6 +52,12 @@ def test_env_feature_defaults_per_environment():
     )
     assert tab.arms[0].spec.features == "rff"
     assert tab.arms[0].spec.n_features == 250
+    # a tabular arm takes none of the environment's regression defaults
+    tab = config_from_dict(
+        {"env": {"name": "tabular", "params": {"path": fixture_path("chain_two_step")}},
+         "arms": [{"kind": "state_value", "tabular": True}]}
+    )
+    assert tab.arms[0].spec.features == "linear"
 
 
 def test_arm_fields_pass_through():
@@ -167,6 +173,7 @@ def test_malformed_json_reports_config_error(tmp_path):
         lambda d: d["env"].update(params={"target": []}),
         lambda d: d.update(env={"name": "point_mass", "params": {"target_seed": 0}}),
         lambda d: d.update(env={"name": "communicate_target_lite"}),
+        lambda d: d.update(arms=[{"kind": "mc_q", "tabular": True, "features": "rff"}]),
     ],
 )
 def test_invalid_configs_rejected(mutate):

@@ -12,7 +12,7 @@ from numpy.testing import assert_allclose
 from factored_pg.config import config_from_dict, matching_task_config, save_config
 from factored_pg.envs import solve_threshold_default
 from factored_pg.errors import ConfigError, NonFiniteError, SingularSystemError
-from factored_pg import harness
+from factored_pg import harness, schema
 from factored_pg.harness import (
     CSV_COLUMNS,
     build_env,
@@ -179,6 +179,22 @@ def test_run_experiment_writes_full_layout(tmp_path):
     assert stored == summarize_run(out)
     with open(os.path.join(out, "config.json")) as fh:
         assert json.load(fh)["n_trajectories"] == 16
+    # every file was renamed into place
+    assert [name for _, _, names in os.walk(out) for name in names if name.endswith(".tmp")] == []
+
+
+def test_a_failed_rename_leaves_no_file_at_the_final_path(tmp_path, monkeypatch):
+    def fail(src, dst):
+        raise OSError(f"cannot rename {src} to {dst}")
+
+    monkeypatch.setattr(schema.os, "replace", fail)
+    path = tmp_path / "summary.json"
+    with pytest.raises(OSError):
+        schema.write_json(path, {"a": 1})
+    assert not path.exists()
+    with pytest.raises(OSError, match="config.json"):
+        run_experiment(_tiny_config(tmp_path / "run"))
+    assert not (tmp_path / "run" / "config.json").exists()
 
 
 def test_tabular_state_arm_checkpoint_round_trips(tmp_path):
@@ -196,14 +212,9 @@ def test_tabular_state_arm_checkpoint_round_trips(tmp_path):
     )
     out = run_experiment(cfg)
     with open(os.path.join(out, "checkpoints", "state_seed0.json")) as fh:
-        baseline = json.load(fh)["baseline"]
-    assert baseline["spec"]["tabular"] is True
-    (entry,) = baseline["fitted"]
-    assert entry["columns"] == [] and entry["map"] == {"kind": "linear", "input_dim": 1}
-    table = entry["model"]
-    assert table["kind"] == "table"
-    assert len(table["keys"]) == len(table["values"]) >= 1
-    assert all(isinstance(v, int) for key in table["keys"] for v in key)
+        checkpoint = json.load(fh)
+    assert sorted(checkpoint) == ["arm", "iterations", "policy", "rng_scheme", "seed"]
+    assert load_policy(out, "state", 0).theta.tolist() == checkpoint["policy"]["theta"]
 
 
 def _chain_config(out_dir):
@@ -358,10 +369,16 @@ def test_run_experiment_names_the_arm_of_a_non_finite_run(tmp_path, monkeypatch,
     with pytest.raises(NonFiniteError, match="arm 'state': .* iteration 0, seed 0"):
         run_experiment(_tiny_config(tmp_path / "run"))
     assert os.listdir(tmp_path / "run" / "curves") == []
-    logs = [IterationLog(0, 0.0, 0.0, 0.0, 0.0), IterationLog(1, 0.0, 0.0, 0.0, np.nan)]
+
+
+@pytest.mark.parametrize("field", ["mean_return", "sd_return", "grad_variance", "realized_kl"])
+def test_write_curve_names_the_arm_of_a_non_finite_log(tmp_path, field):
+    os.makedirs(tmp_path / "curves")
+    logs = [IterationLog(0, 0.0, 0.0, 0.0, 0.0),
+            replace(IterationLog(1, 0.0, 0.0, 0.0, 0.0), **{field: np.nan})]
     with pytest.raises(NonFiniteError, match="arm 'state': .* iteration 1, seed 2"):
-        harness._write_curve(str(tmp_path / "run"), "state", 2, logs)
-    assert os.listdir(tmp_path / "run" / "curves") == []
+        harness._write_curve(str(tmp_path), "state", 2, logs)
+    assert os.listdir(tmp_path / "curves") == []
 
 
 def test_run_experiment_names_the_arm_of_a_failed_solve(tmp_path):

@@ -1,4 +1,4 @@
-"""Check that a refactor keeps the training curves byte-identical.
+"""Check that a refactor keeps the training curves and summaries byte-identical.
 
 Usage, from the root of a checkout:
 
@@ -13,9 +13,11 @@ side importing its own ``src/``:
 - the ``point_mass`` and ``tabular_chain`` configs of
   ``perfbench/workloads.py``, seeds 0-1, 30 iterations.
 
-Every run trains both arms. Prints each curve CSV's sha256 on both sides and
-exits 1 if any curve differs or is missing on one side. Everything is written
-under one temporary directory, which is removed afterwards.
+Every run trains both arms. Prints the sha256 of each curve CSV and of each
+run's ``summary.json`` on both sides, and exits 1 if any of these files
+differs or is missing on one side. ``config.json`` is not compared: it holds
+each side's own ``out_dir``. Everything is written under one temporary
+directory, which is removed afterwards.
 """
 
 from __future__ import annotations
@@ -31,8 +33,8 @@ import tempfile
 from bench_pairs import export, git
 
 # Run in each side's root with that side's src/ first on sys.path; prints
-# {"<run>/<arm>_seed<k>.csv": sha256} as one JSON line. It uses only names
-# that every revision with perfbench/workloads.py has.
+# {"<run>/<arm>_seed<k>.csv" or "<run>/summary.json": sha256} as one JSON
+# line. It uses only names that every revision with perfbench/workloads.py has.
 SIDE_SCRIPT = r"""
 import hashlib, importlib.util, json, os, sys
 from factored_pg.config import config_from_dict, matching_task_config
@@ -53,16 +55,18 @@ runs = [
 hashes = {}
 for cfg in runs:
     run_dir = run_experiment(cfg)
-    for csv in sorted(os.listdir(os.path.join(run_dir, "curves"))):
-        with open(os.path.join(run_dir, "curves", csv), "rb") as fh:
-            hashes[f"{os.path.basename(run_dir)}/{csv}"] = hashlib.sha256(fh.read()).hexdigest()
+    curves = ["curves/" + csv for csv in sorted(os.listdir(os.path.join(run_dir, "curves")))]
+    for rel in curves + ["summary.json"]:
+        with open(os.path.join(run_dir, rel), "rb") as fh:
+            hashes[f"{os.path.basename(run_dir)}/{os.path.basename(rel)}"] = hashlib.sha256(
+                fh.read()).hexdigest()
 print(json.dumps(hashes))
 """
 RUN_TIMEOUT_S = 600
 
 
 def side_hashes(checkout: str, out: str) -> dict:
-    """Curve sha256 per '<run>/<csv>' for the code in ``checkout``."""
+    """sha256 per '<run>/<file>' for the code in ``checkout``."""
     env = dict(os.environ, PYTHONPATH=os.path.join(checkout, "src"), PYTHONDONTWRITEBYTECODE="1")
     proc = subprocess.run([sys.executable, "-c", SIDE_SCRIPT, out], cwd=checkout, env=env,
                           capture_output=True, text=True, timeout=RUN_TIMEOUT_S)
@@ -95,7 +99,7 @@ def main(argv=None) -> int:
         print(f"{'DIFFER' if key in differ else 'same'}  {key}")
         print(f"  parent  {parent.get(key, 'missing')}")
         print(f"  change  {change.get(key, 'missing')}")
-    print(f"{len(keys) - len(differ)} of {len(keys)} curves byte-identical")
+    print(f"{len(keys) - len(differ)} of {len(keys)} files byte-identical")
     return 1 if differ else 0
 
 
