@@ -103,7 +103,6 @@ from .oracle import (
 )
 from .policies import (
     CategoricalPolicy,
-    DagPolicy,
     FactoredPolicy,
     IndependentGaussianPolicy,
 )

@@ -5,20 +5,19 @@ value but never on a^i itself; that restriction alone makes the score-weighted
 correction exactly mean-zero, so all variants below leave the gradient
 estimator unbiased and differ only in variance.
 
-Every kind is the same thing: a regression of the return-to-go qhat on
-(s, a[keep_i]). The regression kinds read b_i off it; the marginal kinds
-fit Q on every factor and integrate a^i out of it by one rule (``marginal``),
-a weighted mean of Q over candidate values of a^i:
+Every arm fits one model: a regression of the return-to-go qhat on the
+state and some action columns. The state kinds read one b off it and give it
+to every factor; the marginal kinds fit Q on every factor and integrate a^i
+out of it by one rule (``marginal``), a weighted mean of Q over candidate
+values of a^i:
 
-    kind                          keep_i
-    state_value, optimal_state    {} (the state alone)
-    dag                           non-descendants of i
+    kind                          action columns read
+    state_value, optimal_state    none; b_i = b(s) for every i
     mean_q, mc_q, optimal_action  every factor; b_i = sum_k w_ik Q(a^i = v_ik) / den_i
 
-``optimal_state`` weights its regression by the squared joint score norm. One
-model is fitted per distinct keep set. With ``tabular`` the regression is a
-table of exact group means keyed on the whole rounded input row, and rows the
-table has not seen predict 0.
+``optimal_state`` weights its regression by the squared joint score norm.
+With ``tabular`` the regression is a table of exact group means keyed on the
+whole rounded input row, and rows the table has not seen predict 0.
 
 Fitting follows the training-loop convention: baselines are evaluated with
 models fitted on the previous iteration's batch; the first iteration uses an
@@ -41,7 +40,6 @@ from .features import (
     fit_linear,
     median_bandwidth,
 )
-from .policies import DagPolicy
 
 BASELINE_KINDS = (
     "none",
@@ -50,7 +48,6 @@ BASELINE_KINDS = (
     "mc_q",
     "mean_q",
     "optimal_action",
-    "dag",
 )
 # the kinds whose b_i integrates a^i out of a Q fitted on every factor
 MARGINAL_KINDS = ("mean_q", "mc_q", "optimal_action")
@@ -207,22 +204,6 @@ def fit_q(
     return QModel(fit_linear(phi, targets, ridge=spec.ridge, sample_weights=sample_weights), rmap)
 
 
-def keep_sets(kind: str, policy) -> list:
-    """keep_i for every factor: the action columns b_i's regression reads."""
-    m = policy.m
-    if kind in ("state_value", "optimal_state"):
-        return [()] * m
-    if kind == "dag":
-        return [tuple(j for j in range(m) if j not in policy.descendants(i)) for i in range(m)]
-    return [tuple(range(m))] * m
-
-
-def _kept(actions: np.ndarray, keep: tuple) -> np.ndarray:
-    # a fancy-indexed copy of every column is Fortran-ordered, which changes
-    # the rounding of the ridge solve; pass the batch's own array instead
-    return actions if len(keep) == actions.shape[1] else actions[:, list(keep)]
-
-
 # ---------------------------------------------------------------------------
 # marginalization: b_i = sum_k w_ik Q(s, a with a^i = v_ik) / den_i
 
@@ -234,20 +215,11 @@ def _swap(actions: np.ndarray, i: int, value) -> np.ndarray:
     return out
 
 
-def _require_independent(policy, what: str) -> None:
-    # a^i's descendants carry information about a^i, so marginalizing a^i
-    # while holding them fixed would leave a^i inside the baseline; a DAG
-    # policy offers no per-factor marginals even with an empty parent map
-    if isinstance(policy, DagPolicy) or any(policy.parents(i) for i in range(policy.m)):
-        raise ValueError(f"{what} assume independent factors; fit per-factor regressions instead")
-
-
 def check_marginal(spec: BaselineSpec, policy) -> None:
     """Raise ValueError when ``spec``'s kind cannot integrate a^i out of
-    ``policy``'s factors; the regression kinds need no marginal."""
+    ``policy``'s factors; the state kinds need no marginal."""
     if spec.kind not in MARGINAL_KINDS:
         return
-    _require_independent(policy, f"{spec.kind} baselines")
     if spec.kind == "mean_q" and set(policy.factor_kinds) != {"gaussian"}:
         raise ValueError("mean_q substitutes the policy mean, so it requires continuous factors")
     if spec.kind == "mc_q" and spec.exact and set(policy.factor_kinds) != {"categorical"}:
@@ -309,18 +281,17 @@ def marginal(states: np.ndarray, policy, spec: BaselineSpec, rng):
 
 
 class BaselineState:
-    """Fitted models for one baseline arm, refit once per training iteration.
+    """The fitted model of one baseline arm, refit once per training iteration.
 
-    ``fitted`` maps each distinct keep set (a tuple of action columns, see
-    ``keep_sets``) to its ``QModel``; it is None before the first refit and
-    for kind ``none``. ``evaluate`` produces the (n_steps, n_factors) matrix
-    b_i(s_t, a_t^{-i}) from the previous refit's models: the regression kinds
-    predict b_i directly, the marginal kinds predict Q at every candidate of
-    ``marginal`` and take one weighted mean. A fresh state evaluates to zero
-    everywhere.
+    ``fitted`` is the arm's one ``QModel``; it is None before the first refit
+    and for kind ``none``. ``evaluate`` produces the (n_steps, n_factors)
+    matrix b_i(s_t, a_t^{-i}) from the previous refit's model: the state kinds
+    predict one b per step and repeat it over the factors, the marginal kinds
+    predict Q at every candidate of ``marginal`` and take one weighted mean. A
+    fresh state evaluates to zero everywhere.
     """
 
-    def __init__(self, spec: BaselineSpec, fitted: dict | None = None):
+    def __init__(self, spec: BaselineSpec, fitted: QModel | None = None):
         self.spec = spec
         self.fitted = fitted
 
@@ -332,13 +303,11 @@ class BaselineState:
         if self.fitted is None:
             return np.zeros((batch.n_steps, policy.m))
         states, actions = batch.states, batch.actions
-        keeps = keep_sets(self.spec.kind, policy)
         if self.spec.kind not in MARGINAL_KINDS:
-            direct = {keep: self.fitted[keep].predict(states, _kept(actions, keep))
-                      for keep in dict.fromkeys(keeps)}
-            return np.stack([direct[keep] for keep in keeps], axis=1)
+            b = self.fitted.predict(states, self._action_inputs(actions))
+            return np.repeat(b[:, None], policy.m, axis=1)
         values, weights, den = marginal(states, policy, self.spec, rng)
-        q = self.fitted[keeps[0]].at_candidates(states, actions, values)
+        q = self.fitted.at_candidates(states, actions, values)
         return np.sum(weights * q, axis=-1) / den
 
     def refit(self, batch, policy, rng: np.random.Generator | None = None) -> "BaselineState":
@@ -347,9 +316,13 @@ class BaselineState:
         weights = None
         if self.spec.kind == "optimal_state":
             weights = policy.joint_score_sq_norms(batch.states, batch.actions)
-        fitted = {}
-        for keep in dict.fromkeys(keep_sets(self.spec.kind, policy)):
-            frozen = self.fitted[keep].feature_map if self.fitted else None
-            fitted[keep] = fit_q(batch.states, _kept(batch.actions, keep), batch.qhat,
-                                 self.spec, rng, frozen, weights)
+        frozen = None if self.fitted is None else self.fitted.feature_map
+        fitted = fit_q(batch.states, self._action_inputs(batch.actions), batch.qhat,
+                       self.spec, rng, frozen, weights)
         return BaselineState(self.spec, fitted)
+
+    def _action_inputs(self, actions: np.ndarray) -> np.ndarray:
+        """The action columns the arm's model reads: none for the state kinds.
+        The marginal kinds read the batch's own array, since a fancy-indexed
+        copy is Fortran-ordered and changes the rounding of the ridge solve."""
+        return actions if self.spec.kind in MARGINAL_KINDS else actions[:, :0]

@@ -10,14 +10,14 @@ Subcommands:
 from __future__ import annotations
 
 import argparse
-import json
-import os
 import sys
 from dataclasses import replace
 
 from .config import load_config
 from .errors import ConfigError
-from .harness import format_solve_table, lambda_sweep, run_experiment, table1_report
+from .harness import (format_solve_table, lambda_sweep, load_summary, run_experiment,
+                      table1_report)
+from .schema import write_json
 
 
 def _parse_seeds(values) -> tuple:
@@ -47,8 +47,7 @@ def _cmd_run(args) -> int:
     cfg = _apply_overrides(load_config(args.config), args)
     out = run_experiment(cfg, echo=print)
     print(f"run complete: {out}")
-    with open(os.path.join(out, "summary.json")) as fh:
-        summary = json.load(fh)
+    summary = load_summary(out)
     if summary.get("solve_threshold") is not None:
         for name, entry in summary["arms"].items():
             print(
@@ -61,9 +60,7 @@ def _cmd_report(args) -> int:
     rows = table1_report(args.run_dirs)
     print(format_solve_table(rows))
     if args.json:
-        with open(args.json, "w") as fh:
-            json.dump([r.to_dict() for r in rows], fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(args.json, [r.to_dict() for r in rows], indent=2)
         print(f"wrote {args.json}")
     return 0
 
@@ -73,8 +70,7 @@ def _cmd_sweep(args) -> int:
     lams = [float(x) for x in args.lams.split(",") if x != ""]
     dirs = lambda_sweep(cfg, lams, echo=print)
     for lam, run_dir in sorted(dirs.items()):
-        with open(os.path.join(run_dir, "summary.json")) as fh:
-            summary = json.load(fh)
+        summary = load_summary(run_dir)
         finals = {
             name: f"{entry['final_mean_return']:.4f}"
             for name, entry in summary["arms"].items()

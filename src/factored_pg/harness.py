@@ -8,17 +8,22 @@ Run directory layout:
                                    the other ``IterationLog`` fields
       checkpoints/<arm>_seed<k>.json   arm, seed, iterations, final theta,
                                    rng scheme
-      summary.json                 recomputed from the CSVs, never from memory
+      summary.json                 recomputed from the CSVs, never from memory;
+                                   written last, it marks the run complete
 
 Every file goes through ``schema.write_text``: written to ``<path>.tmp`` and
-renamed into place. Floats are written with repr-exact precision so reruns of
-the same config are byte-identical and summaries round-trip through the CSVs.
+renamed into place. A run removes any old ``summary.json`` before it writes
+anything, so a directory whose run stopped part way has none, and
+``table1_report`` refuses it rather than mixing old and new curves. Floats
+are written with repr-exact precision so reruns of the same config are
+byte-identical and summaries round-trip through the CSVs.
 A checkpoint stores the policy's theta, not its structure: ``load_policy``
 rebuilds the policy from config.json and sets the stored theta.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
 import math
@@ -93,6 +98,8 @@ def run_experiment(cfg: ExperimentConfig, echo=None) -> str:
     out = cfg.out_dir
     os.makedirs(os.path.join(out, "curves"), exist_ok=True)
     os.makedirs(os.path.join(out, "checkpoints"), exist_ok=True)
+    with contextlib.suppress(FileNotFoundError):  # a previous run's marker
+        os.remove(_summary_path(out))
     save_config(cfg, os.path.join(out, "config.json"))
 
     for arm in cfg.arms:
@@ -124,8 +131,21 @@ def run_experiment(cfg: ExperimentConfig, echo=None) -> str:
                     f"{arm.name} seed {seed}: "
                     f"final mean return {result.logs[-1].mean_return:.4f}"
                 )
-    write_json(os.path.join(out, "summary.json"), summarize_run(out), indent=2)
+    write_json(_summary_path(out), summarize_run(out), indent=2)
     return out
+
+
+def _summary_path(out: str) -> str:
+    return os.path.join(out, "summary.json")
+
+
+def load_summary(run_dir: str) -> dict:
+    """The run's ``summary.json``; a ``ValueError`` naming ``run_dir`` when it
+    has none, because its run did not finish."""
+    if not os.path.exists(_summary_path(run_dir)):
+        raise ValueError(f"{run_dir}: no summary.json, so its run did not finish")
+    with open(_summary_path(run_dir)) as fh:
+        return json.load(fh)
 
 
 def _curve_path(out: str, arm: str, seed: int) -> str:
@@ -237,13 +257,15 @@ class SolveTimeRow:
 def table1_report(run_dirs) -> list:
     """Solve-time rows, one per run directory (each holding both arms).
 
-    The reference arm is the one named "state" when present, otherwise the
-    first configured arm; improvement is (reference - comparison) / reference
-    in percent, positive when the comparison arm solves faster.
+    Each row reads the directory's ``summary.json`` (``load_summary``), so an
+    unfinished run directory is a ``ValueError``. The reference arm is the
+    one named "state" when present, otherwise the first configured arm;
+    improvement is (reference - comparison) / reference in percent, positive
+    when the comparison arm solves faster.
     """
     rows = []
     for run_dir in run_dirs:
-        summary = summarize_run(run_dir)
+        summary = load_summary(run_dir)
         arm_names = list(summary["arms"])
         if len(arm_names) < 2:
             raise ValueError(f"{run_dir}: solve-time table needs two arms, got {arm_names}")

@@ -14,10 +14,11 @@ sampled estimator can be held to tight tolerances:
       Var(sum_i g_i) = sum_i Var(g_i) - sum_{i != j} E[z_i qhat]' E[z_j qhat],
 
   the per-factor optimal baseline is b_i* = Y_i / Z_i with
-  Z_i = E[z_i'z_i | s, a^keep] and Y_i = E[z_i'z_i qhat | s, a^keep]
-  (keep = factors whose values b_i may see), and the variance excess of any
-  baseline b over b* is sum_i E[Z_i (b_i - Y_i/Z_i)^2]. The suboptimality of
-  the best state-only baseline follows by substituting it for b_i.
+  Z_i = E[z_i'z_i | s, a^{-i}] and Y_i = E[z_i'z_i qhat | s, a^{-i}]
+  (a^{-i}: every factor but i, the values b_i may see), and the variance
+  excess of any baseline b over b* is sum_i E[Z_i (b_i - Y_i/Z_i)^2]. The
+  suboptimality of the best state-only baseline follows by substituting it
+  for b_i.
 
 Everything but eta reads one table, ``_visits``: each (trajectory, timestep)
 of the enumeration flattened once, with per-factor scores from one batched
@@ -39,7 +40,6 @@ ORACLE_BASELINE_KINDS = (
     "optimal_state",
     "marginalized_q",
     "optimal_action",
-    "dag",
 )
 
 
@@ -73,9 +73,8 @@ def trajectory_probabilities(problem: EnumerableProblem) -> np.ndarray:
 
 
 def _keep_key(problem: EnumerableProblem, i: int, a: tuple) -> tuple:
-    """Values of the factors baseline i is allowed to condition on."""
-    blocked = set(problem.policy.descendants(i))
-    return tuple(a[j] for j in range(problem.m) if j not in blocked)
+    """a^{-i}: the values of every factor but i, which baseline i may see."""
+    return a[:i] + a[i + 1:]
 
 
 @dataclass
@@ -182,7 +181,7 @@ def zy_tables(problem: EnumerableProblem):
 
     Returns {(i, s, keep_key): (group_weight, Z, Y)} with
     Z = E[z_i'z_i | group] and Y = E[z_i'z_i qhat | group]; group weights are
-    the marginal visitation probabilities of (s, a^keep) and sum to 1 per
+    the marginal visitation probabilities of (s, a^{-i}) and sum to 1 per
     factor.
     """
     return _zy(problem, _visits(problem))
@@ -200,7 +199,7 @@ class OptimalBaselines:
     """Exact optimal baselines: state-only and per-factor action-dependent."""
 
     state: dict    # s -> b*(s)
-    action: dict   # (i, s, keep_key) -> b_i*(s, a^keep)
+    action: dict   # (i, s, keep_key) -> b_i*(s, a^{-i})
 
 
 def exact_optimal_baselines(problem: EnumerableProblem) -> OptimalBaselines:
@@ -237,10 +236,6 @@ def make_oracle_baseline(problem: EnumerableProblem, kind: str):
         table = exact_optimal_baselines(problem).action
         return lambda i, s, a: table[(i, s, _keep_key(problem, i, a))]
     if kind == "marginalized_q":
-        if any(problem.policy.parents(i) for i in range(problem.m)):
-            raise NotEnumerableError(
-                "exact marginalization applies to the independent factorization only"
-            )
         q = exact_q_table(problem)
         policy = problem.policy
 
@@ -253,11 +248,6 @@ def make_oracle_baseline(problem: EnumerableProblem, kind: str):
             return total
 
         return marginalized
-    if kind == "dag":
-        v = _visits(problem)
-        groups = _group_means(v.groups, np.repeat(v.weights, problem.m), np.repeat(v.qhat, problem.m))
-        table = {key: q for key, (_, q) in groups.items()}
-        return lambda i, s, a: table[(i, s, _keep_key(problem, i, a))]
     raise ValueError(f"unknown oracle baseline kind {kind!r}; choose from {ORACLE_BASELINE_KINDS}")
 
 

@@ -1,10 +1,11 @@
 """Factorized stochastic policies with per-factor scores.
 
-A policy over an m-factor action decomposes as prod_i pi(a^i | s, a^{parents(i)}),
-with every factor owning a contiguous, disjoint block of the flat parameter
-vector. Disjoint blocks make score vectors of different factors exactly
-orthogonal, z_i' z_j = 0 for i != j, which the per-factor baseline variance
-analysis relies on; tests assert the property at machine zero.
+A policy over an m-factor action decomposes into independent factors,
+pi(a | s) = prod_i pi(a^i | s), with every factor owning a contiguous,
+disjoint block of the flat parameter vector. Disjoint blocks make score
+vectors of different factors exactly orthogonal, z_i' z_j = 0 for i != j,
+which the per-factor baseline variance analysis relies on; tests assert the
+property at machine zero.
 
 Action vectors hold one slot per factor: continuous factors store the sampled
 real value, categorical factors store the integer category as a float.
@@ -19,7 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .features import IndicatorFeatures, RawFeatures, _rows
+from .features import RawFeatures, _rows
 
 LOG_2PI = float(np.log(2.0 * np.pi))
 
@@ -33,7 +34,7 @@ class FactoredPolicy:
 
     Parameter updates never mutate a policy: ``with_theta`` returns a fresh
     instance, so policies are safe to share read-only across workers. The
-    independent classes also expose the per-factor marginals that baselines
+    concrete classes also expose the per-factor marginals that baselines
     integrate over: ``factor_probs`` (categorical), ``mean_actions``
     (Gaussian) and ``sample_factor`` (both).
     """
@@ -51,14 +52,6 @@ class FactoredPolicy:
 
     def with_theta(self, theta: np.ndarray) -> "FactoredPolicy":
         raise NotImplementedError
-
-    # -- structure
-
-    def parents(self, i: int) -> tuple:
-        return ()
-
-    def descendants(self, i: int) -> tuple:
-        return (i,)
 
     # -- sampling, densities and scores
 
@@ -296,125 +289,3 @@ class CategoricalPolicy(FactoredPolicy):
         # a sequential sum in (state, factor) order; np.sum would pair terms
         # differently and move the last bits of the logged KL
         return float(np.cumsum(per_step.ravel())[-1]) / len(states)
-
-
-# ---------------------------------------------------------------------------
-# general DAG factorization
-
-
-class DagPolicy(FactoredPolicy):
-    """Autoregressive factorization pi(a|s) = prod_i pi(a^i | s, a^{parents(i)}).
-
-    Head i is a one-factor policy (``IndependentGaussianPolicy`` or
-    ``CategoricalPolicy``) on ``RawFeatures`` of its head input: the state
-    features followed by the encoded parent values (continuous parents
-    contribute their raw value, categorical parents a one-hot). Factors are
-    sampled in topological order. An empty parent map recovers the
-    independent factorization exactly.
-    """
-
-    def __init__(self, heads: list, parents: tuple, features):
-        self.heads = list(heads)
-        self.parent_map = tuple(tuple(p) for p in parents)
-        self.features = features
-        self.m = len(self.heads)
-        if len(self.parent_map) != self.m:
-            raise ValueError("one parent tuple per factor required")
-        if any(h.m != 1 for h in self.heads):
-            raise ValueError("every head must be a one-factor policy")
-        self.factor_kinds = tuple(h.factor_kinds[0] for h in self.heads)
-        self._topo, self._descendants = self._structure()
-        sizes = [h.n_params for h in self.heads]
-        bounds = np.concatenate([[0], np.cumsum(sizes)])
-        self.block_slices = tuple(slice(int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:]))
-        self.n_params = int(bounds[-1])
-        for i, h in enumerate(self.heads):
-            expected = self._input_dim(i)
-            if not isinstance(h.features, RawFeatures) or h.features.n_features != expected:
-                raise ValueError(f"head {i} needs RawFeatures({expected}) inputs")
-
-    def _parent_enc_dim(self, j: int) -> int:
-        if self.factor_kinds[j] == "gaussian":
-            return 1
-        return self.heads[j].cardinalities[0]
-
-    def _input_dim(self, i: int) -> int:
-        return self.features.n_features + sum(self._parent_enc_dim(j) for j in self.parent_map[i])
-
-    def _structure(self) -> tuple:
-        """Topological order (Kahn's, last in first out) and each factor's
-        descendants, itself included, filled in reverse topological order."""
-        indeg = [len(ps) for ps in self.parent_map]
-        children = [[] for _ in range(self.m)]
-        for i, ps in enumerate(self.parent_map):
-            for j in ps:
-                if not (0 <= j < self.m) or j == i:
-                    raise ValueError(f"invalid parent {j} for factor {i}")
-                children[j].append(i)
-        order, queue = [], [i for i in range(self.m) if indeg[i] == 0]
-        while queue:
-            i = queue.pop()
-            order.append(i)
-            for c in children[i]:
-                indeg[c] -= 1
-                if indeg[c] == 0:
-                    queue.append(c)
-        if len(order) != self.m:
-            raise ValueError("parent map contains a cycle")
-        reach = [set() for _ in range(self.m)]
-        for i in reversed(order):
-            reach[i] = {i}.union(*(reach[c] for c in children[i]))
-        return tuple(order), tuple(tuple(sorted(r)) for r in reach)
-
-    def parents(self, i: int) -> tuple:
-        return self.parent_map[i]
-
-    def descendants(self, i: int) -> tuple:
-        """Factor i together with everything reachable through the parent map."""
-        return self._descendants[i]
-
-    def head_inputs(self, states, actions, i: int) -> np.ndarray:
-        """Head i's input rows: state features, then each parent's encoding."""
-        actions = _rows(actions, self.m)
-        parts = [self.features(states)]
-        for j in self.parent_map[i]:
-            column = actions[:, j : j + 1]
-            if self.factor_kinds[j] == "gaussian":
-                parts.append(column)
-            else:
-                parts.append(IndicatorFeatures(self._parent_enc_dim(j))(column))
-        return np.hstack(parts)
-
-    @property
-    def theta(self) -> np.ndarray:
-        return np.concatenate([h.theta for h in self.heads])
-
-    def with_theta(self, theta: np.ndarray) -> "DagPolicy":
-        theta = np.asarray(theta, dtype=float).ravel()
-        if len(theta) != self.n_params:
-            raise ValueError(f"expected {self.n_params} parameters, got {len(theta)}")
-        heads = [h.with_theta(theta[sl]) for h, sl in zip(self.heads, self.block_slices)]
-        return DagPolicy(heads, self.parent_map, self.features)
-
-    def sample(self, states, rngs) -> np.ndarray:
-        actions = np.zeros((len(states), self.m))
-        for i in self._topo:
-            actions[:, i] = self.heads[i].sample(self.head_inputs(states, actions, i), rngs)[:, 0]
-        return actions
-
-    def log_prob(self, states, actions) -> np.ndarray:
-        actions = _rows(actions, self.m)
-        return sum(
-            h.log_prob(self.head_inputs(states, actions, i), actions[:, i : i + 1])
-            for i, h in enumerate(self.heads)
-        )
-
-    def score_matrix(self, states, actions) -> np.ndarray:
-        actions = _rows(actions, self.m)
-        return np.hstack([
-            h.score_matrix(self.head_inputs(states, actions, i), actions[:, i : i + 1])
-            for i, h in enumerate(self.heads)
-        ])
-
-    def factor_support(self, i: int):
-        return self.heads[i].factor_support(0)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .baselines import _require_independent, _swap
+from .baselines import _swap
 from .envs import TabularMdp
 from .errors import ZeroScoreNormError
 from .estimator import gae_advantages
@@ -35,7 +35,7 @@ from .oracle import (
     make_oracle_baseline,
     state_baseline_gap,
 )
-from .policies import CategoricalPolicy, DagPolicy, IndependentGaussianPolicy
+from .policies import CategoricalPolicy, IndependentGaussianPolicy
 from .trajectory import Batch
 
 FIXTURE_NAMES = ("bandit_two_arm", "bandit_two_factor", "chain_two_step")
@@ -69,24 +69,8 @@ def fixture_problem(name: str) -> EnumerableProblem:
     return EnumerableProblem(env, policy)
 
 
-def dag_fixture_problem() -> EnumerableProblem:
-    """Two-factor bandit where factor 1's logits condition on factor 0's value."""
-    env = load_fixture("bandit_two_factor")
-    heads = [
-        CategoricalPolicy([np.array([[0.4], [-0.2]])], RawFeatures(1)),
-        CategoricalPolicy(
-            [np.array([[0.1, 0.3, -0.2], [0.7, -0.5, 0.0], [-0.5, 0.2, 0.4]])],
-            RawFeatures(3),
-        ),
-    ]
-    policy = DagPolicy(heads, parents=((), (0,)), features=IndicatorFeatures(1))
-    return EnumerableProblem(env, policy)
-
-
 def all_problems():
-    out = [(name, fixture_problem(name)) for name in FIXTURE_NAMES]
-    out.append(("bandit_two_factor_dag", dag_fixture_problem()))
-    return out
+    return [(name, fixture_problem(name)) for name in FIXTURE_NAMES]
 
 
 # ---------------------------------------------------------------------------
@@ -138,7 +122,6 @@ def mc_marginalized_baseline(
     average runs over a categorical factor's full support with its exact
     probabilities.
     """
-    _require_independent(policy, "marginalized baselines")
     action = np.asarray(action, dtype=float)
     if exact:
         support = policy.factor_support(i)
@@ -159,7 +142,6 @@ def mean_marginalized_baseline(q, policy, state, action, i: int) -> float:
     factor is a probability vector, not an action; use exact marginalization
     there instead. For Q linear in the action this equals full marginalization.
     """
-    _require_independent(policy, "marginalized baselines")
     if policy.factor_kinds[i] != "gaussian":
         raise ValueError(
             "mean substitution requires a continuous factor; "
@@ -183,7 +165,6 @@ def optimal_action_baseline(
     Uses the exact support sum for categorical factors and a shared-draw Monte
     Carlo ratio (same draws in numerator and denominator) for continuous ones.
     """
-    _require_independent(policy, "the optimal action baseline")
     action = np.asarray(action, dtype=float)
     states = np.atleast_2d(state)
     support = policy.factor_support(i)
@@ -229,8 +210,6 @@ def check_unbiasedness(tol: float = 1e-10) -> CheckResult:
     for name, problem in all_problems():
         grad = exact_gradient(problem)
         for kind in ORACLE_BASELINE_KINDS:
-            if kind == "marginalized_q" and name.endswith("_dag"):
-                continue  # exact per-factor marginalization assumes independence
             baseline = make_oracle_baseline(problem, kind)
             err = float(np.max(np.abs(exact_pg_expectation(problem, baseline) - grad)))
             if err > worst:

@@ -5,12 +5,12 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from factored_pg import baselines
 from factored_pg.baselines import BaselineSpec, BaselineState, QModel, TableModel, fit_q
-from factored_pg.features import IndicatorFeatures, RawFeatures
-from factored_pg.policies import CategoricalPolicy, DagPolicy, IndependentGaussianPolicy
+from factored_pg.features import IndicatorFeatures
+from factored_pg.policies import CategoricalPolicy, IndependentGaussianPolicy
 from factored_pg.trajectory import Batch
 from factored_pg.verify import (
-    dag_fixture_problem,
     mc_marginalized_baseline,
     mean_marginalized_baseline,
     optimal_action_baseline,
@@ -24,10 +24,6 @@ def _binary_policy(p0: float) -> CategoricalPolicy:
     return CategoricalPolicy(
         [np.log(np.array([[p0], [1.0 - p0]]))], IndicatorFeatures(1)
     )
-
-
-def _cat_head(cardinality, input_dim):
-    return CategoricalPolicy.zeros([cardinality], RawFeatures(input_dim))
 
 
 def _sampled(policy, states, rng):
@@ -115,33 +111,6 @@ def test_mean_substitution_rejects_categorical_factor():
         mean_marginalized_baseline(lambda s, a: 0.0, policy, S0, np.array([0.0]), 0)
 
 
-def test_marginalized_baselines_reject_dag_policies():
-    heads = [_cat_head(2, 1), _cat_head(2, 3)]
-    dag = DagPolicy(heads, parents=((), (0,)), features=IndicatorFeatures(1))
-    q = lambda s, a: 0.0
-    with pytest.raises(ValueError):
-        mc_marginalized_baseline(q, dag, S0, np.array([0.0, 0.0]), 0, exact=True)
-    with pytest.raises(ValueError):
-        optimal_action_baseline(q, dag, S0, np.array([0.0, 0.0]), 0)
-    # the batched marginal refuses too: a^0's child a^1 is in Q's input and
-    # carries information about a^0. A DAG without edges has no per-factor
-    # marginals either.
-    unlinked = DagPolicy(heads[:1] * 2, parents=((), ()), features=IndicatorFeatures(1))
-    for policy in (dag_fixture_problem().policy, unlinked):  # one-state bandits
-        rng = np.random.default_rng(27)
-        states = np.zeros((20, 1))
-        actions = _sampled(policy, states, rng)
-        batch = Batch.from_paths([(states, actions, actions[:, 0] - actions[:, 1])], gamma=1.0)
-        for spec in (
-            BaselineSpec(kind="mean_q", tabular=True),
-            BaselineSpec(kind="mc_q", exact=True, tabular=True),
-            BaselineSpec(kind="optimal_action", tabular=True),
-        ):
-            state = BaselineState.initial(spec).refit(batch, policy)
-            with pytest.raises(ValueError, match="independent"):
-                state.evaluate(batch, policy)
-
-
 def test_fit_q_quadratic_features_recover_quadratic_return():
     rng = np.random.default_rng(5)
     states = rng.standard_normal((160, 1))
@@ -181,7 +150,7 @@ def test_exact_mc_q_batch_matches_reference():
     spec = BaselineSpec(kind="mc_q", exact=True, tabular=True)
     state = BaselineState.initial(spec).refit(batch, policy)
     out = state.evaluate(batch, policy)
-    model = state.fitted[(0, 1)]
+    model = state.fitted
     q = lambda s, a: model.predict(s[None], a[None])[0]
     for k in range(0, batch.n_steps, 7):
         for i in range(policy.m):
@@ -197,7 +166,7 @@ def test_optimal_action_batch_matches_reference():
     spec = BaselineSpec(kind="optimal_action", tabular=True)
     state = BaselineState.initial(spec).refit(batch, policy)
     out = state.evaluate(batch, policy)
-    model = state.fitted[(0, 1)]
+    model = state.fitted
     q = lambda s, a: model.predict(s[None], a[None])[0]
     for k in range(0, batch.n_steps, 7):
         for i in range(policy.m):
@@ -218,7 +187,7 @@ def test_mean_q_batch_matches_reference():
     spec = BaselineSpec(kind="mean_q", features="linear")
     state = BaselineState.initial(spec).refit(batch, policy)
     out = state.evaluate(batch, policy)
-    model = state.fitted[(0, 1)]
+    model = state.fitted
     q = lambda s, a: model.predict(s[None], a[None])[0]
     for k in range(0, batch.n_steps, 5):
         for i in range(policy.m):
@@ -240,7 +209,7 @@ def test_mean_q_quadratic_matches_reference():
     spec = BaselineSpec(kind="mean_q", features="quadratic", ridge=1e-8)
     state = BaselineState.initial(spec).refit(batch, policy)
     out = state.evaluate(batch, policy)
-    model = state.fitted[tuple(range(5))]
+    model = state.fitted
     q = lambda s, a: model.predict(s[None], a[None])[0]
     for k in range(batch.n_steps):
         for i in range(policy.m):
@@ -261,7 +230,7 @@ def test_ragged_categorical_regression_matches_reference(features, kind, referen
     spec = BaselineSpec(kind=kind, exact=kind == "mc_q", features=features)
     state = BaselineState.initial(spec).refit(batch, policy)
     out = state.evaluate(batch, policy)
-    model = state.fitted[(0, 1)]
+    model = state.fitted
     q = lambda s, a: model.predict(s[None], a[None])[0]
     for k in range(batch.n_steps):
         for i in range(policy.m):
@@ -321,7 +290,7 @@ def test_sampled_batch_matches_draw_aligned_reference(spec, case, reference):
     policy, batch, draw = case()
     state = BaselineState.initial(spec).refit(batch, policy, np.random.default_rng(1))
     out = state.evaluate(batch, policy, np.random.default_rng(2))
-    model = state.fitted[(0, 1)]
+    model = state.fitted
     q = lambda s, a: model.predict(s[None], a[None])[0]
     n, k = batch.n_steps, spec.mc_samples
     for i in range(policy.m):
@@ -355,7 +324,6 @@ def test_enumerated_score_baseline_orthogonality():
         BaselineSpec(kind="optimal_state", tabular=True),
         BaselineSpec(kind="mc_q", exact=True, tabular=True),
         BaselineSpec(kind="optimal_action", tabular=True),
-        BaselineSpec(kind="dag", tabular=True),
     ]
     for spec in kinds:
         state = BaselineState.initial(spec).refit(batch, policy)
@@ -457,23 +425,26 @@ def test_table_model_predicts_zero_on_unseen_rows():
     assert_allclose(got, [-1.0, 0.0, 3.0, 0.0], atol=1e-14)
 
 
-def test_one_fitted_model_per_keep_set():
+def test_one_fitted_model_per_arm(monkeypatch):
+    """Every arm fits one QModel: the state kinds on zero action columns, the
+    marginal kinds on the batch's own action array, since a fancy-indexed
+    copy is Fortran-ordered and rounds the ridge solve differently."""
     policy = _two_factor_policy(seed=25)
     batch = _categorical_batch(policy, seed=26)
-    dag = DagPolicy(
-        [_cat_head(2, 2), _cat_head(3, 4)],
-        parents=((), (0,)),
-        features=IndicatorFeatures(2),
-    )
-    cases = [
-        (BaselineSpec(kind="state_value", tabular=True), policy, [()]),
-        (BaselineSpec(kind="optimal_state"), policy, [()]),
-        (BaselineSpec(kind="mc_q", exact=True, tabular=True), policy, [(0, 1)]),
-        (BaselineSpec(kind="dag", tabular=True), policy, [(1,), (0,)]),
-        # factor 1 descends from factor 0, so b_0 sees the state alone
-        (BaselineSpec(kind="dag", tabular=True), dag, [(), (0,)]),
-    ]
-    for spec, pol, keeps in cases:
-        state = BaselineState.initial(spec).refit(batch, pol)
-        assert list(state.fitted) == keeps
+    read = []
 
+    def recording_fit_q(states, actions, *args):
+        read.append(actions)
+        return fit_q(states, actions, *args)
+
+    monkeypatch.setattr(baselines, "fit_q", recording_fit_q)
+    for spec in (BaselineSpec(kind="state_value", tabular=True), BaselineSpec(kind="optimal_state")):
+        state = BaselineState.initial(spec).refit(batch, policy)
+        assert isinstance(state.fitted, QModel)
+        assert read.pop().shape == (batch.n_steps, 0)
+    state = BaselineState.initial(BaselineSpec(kind="mc_q", exact=True))
+    for _ in range(2):  # a fresh feature map, then the frozen one
+        state = state.refit(batch, policy)
+        assert isinstance(state.fitted, QModel)
+        assert read.pop() is batch.actions
+    assert BaselineState.initial(BaselineSpec(kind="none")).refit(batch, policy).fitted is None

@@ -174,6 +174,7 @@ def test_malformed_json_reports_config_error(tmp_path):
         lambda d: d.update(env={"name": "point_mass", "params": {"target_seed": 0}}),
         lambda d: d.update(env={"name": "communicate_target_lite"}),
         lambda d: d.update(arms=[{"kind": "mc_q", "tabular": True, "features": "rff"}]),
+        lambda d: d.update(arms=[{"kind": "dag"}]),
     ],
 )
 def test_invalid_configs_rejected(mutate):

@@ -78,6 +78,7 @@ def _fabricated_run(out_dir, crossings, n_iterations=160, threshold=-0.5, seeds=
                     solved = cross is not None and it >= cross - 1
                     r = -0.1 if solved else -1.0
                     fh.write(f"{it},{seed},{name},{r},0,0,0\n")
+    schema.write_json(os.path.join(out_dir, "summary.json"), summarize_run(str(out_dir)), indent=2)
     return str(out_dir)
 
 
@@ -181,6 +182,32 @@ def test_run_experiment_writes_full_layout(tmp_path):
         assert json.load(fh)["n_trajectories"] == 16
     # every file was renamed into place
     assert [name for _, _, names in os.walk(out) for name in names if name.endswith(".tmp")] == []
+
+
+def test_interrupted_rerun_is_refused_by_the_table(tmp_path, monkeypatch):
+    """A rerun that stops on its second arm leaves the first arm's new curve
+    next to the second arm's old one. The old summary.json is gone, so the
+    table refuses the directory instead of mixing the two runs."""
+    from factored_pg.cli import main
+
+    cfg = _tiny_config(tmp_path / "run", n_iterations=2)
+    out = run_experiment(cfg)
+    assert len(table1_report([out])) == 1
+    real_train = harness.train
+
+    def stop_on_second_arm(env, policy, spec, **kwargs):
+        if spec.kind == "mean_q":
+            raise RuntimeError("interrupted")
+        return real_train(env, policy, spec, **kwargs)
+
+    monkeypatch.setattr(harness, "train", stop_on_second_arm)
+    with pytest.raises(RuntimeError, match="interrupted"):
+        run_experiment(replace(cfg, n_iterations=3))
+    assert len(load_curve(os.path.join(out, "curves", "state_seed0.csv"))["iteration"]) == 3
+    assert not os.path.exists(os.path.join(out, "summary.json"))
+    with pytest.raises(ValueError, match="summary.json"):
+        table1_report([out])
+    assert main(["report-table1", out]) == 2
 
 
 def test_a_failed_rename_leaves_no_file_at_the_final_path(tmp_path, monkeypatch):

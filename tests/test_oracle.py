@@ -131,12 +131,9 @@ def test_improvement_formula_equals_direct_variance_difference():
 def test_improvement_nonnegative_and_zero_at_optimum():
     for name, problem in all_problems():
         for kind in ORACLE_BASELINE_KINDS:
-            if kind == "marginalized_q" and name.endswith("_dag"):
-                continue
             excess = improvement_over_optimal(problem, make_oracle_baseline(problem, kind))
             assert excess >= -1e-12, f"{name}/{kind}"
-        # optimal_action conditions on exactly the allowed (non-descendant) factors,
-        # so it is the zero-excess optimum under both factorizations
+        # optimal_action conditions on exactly a^{-i}, so it is the zero-excess optimum
         assert_allclose(
             improvement_over_optimal(problem, make_oracle_baseline(problem, "optimal_action")),
             0.0, atol=1e-10, err_msg=name)
@@ -203,13 +200,6 @@ def test_oracle_imports_nothing_from_the_training_path():
     names = {name.removeprefix("factored_pg.") for name in names}
     bad = {n for n in names if n.split(".")[0] in forbidden or n == "trajectory.Batch"}
     assert "trajectory.returns_to_go" in names and not bad
-
-
-def test_marginalized_q_rejects_dag_factorization():
-    from factored_pg.verify import dag_fixture_problem
-
-    with pytest.raises(NotEnumerableError):
-        make_oracle_baseline(dag_fixture_problem(), "marginalized_q")
 
 
 def test_gaussian_policy_not_enumerable():

@@ -1,11 +1,11 @@
-"""Factored policies: scores, sampling, factorization structure, round-trips."""
+"""Factored policies: scores, sampling, parameter blocks, round-trips."""
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from factored_pg.features import IndicatorFeatures, RawFeatures
-from factored_pg.policies import CategoricalPolicy, DagPolicy, IndependentGaussianPolicy
+from factored_pg.policies import CategoricalPolicy, IndependentGaussianPolicy
 
 
 def _gaussian(m=2, state_dim=1, seed=0):
@@ -18,38 +18,6 @@ def _categorical(cards=(2, 3), n_states=2, seed=0):
     rng = np.random.default_rng(seed)
     pol = CategoricalPolicy.zeros(list(cards), IndicatorFeatures(n_states))
     return pol.with_theta(0.5 * rng.standard_normal(pol.n_params))
-
-
-def _cat_head(weights):
-    """One categorical factor with logits weights @ head_input."""
-    weights = np.atleast_2d(weights)
-    return CategoricalPolicy([weights], RawFeatures(weights.shape[1]))
-
-
-def _gauss_head(weights, bias, log_std):
-    """One Gaussian factor with mean weights . head_input + bias."""
-    weights = np.atleast_2d(weights)
-    return IndependentGaussianPolicy(weights, [bias], [log_std], RawFeatures(weights.shape[1]))
-
-
-def _dag(seed=0):
-    rng = np.random.default_rng(seed)
-    heads = [
-        _cat_head(0.3 * rng.standard_normal((2, 1))),
-        _cat_head(0.3 * rng.standard_normal((3, 3))),  # sees state + parent one-hot
-    ]
-    return DagPolicy(heads, parents=((), (0,)), features=IndicatorFeatures(1))
-
-
-def _mixed_dag(seed=0):
-    """Categorical a^0 -> Gaussian a^1 -> categorical a^2 on a raw 1-d state."""
-    rng = np.random.default_rng(seed)
-    heads = [
-        _cat_head(0.5 * rng.standard_normal((3, 1))),
-        _gauss_head(0.5 * rng.standard_normal(1 + 3), 0.2, -0.3),  # state + one-hot of a^0
-        _cat_head(0.5 * rng.standard_normal((2, 1 + 1))),  # state + raw a^1
-    ]
-    return DagPolicy(heads, parents=((), (0,), (1,)), features=RawFeatures(1))
 
 
 def _fd_scores(policy, states, actions, h=1e-6):
@@ -120,18 +88,15 @@ def test_joint_score_is_sum_of_factor_scores():
     assert_allclose(pol.score_matrix(s, a), expect, atol=1e-14)
 
 
-@pytest.mark.parametrize("kind", ["gaussian", "categorical", "dag", "mixed_dag"])
+@pytest.mark.parametrize("kind", ["gaussian", "categorical"])
 def test_score_matrix_matches_joint_scores(kind):
     rng = np.random.default_rng(7)
     if kind == "gaussian":
         pol = _gaussian(m=2, state_dim=2, seed=2)
         states = rng.standard_normal((6, 2))
-    elif kind == "mixed_dag":
-        pol = _mixed_dag(seed=2)
-        states = rng.standard_normal((6, 1))
     else:
         # unequal cardinalities: categorical blocks of 2 and 3 rows
-        pol = _categorical(seed=2) if kind == "categorical" else _dag(seed=2)
+        pol = _categorical(seed=2)
         states = rng.integers(pol.features.n_features, size=(6, 1)).astype(float)
     actions = _sampled(pol, states, rng)
     scores = pol.score_matrix(states, actions)
@@ -235,7 +200,7 @@ def test_mean_action_and_support():
     assert_allclose(c.factor_support(0), [0, 1, 2, 3])
 
 
-@pytest.mark.parametrize("make", [_gaussian, _categorical, _dag])
+@pytest.mark.parametrize("make", [_gaussian, _categorical])
 def test_one_dimensional_inputs_raise(make):
     # a 1-D array is never read as one row: states and actions must be (n, d)
     pol = make(seed=16)
@@ -250,7 +215,7 @@ def test_one_dimensional_inputs_raise(make):
 
 
 def test_theta_round_trip():
-    for pol in (_gaussian(seed=12), _categorical(seed=12), _dag(seed=12)):
+    for pol in (_gaussian(seed=12), _categorical(seed=12)):
         theta = pol.theta
         clone = pol.with_theta(theta.copy())
         assert_allclose(clone.theta, theta)
@@ -258,76 +223,3 @@ def test_theta_round_trip():
         rng = np.random.default_rng(0)
         a = pol.sample(s[None, :], [rng])
         assert_allclose(clone.log_prob(s[None, :], a), pol.log_prob(s[None, :], a), atol=1e-14)
-
-
-def test_dag_structure_queries():
-    pol = _dag()
-    assert pol.parents(1) == (0,)
-    assert pol.parents(0) == ()
-    assert pol.descendants(0) == (0, 1)
-    assert pol.descendants(1) == (1,)
-    mixed = _mixed_dag()
-    assert mixed.factor_kinds == ("categorical", "gaussian", "categorical")
-    assert [mixed.descendants(i) for i in range(3)] == [(0, 1, 2), (1, 2), (2,)]
-    assert [mixed.factor_support(i) is None for i in range(3)] == [False, True, False]
-    parents = ((), (0,), (0,), (1, 2))
-    diamond = DagPolicy([_cat_head(np.zeros((2, 1 + 2 * len(ps)))) for ps in parents],
-                        parents=parents, features=IndicatorFeatures(1))
-    assert [diamond.descendants(i) for i in range(4)] == [(0, 1, 2, 3), (1, 3), (2, 3), (3,)]
-    assert diamond._topo == (0, 2, 1, 3)  # the order in which heads draw when sampling
-
-
-def test_dag_head_inputs_encode_parents():
-    pol = _mixed_dag(seed=17)
-    rng = np.random.default_rng(3)
-    states = rng.standard_normal((4, 1))
-    actions = _sampled(pol, states, rng)
-    # the Gaussian head reads a^0 as a one-hot, the last head reads a^1 raw
-    assert_allclose(pol.head_inputs(states, actions, 0), states)
-    assert_allclose(pol.head_inputs(states, actions, 1),
-                    np.hstack([states, np.eye(3)[actions[:, 0].astype(int)]]))
-    assert_allclose(pol.head_inputs(states, actions, 2), np.hstack([states, actions[:, 1:2]]))
-
-
-def test_dag_cycle_rejected():
-    heads = [_cat_head(np.zeros((2, 1 + 3))), _cat_head(np.zeros((3, 1 + 2)))]
-    with pytest.raises(ValueError, match="cycle"):
-        DagPolicy(heads, parents=((1,), (0,)), features=IndicatorFeatures(1))
-    for parents in (((0,), ()), ((), (2,)), ((-1,), ())):
-        with pytest.raises(ValueError, match="invalid parent"):
-            DagPolicy(heads, parents=parents, features=IndicatorFeatures(1))
-
-
-def test_dag_conditional_depends_on_parent_value():
-    pol = _dag(seed=13)
-    states = np.zeros((3, 1))
-    conditionals = []
-    for parent in (0.0, 1.0):
-        actions = np.array([[parent, v] for v in range(3)])
-        # log pi(a^1 | a^0) = log pi(a) - log pi(a^0); a^0 has no parents
-        marginal = pol.heads[0].log_prob(pol.head_inputs(states, actions, 0), actions[:, :1])
-        conditionals.append(pol.log_prob(states, actions) - marginal)
-    assert not np.allclose(conditionals[0], conditionals[1])
-    for cond in conditionals:
-        assert_allclose(np.exp(cond).sum(), 1.0, atol=1e-12)
-
-
-def test_dag_empty_parent_map_matches_independent():
-    cards = (2, 3)
-    flat = CategoricalPolicy.zeros(list(cards), IndicatorFeatures(2))
-    rng = np.random.default_rng(14)
-    flat = flat.with_theta(0.4 * rng.standard_normal(flat.n_params))
-    heads = [_cat_head(w.copy()) for w in flat.logit_weights]
-    dag = DagPolicy(heads, parents=((), ()), features=IndicatorFeatures(2))
-    s = np.array([[1.0], [1.0], [0.0]])
-    a = np.array([[0.0, 2.0], [1.0, 0.0], [1.0, 1.0]])
-    assert_allclose(dag.log_prob(s, a), flat.log_prob(s, a), atol=1e-13)
-    assert_allclose(dag.score_matrix(s, a), flat.score_matrix(s, a), atol=1e-14)
-
-
-def test_dag_scores_match_finite_differences():
-    pol = _dag(seed=15)
-    rng = np.random.default_rng(2)
-    s = np.zeros((4, 1))
-    a = _sampled(pol, s, rng)
-    assert_allclose(pol.score_matrix(s, a), _fd_scores(pol, s, a), rtol=1e-5, atol=1e-7)

@@ -17,9 +17,9 @@ from factored_pg.envs import (
     TargetMatchingParams,
     make_env,
 )
-from factored_pg.features import RawFeatures, _rows
-from factored_pg.policies import DagPolicy, IndependentGaussianPolicy
-from factored_pg.verify import dag_fixture_problem, fixture_problem, reference_collect_batch
+from factored_pg.features import _rows
+from factored_pg.policies import IndependentGaussianPolicy
+from factored_pg.verify import fixture_problem, reference_collect_batch
 
 
 class _RandomStop(Environment):
@@ -48,17 +48,11 @@ def _problem(problem):
     return problem.env, problem.policy
 
 
-def _gaussian_dag(seed):
-    heads = [_gaussian(1, 1, seed), _gaussian(1, 2, seed + 1)]
-    return DagPolicy(heads, parents=((), (0,)), features=RawFeatures(1))
-
-
 CASES = {
     "target_matching_m100": lambda: (TargetMatchingParams(m=100).build(), _gaussian(100, 1, 1)),
     "point_mass": lambda: (make_env("point_mass", {"horizon": 20}), _gaussian(2, 4, 2)),
     "chain_two_step": lambda: _problem(fixture_problem("chain_two_step")),
-    "dag": lambda: _problem(dag_fixture_problem()),
-    "random_stop_dag": lambda: (_RandomStop(), _gaussian_dag(3)),
+    "random_stop": lambda: (_RandomStop(), _gaussian(2, 1, 3)),
 }
 
 
@@ -71,7 +65,7 @@ def test_collect_batch_equals_reference(case, seed):
         ref = reference_collect_batch(env, policy, 9, seed, iteration)
         for name in ("states", "actions", "rewards", "lengths"):
             assert np.array_equal(getattr(batch, name), getattr(ref, name)), name
-        if case == "random_stop_dag":
+        if case == "random_stop":
             assert len(set(batch.lengths)) > 1  # the alive mask is exercised
 
 
