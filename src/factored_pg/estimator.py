@@ -73,9 +73,15 @@ def _per_trajectory_sums(batch: Batch, policy, scores: np.ndarray, advantages: n
     # every score column belongs to one factor's block; weight it by that
     # factor's discounted advantage, then sum each trajectory's rows
     sizes = [sl.stop - sl.start for sl in policy.block_slices]
-    factor_of_column = np.repeat(np.arange(policy.m), sizes)
     scaled = advantages * batch.gamma_pow[:, None]
-    return np.add.reduceat(scores * scaled[:, factor_of_column], batch.offsets, axis=0)
+    n = batch.n_steps
+    if len(set(sizes)) == 1:  # equal blocks: broadcast instead of gathering columns
+        weighted = (scores.reshape(n, policy.m, sizes[0]) * scaled[:, :, None]).reshape(n, -1)
+    else:
+        weighted = scores * scaled[:, np.repeat(np.arange(policy.m), sizes)]
+    if len(batch.offsets) == n:  # one step per trajectory: the sums are the rows
+        return weighted
+    return np.add.reduceat(weighted, batch.offsets, axis=0)
 
 
 def score_matrix(batch: Batch, policy) -> np.ndarray:
