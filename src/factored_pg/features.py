@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SingularSystemError
+from .threads import rows_inplace
 
 
 def _rows(x: np.ndarray, d: int) -> np.ndarray:
@@ -74,8 +75,11 @@ class RffMap:
         self.phase = rng.uniform(-np.pi, np.pi, size=self.n_features)
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
-        x = _rows(x, self.input_dim)
-        return np.sin(x @ self.projection.T / self.bandwidth + self.phase)
+        # one buffer, the same elementwise steps as sin(x P' / bw + phase)
+        z = _rows(x, self.input_dim) @ self.projection.T
+        z /= self.bandwidth
+        z += self.phase
+        return rows_inplace(np.sin, z)
 
 
 class QuadraticMap:
