@@ -24,14 +24,16 @@ import numpy as np
 from .baselines import BaselineSpec, BaselineState
 from .errors import ConfigError, NonFiniteError, SingularSystemError
 from .estimator import gae_advantages, gradient_variance, pg_estimate, score_matrix
+from .threads import BLAS_PIN
 from .trajectory import Batch
 
 # substream tags for the keyed rng scheme: default_rng([seed, tag, iteration, k])
 STREAM_ENV = 0
 STREAM_POLICY = 1
 STREAM_BASELINE = 2
-# the scheme's name in every checkpoint; a change to the scheme changes it
-RNG_SCHEME = "default_rng([seed, stream, iteration, trajectory])"
+# the scheme's name in every checkpoint, with the BLAS pin the curves depend
+# on; a change to either changes it
+RNG_SCHEME = f"default_rng([seed, stream, iteration, trajectory]); {BLAS_PIN}"
 
 
 def substream(seed: int, tag: int, iteration: int, index: int = 0) -> np.random.Generator:
