@@ -231,6 +231,7 @@ def summarize_run(out_dir: str) -> dict:
         arms_summary[arm.name] = entry
     return {
         "env": cfg.env.name,
+        "solve_task": None if task is None else list(task),
         "solve_threshold": threshold,
         "n_iterations": cfg.n_iterations,
         "seeds": list(cfg.seeds),
@@ -257,8 +258,9 @@ class SolveTimeRow:
 def table1_report(run_dirs) -> list:
     """Solve-time rows, one per run directory (each holding both arms).
 
-    Each row reads the directory's ``summary.json`` (``load_summary``), so an
-    unfinished run directory is a ``ValueError``. The reference arm is the
+    Each row reads only the directory's ``summary.json`` (``load_summary``),
+    m included, so an unfinished run directory is a ``ValueError`` and a
+    config edited after the run does not change its row. The reference arm is the
     one named "state" when present, otherwise the first configured arm;
     improvement is (reference - comparison) / reference in percent, positive
     when the comparison arm solves faster.
@@ -271,9 +273,9 @@ def table1_report(run_dirs) -> list:
             raise ValueError(f"{run_dir}: solve-time table needs two arms, got {arm_names}")
         reference = "state" if "state" in arm_names else arm_names[0]
         comparison = next(n for n in arm_names if n != reference)
-        if summary["solve_threshold"] is None:
-            raise ValueError(f"{run_dir}: environment has no solve threshold")
-        m, _ = load_config(os.path.join(run_dir, "config.json")).env.params.solve_task
+        if summary.get("solve_task") is None:
+            raise ValueError(f"{run_dir}: summary.json records no solve task")
+        m, _ = summary["solve_task"]
 
         per_arm = {
             name: summary["arms"][name]["mean_solve_iterations"] for name in arm_names

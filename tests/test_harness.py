@@ -50,8 +50,9 @@ def _tiny_config(out_dir, seeds=(0,), n_iterations=4):
     )
 
 
-def _fabricated_run(out_dir, crossings, n_iterations=160, threshold=-0.5, seeds=(0, 1)):
-    """Write a run directory whose per-seed solve iterations are prescribed.
+def _fabricated_run(out_dir, crossings, n_iterations=160, threshold=-0.5, seeds=(0, 1), m=4):
+    """Write a run directory of dimension ``m`` whose per-seed solve iterations
+    are prescribed.
 
     ``crossings`` maps arm name -> 1-based solve iteration (None = never).
     """
@@ -59,7 +60,7 @@ def _fabricated_run(out_dir, crossings, n_iterations=160, threshold=-0.5, seeds=
         {
             "env": {
                 "name": "target_matching",
-                "params": {"m": 4, "solve_threshold": threshold},
+                "params": {"m": m, "solve_threshold": threshold},
             },
             "arms": [{"name": name, "kind": "state_value"} for name in crossings],
             "n_iterations": n_iterations,
@@ -121,15 +122,21 @@ def test_table1_handles_unsolved_arm(tmp_path):
 
 def test_table1_rows_sorted_by_dimension(tmp_path):
     big = _fabricated_run(tmp_path / "big", {"state": 20, "action": 10})
-    # rewrite m in config for the second dir
-    small_dir = tmp_path / "small"
-    _fabricated_run(small_dir, {"state": 6, "action": 3})
-    cfg_path = small_dir / "config.json"
-    raw = json.loads(cfg_path.read_text())
-    raw["env"]["params"]["m"] = 2
-    cfg_path.write_text(json.dumps(raw))
-    rows = table1_report([str(big), str(small_dir)])
+    small = _fabricated_run(tmp_path / "small", {"state": 6, "action": 3}, m=2)
+    rows = table1_report([big, small])
     assert [r.m for r in rows] == [2, 4]
+
+
+def test_table1_reads_the_dimension_of_the_run_not_of_a_later_config(tmp_path):
+    run = run_experiment(_tiny_config(tmp_path / "run"))
+    assert harness.load_summary(run)["solve_task"] == [2, -0.05]
+    cfg_path = os.path.join(run, "config.json")
+    with open(cfg_path) as fh:
+        raw = json.load(fh)
+    raw["env"]["params"]["m"] = 7
+    with open(cfg_path, "w") as fh:
+        json.dump(raw, fh)
+    assert table1_report([run])[0].m == 2
 
 
 def test_table1_dimension_of_explicit_target(tmp_path):
