@@ -54,19 +54,24 @@ _pool = None  # (executor or None, cores), built on first use
 _pool_lock = threading.Lock()
 
 
+def cores() -> int:
+    """Cores this process may run on."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
 def _workers() -> tuple:
     """The process's row-chunk pool, one worker per core but one (None on a
     single core), and the core count."""
     global _pool
     with _pool_lock:
         if _pool is None:
-            cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+            n = cores()
             executor = None
-            if cores > 1:
+            if n > 1:
                 from concurrent.futures import ThreadPoolExecutor
 
-                executor = ThreadPoolExecutor(cores - 1, thread_name_prefix="factored_pg-rows")
-            _pool = (executor, cores)
+                executor = ThreadPoolExecutor(n - 1, thread_name_prefix="factored_pg-rows")
+            _pool = (executor, n)
         return _pool
 
 
