@@ -12,7 +12,9 @@ seed i, and the side that runs first alternates from pair to pair, so slow
 stretches of a shared machine fall on both sides alike.
 
 The output records the machine (nproc, CPU, BLAS, BLAS thread variables),
-every run's gated metrics, and per workload and metric the median and
+the BLAS thread count each side's package leaves in a process that imports it
+(read back from numpy's bundled OpenBLAS, without the thread variables, as the
+benchmark's jobs run), every run's gated metrics, and per workload and metric the median and
 quartiles of each side, the median and quartiles of the per-pair ratio
 change / parent (a paired statistic, which a host that drifts between pairs
 moves less than it moves either side's median), the share of pairs the change
@@ -43,6 +45,21 @@ THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 SECONDS = 35
 PAIRS = 10
 RUN_TIMEOUT_S = 400
+
+# Run in a side's root with its src/ on sys.path: imports the package, then
+# prints the thread count numpy's bundled OpenBLAS reports (null without one).
+BLAS_THREADS_SCRIPT = r"""
+import ctypes, glob, json, os
+import numpy as np
+import factored_pg
+libs = glob.glob(os.path.join(os.path.dirname(np.__file__) + ".libs", "libscipy_openblas64_*"))
+threads = None
+if libs:
+    get = ctypes.CDLL(libs[0]).scipy_openblas_get_num_threads64_
+    get.restype = ctypes.c_int
+    threads = get()
+print(json.dumps(threads))
+"""
 
 
 def git(*args: str) -> str:
@@ -84,6 +101,15 @@ def run_once(checkout: str, workload: str, seed: int) -> dict:
         "curve_sha256": shas,
         "machine": summary["machine"],
     }
+
+
+def blas_threads_after_import(checkout: str):
+    """The BLAS thread count left after importing ``checkout``'s package."""
+    env = {k: v for k, v in os.environ.items() if k not in THREAD_VARS}
+    env["PYTHONPATH"] = os.path.join(checkout, "src")
+    proc = subprocess.run([sys.executable, "-c", BLAS_THREADS_SCRIPT], cwd=checkout, env=env,
+                          check=True, capture_output=True, text=True, timeout=RUN_TIMEOUT_S)
+    return json.loads(proc.stdout)
 
 
 def spread(values: list) -> dict:
@@ -135,6 +161,7 @@ def main(argv=None) -> int:
         "change": {"head": git("rev-parse", "HEAD"),
                    "uncommitted_changes": bool(git("status", "--porcelain"))},
         "thread_env": {k: os.environ.get(k) for k in THREAD_VARS},
+        "blas_threads_after_import": None,
         "machine": None,
         "pairs_per_workload": PAIRS,
         "workloads": {},
@@ -143,6 +170,8 @@ def main(argv=None) -> int:
     try:
         export(parent_rev, scratch)
         sides = {"parent": scratch, "change": ROOT}
+        record["blas_threads_after_import"] = {
+            side: blas_threads_after_import(path) for side, path in sides.items()}
         for w in workloads:
             record["workloads"][w] = {"runs": []}
         for i in range(PAIRS):
