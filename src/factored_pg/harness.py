@@ -260,8 +260,8 @@ def table1_report(run_dirs) -> list:
 
     Each row reads only the directory's ``summary.json`` (``load_summary``),
     m included, so an unfinished run directory is a ``ValueError`` and a
-    config edited after the run does not change its row. The reference arm is the
-    one named "state" when present, otherwise the first configured arm;
+    config edited after the run does not change its row. The reference arm is
+    the one named "state" when present, otherwise the first configured arm;
     improvement is (reference - comparison) / reference in percent, positive
     when the comparison arm solves faster.
     """

@@ -76,23 +76,24 @@ def _workers() -> tuple:
 
 
 def _drop_pool() -> None:
-    # a forked child inherits the pool object but not its threads
-    global _pool
-    _pool = None
+    # a forked child inherits the pool object and the lock's state, but not
+    # the threads that would use or release them
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
 
 
-os.register_at_fork(after_in_child=_drop_pool)
+if hasattr(os, "register_at_fork"):  # no fork, no hook on Windows
+    os.register_at_fork(after_in_child=_drop_pool)
 
 
 def rows_inplace(ufunc, z: np.ndarray) -> np.ndarray:
     """``ufunc(z, out=z)`` for a C-contiguous 2-D array ``z``, split into
     contiguous row chunks over the cores; returns ``z``."""
     chunks = min(len(z), z.size // MIN_CHUNK_ELEMENTS)
-    executor = None
     if chunks > 1:
-        executor, cores = _workers()
-        chunks = min(chunks, cores)
-    if executor is None or chunks < 2:
+        executor, n = _workers()
+        chunks = min(chunks, n)
+    if chunks < 2:
         return ufunc(z, out=z)
     bounds = [len(z) * i // chunks for i in range(chunks + 1)]
     parts = [z[a:b] for a, b in zip(bounds, bounds[1:])]

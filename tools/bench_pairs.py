@@ -14,8 +14,8 @@ stretches of a shared machine fall on both sides alike.
 The output records the machine (nproc, CPU, BLAS, BLAS thread variables),
 the BLAS thread count each side's package leaves in a process that imports it
 (read back from numpy's bundled OpenBLAS, without the thread variables, as the
-benchmark's jobs run), every run's gated metrics, and per workload and metric the median and
-quartiles of each side, the median and quartiles of the per-pair ratio
+benchmark's jobs run), every run's gated metrics, and per workload and metric
+the median and quartiles of each side, the median and quartiles of the per-pair ratio
 change / parent (a paired statistic, which a host that drifts between pairs
 moves less than it moves either side's median), the share of pairs the change
 won (lower is better, ties count for neither side) and whether the change's
