@@ -11,7 +11,14 @@ side importing its own ``src/``:
 - ``matching_task_config(12)``, seeds 0-1, 60 iterations;
 - ``matching_task_config(100)``, seed 0, 40 iterations;
 - the ``point_mass`` and ``tabular_chain`` configs of
-  ``perfbench/workloads.py``, seeds 0-1, 30 iterations.
+  ``perfbench/workloads.py``, seeds 0-1, 30 iterations;
+- sampled candidates (K = 5 per factor) on the matching task at m=12: arms
+  ``mc_q`` and ``optimal_action`` on a quadratic critic, seeds 0-1, 30
+  iterations;
+- ragged categorical supports (cardinalities 2 and 3) on the
+  ``bandit_two_factor`` fixture with indicator policy features: exact
+  ``mc_q`` and ``optimal_action``, each with a tabular and with a quadratic
+  critic, seeds 0-1, 30 iterations.
 
 Every run trains both arms. Prints the sha256 of each curve CSV and of each
 run's ``summary.json`` on both sides, and exits 1 if any of these files
@@ -52,6 +59,28 @@ runs = [
                           out_dir=os.path.join(out, name)))
     for name in ("point_mass", "tabular_chain")
 ]
+QUADRATIC = {"features": "quadratic", "ridge": 1e-8}
+runs.append(config_from_dict({
+    "env": {"name": "target_matching", "params": {"m": 12, "target_seed": 0}},
+    "optimizer": {"kind": "npg", "kl": 0.025, "damping": 0.1},
+    "arms": [dict(QUADRATIC, name=kind, kind=kind, mc_samples=5)
+             for kind in ("mc_q", "optimal_action")],
+    "n_iterations": 30, "n_trajectories": 250, "lam": 1.0, "seeds": [0, 1],
+    "out_dir": os.path.join(out, "matching_m12_sampled"),
+}))
+runs.append(config_from_dict({
+    "env": {"name": "tabular",
+            "params": {"path": "src/factored_pg/fixtures/bandit_two_factor.json"}},
+    "policy": {"features": "indicator"},
+    "optimizer": {"kind": "npg", "kl": 0.025, "damping": 0.1},
+    "arms": [{"name": "mc_q_tabular", "kind": "mc_q", "exact": True, "tabular": True},
+             {"name": "mc_q_quadratic", "kind": "mc_q", "exact": True, "features": "quadratic"},
+             {"name": "optimal_action_tabular", "kind": "optimal_action", "tabular": True},
+             {"name": "optimal_action_quadratic", "kind": "optimal_action",
+              "features": "quadratic"}],
+    "n_iterations": 30, "n_trajectories": 50, "lam": 1.0, "seeds": [0, 1],
+    "out_dir": os.path.join(out, "bandit_two_factor"),
+}))
 hashes = {}
 for cfg in runs:
     run_dir = run_experiment(cfg)
