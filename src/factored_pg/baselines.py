@@ -139,33 +139,28 @@ class QModel:
         x = np.hstack([np.atleast_2d(states), np.atleast_2d(actions)])
         return self.model.predict(self.feature_map(x))
 
-    def at_candidates(self, states: np.ndarray, actions: np.ndarray, values: list) -> np.ndarray:
-        """Q(s, a with a^i = v) for every candidate v in ``values[i]`` (factor
-        i's (n, K_i) array) as an (n, m, K) array, zero past K_i.
+    def at_candidates(self, states: np.ndarray, actions: np.ndarray,
+                      cand: np.ndarray) -> np.ndarray:
+        """Q(s, a with a^i = cand[:, i, k]) for every factor i and candidate k,
+        an (n, m, K) array like ``cand``.
 
         A ridge fit on raw or ``QuadraticMap`` features is separable by input
         column, so moving a^i to v changes only a^i's own columns:
         Q(a^i = v) = Q(s, a) + w_i (v - a_i) + w_ii (v^2 - a_i^2). That is one
         prediction per batch; other models predict once per candidate.
         """
-        n, m = actions.shape
-        widths = np.array([v.shape[1] for v in values])
-        width = int(widths.max())
         fmap = self.feature_map
         if isinstance(self.model, LinearModel) and isinstance(fmap, (RawFeatures, QuadraticMap)):
             w = self.model.weights
-            cols = np.arange(states.shape[1], states.shape[1] + m)  # a^i's input column
-            cand = np.stack([np.pad(v, ((0, 0), (0, width - v.shape[1]))) if v.shape[1] < width
-                             else v for v in values], axis=1)
+            cols = np.arange(states.shape[1], states.shape[1] + actions.shape[1])  # a^i's column
             a = actions[:, :, None]
             q = self.predict(states, actions)[:, None, None] + w[cols, None] * (cand - a)
             if isinstance(fmap, QuadraticMap):  # the squares follow the inputs
                 q += w[fmap.input_dim + cols, None] * (cand * cand - a * a)
-            return np.where(np.arange(width) < widths[:, None], q, 0.0)
-        q = np.zeros((n, m, width))
-        for i, candidates in enumerate(values):
-            for k, v in enumerate(candidates.T):
-                q[:, i, k] = self.predict(states, _swap(actions, i, v))
+            return q
+        q = np.empty(cand.shape)
+        for i, k in np.ndindex(cand.shape[1:]):
+            q[:, i, k] = self.predict(states, _swap(actions, i, cand[:, i, k]))
         return q
 
 
@@ -218,62 +213,58 @@ def _swap(actions: np.ndarray, i: int, value) -> np.ndarray:
 def check_marginal(spec: BaselineSpec, policy) -> None:
     """Raise ValueError when ``spec``'s kind cannot integrate a^i out of
     ``policy``'s factors; the state kinds need no marginal."""
-    if spec.kind not in MARGINAL_KINDS:
-        return
-    if spec.kind == "mean_q" and set(policy.factor_kinds) != {"gaussian"}:
+    if spec.kind == "mean_q" and policy.kind != "gaussian":
         raise ValueError("mean_q substitutes the policy mean, so it requires continuous factors")
-    if spec.kind == "mc_q" and spec.exact and set(policy.factor_kinds) != {"categorical"}:
+    if spec.kind == "mc_q" and spec.exact and policy.kind != "categorical":
         raise ValueError("exact mc_q sums over a support, so it requires categorical factors")
 
 
 def marginal(states: np.ndarray, policy, spec: BaselineSpec, rng):
-    """Candidates v_ik of a^i, weights w_ik and denominators den_i per factor:
+    """Candidates v_ik of a^i, weights w_ik and denominators den_i:
 
         mean_q          the policy mean; w 1, den 1
         exact mc_q      the support; w the probabilities, den 1
         sampled mc_q    ``mc_samples`` = K draws; w 1, den K
         optimal_action  the support, w p ||z_i||^2, or draws, w ||z_i||^2; den sum_k w_ik
 
-    ``values`` lists factor i's (n, K_i) candidates; ``weights`` is (n, m, K)
-    with zero weight past K_i; ``den`` is a scalar or (n, m). Draws come from
-    ``rng``, one (n, K) block per factor in factor order.
+    ``cand`` and ``weights`` are (n, m, K) arrays; a support has the widest
+    factor's K values, and weight zero past factor i's own k_i. ``den`` is a
+    scalar or (n, m). Draws come from ``rng``, one (n, K) block per factor in
+    factor order.
     """
     check_marginal(spec, policy)
     n, m = len(states), policy.m
     if spec.kind == "mean_q":
-        means = policy.mean_actions(states)
-        return [means[:, i:i + 1] for i in range(m)], np.ones((n, m, 1)), 1.0
+        return policy.mean_actions(states)[:, :, None], np.ones((n, m, 1)), 1.0
     optimal = spec.kind == "optimal_action"
     if optimal:
         phi_sq = np.sum(policy.features(states) ** 2, axis=1)[:, None]
-        means = policy.mean_actions(states) if "gaussian" in policy.factor_kinds else None
-    values, weights = [], []
-    for i in range(m):
-        support = policy.factor_support(i)
-        if support is not None and (optimal or spec.exact):
-            v, w = np.broadcast_to(support, (n, len(support))), policy.factor_probs(states, i)
+    if policy.kind == "categorical" and (optimal or spec.exact):
+        width = max(policy.cardinalities)
+        cand = np.broadcast_to(np.arange(width, dtype=float), (n, m, width))
+        weights = np.zeros((n, m, width))
+        for i, k in enumerate(policy.cardinalities):
+            p = policy.factor_probs(states, i)
             if optimal:  # ||z_i(v)||^2 = (1 - 2 p_v + sum_u p_u^2) ||phi||^2 for softmax heads
-                w = w * ((1.0 - 2.0 * w + np.sum(w**2, axis=1)[:, None]) * phi_sq)
-        else:
-            if rng is None:
-                raise ValueError(f"rng required to draw candidate values for {spec.kind}")
-            v = policy.sample_factor(states, i, spec.mc_samples, rng)
-            w = np.ones(v.shape)
-            if optimal:  # ||z_i||^2 of the Gaussian block [d phi, d, d resid - 1]
-                resid = v - means[:, i:i + 1]
-                d = resid / float(np.exp(2.0 * policy.log_std[i]))
-                w = d * d * (phi_sq + 1.0) + (d * resid - 1.0) ** 2
-        values.append(v)
-        weights.append(w)
-    width = max(w.shape[1] for w in weights)
-    padded = np.stack([np.pad(w, ((0, 0), (0, width - w.shape[1]))) for w in weights], axis=1)
+                p = p * ((1.0 - 2.0 * p + np.sum(p**2, axis=1)[:, None]) * phi_sq)
+            weights[:, i, :k] = p
+    else:
+        if rng is None:
+            raise ValueError(f"rng required to draw candidate values for {spec.kind}")
+        cand = np.stack([policy.sample_factor(states, i, spec.mc_samples, rng)
+                         for i in range(m)], axis=1)
+        weights = np.ones(cand.shape)
+        if optimal:  # ||z_i||^2 of the Gaussian block [d phi, d, d resid - 1]
+            resid = cand - policy.mean_actions(states)[:, :, None]
+            d = resid / np.exp(2.0 * policy.log_std)[:, None]
+            weights = d * d * (phi_sq[:, :, None] + 1.0) + (d * resid - 1.0) ** 2
     if not optimal:
-        return values, padded, 1.0 if spec.exact else float(spec.mc_samples)
-    den = np.sum(padded, axis=-1)
+        return cand, weights, 1.0 if spec.exact else float(spec.mc_samples)
+    den = np.sum(weights, axis=-1)
     vanishing = np.flatnonzero(np.any(den <= 0.0, axis=0))
     if len(vanishing):
         raise ZeroScoreNormError(f"factor {vanishing[0]} has vanishing score norm in batch")
-    return values, padded, den
+    return cand, weights, den
 
 
 # ---------------------------------------------------------------------------
@@ -306,8 +297,8 @@ class BaselineState:
         if self.spec.kind not in MARGINAL_KINDS:
             b = self.fitted.predict(states, self._action_inputs(actions))
             return np.repeat(b[:, None], policy.m, axis=1)
-        values, weights, den = marginal(states, policy, self.spec, rng)
-        q = self.fitted.at_candidates(states, actions, values)
+        cand, weights, den = marginal(states, policy, self.spec, rng)
+        q = self.fitted.at_candidates(states, actions, cand)
         return np.sum(weights * q, axis=-1) / den
 
     def refit(self, batch, policy, rng: np.random.Generator | None = None) -> "BaselineState":

@@ -51,7 +51,7 @@ class EnumerableProblem:
     """
 
     def __init__(self, env, policy, enumerated=None):
-        if any(kind != "categorical" for kind in policy.factor_kinds):
+        if policy.kind != "categorical":
             raise NotEnumerableError("exact oracles require categorical factors")
         self.env = env
         self.policy = policy

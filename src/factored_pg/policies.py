@@ -42,7 +42,7 @@ class FactoredPolicy:
     m: int
     n_params: int
     block_slices: tuple
-    factor_kinds: tuple
+    kind: str  # every factor's family: "gaussian" or "categorical"
 
     # -- parameters
 
@@ -96,6 +96,8 @@ class IndependentGaussianPolicy(FactoredPolicy):
     block size is feature_dim + 2 for every factor.
     """
 
+    kind = "gaussian"
+
     def __init__(self, weights: np.ndarray, biases: np.ndarray, log_std: np.ndarray, features):
         self.weights = np.atleast_2d(np.asarray(weights, dtype=float))
         self.biases = np.asarray(biases, dtype=float).ravel()
@@ -109,7 +111,6 @@ class IndependentGaussianPolicy(FactoredPolicy):
         self.block_slices = tuple(
             slice(i * self.block_size, (i + 1) * self.block_size) for i in range(self.m)
         )
-        self.factor_kinds = ("gaussian",) * self.m
 
     @classmethod
     def zeros(cls, m: int, state_dim: int) -> "IndependentGaussianPolicy":
@@ -193,6 +194,8 @@ class CategoricalPolicy(FactoredPolicy):
     state features this is an exact tabular policy.
     """
 
+    kind = "categorical"
+
     def __init__(self, logit_weights: list, features):
         self.logit_weights = [np.atleast_2d(np.asarray(w, dtype=float)) for w in logit_weights]
         self.features = features
@@ -205,7 +208,6 @@ class CategoricalPolicy(FactoredPolicy):
         bounds = np.concatenate([[0], np.cumsum(sizes)])
         self.block_slices = tuple(slice(int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:]))
         self.n_params = int(bounds[-1])
-        self.factor_kinds = ("categorical",) * self.m
 
     @classmethod
     def zeros(cls, cardinalities, features) -> "CategoricalPolicy":

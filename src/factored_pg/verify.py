@@ -142,7 +142,7 @@ def mean_marginalized_baseline(q, policy, state, action, i: int) -> float:
     factor is a probability vector, not an action; use exact marginalization
     there instead. For Q linear in the action this equals full marginalization.
     """
-    if policy.factor_kinds[i] != "gaussian":
+    if policy.kind != "gaussian":
         raise ValueError(
             "mean substitution requires a continuous factor; "
             "use exact marginalization for categorical factors"

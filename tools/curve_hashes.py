@@ -59,12 +59,11 @@ runs = [
                           out_dir=os.path.join(out, name)))
     for name in ("point_mass", "tabular_chain")
 ]
-QUADRATIC = {"features": "quadratic", "ridge": 1e-8}
 runs.append(config_from_dict({
     "env": {"name": "target_matching", "params": {"m": 12, "target_seed": 0}},
     "optimizer": {"kind": "npg", "kl": 0.025, "damping": 0.1},
-    "arms": [dict(QUADRATIC, name=kind, kind=kind, mc_samples=5)
-             for kind in ("mc_q", "optimal_action")],
+    "arms": [{"name": kind, "kind": kind, "mc_samples": 5, "features": "quadratic",
+              "ridge": 1e-8} for kind in ("mc_q", "optimal_action")],
     "n_iterations": 30, "n_trajectories": 250, "lam": 1.0, "seeds": [0, 1],
     "out_dir": os.path.join(out, "matching_m12_sampled"),
 }))
