@@ -12,16 +12,17 @@ every checkpoint records whether its run was pinned.
 ``rows_inplace`` splits an elementwise ufunc over contiguous row chunks, one
 per core in the process's affinity mask. Elementwise results do not depend on
 the split, so its output is byte-identical to one call. Worker threads of one
-lazily created pool compute every chunk but the last and the calling thread
-computes the last, so no traced call leaves the calling thread.
+pool, built on first use (a forked child builds its own), compute every chunk
+but the last and the calling thread computes the last, so no traced call
+leaves the calling thread.
 """
 
 from __future__ import annotations
 
 import ctypes
+import functools
 import glob
 import os
-import threading
 
 import numpy as np
 
@@ -50,53 +51,33 @@ def _pin_blas() -> tuple:
 
 BLAS_THREADS, BLAS_PIN = _pin_blas()
 
-_pool = None  # (executor or None, cores), built on first use
-_pool_lock = threading.Lock()
-
-
 def cores() -> int:
     """Cores this process may run on."""
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 
 
-def _workers() -> tuple:
-    """The process's row-chunk pool, one worker per core but one (None on a
-    single core), and the core count."""
-    global _pool
-    with _pool_lock:
-        if _pool is None:
-            n = cores()
-            executor = None
-            if n > 1:
-                from concurrent.futures import ThreadPoolExecutor
+@functools.cache
+def _executor():
+    """The process's row-chunk pool: one worker per core but one."""
+    from concurrent.futures import ThreadPoolExecutor
 
-                executor = ThreadPoolExecutor(n - 1, thread_name_prefix="factored_pg-rows")
-            _pool = (executor, n)
-        return _pool
-
-
-def _drop_pool() -> None:
-    # a forked child inherits the pool object and the lock's state, but not
-    # the threads that would use or release them
-    global _pool, _pool_lock
-    _pool, _pool_lock = None, threading.Lock()
+    return ThreadPoolExecutor(cores() - 1, thread_name_prefix="factored_pg-rows")
 
 
 if hasattr(os, "register_at_fork"):  # no fork, no hook on Windows
-    os.register_at_fork(after_in_child=_drop_pool)
+    # a forked child inherits the pool object, but not its threads
+    os.register_at_fork(after_in_child=_executor.cache_clear)
 
 
 def rows_inplace(ufunc, z: np.ndarray) -> np.ndarray:
     """``ufunc(z, out=z)`` for a C-contiguous 2-D array ``z``, split into
     contiguous row chunks over the cores; returns ``z``."""
-    chunks = min(len(z), z.size // MIN_CHUNK_ELEMENTS)
-    if chunks > 1:
-        executor, n = _workers()
-        chunks = min(chunks, n)
+    chunks = min(len(z), z.size // MIN_CHUNK_ELEMENTS, cores())
     if chunks < 2:
         return ufunc(z, out=z)
     bounds = [len(z) * i // chunks for i in range(chunks + 1)]
     parts = [z[a:b] for a, b in zip(bounds, bounds[1:])]
+    executor = _executor()
     futures = [executor.submit(ufunc, part, out=part) for part in parts[:-1]]
     ufunc(parts[-1], out=parts[-1])
     for future in futures:
