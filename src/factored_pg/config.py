@@ -177,7 +177,7 @@ def matching_task_config(
         {
             "env": {"name": "target_matching", "params": {"m": m, "target_seed": 0}},
             "policy": {"features": "linear", "log_std_init": 0.0},
-            "optimizer": {"kind": "npg", "lr": 0.05, "kl": 0.025, "damping": 0.1},
+            "optimizer": {"kind": "npg", "kl": 0.025, "damping": 0.1},
             "arms": [
                 {"name": "state", "kind": "state_value", "features": "linear"},
                 {"name": "action", "kind": "mean_q", "features": "quadratic", "ridge": 1e-8},

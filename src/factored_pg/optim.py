@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .baselines import BaselineSpec, BaselineState
+from .baselines import BaselineSpec, BaselineState, check_marginal
 from .errors import ConfigError, NonFiniteError, SingularSystemError
 from .estimator import gae_advantages, gradient_variance, pg_estimate, score_matrix
 from .threads import BLAS_PIN
@@ -197,7 +197,6 @@ class IterationLog:
 class TrainResult:
     policy: object
     logs: list = field(default_factory=list)
-    baseline_state: BaselineState | None = None
 
     def mean_returns(self) -> np.ndarray:
         return np.array([log.mean_return for log in self.logs])
@@ -222,7 +221,9 @@ def train(
     data it corrects. The raw-advantage per-trajectory variance is logged
     before any normalization. A non-finite batch reward, advantage, gradient
     or step raises ``NonFiniteError``, and a failed ridge or curvature solve raises
-    ``SingularSystemError``; both name the iteration and seed.
+    ``SingularSystemError``; both name the iteration and seed. A baseline kind
+    that the policy's factors rule out raises ``ValueError`` before the first
+    batch is drawn.
     """
 
     def require_finite(what: str, values: np.ndarray) -> None:
@@ -235,6 +236,7 @@ def train(
         except SingularSystemError as exc:
             raise SingularSystemError(f"{exc} at iteration {it}, seed {seed}") from exc
 
+    check_marginal(baseline_spec, policy)
     state = BaselineState.initial(baseline_spec)
     logs = []
     for it in range(n_iterations):
@@ -268,4 +270,4 @@ def train(
 
         state = solve(state.refit, batch, policy, base_rng)
         policy = new_policy
-    return TrainResult(policy=policy, logs=logs, baseline_state=state)
+    return TrainResult(policy=policy, logs=logs)

@@ -21,7 +21,9 @@ from factored_pg.optim import (
     train,
     vanilla_step,
 )
-from factored_pg.policies import IndependentGaussianPolicy
+from factored_pg.features import IndicatorFeatures
+from factored_pg.policies import CategoricalPolicy, IndependentGaussianPolicy
+from factored_pg.verify import load_fixture
 
 
 def test_conjugate_gradient_diagonal_hand_case():
@@ -182,6 +184,18 @@ def test_train_callback_sees_every_iteration():
         callback=lambda it, batch, pol, log: seen.append((it, batch.n_trajectories)),
     )
     assert seen == [(0, 4), (1, 4), (2, 4)]
+
+
+def test_train_rejects_an_arm_the_policy_rules_out_before_iteration_0():
+    # mean substitution has no mean to substitute for a categorical factor
+    env = load_fixture("bandit_two_factor")
+    policy = CategoricalPolicy.zeros(env.cardinalities, IndicatorFeatures(len(env.rho0)))
+    seen = []
+    with pytest.raises(ValueError, match="mean_q"):
+        train(env, policy, BaselineSpec(kind="mean_q"), n_iterations=2, n_trajectories=4,
+              seed=0, optimizer=OptimizerConfig(),
+              callback=lambda it, batch, pol, log: seen.append(it))
+    assert seen == []
 
 
 def test_train_rejects_non_finite_rewards(nan_reward_env):
