@@ -1,9 +1,9 @@
 """Policy gradients for factorized policies with per-factor baselines.
 
 The package pairs a training stack (environments, policies, fitted baselines,
-gradient estimator, optimizers, experiment harness) with exact-enumeration
-oracles that certify the estimator's unbiasedness and the baselines'
-variance-optimality on small tabular problems.
+gradient estimator, natural-gradient optimizer, experiment harness) with
+exact-enumeration oracles that certify the estimator's unbiasedness and the
+baselines' variance-optimality on small tabular problems.
 """
 
 from .baselines import (
@@ -82,7 +82,6 @@ from .optim import (
     rollout,
     substream,
     train,
-    vanilla_step,
 )
 from .oracle import (
     ORACLE_BASELINE_KINDS,

@@ -4,11 +4,9 @@ Layout (all fields overridable; defaults shown):
 
 {
   "env": {"name": "target_matching",
-          "params": {"m": 12, "target": null, "target_seed": 0,
-                     "solve_threshold": null, "gamma": 0.995}},
+          "params": {"m": 12, "target_seed": 0, "solve_threshold": null}},
   "policy": {"features": "linear", "log_std_init": 0.0},
-  "optimizer": {"kind": "npg", "lr": 0.05, "kl": 0.025,
-                "cg_iters": 10, "damping": 0.0001},
+  "optimizer": {"kind": "npg", "kl": 0.025, "damping": 0.0001},
   "arms": [{"name": "state", "kind": "state_value"},
            {"name": "action", "kind": "mean_q"}],
   "n_iterations": 100,
@@ -23,8 +21,8 @@ Each section is read into its dataclass, where its defaults live, by one
 parser (``schema.section``). ``env.params`` is read into the params dataclass
 of the named environment (``envs.ENV_PARAMS``), so a bad name, key, type or
 value is a ``ConfigError`` before anything is written. The other names take
-``point_mass``: {"horizon": 100, "dt": 0.1, "gamma": 0.995,
-"action_cost": 0.001} and ``tabular``: {"path": <fixture JSON>} (required).
+``point_mass``: {"horizon": 100, "gamma": 0.995} and ``tabular``:
+{"path": <fixture JSON>} (required). ``npg`` is the only optimizer kind.
 
 Arm entries accept a ``name`` (default: the kind) and every baseline field
 (kind, mc_samples, exact, features, n_features, ridge, tabular); unset
@@ -92,6 +90,9 @@ class ExperimentConfig:
             raise ConfigError(f"arm names must be unique, got {names}")
         if not self.seeds:
             raise ConfigError("at least one seed required")
+        if len(set(self.seeds)) != len(self.seeds):
+            # a repeated seed would overwrite its curve and count twice in the summary
+            raise ConfigError(f"seeds must be unique, got {list(self.seeds)}")
         if min(self.seeds) < 0 or max(self.seeds) >= 2**32:
             # each seed is one uint32 word of every keyed generator's seed sequence
             raise ConfigError(f"seeds must lie in [0, 2**32), got {list(self.seeds)}")

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import itertools
 import json
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -104,17 +103,18 @@ class TargetMatching(Environment):
     Each action coordinate is its own factor, and the reward is additively
     separable across coordinates, so per-factor baselines can strip every other
     coordinate's exploration noise out of factor i's advantage. The gap between
-    baseline arms on this task is pure variance, never bias.
+    baseline arms on this task is pure variance, never bias. Its one step is
+    never discounted (gamma 1).
     """
 
-    def __init__(self, target: np.ndarray, gamma: float = 0.995):
+    def __init__(self, target: np.ndarray):
         self.target = np.asarray(target, dtype=float).ravel()
         m = len(self.target)
         self.spec = MdpSpec(
             state_dim=1,
             factors=tuple(ContinuousFactor() for _ in range(m)),
             horizon=1,
-            gamma=gamma,
+            gamma=1.0,
         )
 
     def reset(self, rngs) -> np.ndarray:
@@ -154,7 +154,7 @@ _Row = tuple[float, ...]
 
 @dataclass(frozen=True)
 class TabularFixture:
-    """The JSON layout of a tabular MDP, as ``TabularMdp.to_dict`` writes it."""
+    """The JSON layout of a tabular MDP fixture, as in ``fixtures/*.json``."""
 
     transitions: tuple[tuple[_Row, ...], ...]
     rewards: tuple[_Row, ...]
@@ -292,26 +292,15 @@ class TabularMdp(Environment):
 
     @classmethod
     def from_dict(cls, data) -> "TabularMdp":
-        """Build from the ``to_dict`` layout. A missing, unknown or mistyped
-        key, or tables whose shapes or values do not fit together, is a
-        ``ConfigError``."""
+        """Build from the ``TabularFixture`` layout. A missing, unknown or
+        mistyped key, or tables whose shapes or values do not fit together,
+        is a ``ConfigError``."""
         f = section(TabularFixture, data, "tabular MDP")
         try:
             return cls(f.transitions, f.rewards, f.rho0, f.factor_cardinalities,
                        f.horizon, f.gamma, f.name)
         except ValueError as exc:
             raise ConfigError(f"tabular MDP: {exc}") from exc
-
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "factor_cardinalities": list(self.cardinalities),
-            "horizon": self.spec.horizon,
-            "gamma": self.spec.gamma,
-            "rho0": self.rho0.tolist(),
-            "transitions": self.transitions.tolist(),
-            "rewards": self.rewards.tolist(),
-        }
 
 
 # ---------------------------------------------------------------------------
@@ -322,15 +311,17 @@ class PointMass(Environment):
     """2-D double integrator with quadratic state-action cost.
 
     State (px, py, vx, vy), starting at rest from a standard-normal position;
-    the two force coordinates are separate factors. Reward is
-    -(||p'||^2 + action_cost ||a||^2) on the post-step position. The task
-    exists to exercise multi-step advantage estimation (lambda sweeps), where
-    bootstrapped advantages trade variance against baseline-model bias.
+    the two force coordinates are separate factors, integrated over steps of
+    length ``DT``. Reward is -(||p'||^2 + ACTION_COST ||a||^2) on the
+    post-step position. The task exists to exercise multi-step advantage
+    estimation (lambda sweeps), where bootstrapped advantages trade variance
+    against baseline-model bias.
     """
 
-    def __init__(self, horizon: int, dt: float, gamma: float, action_cost: float):
-        self.dt = float(dt)
-        self.action_cost = float(action_cost)
+    DT = 0.1
+    ACTION_COST = 0.001
+
+    def __init__(self, horizon: int, gamma: float):
         self.spec = MdpSpec(
             state_dim=4,
             factors=(ContinuousFactor(), ContinuousFactor()),
@@ -344,9 +335,9 @@ class PointMass(Environment):
 
     def step(self, states, actions, rngs) -> Step:
         actions = _rows(actions, self.spec.n_factors)
-        vel = states[:, 2:] + self.dt * actions
-        pos = states[:, :2] + self.dt * vel
-        rewards = -(np.sum(pos**2, axis=1) + self.action_cost * np.sum(actions**2, axis=1))
+        vel = states[:, 2:] + self.DT * actions
+        pos = states[:, :2] + self.DT * vel
+        rewards = -(np.sum(pos**2, axis=1) + self.ACTION_COST * np.sum(actions**2, axis=1))
         return Step(np.hstack([pos, vel]), rewards, np.zeros(len(states), dtype=bool))
 
 
@@ -358,31 +349,21 @@ class PointMass(Environment):
 
 @dataclass(frozen=True)
 class TargetMatchingParams:
-    """``target_matching``: ``target`` when given, whose length is then m;
-    else m (default 12) standard-normal coordinates drawn from
-    ``default_rng([target_seed])``, so arms sharing a config share the task.
-    ``solve_threshold`` defaults to ``solve_threshold_default(m)``."""
+    """``target_matching``: a target of m standard-normal coordinates drawn
+    from ``default_rng([target_seed])``, so arms sharing a config share the
+    task. ``solve_threshold`` defaults to ``solve_threshold_default(m)``."""
 
-    m: int | None = None
-    target: tuple[float, ...] | None = None
+    m: int = 12
     target_seed: int = 0
     solve_threshold: float | None = None
-    gamma: float = 0.995
 
     baseline_features = {"features": "linear"}
 
     def __post_init__(self):
-        m = self.m if self.target is None else len(self.target)
-        if self.m not in (None, m):
-            raise ValueError(f"m is {self.m} but target has {m} entries")
-        object.__setattr__(self, "m", 12 if m is None else m)
         if self.m < 1:
-            raise ValueError(f"m and the length of target must be >= 1, got {self.m}")
-        if self.target is not None and not all(map(math.isfinite, self.target)):
-            raise ValueError("target entries must be finite")
+            raise ValueError(f"m must be >= 1, got {self.m}")
         if self.target_seed < 0:
             raise ValueError(f"target_seed must be >= 0, got {self.target_seed}")
-        _check_horizon_gamma(1, self.gamma)
 
     @property
     def solve_task(self) -> tuple[int, float]:
@@ -390,33 +371,25 @@ class TargetMatchingParams:
         return self.m, solve_threshold_default(self.m) if threshold is None else threshold
 
     def build(self) -> TargetMatching:
-        target = self.target
-        if target is None:  # drawn once, then frozen
-            target = np.random.default_rng([self.target_seed]).standard_normal(self.m)
-        return TargetMatching(target, self.gamma)
+        # drawn once, then frozen
+        return TargetMatching(np.random.default_rng([self.target_seed]).standard_normal(self.m))
 
 
 @dataclass(frozen=True)
 class PointMassParams:
-    """``point_mass``: horizon >= 1 steps of length dt > 0, gamma in (0, 1]
-    and action_cost >= 0."""
+    """``point_mass``: horizon >= 1 steps and gamma in (0, 1]."""
 
     horizon: int = 100
-    dt: float = 0.1
     gamma: float = 0.995
-    action_cost: float = 0.001
 
     baseline_features = {"features": "rff", "n_features": 100}
     solve_task = None
 
     def __post_init__(self):
         _check_horizon_gamma(self.horizon, self.gamma)
-        if not (0.0 < self.dt < math.inf and 0.0 <= self.action_cost < math.inf):
-            raise ValueError(f"need finite dt > 0 and action_cost >= 0, "
-                             f"got {self.dt} and {self.action_cost}")
 
     def build(self) -> PointMass:
-        return PointMass(self.horizon, self.dt, self.gamma, self.action_cost)
+        return PointMass(self.horizon, self.gamma)
 
 
 @dataclass(frozen=True)

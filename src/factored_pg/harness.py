@@ -59,14 +59,8 @@ def build_policy(env, policy_cfg):
     if all(isinstance(f, ContinuousFactor) for f in factors):
         if policy_cfg.features == "indicator":
             raise ConfigError("indicator policy features need categorical factors")
-        m = len(factors)
-        feats = RawFeatures(env.spec.state_dim)
-        return IndependentGaussianPolicy(
-            weights=np.zeros((m, feats.n_features)),
-            biases=np.zeros(m),
-            log_std=np.full(m, policy_cfg.log_std_init),
-            features=feats,
-        )
+        return IndependentGaussianPolicy.zeros(len(factors), env.spec.state_dim,
+                                               policy_cfg.log_std_init)
     if all(isinstance(f, CategoricalFactor) for f in factors):
         cards = tuple(f.cardinality for f in factors)
         if policy_cfg.features == "indicator":

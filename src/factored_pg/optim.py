@@ -1,15 +1,14 @@
-"""Policy optimizers and the iteration loop tying sampling, baselines, updates.
+"""The natural-gradient update and the iteration loop tying sampling,
+baselines and updates.
 
-Two update rules:
+One update rule: theta += sqrt(2 kl / (x' F x)) * x with x ~= F^-1 g from
+``CG_ITERS`` damped conjugate-gradient iterations on the empirical Fisher
+(outer products of joint scores).
 
-* vanilla: theta += lr * g
-* natural: theta += sqrt(2 kl / (x' F x)) * x with x ~= F^-1 g from damped
-  conjugate gradient on the empirical Fisher (outer products of joint scores).
-
-The natural rule's KL normalization makes step size invariant to the
-parameterization scale, which matters when comparing baseline arms whose
-gradient magnitudes differ: both arms move the same "distance" per iteration
-and differ only through the direction quality of their gradient estimates.
+The KL normalization makes step size invariant to the parameterization
+scale, which matters when comparing baseline arms whose gradient magnitudes
+differ: both arms move the same "distance" per iteration and differ only
+through the direction quality of their gradient estimates.
 """
 
 from __future__ import annotations
@@ -34,6 +33,8 @@ STREAM_BASELINE = 2
 # the scheme's name in every checkpoint, with the BLAS pin the curves depend
 # on; a change to either changes it
 RNG_SCHEME = f"default_rng([seed, stream, iteration, trajectory]); {BLAS_PIN}"
+# conjugate-gradient iterations per natural step
+CG_ITERS = 10
 
 
 def substream(seed: int, tag: int, iteration: int, index: int = 0) -> np.random.Generator:
@@ -48,29 +49,24 @@ def substream(seed: int, tag: int, iteration: int, index: int = 0) -> np.random.
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """The update rule: ``npg`` takes natural steps at KL budget ``kl``
-    (``cg_iters`` damped conjugate-gradient iterations), ``vanilla`` steps
-    ``lr`` times the gradient."""
+    """Natural steps at KL budget ``kl`` on the Fisher damped by ``damping``;
+    ``npg`` is the only ``kind``."""
 
-    kind: str = "npg"  # npg | vanilla
-    lr: float = 0.05
+    kind: str = "npg"
     kl: float = 0.025
-    cg_iters: int = 10
     damping: float = 1e-4
 
     def __post_init__(self):
-        if self.kind not in ("npg", "vanilla"):
-            raise ConfigError(f"optimizer kind must be 'npg' or 'vanilla', got {self.kind!r}")
-        for name in ("lr", "kl"):
-            if not 0.0 < getattr(self, name) < math.inf:
-                raise ConfigError(f"{name} must be finite and > 0, got {getattr(self, name)}")
-        if self.cg_iters < 1:
-            raise ConfigError(f"cg_iters must be >= 1, got {self.cg_iters}")
+        if self.kind != "npg":
+            raise ConfigError(f"optimizer kind must be 'npg', got {self.kind!r}")
+        if not 0.0 < self.kl < math.inf:
+            raise ConfigError(f"kl must be finite and > 0, got {self.kl}")
         if not 0.0 <= self.damping < math.inf:
             raise ConfigError(f"damping must be finite and >= 0, got {self.damping}")
 
 
-def conjugate_gradient(matvec, b: np.ndarray, iters: int = 10, tol: float = 1e-10) -> np.ndarray:
+def conjugate_gradient(matvec, b: np.ndarray, iters: int = CG_ITERS,
+                       tol: float = 1e-10) -> np.ndarray:
     """Approximate A^-1 b for a positive definite ``matvec``; a non-finite or
     non-positive curvature p'Ap along a search direction raises
     SingularSystemError."""
@@ -112,15 +108,11 @@ def npg_step(gradient: np.ndarray, scores: np.ndarray, cfg: OptimizerConfig) -> 
     if not np.any(gradient):
         return np.zeros_like(gradient)
     fvp = make_fvp(scores, cfg.damping)
-    x = conjugate_gradient(fvp, gradient, iters=cfg.cg_iters)
+    x = conjugate_gradient(fvp, gradient)
     xfx = float(x @ fvp(x))
     if not (0.0 < xfx < math.inf and np.all(np.isfinite(x))):
         raise SingularSystemError(f"natural-gradient direction has x'Fx = {xfx}")
     return np.sqrt(2.0 * cfg.kl / (xfx + 1e-8)) * x
-
-
-def vanilla_step(gradient: np.ndarray, cfg: OptimizerConfig) -> np.ndarray:
-    return cfg.lr * gradient
 
 
 # ---------------------------------------------------------------------------
@@ -249,11 +241,7 @@ def train(
         scores = score_matrix(batch, policy)
         report = pg_estimate(batch, policy, scores, advantages=advantages, normalize=normalize)
         require_finite("gradient", report.gradient)
-
-        if optimizer.kind == "npg":
-            step = solve(npg_step, report.gradient, scores, optimizer)
-        else:
-            step = vanilla_step(report.gradient, optimizer)
+        step = solve(npg_step, report.gradient, scores, optimizer)
         require_finite("step", step)
         new_policy = policy.with_theta(policy.theta + step)
 

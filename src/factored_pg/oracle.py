@@ -72,7 +72,7 @@ def trajectory_probabilities(problem: EnumerableProblem) -> np.ndarray:
     return np.array([et.probability(problem.policy) for et in problem.enumerated])
 
 
-def _keep_key(problem: EnumerableProblem, i: int, a: tuple) -> tuple:
+def _keep_key(i: int, a: tuple) -> tuple:
     """a^{-i}: the values of every factor but i, which baseline i may see."""
     return a[:i] + a[i + 1:]
 
@@ -105,7 +105,7 @@ def _visits(problem: EnumerableProblem) -> _Visits:
         scores[:, i, block] = joint[:, block]
     states = np.rint(rows[:, 0]).astype(int).tolist()
     actions = [tuple(a) for a in np.rint(acts).astype(int).tolist()]
-    groups = [(i, s, _keep_key(problem, i, a)) for s, a in zip(states, actions) for i in range(m)]
+    groups = [(i, s, _keep_key(i, a)) for s, a in zip(states, actions) for i in range(m)]
     mass = np.array(mass)
     return _Visits(mass, mass / norm, states, actions, np.array(qhat), scores, groups)
 
@@ -234,7 +234,7 @@ def make_oracle_baseline(problem: EnumerableProblem, kind: str):
         return lambda i, s, a: table[s]
     if kind == "optimal_action":
         table = exact_optimal_baselines(problem).action
-        return lambda i, s, a: table[(i, s, _keep_key(problem, i, a))]
+        return lambda i, s, a: table[(i, s, _keep_key(i, a))]
     if kind == "marginalized_q":
         q = exact_q_table(problem)
         policy = problem.policy

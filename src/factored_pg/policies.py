@@ -113,9 +113,10 @@ class IndependentGaussianPolicy(FactoredPolicy):
         )
 
     @classmethod
-    def zeros(cls, m: int, state_dim: int) -> "IndependentGaussianPolicy":
+    def zeros(cls, m: int, state_dim: int, log_std: float = 0.0) -> "IndependentGaussianPolicy":
+        """Zero means on raw state features, every factor at ``log_std``."""
         feats = RawFeatures(state_dim)
-        return cls(np.zeros((m, feats.n_features)), np.zeros(m), np.zeros(m), feats)
+        return cls(np.zeros((m, feats.n_features)), np.zeros(m), np.full(m, log_std), feats)
 
     @property
     def theta(self) -> np.ndarray:

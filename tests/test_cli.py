@@ -5,6 +5,7 @@ import os
 
 import pytest
 
+from factored_pg import verify
 from factored_pg.cli import main
 from factored_pg.config import config_to_dict, matching_task_config
 
@@ -104,9 +105,27 @@ def test_verify_subcommand_passes(capsys):
     assert main(["verify"]) == 0
     out = capsys.readouterr().out
     lines = [l for l in out.splitlines() if l.startswith(("PASS", "FAIL"))]
-    assert lines, "verify should print one line per check"
+    assert len(lines) == len(verify.CHECKS), "verify should print one line per check"
     assert all(l.startswith("PASS") for l in lines)
-    assert "all" in out and "checks passed" in out
+    names = [l.split(":")[0] for l in lines]
+    assert len(set(names)) == len(names)
+    assert f"all {len(lines)} checks passed" in out
+
+
+def test_verify_subcommand_exits_1_on_a_failing_check(monkeypatch, capsys):
+    monkeypatch.setattr(verify, "CHECKS", (
+        lambda: verify.CheckResult("passes", True, "ok"),
+        lambda: verify.CheckResult("fails", False, "off by one"),
+    ))
+    assert main(["verify"]) == 1
+    captured = capsys.readouterr()
+    assert "FAIL fails: off by one" in captured.out
+    assert "1 of 2 checks failed" in captured.err
+
+
+def test_run_repeated_seed_exits_2(tiny_config_path, capsys):
+    assert main(["run", tiny_config_path, "--seed", "0,0"]) == 2
+    assert "seeds must be unique" in capsys.readouterr().err
 
 
 def test_parser_requires_subcommand():

@@ -158,9 +158,9 @@ def test_malformed_json_reports_config_error(tmp_path):
         lambda d: d.update(optimizer={"kl": 0}),
         lambda d: d.update(optimizer={"kl": -1}),
         lambda d: d.update(optimizer={"kl": float("nan")}),
-        lambda d: d.update(optimizer={"cg_iters": 0}),
+        lambda d: d.update(optimizer={"kind": "vanilla"}),
         lambda d: d.update(optimizer={"damping": -1}),
-        lambda d: d.update(optimizer={"kind": "vanilla", "lr": 0}),
+        lambda d: d.update(optimizer={"cg_iters": 10}),
         lambda d: d.update(policy={"features": "indikator"}),
         lambda d: d.update(policy={"log_std_init": float("inf")}),
         lambda d: d.update(seeds=[-1]),
@@ -169,12 +169,13 @@ def test_malformed_json_reports_config_error(tmp_path):
         lambda d: d["env"].update(params={"m": "3"}),
         lambda d: d.update(env={"name": "point_mass", "params": {"horizon": 2.9}}),
         lambda d: d["env"].update(params={"m": 0}),
-        lambda d: d["env"].update(params={"m": 4, "gamma": 1.5}),
-        lambda d: d["env"].update(params={"target": []}),
+        lambda d: d["env"].update(params={"m": 4, "target_seed": -1}),
+        lambda d: d.update(env={"name": "point_mass", "params": {"gamma": 1.5}}),
         lambda d: d.update(env={"name": "point_mass", "params": {"target_seed": 0}}),
         lambda d: d.update(env={"name": "communicate_target_lite"}),
         lambda d: d.update(arms=[{"kind": "mc_q", "tabular": True, "features": "rff"}]),
         lambda d: d.update(arms=[{"kind": "dag"}]),
+        lambda d: d.update(seeds=[0, 0]),
     ],
 )
 def test_invalid_configs_rejected(mutate):
@@ -182,6 +183,11 @@ def test_invalid_configs_rejected(mutate):
     mutate(raw)
     with pytest.raises(ConfigError):
         config_from_dict(raw)
+
+
+def test_natural_gradient_is_the_only_optimizer_kind():
+    with pytest.raises(ConfigError, match="'npg'"):
+        config_from_dict(dict(MINIMAL, optimizer={"kind": "vanilla"}))
 
 
 def test_arm_missing_kind_rejected():
@@ -192,7 +198,7 @@ def test_arm_missing_kind_rejected():
 def test_matching_task_config_frozen_protocol():
     cfg = matching_task_config(100)
     assert cfg.env.params == TargetMatchingParams(m=100, target_seed=0)
-    assert cfg.optimizer == OptimizerConfig(kind="npg", lr=0.05, kl=0.025, cg_iters=10, damping=0.1)
+    assert cfg.optimizer == OptimizerConfig(kind="npg", kl=0.025, damping=0.1)
     assert cfg.n_trajectories == 250
     assert cfg.lam == 1.0
     assert cfg.normalize is True

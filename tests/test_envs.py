@@ -1,5 +1,7 @@
 """Environments: rewards, enumeration, thresholds, and the registry."""
 
+import json
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -81,16 +83,6 @@ def test_enumerated_probabilities_sum_to_one():
     assert_allclose(total, 1.0, atol=1e-12)
 
 
-def test_tabular_round_trip():
-    env = load_fixture("bandit_two_arm")
-    clone = TabularMdp.from_dict(env.to_dict())
-    assert clone.spec.horizon == env.spec.horizon
-    assert np.array_equal(clone.rho0, env.rho0)
-    step_a = env.step(np.array([[0.0]]), np.array([[1.0]]), [np.random.default_rng(0)])
-    step_b = clone.step(np.array([[0.0]]), np.array([[1.0]]), [np.random.default_rng(0)])
-    assert step_a.rewards[0] == step_b.rewards[0]
-
-
 @pytest.mark.parametrize(
     "mutate, match",
     [
@@ -103,7 +95,8 @@ def test_tabular_round_trip():
     ],
 )
 def test_tabular_from_dict_rejects_malformed_fixture(mutate, match):
-    data = load_fixture("chain_two_step").to_dict()
+    with open(fixture_path("chain_two_step")) as fh:
+        data = json.load(fh)
     mutate(data)
     with pytest.raises(ConfigError, match=match):
         TabularMdp.from_dict(data)
@@ -128,8 +121,8 @@ def test_point_mass_shapes_and_cost_sign():
 
 
 def test_make_env_registry_and_errors():
-    env = make_env("target_matching", {"m": 3, "target": [0.0, 1.0, -1.0]})
-    assert_allclose(env.target, [0.0, 1.0, -1.0])
+    env = make_env("target_matching", {"m": 3})
+    assert env.spec.n_factors == 3 and env.target.shape == (3,)
     with pytest.raises(ValueError) as err:
         make_env("no_such_env")
     assert "target_matching" in str(err.value)
@@ -146,12 +139,6 @@ def test_make_env_seeded_target():
 def test_make_env_rejects_misspelt_param():
     with pytest.raises(ConfigError, match="horizn"):
         make_env("point_mass", {"horizn": 5})
-
-
-def test_target_matching_m_must_match_explicit_target():
-    assert make_env("target_matching", {"target": [0.5, 1.0]}).spec.n_factors == 2
-    with pytest.raises(ConfigError, match="target has 2 entries"):
-        make_env("target_matching", {"m": 3, "target": [0.5, 1.0]})
 
 
 @pytest.mark.parametrize("content, match", [(None, "No such file"), ("{not json", "not valid JSON")])

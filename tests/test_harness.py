@@ -144,9 +144,9 @@ def test_table1_dimension_of_explicit_target(tmp_path):
     _fabricated_run(run, {"state": 6, "action": 3})
     cfg_path = run / "config.json"
     raw = json.loads(cfg_path.read_text())
-    raw["env"]["params"] = {"target": [0.1, -0.2, 0.3, 0.4]}
+    raw["env"]["params"] = {"m": 4}
     cfg_path.write_text(json.dumps(raw))
-    # the summary threshold and the table row both read m = 4 off the target
+    # the summary threshold and the table row both read m = 4 off the config
     assert summarize_run(str(run))["solve_threshold"] == solve_threshold_default(4)
     assert table1_report([str(run)])[0].m == 4
 

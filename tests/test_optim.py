@@ -1,4 +1,4 @@
-"""Optimizers, keyed rng streams, rollout collection, and the training loop."""
+"""The natural-gradient step, keyed rng streams, rollout collection, and the training loop."""
 
 import numpy as np
 import pytest
@@ -19,7 +19,6 @@ from factored_pg.optim import (
     rollout,
     substream,
     train,
-    vanilla_step,
 )
 from factored_pg.features import IndicatorFeatures
 from factored_pg.policies import CategoricalPolicy, IndependentGaussianPolicy
@@ -56,7 +55,7 @@ def test_npg_step_identity_fisher_hits_kl_budget():
     p = 4
     scores = np.sqrt(p) * np.eye(p)  # S'S / n = I
     g = np.array([0.3, -0.2, 0.5, 0.1])
-    cfg = OptimizerConfig(kl=0.025, cg_iters=20, damping=0.0)
+    cfg = OptimizerConfig(kl=0.025, damping=0.0)
     step = npg_step(g, scores, cfg)
     # x = g, so 0.5 * step' F step = kl (up to the 1e-8 guard in the scale)
     assert_allclose(0.5 * step @ step, cfg.kl, rtol=1e-6)
@@ -66,7 +65,7 @@ def test_npg_step_identity_fisher_hits_kl_budget():
 
 
 def test_npg_step_falls_back_on_degenerate_curvature():
-    # degenerate curvature raises; no vanilla fallback step is taken
+    # degenerate curvature raises; no fallback step is taken
     g = np.array([3.0, 4.0])
     with pytest.raises(SingularSystemError, match="curvature"):
         npg_step(g, np.zeros((2, 2)), OptimizerConfig(kl=0.02, damping=0.0))
@@ -80,10 +79,6 @@ def test_npg_step_zero_gradient_takes_zero_step():
 def test_conjugate_gradient_raises_on_negative_curvature():
     with pytest.raises(SingularSystemError, match="curvature"):
         conjugate_gradient(lambda v: -v, np.array([1.0, 2.0]))
-
-
-def test_vanilla_step():
-    assert_allclose(vanilla_step(np.array([2.0, -4.0]), OptimizerConfig(kind="vanilla", lr=0.1)), [0.2, -0.4])
 
 
 def test_substream_keyed_independence_and_determinism():
@@ -180,7 +175,7 @@ def test_train_callback_sees_every_iteration():
         n_iterations=3,
         n_trajectories=4,
         seed=1,
-        optimizer=OptimizerConfig(kind="vanilla", lr=0.01),
+        optimizer=OptimizerConfig(),
         callback=lambda it, batch, pol, log: seen.append((it, batch.n_trajectories)),
     )
     assert seen == [(0, 4), (1, 4), (2, 4)]

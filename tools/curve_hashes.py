@@ -20,10 +20,11 @@ side importing its own ``src/``:
   ``mc_q`` and ``optimal_action``, each with a tabular and with a quadratic
   critic, seeds 0-1, 30 iterations.
 
-Every run trains both arms. Prints the sha256 of each curve CSV and of each
-run's ``summary.json`` on both sides, and exits 1 if any of these files
-differs or is missing on one side. ``config.json`` is not compared: it holds
-each side's own ``out_dir``. Everything is written under one temporary
+Every run trains both arms. Prints the sha256 of each curve CSV, each
+checkpoint (final theta and RNG scheme) and each run's ``summary.json`` on
+both sides, and exits 1 if any of these files differs or is missing on one
+side. ``config.json`` is not compared: it holds each side's own
+``out_dir``. Everything is written under one temporary
 directory, which is removed afterwards.
 """
 
@@ -40,8 +41,9 @@ import tempfile
 from bench_pairs import export, git
 
 # Run in each side's root with that side's src/ first on sys.path; prints
-# {"<run>/<arm>_seed<k>.csv" or "<run>/summary.json": sha256} as one JSON
-# line. It uses only names that every revision with perfbench/workloads.py has.
+# {"<run>/<arm>_seed<k>.csv", "<run>/<arm>_seed<k>.json" (checkpoint) or
+# "<run>/summary.json": sha256} as one JSON line. It uses only names that
+# every revision with perfbench/workloads.py has.
 SIDE_SCRIPT = r"""
 import hashlib, importlib.util, json, os, sys
 from factored_pg.config import config_from_dict, matching_task_config
@@ -83,8 +85,9 @@ runs.append(config_from_dict({
 hashes = {}
 for cfg in runs:
     run_dir = run_experiment(cfg)
-    curves = ["curves/" + csv for csv in sorted(os.listdir(os.path.join(run_dir, "curves")))]
-    for rel in curves + ["summary.json"]:
+    rels = [f"{sub}/{name}" for sub in ("curves", "checkpoints")
+            for name in sorted(os.listdir(os.path.join(run_dir, sub)))]
+    for rel in rels + ["summary.json"]:
         with open(os.path.join(run_dir, rel), "rb") as fh:
             hashes[f"{os.path.basename(run_dir)}/{os.path.basename(rel)}"] = hashlib.sha256(
                 fh.read()).hexdigest()
