@@ -18,7 +18,13 @@ side importing its own ``src/``:
 - ragged categorical supports (cardinalities 2 and 3) on the
   ``bandit_two_factor`` fixture with indicator policy features: exact
   ``mc_q`` and ``optimal_action``, each with a tabular and with a quadratic
-  critic, seeds 0-1, 30 iterations.
+  critic, seeds 0-1, 30 iterations;
+- the same fixture with the state kinds and sampled candidates, 50
+  trajectories: arms ``none``, ``optimal_state`` with a tabular and with a
+  quadratic critic, and sampled ``mc_q`` (K = 5) with a tabular critic,
+  seeds 0-1, 30 iterations;
+- ``target_matching`` at m=12, 250 trajectories: arms ``optimal_state`` on
+  a linear critic and ``none``, seeds 0-1, 30 iterations.
 
 Every run trains both arms. Prints the sha256 of each curve CSV, each
 checkpoint (final theta and RNG scheme) and each run's ``summary.json`` on
@@ -81,6 +87,28 @@ runs.append(config_from_dict({
               "features": "quadratic"}],
     "n_iterations": 30, "n_trajectories": 50, "lam": 1.0, "seeds": [0, 1],
     "out_dir": os.path.join(out, "bandit_two_factor"),
+}))
+runs.append(config_from_dict({
+    "env": {"name": "tabular",
+            "params": {"path": "src/factored_pg/fixtures/bandit_two_factor.json"}},
+    "policy": {"features": "indicator"},
+    "optimizer": {"kind": "npg", "kl": 0.025, "damping": 0.1},
+    "arms": [{"name": "none", "kind": "none"},
+             {"name": "optimal_state_tabular", "kind": "optimal_state", "tabular": True},
+             {"name": "optimal_state_quadratic", "kind": "optimal_state",
+              "features": "quadratic"},
+             {"name": "mc_q_sampled_tabular", "kind": "mc_q", "tabular": True,
+              "mc_samples": 5}],
+    "n_iterations": 30, "n_trajectories": 50, "lam": 1.0, "seeds": [0, 1],
+    "out_dir": os.path.join(out, "bandit_two_factor_state"),
+}))
+runs.append(config_from_dict({
+    "env": {"name": "target_matching", "params": {"m": 12, "target_seed": 0}},
+    "optimizer": {"kind": "npg", "kl": 0.025, "damping": 0.1},
+    "arms": [{"name": "optimal_state", "kind": "optimal_state", "features": "linear"},
+             {"name": "none", "kind": "none"}],
+    "n_iterations": 30, "n_trajectories": 250, "lam": 1.0, "seeds": [0, 1],
+    "out_dir": os.path.join(out, "matching_m12_state"),
 }))
 hashes = {}
 for cfg in runs:
