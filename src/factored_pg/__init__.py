@@ -27,8 +27,6 @@ from .config import (
     save_config,
 )
 from .envs import (
-    CategoricalFactor,
-    ContinuousFactor,
     Environment,
     MdpSpec,
     PointMass,

@@ -57,9 +57,10 @@ MARGINAL_KINDS = ("mean_q", "mc_q", "optimal_action")
 class BaselineSpec:
     """Which baseline to run and how to approximate the functions it needs.
 
-    ``exact`` switches Monte-Carlo marginalization to an exact sum over a
-    categorical factor's support. ``tabular`` replaces regressions with exact
-    group-mean tables for discrete problems and takes no regression settings.
+    ``exact`` switches ``mc_q``'s Monte-Carlo marginalization to an exact sum
+    over a categorical factor's support; no other kind takes it. ``tabular``
+    replaces regressions with exact group-mean tables for discrete problems
+    and takes no regression settings.
     """
 
     kind: str
@@ -77,6 +78,8 @@ class BaselineSpec:
             raise ValueError(f"features must be 'linear', 'quadratic', or 'rff', got {self.features!r}")
         if self.mc_samples < 1:
             raise ValueError("mc_samples must be >= 1")
+        if self.exact and self.kind != "mc_q":
+            raise ValueError(f"exact applies to kind 'mc_q' only, got {self.kind!r}")
         if self.n_features < 1:
             raise ValueError(f"n_features must be >= 1, got {self.n_features}")
         if self.ridge is not None and not (np.isfinite(self.ridge) and self.ridge >= 0):
@@ -215,7 +218,7 @@ def check_marginal(spec: BaselineSpec, policy) -> None:
     ``policy``'s factors; the state kinds need no marginal."""
     if spec.kind == "mean_q" and policy.kind != "gaussian":
         raise ValueError("mean_q substitutes the policy mean, so it requires continuous factors")
-    if spec.kind == "mc_q" and spec.exact and policy.kind != "categorical":
+    if spec.exact and policy.kind != "categorical":
         raise ValueError("exact mc_q sums over a support, so it requires categorical factors")
 
 
@@ -286,10 +289,6 @@ class BaselineState:
         self.spec = spec
         self.fitted = fitted
 
-    @classmethod
-    def initial(cls, spec: BaselineSpec) -> "BaselineState":
-        return cls(spec, fitted=None)
-
     def evaluate(self, batch, policy, rng: np.random.Generator | None = None) -> np.ndarray:
         if self.fitted is None:
             return np.zeros((batch.n_steps, policy.m))
@@ -306,7 +305,8 @@ class BaselineState:
             return self
         weights = None
         if self.spec.kind == "optimal_state":
-            weights = policy.joint_score_sq_norms(batch.states, batch.actions)
+            scores = policy.score_matrix(batch.states, batch.actions)
+            weights = np.einsum("np,np->n", scores, scores)  # ||grad log pi(a|s)||^2
         frozen = None if self.fitted is None else self.fitted.feature_map
         fitted = fit_q(batch.states, self._action_inputs(batch.actions), batch.qhat,
                        self.spec, rng, frozen, weights)

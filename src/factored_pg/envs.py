@@ -25,16 +25,6 @@ from .schema import section
 ENUMERATION_BUDGET = 1_000_000
 
 
-@dataclass(frozen=True)
-class ContinuousFactor:
-    """A scalar real-valued action factor."""
-
-
-@dataclass(frozen=True)
-class CategoricalFactor:
-    cardinality: int
-
-
 def _check_horizon_gamma(horizon: int, gamma: float) -> None:
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
@@ -47,18 +37,14 @@ class MdpSpec:
     """Dimensions and horizon of a task; policies are built against this."""
 
     state_dim: int
-    factors: tuple
+    n_factors: int
     horizon: int
     gamma: float
 
     def __post_init__(self):
         _check_horizon_gamma(self.horizon, self.gamma)
-        if not self.factors:
+        if self.n_factors < 1:
             raise ValueError("at least one action factor required")
-
-    @property
-    def n_factors(self) -> int:
-        return len(self.factors)
 
 
 @dataclass
@@ -72,7 +58,11 @@ class Step:
 
 
 class Environment:
+    """``cardinalities`` states the action space: None when every factor is
+    continuous, else each factor's category count."""
+
     spec: MdpSpec
+    cardinalities: tuple[int, ...] | None = None
 
     def reset(self, rngs) -> np.ndarray:
         """Initial states (n, state_dim), row k drawn from ``rngs[k]``."""
@@ -109,13 +99,7 @@ class TargetMatching(Environment):
 
     def __init__(self, target: np.ndarray):
         self.target = np.asarray(target, dtype=float).ravel()
-        m = len(self.target)
-        self.spec = MdpSpec(
-            state_dim=1,
-            factors=tuple(ContinuousFactor() for _ in range(m)),
-            horizon=1,
-            gamma=1.0,
-        )
+        self.spec = MdpSpec(state_dim=1, n_factors=len(self.target), horizon=1, gamma=1.0)
 
     def reset(self, rngs) -> np.ndarray:
         return np.zeros((len(rngs), 1))
@@ -211,12 +195,8 @@ class TabularMdp(Environment):
         # sampling tables for reset/step, summed in the same sequential order
         self._rho0_cdf = np.cumsum(self.rho0)
         self._transition_cdf = np.cumsum(self.transitions, axis=2)
-        self.spec = MdpSpec(
-            state_dim=1,
-            factors=tuple(CategoricalFactor(k) for k in self.cardinalities),
-            horizon=int(horizon),
-            gamma=float(gamma),
-        )
+        self.spec = MdpSpec(state_dim=1, n_factors=len(self.cardinalities),
+                            horizon=int(horizon), gamma=float(gamma))
 
     def reset(self, rngs) -> np.ndarray:
         u = np.array([rng.random() for rng in rngs])
@@ -322,12 +302,7 @@ class PointMass(Environment):
     ACTION_COST = 0.001
 
     def __init__(self, horizon: int, gamma: float):
-        self.spec = MdpSpec(
-            state_dim=4,
-            factors=(ContinuousFactor(), ContinuousFactor()),
-            horizon=int(horizon),
-            gamma=gamma,
-        )
+        self.spec = MdpSpec(state_dim=4, n_factors=2, horizon=int(horizon), gamma=gamma)
 
     def reset(self, rngs) -> np.ndarray:
         pos = np.array([rng.standard_normal(2) for rng in rngs])

@@ -34,7 +34,6 @@ import numpy as np
 
 from .baselines import check_marginal
 from .config import ExperimentConfig, load_config, save_config
-from .envs import CategoricalFactor, ContinuousFactor
 from .errors import ConfigError, NonFiniteError, SingularSystemError
 from .features import IndicatorFeatures, RawFeatures
 from .optim import RNG_SCHEME, IterationLog, train
@@ -55,20 +54,18 @@ def build_env(cfg: ExperimentConfig):
 
 
 def build_policy(env, policy_cfg):
-    factors = env.spec.factors
-    if all(isinstance(f, ContinuousFactor) for f in factors):
+    """A zero policy of the family ``env.cardinalities`` states: Gaussian
+    factors when it is None, categorical factors of those sizes otherwise."""
+    if env.cardinalities is None:
         if policy_cfg.features == "indicator":
             raise ConfigError("indicator policy features need categorical factors")
-        return IndependentGaussianPolicy.zeros(len(factors), env.spec.state_dim,
+        return IndependentGaussianPolicy.zeros(env.spec.n_factors, env.spec.state_dim,
                                                policy_cfg.log_std_init)
-    if all(isinstance(f, CategoricalFactor) for f in factors):
-        cards = tuple(f.cardinality for f in factors)
-        if policy_cfg.features == "indicator":
-            feats = IndicatorFeatures(len(env.rho0))
-        else:
-            feats = RawFeatures(env.spec.state_dim)
-        return CategoricalPolicy.zeros(cards, feats)
-    raise ConfigError("mixed continuous/categorical factor policies are not supported")
+    if policy_cfg.features == "indicator":
+        feats = IndicatorFeatures(len(env.rho0))
+    else:
+        feats = RawFeatures(env.spec.state_dim)
+    return CategoricalPolicy.zeros(env.cardinalities, feats)
 
 
 # ---------------------------------------------------------------------------

@@ -229,7 +229,7 @@ def train(
             raise SingularSystemError(f"{exc} at iteration {it}, seed {seed}") from exc
 
     check_marginal(baseline_spec, policy)
-    state = BaselineState.initial(baseline_spec)
+    state = BaselineState(baseline_spec)
     logs = []
     for it in range(n_iterations):
         batch = collect_batch(env, policy, n_trajectories, seed, it)

@@ -68,16 +68,7 @@ class FactoredPolicy:
         fills only the columns of its block."""
         raise NotImplementedError
 
-    def joint_score_sq_norms(self, states, actions) -> np.ndarray:
-        """||grad log pi(a|s)||^2 per sample; weights for the optimal state fit."""
-        scores = self.score_matrix(states, actions)
-        return np.einsum("np,np->n", scores, scores)
-
-    # -- supports and divergences
-
-    def factor_support(self, i: int):
-        """Category values for categorical factors, None for continuous ones."""
-        return None
+    # -- divergences
 
     def kl(self, other: "FactoredPolicy", states: np.ndarray) -> float:
         """Mean over states of KL(self(.|s) || other(.|s))."""
@@ -270,9 +261,6 @@ class CategoricalPolicy(FactoredPolicy):
             coeff[rows, np.rint(actions[:, i]).astype(int)] += 1.0
             blocks.append((coeff[:, :, None] * phis[:, None, :]).reshape(len(phis), -1))
         return np.hstack(blocks)
-
-    def factor_support(self, i: int) -> np.ndarray:
-        return np.arange(self.cardinalities[i], dtype=float)
 
     def sample_factor(self, states, i: int, size: int, rng) -> np.ndarray:
         """``size`` draws of factor i per state, (n, size)."""

@@ -124,10 +124,9 @@ def mc_marginalized_baseline(
     """
     action = np.asarray(action, dtype=float)
     if exact:
-        support = policy.factor_support(i)
-        if support is None:
+        if policy.kind != "categorical":
             raise ValueError("exact marginalization requires a categorical factor")
-        values = [q(state, _swap(action, i, v)) for v in support]
+        values = [q(state, _swap(action, i, v)) for v in range(policy.cardinalities[i])]
         return float(np.dot(policy.factor_probs(np.atleast_2d(state), i)[0], values))
     if rng is None:
         raise ValueError("rng required for sampled marginalization")
@@ -167,9 +166,8 @@ def optimal_action_baseline(
     """
     action = np.asarray(action, dtype=float)
     states = np.atleast_2d(state)
-    support = policy.factor_support(i)
-    if support is not None:
-        values, weights = support, policy.factor_probs(states, i)[0]
+    if policy.kind == "categorical":
+        values, weights = range(policy.cardinalities[i]), policy.factor_probs(states, i)[0]
     else:
         if rng is None:
             raise ValueError("rng required for the continuous-factor ratio estimator")

@@ -148,7 +148,7 @@ def test_exact_mc_q_batch_matches_reference():
     policy = _two_factor_policy()
     batch = _categorical_batch(policy)
     spec = BaselineSpec(kind="mc_q", exact=True, tabular=True)
-    state = BaselineState.initial(spec).refit(batch, policy)
+    state = BaselineState(spec).refit(batch, policy)
     out = state.evaluate(batch, policy)
     model = state.fitted
     q = lambda s, a: model.predict(s[None], a[None])[0]
@@ -164,7 +164,7 @@ def test_optimal_action_batch_matches_reference():
     policy = _two_factor_policy(seed=12)
     batch = _categorical_batch(policy, seed=8)
     spec = BaselineSpec(kind="optimal_action", tabular=True)
-    state = BaselineState.initial(spec).refit(batch, policy)
+    state = BaselineState(spec).refit(batch, policy)
     out = state.evaluate(batch, policy)
     model = state.fitted
     q = lambda s, a: model.predict(s[None], a[None])[0]
@@ -185,7 +185,7 @@ def test_mean_q_batch_matches_reference():
         paths.append((states, actions, rewards))
     batch = Batch.from_paths(paths, gamma=1.0)
     spec = BaselineSpec(kind="mean_q", features="linear")
-    state = BaselineState.initial(spec).refit(batch, policy)
+    state = BaselineState(spec).refit(batch, policy)
     out = state.evaluate(batch, policy)
     model = state.fitted
     q = lambda s, a: model.predict(s[None], a[None])[0]
@@ -207,7 +207,7 @@ def test_mean_q_quadratic_matches_reference():
         paths.append((states, actions, -np.sum((actions - 0.4) ** 2, axis=1) + states[:, 1]))
     batch = Batch.from_paths(paths, gamma=1.0)
     spec = BaselineSpec(kind="mean_q", features="quadratic", ridge=1e-8)
-    state = BaselineState.initial(spec).refit(batch, policy)
+    state = BaselineState(spec).refit(batch, policy)
     out = state.evaluate(batch, policy)
     model = state.fitted
     q = lambda s, a: model.predict(s[None], a[None])[0]
@@ -228,7 +228,7 @@ def test_ragged_categorical_regression_matches_reference(features, kind, referen
     policy = _two_factor_policy(seed=33)
     batch = _categorical_batch(policy, seed=34)
     spec = BaselineSpec(kind=kind, exact=kind == "mc_q", features=features)
-    state = BaselineState.initial(spec).refit(batch, policy)
+    state = BaselineState(spec).refit(batch, policy)
     out = state.evaluate(batch, policy)
     model = state.fitted
     q = lambda s, a: model.predict(s[None], a[None])[0]
@@ -246,7 +246,7 @@ def test_separable_maps_predict_once_per_batch(monkeypatch, features, calls):
     policy = IndependentGaussianPolicy.zeros(3, 1).with_theta(0.3 * rng.standard_normal(9))
     batch = _gaussian_batch(policy, 36)
     spec = BaselineSpec(kind="mc_q", mc_samples=4, features=features, n_features=20)
-    state = BaselineState.initial(spec).refit(batch, policy, np.random.default_rng(1))
+    state = BaselineState(spec).refit(batch, policy, np.random.default_rng(1))
     counted = []
     predict = QModel.predict
     monkeypatch.setattr(QModel, "predict", lambda *args: counted.append(1) or predict(*args))
@@ -288,7 +288,7 @@ def test_sampled_batch_matches_draw_aligned_reference(spec, case, reference):
     """Draws of factor i come in one (n, K) block after those of factors < i,
     so row r of factor i reads the draws after the first (i n + r) K."""
     policy, batch, draw = case()
-    state = BaselineState.initial(spec).refit(batch, policy, np.random.default_rng(1))
+    state = BaselineState(spec).refit(batch, policy, np.random.default_rng(1))
     out = state.evaluate(batch, policy, np.random.default_rng(2))
     model = state.fitted
     q = lambda s, a: model.predict(s[None], a[None])[0]
@@ -309,7 +309,7 @@ def test_exact_mc_q_rejects_continuous_factors():
     actions = _sampled(policy, states, rng)
     batch = Batch.from_paths([(states, actions, np.zeros(3))], gamma=1.0)
     spec = BaselineSpec(kind="mc_q", exact=True, features="linear")
-    state = BaselineState.initial(spec).refit(batch, policy)
+    state = BaselineState(spec).refit(batch, policy)
     with pytest.raises(ValueError):
         state.evaluate(batch, policy)
 
@@ -326,7 +326,7 @@ def test_enumerated_score_baseline_orthogonality():
         BaselineSpec(kind="optimal_action", tabular=True),
     ]
     for spec in kinds:
-        state = BaselineState.initial(spec).refit(batch, policy)
+        state = BaselineState(spec).refit(batch, policy)
         for k in range(0, batch.n_steps, 11):
             s = batch.states[k]
             for i in range(policy.m):
@@ -346,15 +346,15 @@ def test_initial_state_is_zero_and_none_stays_zero():
     policy = _two_factor_policy(seed=17)
     batch = _categorical_batch(policy, seed=18)
     spec = BaselineSpec(kind="optimal_action", tabular=True)
-    assert_allclose(BaselineState.initial(spec).evaluate(batch, policy), 0.0)
-    none_state = BaselineState.initial(BaselineSpec(kind="none")).refit(batch, policy)
+    assert_allclose(BaselineState(spec).evaluate(batch, policy), 0.0)
+    none_state = BaselineState(BaselineSpec(kind="none")).refit(batch, policy)
     assert_allclose(none_state.evaluate(batch, policy), 0.0)
 
 
 def test_state_value_constant_across_factors():
     policy = _two_factor_policy(seed=19)
     batch = _categorical_batch(policy, seed=20)
-    state = BaselineState.initial(BaselineSpec(kind="state_value", tabular=True)).refit(
+    state = BaselineState(BaselineSpec(kind="state_value", tabular=True)).refit(
         batch, policy
     )
     out = state.evaluate(batch, policy)
@@ -370,11 +370,11 @@ def test_state_value_constant_across_factors():
 def test_optimal_state_uses_score_norm_weights():
     policy = _two_factor_policy(seed=21)
     batch = _categorical_batch(policy, seed=22)
-    state = BaselineState.initial(
-        BaselineSpec(kind="optimal_state", tabular=True)
-    ).refit(batch, policy)
+    state = BaselineState(BaselineSpec(kind="optimal_state", tabular=True)).refit(batch, policy)
     out = state.evaluate(batch, policy)
-    w = policy.joint_score_sq_norms(batch.states, batch.actions)
+    # the weights are squared joint score norms, from one-row score_matrix calls
+    rows = zip(batch.states[:, None], batch.actions[:, None])
+    w = np.array([np.sum(policy.score_matrix(s, a) ** 2) for s, a in rows])
     keys = np.rint(batch.states[:, 0]).astype(int)
     for s_key in (0, 1):
         mask = keys == s_key
@@ -415,7 +415,7 @@ def test_tabular_state_value_keys_on_every_state_column():
     )
     policy = IndependentGaussianPolicy.zeros(1, 2)
     spec = BaselineSpec(kind="state_value", tabular=True)
-    state = BaselineState.initial(spec).refit(batch, policy)
+    state = BaselineState(spec).refit(batch, policy)
     assert_allclose(state.evaluate(batch, policy)[:, 0], [2.0, 6.0, 2.0, 6.0], atol=1e-14)
 
 
@@ -439,12 +439,12 @@ def test_one_fitted_model_per_arm(monkeypatch):
 
     monkeypatch.setattr(baselines, "fit_q", recording_fit_q)
     for spec in (BaselineSpec(kind="state_value", tabular=True), BaselineSpec(kind="optimal_state")):
-        state = BaselineState.initial(spec).refit(batch, policy)
+        state = BaselineState(spec).refit(batch, policy)
         assert isinstance(state.fitted, QModel)
         assert read.pop().shape == (batch.n_steps, 0)
-    state = BaselineState.initial(BaselineSpec(kind="mc_q", exact=True))
+    state = BaselineState(BaselineSpec(kind="mc_q", exact=True))
     for _ in range(2):  # a fresh feature map, then the frozen one
         state = state.refit(batch, policy)
         assert isinstance(state.fitted, QModel)
         assert read.pop() is batch.actions
-    assert BaselineState.initial(BaselineSpec(kind="none")).refit(batch, policy).fitted is None
+    assert BaselineState(BaselineSpec(kind="none")).refit(batch, policy).fitted is None

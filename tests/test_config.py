@@ -148,6 +148,9 @@ def test_malformed_json_reports_config_error(tmp_path):
         lambda d: d.update(optimizer={"klx": 0.1}),
         lambda d: d.update(normalize="false"),
         lambda d: d.update(arms=[{"kind": "mc_q", "exact": "false"}]),
+        lambda d: d.update(arms=[{"kind": "optimal_action", "exact": True}]),
+        lambda d: d.update(arms=[{"kind": "mean_q", "exact": True}]),
+        lambda d: d.update(arms=[{"kind": "state_value", "exact": True}]),
         lambda d: d.update(n_iterations=True),
         lambda d: d.update(n_iterations=2.9),
         lambda d: d.update(arms=[{"kind": "mc_q", "mc_samples": 2.5}]),

@@ -76,9 +76,7 @@ def test_bandit_enumeration_count():
 
 def test_enumerated_probabilities_sum_to_one():
     env = load_fixture("chain_two_step")
-    policy = CategoricalPolicy.zeros(
-        [f.cardinality for f in env.spec.factors], IndicatorFeatures(len(env.rho0))
-    )
+    policy = CategoricalPolicy.zeros(env.cardinalities, IndicatorFeatures(len(env.rho0)))
     total = sum(et.probability(policy) for et in env.enumerate_trajectories())
     assert_allclose(total, 1.0, atol=1e-12)
 

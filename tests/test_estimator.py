@@ -48,7 +48,7 @@ def test_estimate_stays_exact_under_fitted_baselines():
         BaselineSpec(kind="mc_q", exact=True, tabular=True),
         BaselineSpec(kind="optimal_action", tabular=True),
     ):
-        state = BaselineState.initial(spec).refit(batch, problem.policy)
+        state = BaselineState(spec).refit(batch, problem.policy)
         values = state.evaluate(batch, problem.policy)
         scores = score_matrix(batch, problem.policy)
         report = pg_estimate(batch, problem.policy, scores, batch.qhat[:, None] - values)
@@ -177,7 +177,7 @@ def test_variance_reduction_visible_on_enumerated_fixture():
     batch = _enumerated_batch(problem)
     scores = score_matrix(batch, problem.policy)
     none = pg_estimate(batch, problem.policy, scores, _raw_returns(batch, problem.policy.m))
-    state = BaselineState.initial(
+    state = BaselineState(
         BaselineSpec(kind="optimal_action", tabular=True)
     ).refit(batch, problem.policy)
     better = pg_estimate(

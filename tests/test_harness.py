@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from factored_pg.config import config_from_dict, matching_task_config, save_config
-from factored_pg.envs import solve_threshold_default
+from factored_pg.config import PolicyConfig, config_from_dict, matching_task_config, save_config
+from factored_pg.envs import ENV_PARAMS, make_env, solve_threshold_default
 from factored_pg.errors import ConfigError, NonFiniteError, SingularSystemError
 from factored_pg import harness, schema
 from factored_pg.harness import (
@@ -361,27 +361,28 @@ def test_lambda_sweep_layout_and_validation(tmp_path):
             assert json.load(fh)["lam"] == lam
 
 
-def test_build_policy_shapes_and_mixed_rejection():
+def test_build_policy_shapes_and_indicator_rejection():
     cfg = _tiny_config("unused")
     env = build_env(cfg)
     policy = build_policy(env, cfg.policy)
     assert policy.m == 2
     assert policy.n_params == 6
-
-    class Mixed:
-        from factored_pg.envs import CategoricalFactor, ContinuousFactor, MdpSpec
-
-        spec = MdpSpec(
-            state_dim=1,
-            factors=(ContinuousFactor(), CategoricalFactor(2)),
-            horizon=1,
-            gamma=1.0,
-        )
-
-    with pytest.raises(ConfigError):
-        build_policy(Mixed(), cfg.policy)
     with pytest.raises(ConfigError):
         build_policy(env, replace(cfg.policy, features="indicator"))
+
+
+@pytest.mark.parametrize("name", sorted(ENV_PARAMS))
+def test_build_policy_family_follows_env_cardinalities(name):
+    chain = importlib.resources.files("factored_pg").joinpath("fixtures", "chain_two_step.json")
+    env = make_env(name, {"path": str(chain)} if name == "tabular" else {})
+    policy = build_policy(env, PolicyConfig())
+    assert policy.m == env.spec.n_factors
+    if env.cardinalities is None:
+        assert policy.kind == "gaussian"
+    else:
+        assert isinstance(env.cardinalities, tuple)
+        assert policy.kind == "categorical"
+        assert policy.cardinalities == env.cardinalities
 
 
 def test_build_env_target_seed_controls_task():

@@ -104,17 +104,6 @@ def test_score_matrix_matches_joint_scores(kind):
     assert_allclose(scores, _fd_scores(pol, states, actions), rtol=1e-5, atol=1e-7)
 
 
-def test_joint_score_sq_norms_match_joint_scores():
-    pol = _categorical(seed=5)
-    rng = np.random.default_rng(9)
-    states = rng.integers(2, size=(5, 1)).astype(float)
-    actions = _sampled(pol, states, rng)
-    norms = pol.joint_score_sq_norms(states, actions)
-    for n in range(5):
-        expect = np.sum(pol.score_matrix(states[n : n + 1], actions[n : n + 1]) ** 2)
-        assert_allclose(norms[n], expect, atol=1e-12)
-
-
 def test_log_prob_sums_factor_log_probs():
     pol = _gaussian(m=3, seed=4)
     s, a = np.zeros((2, 1)), np.array([[0.1, 0.2, -0.4], [0.5, -1.0, 0.0]])
@@ -196,8 +185,6 @@ def test_categorical_kl_hand_value():
 def test_mean_action_and_support():
     g = _gaussian(m=2, seed=11)
     assert_allclose(g.mean_actions(np.zeros((3, 1))), np.tile(g.biases, (3, 1)), atol=1e-12)
-    c = _categorical(cards=(4,), n_states=1, seed=11)
-    assert_allclose(c.factor_support(0), [0, 1, 2, 3])
 
 
 @pytest.mark.parametrize("make", [_gaussian, _categorical])

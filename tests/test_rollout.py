@@ -10,7 +10,6 @@ import pytest
 
 from factored_pg import optim
 from factored_pg.envs import (
-    ContinuousFactor,
     Environment,
     MdpSpec,
     Step,
@@ -27,8 +26,7 @@ class _RandomStop(Environment):
     probability 0.3, drawn from the trajectory's own environment generator."""
 
     def __init__(self):
-        self.spec = MdpSpec(state_dim=1, factors=(ContinuousFactor(), ContinuousFactor()),
-                            horizon=6, gamma=0.9)
+        self.spec = MdpSpec(state_dim=1, n_factors=2, horizon=6, gamma=0.9)
 
     def reset(self, rngs):
         return np.array([[rng.standard_normal()] for rng in rngs])
