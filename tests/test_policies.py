@@ -88,6 +88,20 @@ def test_joint_score_is_sum_of_factor_scores():
     assert_allclose(pol.score_matrix(s, a), expect, atol=1e-14)
 
 
+def test_joint_score_sq_norms_match_joint_scores():
+    # the squared row norms of one batched score_matrix call, as the optimal
+    # state baseline weighs with, equal those of one-row calls
+    pol = _categorical(seed=5)
+    rng = np.random.default_rng(9)
+    states = rng.integers(2, size=(5, 1)).astype(float)
+    actions = _sampled(pol, states, rng)
+    scores = pol.score_matrix(states, actions)
+    norms = np.einsum("np,np->n", scores, scores)
+    for n in range(5):
+        expect = np.sum(pol.score_matrix(states[n : n + 1], actions[n : n + 1]) ** 2)
+        assert_allclose(norms[n], expect, atol=1e-12)
+
+
 @pytest.mark.parametrize("kind", ["gaussian", "categorical"])
 def test_score_matrix_matches_joint_scores(kind):
     rng = np.random.default_rng(7)
