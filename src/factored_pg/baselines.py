@@ -143,14 +143,16 @@ class QModel:
         return self.model.predict(self.feature_map(x))
 
     def at_candidates(self, states: np.ndarray, actions: np.ndarray,
-                      cand: np.ndarray) -> np.ndarray:
+                      cand: np.ndarray, live: np.ndarray) -> np.ndarray:
         """Q(s, a with a^i = cand[:, i, k]) for every factor i and candidate k,
-        an (n, m, K) array like ``cand``.
+        an (n, m, K) array like ``cand``, at least where the (m, K) mask
+        ``live`` holds; the slots it clears carry no weight.
 
         A ridge fit on raw or ``QuadraticMap`` features is separable by input
         column, so moving a^i to v changes only a^i's own columns:
         Q(a^i = v) = Q(s, a) + w_i (v - a_i) + w_ii (v^2 - a_i^2). That is one
-        prediction per batch; other models predict once per candidate.
+        prediction per batch; other models predict once per live candidate and
+        leave the other slots at 0.
         """
         fmap = self.feature_map
         if isinstance(self.model, LinearModel) and isinstance(fmap, (RawFeatures, QuadraticMap)):
@@ -161,8 +163,8 @@ class QModel:
             if isinstance(fmap, QuadraticMap):  # the squares follow the inputs
                 q += w[fmap.input_dim + cols, None] * (cand * cand - a * a)
             return q
-        q = np.empty(cand.shape)
-        for i, k in np.ndindex(cand.shape[1:]):
+        q = np.zeros(cand.shape)
+        for i, k in zip(*np.nonzero(live)):
             q[:, i, k] = self.predict(states, _swap(actions, i, cand[:, i, k]))
         return q
 
@@ -297,7 +299,7 @@ class BaselineState:
             b = self.fitted.predict(states, self._action_inputs(actions))
             return np.repeat(b[:, None], policy.m, axis=1)
         cand, weights, den = marginal(states, policy, self.spec, rng)
-        q = self.fitted.at_candidates(states, actions, cand)
+        q = self.fitted.at_candidates(states, actions, cand, np.any(weights, axis=0))
         return np.sum(weights * q, axis=-1) / den
 
     def refit(self, batch, policy, rng: np.random.Generator | None = None) -> "BaselineState":

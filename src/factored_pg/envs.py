@@ -2,10 +2,12 @@
 MDPs for exact oracles, and a small multi-step control task.
 
 Environments are value objects: ``step`` is a pure function of (state, action,
-generator draw), so replays are exact given the seed. ``reset`` and ``step``
-take n trajectories at once, one row each, and row k draws only from its own
-generator ``rngs[k]``; an environment that draws nothing never reads
-``rngs``, so lazily built generators stay unbuilt.
+noise), so replays are exact given the seed. ``reset`` and ``step`` take n
+trajectories at once, one row each, and row k reads only its own row of
+noise. A trajectory draws that noise from its own generator, all of it before
+its first step: ``draw_reset(rng)`` and then ``draw_steps(rng, steps)``, one
+row per step. An environment that draws nothing says so with ``draws =
+False``, and the rollout then builds no generator for it.
 Each registered environment has one frozen params dataclass, read from JSON
 by ``schema.section``, that validates its values and builds the environment.
 """
@@ -63,14 +65,25 @@ class Environment:
 
     spec: MdpSpec
     cardinalities: tuple[int, ...] | None = None
+    draws = False  # whether reset or step reads any noise
 
-    def reset(self, rngs) -> np.ndarray:
-        """Initial states (n, state_dim), row k drawn from ``rngs[k]``."""
+    def draw_reset(self, rng) -> np.ndarray:
+        """The variates one trajectory's ``reset`` reads, (d_reset,)."""
+        return np.empty(0)
+
+    def draw_steps(self, rng, steps: int) -> np.ndarray:
+        """The variates ``steps`` of one trajectory's ``step`` calls read,
+        (steps, d_step), drawn after ``draw_reset``."""
+        return np.empty((steps, 0))
+
+    def reset(self, noise: np.ndarray) -> np.ndarray:
+        """Initial states (n, state_dim), row k from ``noise[k]``, a row of
+        ``draw_reset``."""
         raise NotImplementedError
 
-    def step(self, states: np.ndarray, actions: np.ndarray, rngs) -> Step:
-        """Row k moves from ``states[k]`` under ``actions[k]``, drawing from
-        ``rngs[k]``."""
+    def step(self, states: np.ndarray, actions: np.ndarray, noise: np.ndarray) -> Step:
+        """Row k moves from ``states[k]`` under ``actions[k]``, reading
+        ``noise[k]``, a row of ``draw_steps``."""
         raise NotImplementedError
 
     def enumerate_trajectories(self):
@@ -101,10 +114,10 @@ class TargetMatching(Environment):
         self.target = np.asarray(target, dtype=float).ravel()
         self.spec = MdpSpec(state_dim=1, n_factors=len(self.target), horizon=1, gamma=1.0)
 
-    def reset(self, rngs) -> np.ndarray:
-        return np.zeros((len(rngs), 1))
+    def reset(self, noise) -> np.ndarray:
+        return np.zeros((len(noise), 1))
 
-    def step(self, states, actions, rngs) -> Step:
+    def step(self, states, actions, noise) -> Step:
         actions = _rows(actions, self.spec.n_factors)
         rewards = -np.sum((actions - self.target) ** 2, axis=1)
         n = len(actions)
@@ -157,6 +170,8 @@ class TabularMdp(Environment):
     presented to policies as the 1-dim vector [state_index], an index into rho0.
     """
 
+    draws = True
+
     def __init__(
         self,
         transitions: np.ndarray,
@@ -198,18 +213,24 @@ class TabularMdp(Environment):
         self.spec = MdpSpec(state_dim=1, n_factors=len(self.cardinalities),
                             horizon=int(horizon), gamma=float(gamma))
 
-    def reset(self, rngs) -> np.ndarray:
-        u = np.array([rng.random() for rng in rngs])
-        s = np.searchsorted(self._rho0_cdf, u, side="right")
+    def draw_reset(self, rng) -> np.ndarray:
+        """One uniform for the initial state."""
+        return rng.random(1)
+
+    def draw_steps(self, rng, steps: int) -> np.ndarray:
+        """One uniform per step for the next state."""
+        return rng.random((steps, 1))
+
+    def reset(self, noise) -> np.ndarray:
+        s = np.searchsorted(self._rho0_cdf, noise[:, 0], side="right")
         return np.minimum(s, len(self.rho0) - 1).astype(float)[:, None]
 
-    def step(self, states, actions, rngs) -> Step:
+    def step(self, states, actions, noise) -> Step:
         actions = _rows(actions, self.spec.n_factors)
         s = np.rint(states[:, 0]).astype(int)
         aj = np.ravel_multi_index(np.rint(actions).astype(int).T, self.cardinalities)
-        u = np.array([rng.random() for rng in rngs])
-        # count of cdf entries <= u, as searchsorted with side="right"
-        s2 = np.sum(self._transition_cdf[s, aj] <= u[:, None], axis=1)
+        # count of cdf entries <= the uniform, as searchsorted with side="right"
+        s2 = np.sum(self._transition_cdf[s, aj] <= noise, axis=1)
         s2 = np.minimum(s2, len(self.rho0) - 1).astype(float)[:, None]
         return Step(s2, self.rewards[s, aj], np.zeros(len(s), dtype=bool))
 
@@ -300,15 +321,19 @@ class PointMass(Environment):
 
     DT = 0.1
     ACTION_COST = 0.001
+    draws = True
 
     def __init__(self, horizon: int, gamma: float):
         self.spec = MdpSpec(state_dim=4, n_factors=2, horizon=int(horizon), gamma=gamma)
 
-    def reset(self, rngs) -> np.ndarray:
-        pos = np.array([rng.standard_normal(2) for rng in rngs])
-        return np.hstack([pos, np.zeros_like(pos)])
+    def draw_reset(self, rng) -> np.ndarray:
+        """Two standard normals for the initial position."""
+        return rng.standard_normal(2)
 
-    def step(self, states, actions, rngs) -> Step:
+    def reset(self, noise) -> np.ndarray:
+        return np.hstack([noise, np.zeros_like(noise)])
+
+    def step(self, states, actions, noise) -> Step:
         actions = _rows(actions, self.spec.n_factors)
         vel = states[:, 2:] + self.DT * actions
         pos = states[:, :2] + self.DT * vel

@@ -5,6 +5,14 @@ One update rule: theta += sqrt(2 kl / (x' F x)) * x with x ~= F^-1 g from
 ``CG_ITERS`` damped conjugate-gradient iterations on the empirical Fisher
 (outer products of joint scores).
 
+Every random draw comes from a keyed stream ``substream(seed, tag, iteration,
+k)``. A batch of n trajectories reads n policy streams and, for an environment
+that draws, n environment streams: ``keyed_states`` computes the PCG64 states
+of all n keys in one vectorized pass of numpy's SeedSequence mixing, and one
+generator, pointed at each state in turn, draws trajectory k's whole horizon of
+noise in one call. A generator gives the same values drawn as one block or
+step by step, so the draws are those of ``substream``.
+
 The KL normalization makes step size invariant to the parameterization
 scale, which matters when comparing baseline arms whose gradient magnitudes
 differ: both arms move the same "distance" per iteration and differ only
@@ -13,9 +21,7 @@ through the direction quality of their gradient estimates.
 
 from __future__ import annotations
 
-import functools
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -45,6 +51,81 @@ def substream(seed: int, tag: int, iteration: int, index: int = 0) -> np.random.
     build from than the list.
     """
     return np.random.default_rng(np.array([seed, tag, iteration, index], dtype=np.uint32))
+
+
+# numpy's SeedSequence constants (a pool of 4 uint32 words) and PCG64's multiplier
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = (2549297995355413924 << 64) + 4865540595714422341
+_MASK32, _MASK128 = (1 << 32) - 1, (1 << 128) - 1
+
+
+def keyed_states(keys: np.ndarray) -> list[tuple[int, int]]:
+    """PCG64 ``(state, inc)`` of ``default_rng(key)`` for each row of the
+    (n, 4) uint32 ``keys``: SeedSequence's pool mixing and
+    ``generate_state(4, uint64)`` on all rows at once, then PCG64's seeding."""
+    keys = np.asarray(keys, dtype=np.uint32)
+    hash_a = _INIT_A
+
+    def hashmix(value):
+        nonlocal hash_a
+        value = value ^ hash_a
+        hash_a = hash_a * _MULT_A & _MASK32
+        value = value * hash_a
+        return value ^ (value >> 16)
+
+    def mix(x, y):
+        value = _MIX_L * x - _MIX_R * y
+        return value ^ (value >> 16)
+
+    with np.errstate(over="ignore"):
+        pool = [hashmix(keys[:, i]) for i in range(4)]
+        for src in range(4):
+            for dst in range(4):
+                if src != dst:
+                    pool[dst] = mix(pool[dst], hashmix(pool[src]))
+        words = np.empty((len(keys), 8), dtype=np.uint32)
+        hash_b = _INIT_B
+        for i in range(8):
+            value = pool[i % 4] ^ hash_b
+            hash_b = hash_b * _MULT_B & _MASK32
+            value = value * hash_b
+            words[:, i] = value ^ (value >> 16)
+    out = []
+    # little-endian word pairs: (seed high, seed low, inc high, inc low)
+    for s_hi, s_lo, i_hi, i_lo in words.astype("<u4").view("<u8").tolist():
+        inc = (((i_hi << 64) | i_lo) << 1 | 1) & _MASK128
+        out.append((((inc + ((s_hi << 64) | s_lo)) * _PCG_MULT + inc) & _MASK128, inc))
+    return out
+
+
+def keyed_draws(draw, seed: int, tag: int, iteration: int, n: int) -> list:
+    """``[draw(substream(seed, tag, iteration, k)) for k in range(n)]``, from
+    one generator pointed at each key's state in turn."""
+    keys = np.empty((n, 4), dtype=np.uint32)
+    keys[:, :3] = seed, tag, iteration
+    keys[:, 3] = np.arange(n)
+    bit_generator = np.random.PCG64(0)  # its seed is replaced before every draw
+    rng = np.random.Generator(bit_generator)
+    out = []
+    for state, inc in keyed_states(keys):
+        bit_generator.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                               "has_uint32": 0, "uinteger": 0}
+        out.append(draw(rng))
+    return out
+
+
+def _check_keyed_states() -> None:
+    """Raise unless ``keyed_states`` seeds as this numpy's ``default_rng``
+    does, so a numpy that seeds differently fails here, not in the curves."""
+    key = np.array([[2**32 - 1, STREAM_POLICY, 12345, 0]], dtype=np.uint32)
+    expected = np.random.default_rng(key[0]).bit_generator.state["state"]
+    if keyed_states(key) != [(expected["state"], expected["inc"])]:
+        raise RuntimeError("numpy's default_rng seeds PCG64 differently from "
+                           "optim.keyed_states; the keyed streams would change")
+
+
+_check_keyed_states()
 
 
 @dataclass(frozen=True)
@@ -119,33 +200,19 @@ def npg_step(gradient: np.ndarray, scores: np.ndarray, cfg: OptimizerConfig) -> 
 # rollout collection
 
 
-class _Rows(Sequence):
-    """``entry(k)`` for each k in ``keys``, looked up on access, so entries
-    built on first use stay unbuilt until read."""
-
-    def __init__(self, entry, keys):
-        self.entry, self.keys = entry, keys
-
-    def __len__(self) -> int:
-        return len(self.keys)
-
-    def __getitem__(self, j: int):
-        return self.entry(int(self.keys[j]))
-
-
-def rollout(env, policy, env_rngs, policy_rngs) -> Batch:
-    """One trajectory per generator pair, all stepped together: one
-    ``env.reset``, then per time step one ``policy.sample`` and one
-    ``env.step`` over the trajectories not yet terminal. Trajectory k draws
-    only from ``env_rngs[k]`` and ``policy_rngs[k]``, in the order it would
-    alone. Returns the trajectory-major batch; a trajectory stops short of
-    the horizon at its terminal step."""
-    alive = np.arange(len(env_rngs))
-    state = env.reset(env_rngs)
+def rollout(env, policy, reset_noise, step_noise, policy_noise) -> Batch:
+    """One trajectory per row of the noise blocks, all stepped together: one
+    ``env.reset``, then per time step t one ``policy.sample`` and one
+    ``env.step`` over the trajectories not yet terminal. Trajectory k reads
+    ``reset_noise[k]``, then ``policy_noise[k, t]`` and ``step_noise[k, t]``
+    at step t. Returns the trajectory-major batch; a trajectory stops short
+    of the horizon at its terminal step."""
+    alive = np.arange(len(policy_noise))
+    state = env.reset(reset_noise)
     steps = []  # per time step: (trajectory index, state, action, reward) rows
-    for _ in range(env.spec.horizon):
-        action = policy.sample(state, _Rows(policy_rngs.__getitem__, alive))
-        step = env.step(state, action, _Rows(env_rngs.__getitem__, alive))
+    for t in range(env.spec.horizon):
+        action = policy.sample(state, policy_noise[alive, t])
+        step = env.step(state, action, step_noise[alive, t])
         steps.append((alive, state, action, step.rewards))
         running = ~step.terminal
         alive, state = alive[running], step.states[running]
@@ -153,21 +220,25 @@ def rollout(env, policy, env_rngs, policy_rngs) -> Batch:
             break
     traj, states, actions, rewards = (np.concatenate(column) for column in zip(*steps))
     order = np.argsort(traj, kind="stable")  # time order within each trajectory
-    lengths = np.bincount(traj, minlength=len(env_rngs))
+    lengths = np.bincount(traj, minlength=len(policy_noise))
     return Batch(states[order], actions[order], rewards[order], lengths, env.spec.gamma)
 
 
 def collect_batch(env, policy, n_trajectories: int, seed: int, iteration: int) -> Batch:
-    """``n_trajectories`` rollouts; trajectory k draws from
-    ``substream(seed, STREAM_ENV, iteration, k)`` and
-    ``substream(seed, STREAM_POLICY, iteration, k)``, each built on first
-    use, so an environment that draws nothing builds no generator."""
-
-    def streams(tag: int) -> _Rows:
-        return _Rows(functools.cache(functools.partial(substream, seed, tag, iteration)),
-                     range(n_trajectories))
-
-    return rollout(env, policy, streams(STREAM_ENV), streams(STREAM_POLICY))
+    """``n_trajectories`` rollouts; trajectory k draws its whole horizon of
+    noise from ``substream(seed, STREAM_POLICY, iteration, k)`` and, when the
+    environment draws, its reset and step noise from
+    ``substream(seed, STREAM_ENV, iteration, k)``."""
+    horizon, n = env.spec.horizon, n_trajectories
+    policy_noise = np.stack(keyed_draws(lambda rng: policy.draw(rng, horizon),
+                                        seed, STREAM_POLICY, iteration, n))
+    if env.draws:
+        env_noise = keyed_draws(lambda rng: (env.draw_reset(rng), env.draw_steps(rng, horizon)),
+                                seed, STREAM_ENV, iteration, n)
+        reset_noise, step_noise = (np.stack(column) for column in zip(*env_noise))
+    else:
+        reset_noise, step_noise = np.empty((n, 0)), np.empty((n, horizon, 0))
+    return rollout(env, policy, reset_noise, step_noise, policy_noise)
 
 
 # ---------------------------------------------------------------------------

@@ -10,10 +10,13 @@ property at machine zero.
 Action vectors hold one slot per factor: continuous factors store the sampled
 real value, categorical factors store the integer category as a float.
 
-Every method takes (n, .) arrays of states and actions. ``sample(states,
-rngs)`` draws row k from its own generator ``rngs[k]``, in the order a
-one-row call would, so a trajectory's actions do not depend on which other
-trajectories are sampled with it.
+Every method takes (n, .) arrays of states and actions. Sampling is split in
+two: ``draw(rng, steps)`` reads a trajectory's noise from its own generator,
+(steps, m) in draw order, and ``sample(states, noise)`` turns one (n, m) row
+of noise per state into actions. A generator gives the same values drawn as
+one (steps, m) block or m at a time, so a trajectory's actions do not depend
+on which other trajectories are sampled with it, nor on when its noise is
+drawn.
 """
 
 from __future__ import annotations
@@ -55,8 +58,14 @@ class FactoredPolicy:
 
     # -- sampling, densities and scores
 
-    def sample(self, states, rngs) -> np.ndarray:
-        """One action per state, (n, m); row k draws only from ``rngs[k]``."""
+    def draw(self, rng, steps: int) -> np.ndarray:
+        """The variates ``steps`` calls of ``sample`` read, (steps, m), in
+        draw order."""
+        raise NotImplementedError
+
+    def sample(self, states, noise) -> np.ndarray:
+        """One action per state, (n, m); row k reads only ``noise[k]``, a row
+        of ``draw``."""
         raise NotImplementedError
 
     def log_prob(self, states, actions) -> np.ndarray:
@@ -130,11 +139,14 @@ class IndependentGaussianPolicy(FactoredPolicy):
         phis = self.features(states)
         return phis, phis @ self.weights.T + self.biases
 
-    def sample(self, states, rngs) -> np.ndarray:
+    def draw(self, rng, steps: int) -> np.ndarray:
+        """Standard normals, one per factor and step."""
+        return rng.standard_normal((steps, self.m))
+
+    def sample(self, states, noise) -> np.ndarray:
         # one matrix-vector product per row: phis @ W.T rounds differently
         phis = self.features(states)
         mus = (self.weights @ phis[:, :, None])[..., 0] + self.biases
-        noise = np.array([rng.standard_normal(self.m) for rng in rngs])
         return mus + np.exp(self.log_std) * noise
 
     def log_prob(self, states, actions) -> np.ndarray:
@@ -228,17 +240,21 @@ class CategoricalPolicy(FactoredPolicy):
         e = np.exp(self._logits(states, i))
         return e / np.sum(e, axis=1, keepdims=True)
 
-    def sample(self, states, rngs) -> np.ndarray:
+    def draw(self, rng, steps: int) -> np.ndarray:
+        """Uniforms on [0, 1), one per factor and step."""
+        return rng.random((steps, self.m))
+
+    def sample(self, states, noise) -> np.ndarray:
         phis = self.features(states)
-        u = np.array([rng.random(self.m) for rng in rngs])  # factor i reads u[:, i]
         actions = np.empty((len(phis), self.m))
         for i, w in enumerate(self.logit_weights):
             # one matrix-vector product per row, as in the Gaussian sample
             logits = (w @ phis[:, :, None])[..., 0]
             e = np.exp(logits - np.max(logits, axis=1, keepdims=True))
             cdf = np.cumsum(e / np.sum(e, axis=1, keepdims=True), axis=1)
-            # count of cdf entries <= u, as searchsorted with side="right"
-            actions[:, i] = np.minimum(np.sum(cdf <= u[:, i : i + 1], axis=1), len(w) - 1)
+            # count of cdf entries <= factor i's uniform, as searchsorted
+            # with side="right"
+            actions[:, i] = np.minimum(np.sum(cdf <= noise[:, i : i + 1], axis=1), len(w) - 1)
         return actions
 
     def log_prob(self, states, actions) -> np.ndarray:

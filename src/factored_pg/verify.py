@@ -75,21 +75,22 @@ def all_problems():
 
 # ---------------------------------------------------------------------------
 # reference rollout: one trajectory at a time, environment and policy called
-# on one-row arrays with a one-element list of generators
+# on one-row arrays with noise drawn one step at a time
 
 
 def reference_collect_batch(env, policy, n_trajectories: int, seed: int, iteration: int) -> Batch:
     """What ``optim.collect_batch`` returns, built trajectory by trajectory
-    from the same keyed generators."""
+    from generators that ``substream`` builds, drawing each step's noise as
+    the step needs it."""
     paths = []
     for k in range(n_trajectories):
-        env_rngs = [substream(seed, STREAM_ENV, iteration, k)]
-        policy_rngs = [substream(seed, STREAM_POLICY, iteration, k)]
+        env_rng = substream(seed, STREAM_ENV, iteration, k)
+        policy_rng = substream(seed, STREAM_POLICY, iteration, k)
         states, actions, rewards = [], [], []
-        state = env.reset(env_rngs)
+        state = env.reset(env.draw_reset(env_rng)[None])
         for _ in range(env.spec.horizon):
-            action = policy.sample(state, policy_rngs)
-            step = env.step(state, action, env_rngs)
+            action = policy.sample(state, policy.draw(policy_rng, 1))
+            step = env.step(state, action, env.draw_steps(env_rng, 1))
             states.append(state[0])
             actions.append(action[0])
             rewards.append(step.rewards[0])
@@ -336,7 +337,7 @@ def check_score_fd(tol: float = 1e-5) -> CheckResult:
     worst = 0.0
     for pol, state in _random_policies(rng):
         states = state[None, :]
-        actions = pol.sample(states, [rng])
+        actions = pol.sample(states, pol.draw(rng, 1))
         analytic = pol.score_matrix(states, actions)[0]
         theta = pol.theta
         fd = np.empty_like(theta)

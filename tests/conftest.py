@@ -19,8 +19,8 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 class NanReward(TargetMatching):
     """Matching task whose last trajectory of every batch earns a NaN reward."""
 
-    def step(self, states, actions, rngs):
-        step = super().step(states, actions, rngs)
+    def step(self, states, actions, noise):
+        step = super().step(states, actions, noise)
         step.rewards[-1] = np.nan
         return step
 

@@ -27,7 +27,7 @@ def _binary_policy(p0: float) -> CategoricalPolicy:
 
 
 def _sampled(policy, states, rng):
-    return np.stack([policy.sample(s[None, :], [rng])[0] for s in states])
+    return np.stack([policy.sample(s[None, :], policy.draw(rng, 1))[0] for s in states])
 
 
 def _lookup_q(table):
@@ -158,6 +158,19 @@ def test_exact_mc_q_batch_matches_reference():
                 q, policy, batch.states[k], batch.actions[k], i, exact=True
             )
             assert_allclose(out[k, i], ref, atol=1e-12)
+
+
+@pytest.mark.parametrize("kind, exact", [("mc_q", True), ("optimal_action", False)])
+def test_ragged_support_predicts_only_live_slots(monkeypatch, kind, exact):
+    # cardinalities 2 and 3: factor 0's third slot is padding and carries no weight
+    policy = _two_factor_policy()
+    batch = _categorical_batch(policy)
+    state = BaselineState(BaselineSpec(kind=kind, exact=exact, tabular=True)).refit(batch, policy)
+    calls = []
+    predict = QModel.predict
+    monkeypatch.setattr(QModel, "predict", lambda *args: calls.append(1) or predict(*args))
+    state.evaluate(batch, policy)
+    assert len(calls) == sum(policy.cardinalities)
 
 
 def test_optimal_action_batch_matches_reference():

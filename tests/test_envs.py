@@ -21,15 +21,16 @@ from factored_pg.verify import fixture_path, load_fixture
 
 def test_target_matching_exact_match_zeroes_loss():
     env = TargetMatching(np.array([1.0, -2.0]))
-    rngs = [np.random.default_rng(0)]
-    step = env.step(env.reset(rngs), np.array([[1.0, -2.0]]), rngs)
+    rng = np.random.default_rng(0)
+    step = env.step(env.reset(env.draw_reset(rng)[None]), np.array([[1.0, -2.0]]),
+                    env.draw_steps(rng, 1))
     assert step.rewards[0] == 0.0
     assert step.terminal[0]
 
 
 def test_target_matching_hand_reward():
     env = TargetMatching(np.array([1.0, 1.0]))
-    step = env.step(np.zeros((1, 1)), np.array([[0.0, 0.0]]), [None])
+    step = env.step(np.zeros((1, 1)), np.array([[0.0, 0.0]]), np.empty((1, 0)))
     assert_allclose(step.rewards[0], -2.0)
 
 
@@ -38,12 +39,12 @@ def test_target_matching_reward_nonpositive():
     rng = np.random.default_rng(1)
     for _ in range(20):
         a = rng.standard_normal(5)
-        assert env.step(np.zeros((1, 1)), a[None, :], [None]).rewards[0] <= 0.0
+        assert env.step(np.zeros((1, 1)), a[None, :], np.empty((1, 0))).rewards[0] <= 0.0
 
 
 def test_target_matching_single_state():
     env = TargetMatching(np.zeros(3))
-    assert_allclose(env.reset([np.random.default_rng(0)])[0], [0.0])
+    assert_allclose(env.reset(env.draw_reset(np.random.default_rng(0))[None])[0], [0.0])
     assert env.spec.horizon == 1
     assert env.spec.n_factors == 3
 
@@ -108,10 +109,10 @@ def test_fixture_files_ship_with_package():
 
 def test_point_mass_shapes_and_cost_sign():
     env = make_env("point_mass")
-    rngs = [np.random.default_rng(0)]
-    s = env.reset(rngs)[0]
+    rng = np.random.default_rng(0)
+    s = env.reset(env.draw_reset(rng)[None])[0]
     assert s.shape == (4,)
-    step = env.step(s[None, :], np.array([[0.3, -0.2]]), rngs)
+    step = env.step(s[None, :], np.array([[0.3, -0.2]]), env.draw_steps(rng, 1))
     assert step.states[0].shape == (4,)
     assert step.rewards[0] <= 0.0
     assert not step.terminal[0]
@@ -157,7 +158,7 @@ def test_unreadable_tabular_fixture_is_config_error(tmp_path, content, match):
 def test_step_takes_one_row_of_factors_per_trajectory(name, params):
     env = make_env(name, params)
     m = env.spec.n_factors
-    states = env.reset([np.random.default_rng(0)])
+    states = env.reset(env.draw_reset(np.random.default_rng(0))[None])
     for actions in (np.zeros(m), np.zeros((1, m + 1))):
         with pytest.raises(ValueError, match=rf"\(n, {m}\) rows"):
-            env.step(states, actions, [np.random.default_rng(1)])
+            env.step(states, actions, env.draw_steps(np.random.default_rng(1), 1))

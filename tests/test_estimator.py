@@ -63,7 +63,7 @@ def _gaussian_batch(seed=0, lengths=(4, 1, 6, 3, 4, 2), m=2):
     paths = []
     for horizon in lengths:
         states = rng.standard_normal((horizon, 1))
-        actions = np.stack([policy.sample(s[None, :], [rng])[0] for s in states])
+        actions = np.stack([policy.sample(s[None, :], policy.draw(rng, 1))[0] for s in states])
         rewards = rng.standard_normal(horizon)
         paths.append((states, actions, rewards))
     return Batch.from_paths(paths, gamma=0.9), policy

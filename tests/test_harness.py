@@ -279,7 +279,7 @@ def test_load_policy_matches_the_trained_policy(tmp_path, make_config):
     out = run_experiment(cfg)
     env = build_env(cfg)
     rngs = [np.random.default_rng(k) for k in range(5)]
-    states = env.reset(rngs)
+    states = env.reset(np.stack([env.draw_reset(rng) for rng in rngs]))
     for arm in cfg.arms:
         trained = train(env, build_policy(env, cfg.policy), arm.spec,
                         n_iterations=cfg.n_iterations, n_trajectories=cfg.n_trajectories,
@@ -289,7 +289,7 @@ def test_load_policy_matches_the_trained_policy(tmp_path, make_config):
         assert type(loaded) is type(trained)
         assert np.array_equal(loaded.theta, trained.theta)
         assert np.any(trained.theta != 0.0)
-        actions = trained.sample(states, rngs)
+        actions = trained.sample(states, np.concatenate([trained.draw(rng, 1) for rng in rngs]))
         assert np.array_equal(loaded.log_prob(states, actions), trained.log_prob(states, actions))
         assert np.array_equal(loaded.score_matrix(states, actions),
                               trained.score_matrix(states, actions))

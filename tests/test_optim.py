@@ -1,5 +1,7 @@
 """The natural-gradient step, keyed rng streams, rollout collection, and the training loop."""
 
+import itertools
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -12,8 +14,10 @@ from factored_pg.optim import (
     STREAM_ENV,
     STREAM_POLICY,
     OptimizerConfig,
+    _check_keyed_states,
     collect_batch,
     conjugate_gradient,
+    keyed_states,
     make_fvp,
     npg_step,
     rollout,
@@ -104,10 +108,31 @@ def test_substream_draws_equal_the_list_keyed_generator(key):
     assert np.array_equal(got.standard_normal((3, 2)), expected.standard_normal((3, 2)))
 
 
+def _keyed_state(key):
+    state = np.random.default_rng(np.asarray(key, dtype=np.uint32)).bit_generator.state
+    return state["state"]["state"], state["state"]["inc"]
+
+
+def test_keyed_states_equal_default_rng_seeding():
+    words = (0, 1, 2**31, 2**32 - 1)
+    keys = np.array(list(itertools.product(words, repeat=4)), dtype=np.uint32)
+    assert keyed_states(keys) == [_keyed_state(key) for key in keys]
+    key = np.array([[7, STREAM_POLICY, 3, 2]], dtype=np.uint32)  # n = 1
+    assert keyed_states(key) == [_keyed_state(key[0])]
+
+
+def test_keyed_states_guard_raises_when_numpy_seeds_differently(monkeypatch):
+    default_rng = np.random.default_rng
+    monkeypatch.setattr(np.random, "default_rng", lambda key: default_rng([key[0], 1]))
+    with pytest.raises(RuntimeError, match="seeds PCG64 differently"):
+        _check_keyed_states()
+
+
 def test_rollout_shapes_and_horizon():
     env = TargetMatching(np.array([0.5, -0.3]))
     policy = IndependentGaussianPolicy.zeros(2, 1)
-    batch = rollout(env, policy, [np.random.default_rng(0)], [np.random.default_rng(1)])
+    batch = rollout(env, policy, np.empty((1, 0)), np.empty((1, 1, 0)),
+                    policy.draw(np.random.default_rng(1), 1)[None])
     states, actions, rewards = batch.states, batch.actions, batch.rewards
     assert states.shape == (1, 1)
     assert actions.shape == (1, 2)

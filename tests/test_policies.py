@@ -36,7 +36,7 @@ def _fd_scores(policy, states, actions, h=1e-6):
 
 
 def _sampled(policy, states, rng):
-    return np.stack([policy.sample(s[None, :], [rng])[0] for s in states])
+    return np.stack([policy.sample(s[None, :], policy.draw(rng, 1))[0] for s in states])
 
 
 def test_gaussian_score_hand_example():
@@ -212,7 +212,7 @@ def test_one_dimensional_inputs_raise(make):
         with pytest.raises(ValueError, match=rf"\(n, {pol.m}\)"):
             method(states, actions[0])
     with pytest.raises(ValueError, match=r"\(n, 1\)"):
-        pol.sample(states[:, 0], [np.random.default_rng(0)] * 3)
+        pol.sample(states[:, 0], pol.draw(np.random.default_rng(0), 3))
 
 
 def test_theta_round_trip():
@@ -222,5 +222,5 @@ def test_theta_round_trip():
         assert_allclose(clone.theta, theta)
         s = np.zeros(1)
         rng = np.random.default_rng(0)
-        a = pol.sample(s[None, :], [rng])
+        a = pol.sample(s[None, :], pol.draw(rng, 1))
         assert_allclose(clone.log_prob(s[None, :], a), pol.log_prob(s[None, :], a), atol=1e-14)

@@ -1,8 +1,11 @@
 """The lockstep rollout against the one-trajectory-at-a-time reference.
 
-``optim.collect_batch`` steps every trajectory of a batch together; the
-reference in ``verify`` runs them one by one on one-row calls. Both read the
-same keyed generators, so their batches must agree array for array.
+``optim.collect_batch`` seeds a batch's keyed generators in one vectorized
+pass, draws each trajectory's noise in one call and steps every trajectory
+together; the reference in ``verify`` builds each generator with
+``substream`` and runs the trajectories one by one, drawing one step at a
+time. Both read the same keyed streams, so their batches must agree array for
+array.
 """
 
 import numpy as np
@@ -25,15 +28,23 @@ class _RandomStop(Environment):
     """Episodes that end at different steps: each step is terminal with
     probability 0.3, drawn from the trajectory's own environment generator."""
 
+    draws = True
+
     def __init__(self):
         self.spec = MdpSpec(state_dim=1, n_factors=2, horizon=6, gamma=0.9)
 
-    def reset(self, rngs):
-        return np.array([[rng.standard_normal()] for rng in rngs])
+    def draw_reset(self, rng):
+        return rng.standard_normal(1)
 
-    def step(self, states, actions, rngs):
+    def draw_steps(self, rng, steps):
+        return rng.random((steps, 1))
+
+    def reset(self, noise):
+        return noise.copy()
+
+    def step(self, states, actions, noise):
         actions = _rows(actions, self.spec.n_factors)
-        u = np.array([rng.random() for rng in rngs])
+        u = noise[:, 0]
         return Step(states + actions[:, :1], states[:, 0] - np.sum(actions**2, axis=1), u < 0.3)
 
 
@@ -73,8 +84,24 @@ def test_collect_batch_equals_reference(case, seed):
 ])
 def test_collect_batch_builds_only_the_streams_it_reads(monkeypatch, case, tags):
     env, policy = CASES[case]()
-    keys = []
-    build = optim.substream
-    monkeypatch.setattr(optim, "substream", lambda *key: keys.append(key) or build(*key))
+    seeded = []
+    build = optim.keyed_states
+    monkeypatch.setattr(optim, "keyed_states",
+                        lambda keys: seeded.extend(map(tuple, keys.tolist())) or build(keys))
     optim.collect_batch(env, policy, 7, seed=0, iteration=0)
-    assert sorted(keys) == [(0, tag, 0, k) for tag in tags for k in range(7)]
+    assert sorted(seeded) == [(0, tag, 0, k) for tag in tags for k in range(7)]
+
+
+@pytest.mark.parametrize("case", ["point_mass", "chain_two_step", "random_stop"])
+def test_a_block_of_draws_equals_successive_draws(case):
+    # collect_batch draws a trajectory's horizon at once, the reference a step
+    # at a time: the same values, for the policy and for the environment
+    env, policy = CASES[case]()
+    horizon = 5
+    block, steps = np.random.default_rng(3), np.random.default_rng(3)
+    assert np.array_equal(policy.draw(block, horizon),
+                          np.concatenate([policy.draw(steps, 1) for _ in range(horizon)]))
+    assert np.array_equal(env.draw_reset(block), env.draw_reset(steps))
+    assert np.array_equal(env.draw_steps(block, horizon),
+                          np.concatenate([env.draw_steps(steps, 1) for _ in range(horizon)]))
+    assert np.array_equal(block.random(3), steps.random(3))  # both read the same count
