@@ -138,12 +138,15 @@ class QModel:
     model: LinearModel | TableModel
     feature_map: FeatureMap
 
+    def features(self, states: np.ndarray, actions: np.ndarray) -> np.ndarray:
+        """The (state, action) rows mapped through ``feature_map``."""
+        return self.feature_map(np.hstack([np.atleast_2d(states), np.atleast_2d(actions)]))
+
     def predict(self, states: np.ndarray, actions: np.ndarray) -> np.ndarray:
-        x = np.hstack([np.atleast_2d(states), np.atleast_2d(actions)])
-        return self.model.predict(self.feature_map(x))
+        return self.model.predict(self.features(states, actions))
 
     def at_candidates(self, states: np.ndarray, actions: np.ndarray,
-                      cand: np.ndarray, live: np.ndarray) -> np.ndarray:
+                      cand: np.ndarray, live: np.ndarray, phi=None) -> np.ndarray:
         """Q(s, a with a^i = cand[:, i, k]) for every factor i and candidate k,
         an (n, m, K) array like ``cand``, at least where the (m, K) mask
         ``live`` holds; the slots it clears carry no weight.
@@ -151,15 +154,17 @@ class QModel:
         A ridge fit on raw or ``QuadraticMap`` features is separable by input
         column, so moving a^i to v changes only a^i's own columns:
         Q(a^i = v) = Q(s, a) + w_i (v - a_i) + w_ii (v^2 - a_i^2). That is one
-        prediction per batch; other models predict once per live candidate and
-        leave the other slots at 0.
+        prediction per batch, read off ``phi`` when the caller has mapped the
+        rows (``features(states, actions)``); other models predict once per
+        live candidate and leave the other slots at 0.
         """
         fmap = self.feature_map
         if isinstance(self.model, LinearModel) and isinstance(fmap, (RawFeatures, QuadraticMap)):
             w = self.model.weights
             cols = np.arange(states.shape[1], states.shape[1] + actions.shape[1])  # a^i's column
             a = actions[:, :, None]
-            q = self.predict(states, actions)[:, None, None] + w[cols, None] * (cand - a)
+            q_sa = self.predict(states, actions) if phi is None else self.model.predict(phi)
+            q = q_sa[:, None, None] + w[cols, None] * (cand - a)
             if isinstance(fmap, QuadraticMap):  # the squares follow the inputs
                 q += w[fmap.input_dim + cols, None] * (cand * cand - a * a)
             return q
@@ -188,17 +193,21 @@ def fit_q(
     rng: np.random.Generator | None = None,
     frozen_map: FeatureMap | None = None,
     sample_weights: np.ndarray | None = None,
+    phi: np.ndarray | None = None,
 ) -> QModel:
     """One closed-form refit of the regression (an exact Newton step).
 
     ``actions`` holds only the action columns the model may read. A
-    ``frozen_map`` is reused as is; otherwise a fresh map is built from these
+    ``frozen_map`` is reused as is, and ``phi``, when given, is these rows
+    already mapped through it; otherwise a fresh map is built from these
     inputs (``rng`` is needed for random features), and a tabular fit reads
     them through ``RawFeatures``.
     """
-    x = np.hstack([np.atleast_2d(states), np.atleast_2d(actions)])
-    rmap = frozen_map if frozen_map is not None else _make_map(x, spec, rng)
-    phi = rmap(x)
+    rmap = frozen_map
+    if phi is None:
+        x = np.hstack([np.atleast_2d(states), np.atleast_2d(actions)])
+        rmap = rmap if rmap is not None else _make_map(x, spec, rng)
+        phi = rmap(x)
     if spec.tabular:
         return QModel(TableModel.fit(phi, targets, sample_weights), rmap)
     return QModel(fit_linear(phi, targets, ridge=spec.ridge, sample_weights=sample_weights), rmap)
@@ -285,24 +294,40 @@ class BaselineState:
     predict one b per step and repeat it over the factors, the marginal kinds
     predict Q at every candidate of ``marginal`` and take one weighted mean. A
     fresh state evaluates to zero everywhere.
+
+    A training iteration calls ``evaluate_and_refit``, which maps its batch
+    through the frozen feature map once and hands that block to both as
+    ``phi``. Without ``phi``, each maps the batch itself, to the same bytes.
     """
 
     def __init__(self, spec: BaselineSpec, fitted: QModel | None = None):
         self.spec = spec
         self.fitted = fitted
 
-    def evaluate(self, batch, policy, rng: np.random.Generator | None = None) -> np.ndarray:
+    def evaluate_and_refit(self, batch, policy, rng: np.random.Generator | None = None):
+        """``(evaluate(batch, ...), refit(batch, ...))`` in that order, with
+        the batch mapped once for both; before the first refit there is no
+        map, and the refit builds it."""
+        phi = None
+        if self.fitted is not None:
+            phi = self.fitted.features(batch.states, self._action_inputs(batch.actions))
+        return self.evaluate(batch, policy, rng, phi), self.refit(batch, policy, rng, phi)
+
+    def evaluate(self, batch, policy, rng: np.random.Generator | None = None,
+                 phi: np.ndarray | None = None) -> np.ndarray:
         if self.fitted is None:
             return np.zeros((batch.n_steps, policy.m))
         states, actions = batch.states, batch.actions
         if self.spec.kind not in MARGINAL_KINDS:
-            b = self.fitted.predict(states, self._action_inputs(actions))
+            b = (self.fitted.predict(states, self._action_inputs(actions)) if phi is None
+                 else self.fitted.model.predict(phi))
             return np.repeat(b[:, None], policy.m, axis=1)
         cand, weights, den = marginal(states, policy, self.spec, rng)
-        q = self.fitted.at_candidates(states, actions, cand, np.any(weights, axis=0))
+        q = self.fitted.at_candidates(states, actions, cand, np.any(weights, axis=0), phi)
         return np.sum(weights * q, axis=-1) / den
 
-    def refit(self, batch, policy, rng: np.random.Generator | None = None) -> "BaselineState":
+    def refit(self, batch, policy, rng: np.random.Generator | None = None,
+              phi: np.ndarray | None = None) -> "BaselineState":
         if self.spec.kind == "none":
             return self
         weights = None
@@ -311,7 +336,7 @@ class BaselineState:
             weights = np.einsum("np,np->n", scores, scores)  # ||grad log pi(a|s)||^2
         frozen = None if self.fitted is None else self.fitted.feature_map
         fitted = fit_q(batch.states, self._action_inputs(batch.actions), batch.qhat,
-                       self.spec, rng, frozen, weights)
+                       self.spec, rng, frozen, weights, phi)
         return BaselineState(self.spec, fitted)
 
     def _action_inputs(self, actions: np.ndarray) -> np.ndarray:

@@ -334,11 +334,17 @@ class PointMass(Environment):
         return np.hstack([noise, np.zeros_like(noise)])
 
     def step(self, states, actions, noise) -> Step:
+        # whole-row operations on (n, 4) blocks: the state's column slices
+        # are strided, and an elementwise op on a strided slice costs more
+        # than on a whole contiguous row
         actions = _rows(actions, self.spec.n_factors)
-        vel = states[:, 2:] + self.DT * actions
-        pos = states[:, :2] + self.DT * vel
-        rewards = -(np.sum(pos**2, axis=1) + self.ACTION_COST * np.sum(actions**2, axis=1))
-        return Step(np.hstack([pos, vel]), rewards, np.zeros(len(states), dtype=bool))
+        d = np.concatenate([actions, actions], axis=1)
+        d[:, :2] = (states + self.DT * d)[:, 2:]  # [v', a] with v' = v + DT a
+        out = states + self.DT * d  # [p + DT v', v + DT a] = [p', v']
+        d[:, :2] = out[:, :2]  # [p', a]
+        sq = d * d
+        rewards = -((sq[:, 0] + sq[:, 1]) + self.ACTION_COST * (sq[:, 2] + sq[:, 3]))
+        return Step(out, rewards, np.zeros(len(states), dtype=bool))
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SingularSystemError
-from .threads import rows_inplace
 
 
 def _rows(x: np.ndarray, d: int) -> np.ndarray:
@@ -79,7 +78,7 @@ class RffMap:
         z = _rows(x, self.input_dim) @ self.projection.T
         z /= self.bandwidth
         z += self.phase
-        return rows_inplace(np.sin, z)
+        return np.sin(z, out=z)
 
 
 class QuadraticMap:

@@ -8,10 +8,10 @@ One update rule: theta += sqrt(2 kl / (x' F x)) * x with x ~= F^-1 g from
 Every random draw comes from a keyed stream ``substream(seed, tag, iteration,
 k)``. A batch of n trajectories reads n policy streams and, for an environment
 that draws, n environment streams: ``keyed_states`` computes the PCG64 states
-of all n keys in one vectorized pass of numpy's SeedSequence mixing, and one
-generator, pointed at each state in turn, draws trajectory k's whole horizon of
-noise in one call. A generator gives the same values drawn as one block or
-step by step, so the draws are those of ``substream``.
+of all these keys in one vectorized pass of numpy's SeedSequence mixing, and
+one generator, pointed at each state in turn, draws trajectory k's whole
+horizon of noise in one call. A generator gives the same values drawn as one
+block or step by step, so the draws are those of ``substream``.
 
 The KL normalization makes step size invariant to the parameterization
 scale, which matters when comparing baseline arms whose gradient magnitudes
@@ -99,19 +99,25 @@ def keyed_states(keys: np.ndarray) -> list[tuple[int, int]]:
     return out
 
 
-def keyed_draws(draw, seed: int, tag: int, iteration: int, n: int) -> list:
-    """``[draw(substream(seed, tag, iteration, k)) for k in range(n)]``, from
-    one generator pointed at each key's state in turn."""
-    keys = np.empty((n, 4), dtype=np.uint32)
-    keys[:, :3] = seed, tag, iteration
-    keys[:, 3] = np.arange(n)
+def keyed_draws(draws: dict, seed: int, iteration: int, n: int) -> dict:
+    """``{tag: [draw(substream(seed, tag, iteration, k)) for k in range(n)]}``
+    for each ``tag: draw`` of ``draws``: the keys of every stream are seeded
+    in one ``keyed_states`` call, and one generator is pointed at each key's
+    state in turn."""
+    tags = list(draws)
+    keys = np.empty((len(tags), n, 4), dtype=np.uint32)
+    keys[..., 0], keys[..., 2], keys[..., 3] = seed, iteration, np.arange(n)
+    keys[..., 1] = np.array(tags)[:, None]
+    states = keyed_states(keys.reshape(-1, 4))
     bit_generator = np.random.PCG64(0)  # its seed is replaced before every draw
     rng = np.random.Generator(bit_generator)
-    out = []
-    for state, inc in keyed_states(keys):
-        bit_generator.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-                               "has_uint32": 0, "uinteger": 0}
-        out.append(draw(rng))
+    out = {}
+    for j, tag in enumerate(tags):
+        out[tag] = []
+        for state, inc in states[j * n:(j + 1) * n]:
+            bit_generator.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                                   "has_uint32": 0, "uinteger": 0}
+            out[tag].append(draws[tag](rng))
     return out
 
 
@@ -205,19 +211,25 @@ def rollout(env, policy, reset_noise, step_noise, policy_noise) -> Batch:
     ``env.reset``, then per time step t one ``policy.sample`` and one
     ``env.step`` over the trajectories not yet terminal. Trajectory k reads
     ``reset_noise[k]``, then ``policy_noise[k, t]`` and ``step_noise[k, t]``
-    at step t. Returns the trajectory-major batch; a trajectory stops short
-    of the horizon at its terminal step."""
-    alive = np.arange(len(policy_noise))
+    at step t. Until the first terminal flag every trajectory runs, so step t
+    reads the noise columns ``[:, t]`` as views and the next states as the
+    environment returned them; from then on an index of the trajectories
+    still running selects their rows. Returns the trajectory-major batch; a
+    trajectory stops short of the horizon at its terminal step."""
+    every = np.arange(len(policy_noise))
+    alive = slice(None)  # every trajectory, until one ends
     state = env.reset(reset_noise)
     steps = []  # per time step: (trajectory index, state, action, reward) rows
     for t in range(env.spec.horizon):
         action = policy.sample(state, policy_noise[alive, t])
         step = env.step(state, action, step_noise[alive, t])
-        steps.append((alive, state, action, step.rewards))
-        running = ~step.terminal
-        alive, state = alive[running], step.states[running]
-        if not len(alive):
-            break
+        steps.append((every[alive], state, action, step.rewards))
+        state = step.states
+        if step.terminal.any():
+            running = ~step.terminal
+            alive, state = every[alive][running], state[running]
+            if not len(alive):
+                break
     traj, states, actions, rewards = (np.concatenate(column) for column in zip(*steps))
     order = np.argsort(traj, kind="stable")  # time order within each trajectory
     lengths = np.bincount(traj, minlength=len(policy_noise))
@@ -230,12 +242,13 @@ def collect_batch(env, policy, n_trajectories: int, seed: int, iteration: int) -
     environment draws, its reset and step noise from
     ``substream(seed, STREAM_ENV, iteration, k)``."""
     horizon, n = env.spec.horizon, n_trajectories
-    policy_noise = np.stack(keyed_draws(lambda rng: policy.draw(rng, horizon),
-                                        seed, STREAM_POLICY, iteration, n))
+    draws = {STREAM_POLICY: lambda rng: policy.draw(rng, horizon)}
     if env.draws:
-        env_noise = keyed_draws(lambda rng: (env.draw_reset(rng), env.draw_steps(rng, horizon)),
-                                seed, STREAM_ENV, iteration, n)
-        reset_noise, step_noise = (np.stack(column) for column in zip(*env_noise))
+        draws[STREAM_ENV] = lambda rng: (env.draw_reset(rng), env.draw_steps(rng, horizon))
+    noise = keyed_draws(draws, seed, iteration, n)
+    policy_noise = np.stack(noise[STREAM_POLICY])
+    if env.draws:
+        reset_noise, step_noise = (np.stack(column) for column in zip(*noise[STREAM_ENV]))
     else:
         reset_noise, step_noise = np.empty((n, 0)), np.empty((n, horizon, 0))
     return rollout(env, policy, reset_noise, step_noise, policy_noise)
@@ -277,7 +290,8 @@ def train(
     normalize: bool = True,
     callback=None,
 ) -> TrainResult:
-    """Run the full loop: sample, evaluate last iteration's baseline, step, refit.
+    """Run the full loop: sample, evaluate last iteration's baseline and refit
+    it on the batch, step.
 
     Baselines are always one iteration stale: the models evaluated on batch t
     were fitted on batch t-1 (zero at t = 0), so the critic never sees the
@@ -306,7 +320,7 @@ def train(
         batch = collect_batch(env, policy, n_trajectories, seed, it)
         require_finite("batch rewards", batch.rewards)
         base_rng = substream(seed, STREAM_BASELINE, it)
-        baseline_values = state.evaluate(batch, policy, base_rng)
+        baseline_values, state = solve(state.evaluate_and_refit, batch, policy, base_rng)
         advantages = gae_advantages(batch, baseline_values, lam)
         require_finite("advantages", advantages)
         scores = score_matrix(batch, policy)
@@ -327,6 +341,5 @@ def train(
         if callback is not None:
             callback(it, batch, policy, log)
 
-        state = solve(state.refit, batch, policy, base_rng)
         policy = new_policy
     return TrainResult(policy=policy, logs=logs)

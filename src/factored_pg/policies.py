@@ -102,6 +102,7 @@ class IndependentGaussianPolicy(FactoredPolicy):
         self.weights = np.atleast_2d(np.asarray(weights, dtype=float))
         self.biases = np.asarray(biases, dtype=float).ravel()
         self.log_std = np.asarray(log_std, dtype=float).ravel()
+        self.std = np.exp(self.log_std)
         self.features = features
         self.m = len(self.biases)
         if self.weights.shape != (self.m, features.n_features) or len(self.log_std) != self.m:
@@ -147,11 +148,11 @@ class IndependentGaussianPolicy(FactoredPolicy):
         # one matrix-vector product per row: phis @ W.T rounds differently
         phis = self.features(states)
         mus = (self.weights @ phis[:, :, None])[..., 0] + self.biases
-        return mus + np.exp(self.log_std) * noise
+        return mus + self.std * noise
 
     def log_prob(self, states, actions) -> np.ndarray:
         actions = _rows(actions, self.m)
-        z = (actions - self.mean_actions(states)) / np.exp(self.log_std)
+        z = (actions - self.mean_actions(states)) / self.std
         return np.sum(-0.5 * z * z - self.log_std - 0.5 * LOG_2PI, axis=1)
 
     def score_matrix(self, states, actions) -> np.ndarray:

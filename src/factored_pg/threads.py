@@ -1,4 +1,4 @@
-"""Where the package uses threads: BLAS on one, elementwise work on all cores.
+"""numpy's BLAS pinned to one thread; the package starts no thread of its own.
 
 Curves depend on the BLAS thread count, because a multi-threaded product or
 solve sums in an order set by its thread count, and an idle OpenBLAS worker
@@ -8,27 +8,15 @@ scipy-openblas to one thread, in this process only, through the library's own
 ``BLAS_THREADS`` is that count, or None when numpy's BLAS is not a bundled
 scipy-openblas; ``BLAS_PIN`` names the outcome for ``optim.RNG_SCHEME``, so
 every checkpoint records whether its run was pinned.
-
-``rows_inplace`` splits an elementwise ufunc over contiguous row chunks, one
-per core in the process's affinity mask. Elementwise results do not depend on
-the split, so its output is byte-identical to one call. Worker threads of one
-pool, built on first use (a forked child builds its own), compute every chunk
-but the last and the calling thread computes the last, so no traced call
-leaves the calling thread.
 """
 
 from __future__ import annotations
 
 import ctypes
-import functools
 import glob
 import os
 
 import numpy as np
-
-# below this many elements per chunk, handing a chunk to a worker costs more
-# than it saves (a hand-off takes ~50 us, a float64 sin ~20 ns per element)
-MIN_CHUNK_ELEMENTS = 16384
 
 
 def _pin_blas() -> tuple:
@@ -50,36 +38,3 @@ def _pin_blas() -> tuple:
 
 
 BLAS_THREADS, BLAS_PIN = _pin_blas()
-
-def cores() -> int:
-    """Cores this process may run on."""
-    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-
-
-@functools.cache
-def _executor():
-    """The process's row-chunk pool: one worker per core but one."""
-    from concurrent.futures import ThreadPoolExecutor
-
-    return ThreadPoolExecutor(cores() - 1, thread_name_prefix="factored_pg-rows")
-
-
-if hasattr(os, "register_at_fork"):  # no fork, no hook on Windows
-    # a forked child inherits the pool object, but not its threads
-    os.register_at_fork(after_in_child=_executor.cache_clear)
-
-
-def rows_inplace(ufunc, z: np.ndarray) -> np.ndarray:
-    """``ufunc(z, out=z)`` for a C-contiguous 2-D array ``z``, split into
-    contiguous row chunks over the cores; returns ``z``."""
-    chunks = min(len(z), z.size // MIN_CHUNK_ELEMENTS, cores())
-    if chunks < 2:
-        return ufunc(z, out=z)
-    bounds = [len(z) * i // chunks for i in range(chunks + 1)]
-    parts = [z[a:b] for a, b in zip(bounds, bounds[1:])]
-    executor = _executor()
-    futures = [executor.submit(ufunc, part, out=part) for part in parts[:-1]]
-    ufunc(parts[-1], out=parts[-1])
-    for future in futures:
-        future.result()
-    return z

@@ -111,19 +111,18 @@ class Batch:
         """out[t] = x[t] + factor * out[t+1] within each trajectory, zero past
         its end, in the same float-operation order as ``returns_to_go``.
 
-        Trajectories become the rows of a zero-padded (n_traj, max_len)
-        array, and the recursion takes one vector step per column from the
-        last; padding keeps every trajectory's accumulator at exactly 0 until
-        its own last step.
+        Trajectories become the columns of a zero-padded (max_len + 1,
+        n_traj) array, and the recursion adds factor times row t + 1 into row
+        t, in place, from the last row up; padding keeps every trajectory's
+        accumulator at exactly 0 until its own last step.
         """
         x = np.asarray(x, dtype=float)
-        padded = np.zeros((self.n_trajectories, int(self.lengths.max())) + x.shape[1:])
-        padded[self.traj_index, self.t_index] = x
-        acc = np.zeros_like(padded[:, 0])
-        for t in range(padded.shape[1] - 1, -1, -1):
-            acc = padded[:, t] + factor * acc
-            padded[:, t] = acc
-        return padded[self.traj_index, self.t_index]
+        padded = np.zeros((int(self.lengths.max()) + 1, self.n_trajectories) + x.shape[1:])
+        padded[self.t_index, self.traj_index] = x
+        for t in range(len(padded) - 2, -1, -1):
+            row = padded[t]
+            row += factor * padded[t + 1]
+        return padded[self.t_index, self.traj_index]
 
     def mean_return(self) -> float:
         return float(np.mean(self.totals))

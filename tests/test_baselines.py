@@ -7,7 +7,9 @@ from numpy.testing import assert_allclose
 
 from factored_pg import baselines
 from factored_pg.baselines import BaselineSpec, BaselineState, QModel, TableModel, fit_q
-from factored_pg.features import IndicatorFeatures
+from factored_pg.envs import make_env
+from factored_pg.features import IndicatorFeatures, RffMap
+from factored_pg.optim import OptimizerConfig, train
 from factored_pg.policies import CategoricalPolicy, IndependentGaussianPolicy
 from factored_pg.trajectory import Batch
 from factored_pg.verify import (
@@ -265,6 +267,44 @@ def test_separable_maps_predict_once_per_batch(monkeypatch, features, calls):
     monkeypatch.setattr(QModel, "predict", lambda *args: counted.append(1) or predict(*args))
     state.evaluate(batch, policy, np.random.default_rng(2))
     assert len(counted) == calls
+
+
+@pytest.mark.parametrize("spec", [
+    BaselineSpec(kind="state_value", features="rff", n_features=20),
+    BaselineSpec(kind="state_value", features="quadratic"),
+    BaselineSpec(kind="optimal_state", features="quadratic"),
+    BaselineSpec(kind="mean_q", features="quadratic"),
+], ids=["state_value-rff", "state_value-quadratic", "optimal_state", "mean_q"])
+def test_evaluate_and_refit_share_one_mapped_block(monkeypatch, spec):
+    """Once the map is frozen, one evaluate and one refit map their batch
+    once, and give the bytes of calls that map the batch themselves."""
+    rng = np.random.default_rng(36)
+    policy = IndependentGaussianPolicy.zeros(3, 1).with_theta(0.3 * rng.standard_normal(9))
+    batch = _gaussian_batch(policy, 38)
+    state = BaselineState(spec).refit(_gaussian_batch(policy, 37), policy,
+                                      np.random.default_rng(1))
+    frozen = type(state.fitted.feature_map)
+    mapped = []
+    call = frozen.__call__
+    monkeypatch.setattr(frozen, "__call__", lambda fmap, x: mapped.append(len(x)) or call(fmap, x))
+    values, refit = state.evaluate_and_refit(batch, policy, np.random.default_rng(2))
+    assert mapped == [batch.n_steps]
+    assert values.tobytes() == state.evaluate(batch, policy, np.random.default_rng(2)).tobytes()
+    own = state.refit(batch, policy, np.random.default_rng(2))
+    assert refit.fitted.feature_map is own.fitted.feature_map
+    assert refit.fitted.model.weights.tobytes() == own.fitted.model.weights.tobytes()
+
+
+def test_train_maps_each_batch_once(monkeypatch):
+    # iteration 0 maps its batch in the refit that builds the map; every
+    # later iteration maps its batch once, for evaluate and refit together
+    mapped = []
+    call = RffMap.__call__
+    monkeypatch.setattr(RffMap, "__call__", lambda fmap, x: mapped.append(len(x)) or call(fmap, x))
+    train(make_env("point_mass", {"horizon": 5}), IndependentGaussianPolicy.zeros(2, 4),
+          BaselineSpec(kind="state_value", features="rff", n_features=20), n_iterations=3,
+          n_trajectories=4, seed=0, optimizer=OptimizerConfig())
+    assert mapped == [4 * 5] * 3
 
 
 def _gaussian_batch(policy, seed):

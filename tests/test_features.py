@@ -15,7 +15,6 @@ from factored_pg.features import (
     fit_linear,
     median_bandwidth,
 )
-from factored_pg.threads import cores
 
 
 def test_scalar_least_squares_mean():
@@ -154,9 +153,9 @@ def test_rff_map_output_shape_and_range():
 
 @pytest.mark.parametrize("rows", ["split", 1])
 def test_rff_map_equals_one_unchunked_sinusoid_bit_for_bit(rows):
-    # "split": enough rows for one chunk per core, and not a multiple of the
-    # core count, so the chunks differ in length
-    n = cores() * 500 + 1 if rows == "split" else rows
+    # "split": an odd, many-row block (a point_mass batch has 1000 rows);
+    # 1: a single row
+    n = 1001 if rows == "split" else rows
     m = RffMap(6, 100, 0.7, np.random.default_rng(4))
     x = np.random.default_rng(5).standard_normal((n, 6))
     expected = np.sin(x @ m.projection.T / m.bandwidth + m.phase)

@@ -52,17 +52,22 @@ def test_tracer_attaches_and_uninstall_restores():
         patched = list(tracer._restore)
         for owner, attr in GUARDED:
             assert owner.__dict__[attr] is not before[(owner, attr)], attr
-        # a short run goes through every wrapper; the collect_batch hook
-        # takes its arguments by name, so it also pins that signature
-        optim.train(
-            envs.TargetMatching(np.array([0.5, -0.3])),
-            IndependentGaussianPolicy.zeros(2, 1),
-            BaselineSpec(kind="state_value", features="linear"),
-            n_iterations=2,
-            n_trajectories=4,
-            seed=0,
-            optimizer=optim.OptimizerConfig(),
-        )
+        # two short runs go through every wrapper; the collect_batch hook
+        # takes its arguments by name, so it also pins that signature. A
+        # state arm reads its predictions off the batch's mapped block, so
+        # QModel.predict is reached by mc_q's per-candidate predictions on
+        # random features
+        for spec in (BaselineSpec(kind="state_value", features="linear"),
+                     BaselineSpec(kind="mc_q", mc_samples=2, features="rff", n_features=8)):
+            optim.train(
+                envs.TargetMatching(np.array([0.5, -0.3])),
+                IndependentGaussianPolicy.zeros(2, 1),
+                spec,
+                n_iterations=2,
+                n_trajectories=4,
+                seed=0,
+                optimizer=optim.OptimizerConfig(),
+            )
     finally:
         tracer.uninstall()
     summary = spans.summarize(tracer)

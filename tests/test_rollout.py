@@ -48,6 +48,35 @@ class _RandomStop(Environment):
         return Step(states + actions[:, :1], states[:, 0] - np.sum(actions**2, axis=1), u < 0.3)
 
 
+class _LateStop(Environment):
+    """Episodes that run their first three steps in full and can end from
+    step 3 on: the state carries the step count, and a step at or past 3 is
+    terminal with probability 0.25. The rollout passes views of the noise
+    until the first terminal flag and an index of the running trajectories
+    after it."""
+
+    draws = True
+
+    def __init__(self):
+        self.spec = MdpSpec(state_dim=2, n_factors=2, horizon=6, gamma=0.9)
+
+    def draw_reset(self, rng):
+        return rng.standard_normal(1)
+
+    def draw_steps(self, rng, steps):
+        return rng.random((steps, 1))
+
+    def reset(self, noise):
+        return np.hstack([noise, np.zeros_like(noise)])
+
+    def step(self, states, actions, noise):
+        actions = _rows(actions, self.spec.n_factors)
+        t = states[:, 1]
+        following = np.column_stack([states[:, 0] + actions[:, 0], t + 1.0])
+        rewards = states[:, 0] - np.sum(actions**2, axis=1)
+        return Step(following, rewards, (t >= 3) & (noise[:, 0] < 0.25))
+
+
 def _gaussian(m, state_dim, seed):
     policy = IndependentGaussianPolicy.zeros(m, state_dim)
     return policy.with_theta(0.3 * np.random.default_rng(seed).standard_normal(policy.n_params))
@@ -62,6 +91,7 @@ CASES = {
     "point_mass": lambda: (make_env("point_mass", {"horizon": 20}), _gaussian(2, 4, 2)),
     "chain_two_step": lambda: _problem(fixture_problem("chain_two_step")),
     "random_stop": lambda: (_RandomStop(), _gaussian(2, 1, 3)),
+    "late_stop": lambda: (_LateStop(), _gaussian(2, 2, 4)),
 }
 
 
@@ -69,6 +99,7 @@ CASES = {
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_collect_batch_equals_reference(case, seed):
     env, policy = CASES[case]()
+    lengths = set()
     for iteration in range(3):
         batch = optim.collect_batch(env, policy, 9, seed, iteration)
         ref = reference_collect_batch(env, policy, 9, seed, iteration)
@@ -76,6 +107,9 @@ def test_collect_batch_equals_reference(case, seed):
             assert np.array_equal(getattr(batch, name), getattr(ref, name)), name
         if case == "random_stop":
             assert len(set(batch.lengths)) > 1  # the alive mask is exercised
+        lengths.update(batch.lengths.tolist())
+    if case == "late_stop":  # views for three steps, then the mask
+        assert min(lengths) >= 4 and env.spec.horizon in lengths and len(lengths) > 1
 
 
 @pytest.mark.parametrize("case, tags", [

@@ -1,4 +1,3 @@
-import multiprocessing
 import os
 import subprocess
 import sys
@@ -7,8 +6,12 @@ import threading
 import numpy as np
 
 import factored_pg
-from factored_pg import threads
+from factored_pg import optim, threads
+from factored_pg.baselines import BaselineSpec
+from factored_pg.envs import make_env
+from factored_pg.features import RffMap
 from factored_pg.optim import RNG_SCHEME
+from factored_pg.policies import IndependentGaussianPolicy
 
 SRC = os.path.dirname(os.path.dirname(factored_pg.__file__))
 
@@ -42,50 +45,12 @@ def test_curves_do_not_depend_on_the_requested_blas_threads(tmp_path):
     assert len(hashes) == 1
 
 
-def _sin_bytes(z):
-    return np.sin(z).tobytes()
-
-
-def test_rows_inplace_is_byte_identical_under_concurrent_callers():
-    # more callers than cores, switching often: each caller's rows come back
-    # exactly as one unsplit np.sin computes them
-    rng = np.random.default_rng(0)
-    n = threads.cores()
-    inputs = [rng.uniform(-50, 50, (n * 400 + 1, 97)) for _ in range(n + 3)]
-    results = [None] * len(inputs)
-
-    def work(k):
-        results[k] = threads.rows_inplace(np.sin, inputs[k].copy()).tobytes()
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        callers = [threading.Thread(target=work, args=(k,)) for k in range(len(inputs))]
-        for t in callers:
-            t.start()
-        for t in callers:
-            t.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(t.is_alive() for t in callers)
-    assert results == [_sin_bytes(z) for z in inputs]
-
-
-def _forked_child(z, out):
-    out.put(threads.rows_inplace(np.sin, z.copy()).tobytes() == _sin_bytes(z))
-
-
-def test_a_forked_child_builds_its_own_pool():
-    z = np.random.default_rng(1).uniform(-5, 5, (1001, 100))
-    threads.rows_inplace(np.sin, z.copy())  # the parent's pool exists now
-    ctx = multiprocessing.get_context("fork")
-    out = ctx.Queue()
-    child = ctx.Process(target=_forked_child, args=(z, out))
-    child.start()
-    try:
-        ok = out.get(timeout=60)
-    finally:
-        child.join(timeout=60)
-        if child.is_alive():
-            child.kill()
-    assert ok and child.exitcode == 0
+def test_the_package_starts_no_thread():
+    before = threading.active_count()
+    rff = RffMap(6, 100, 0.7, np.random.default_rng(0))
+    rff(np.random.default_rng(1).standard_normal((1001, 6)))
+    spec = BaselineSpec(kind="mc_q", mc_samples=2, features="rff", n_features=20)
+    optim.train(make_env("point_mass", {"horizon": 5}), IndependentGaussianPolicy.zeros(2, 4),
+                spec, n_iterations=2, n_trajectories=4, seed=0,
+                optimizer=optim.OptimizerConfig())
+    assert threading.active_count() == before
