@@ -4,7 +4,8 @@ Policies and baselines are linear heads on feature maps, and every map has one
 protocol: ``map(x)`` takes (n, input_dim) rows and returns (n, n_features).
 The maps are the identity (``RawFeatures``), a one-hot state index
 (``IndicatorFeatures``), appended squares (``QuadraticMap``) and frozen
-sinusoidal random features (``RffMap``). Refitting a linear model from scratch
+sinusoidal random features (``RffMap``, whose sinusoid runs in single
+precision). Refitting a linear model from scratch
 each iteration is equivalent to one exact Newton step on the squared loss,
 which is all the training loop needs.
 """
@@ -60,6 +61,13 @@ class RffMap:
     P has i.i.d. standard normal entries and phase is uniform on [-pi, pi);
     both are drawn once at construction and never change, so two maps built
     from identically seeded generators are element-wise identical.
+
+    The argument z is computed in float64 and the sine in float32, written
+    back to float64: within 2^-24 |z| + 2^-22 of the float64 sine, elementwise.
+    A row maps to the same bytes alone or inside any block. Random
+    features approximate their kernel only to O(1/sqrt(n_features)), about
+    0.1 at 100 features, far above that rounding, and numpy's vectorized
+    float32 sine is an order of magnitude faster than its float64 one.
     """
 
     def __init__(self, input_dim: int, n_features: int, bandwidth: float, rng: np.random.Generator):
@@ -74,11 +82,12 @@ class RffMap:
         self.phase = rng.uniform(-np.pi, np.pi, size=self.n_features)
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
-        # one buffer, the same elementwise steps as sin(x P' / bw + phase)
+        # one float64 buffer, the same elementwise steps as sin(x P' / bw + phase);
+        # the sinusoid runs in float32, cast in numpy's buffers and written back
         z = _rows(x, self.input_dim) @ self.projection.T
         z /= self.bandwidth
         z += self.phase
-        return np.sin(z, out=z)
+        return np.sin(z, out=z, dtype=np.float32)
 
 
 class QuadraticMap:

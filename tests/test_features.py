@@ -151,15 +151,42 @@ def test_rff_map_output_shape_and_range():
     assert m(x[:1]).shape == (1, 10)
 
 
-@pytest.mark.parametrize("rows", ["split", 1])
-def test_rff_map_equals_one_unchunked_sinusoid_bit_for_bit(rows):
-    # "split": an odd, many-row block (a point_mass batch has 1000 rows);
-    # 1: a single row
-    n = 1001 if rows == "split" else rows
+def _rff_phase(m, x):
+    """z = x P' / bandwidth + phase in float64, the argument of the sinusoid."""
+    return x @ m.projection.T / m.bandwidth + m.phase
+
+
+@pytest.mark.parametrize("rows", [1001, 1])
+def test_rff_map_equals_the_float32_sinusoid_bit_for_bit(rows):
+    # 1001: an odd, many-row block (a point_mass batch has 1000 rows); 1: one row
     m = RffMap(6, 100, 0.7, np.random.default_rng(4))
-    x = np.random.default_rng(5).standard_normal((n, 6))
-    expected = np.sin(x @ m.projection.T / m.bandwidth + m.phase)
-    assert m(x).tobytes() == expected.tobytes()
+    x = np.random.default_rng(5).standard_normal((rows, 6))
+    expected = np.sin(_rff_phase(m, x).astype(np.float32)).astype(float)
+    y = m(x)
+    assert y.dtype == np.float64
+    assert y.tobytes() == expected.tobytes()
+
+
+def test_rff_map_maps_each_row_as_it_maps_it_inside_a_block():
+    # at_candidates and the batch's one mapped block both rely on a row's
+    # features not depending on the rows mapped with it
+    m = RffMap(6, 100, 0.7, np.random.default_rng(4))
+    x = np.random.default_rng(6).standard_normal((37, 6))
+    block = m(x)
+    for i in range(len(x)):
+        assert m(x[i : i + 1]).tobytes() == block[i : i + 1].tobytes()
+
+
+def test_rff_map_is_within_float32_rounding_of_the_float64_sinusoid():
+    # rounding z to float32 moves sin(z) by at most 2^-24 |z| (sin is
+    # 1-Lipschitz), and the float32 sin itself adds a few units in the last
+    # place of a value in [-1, 1]; the bound was fixed before the first run
+    m = RffMap(6, 100, 0.7, np.random.default_rng(4))
+    x = np.random.default_rng(7).standard_normal((1000, 6))
+    z = _rff_phase(m, x)
+    assert np.abs(z).max() > 20  # 25.2 here
+    err = np.abs(m(x) - np.sin(z))
+    assert np.all(err <= 2.0**-24 * np.abs(z) + 2.0**-22)
 
 
 def test_rff_map_validates_inputs():

@@ -23,6 +23,11 @@ median beats the parent's by more than the parent's interquartile range. It
 also records whether every run's curve sha256 per arm was equal between the
 two sides. The file is rewritten after every pair, so an interrupted run keeps
 what it measured.
+
+Each run starts in a session of its own, and its whole process group (the run
+and the ``job.py`` children it starts) is killed when the run ends, times out,
+or this script is stopped with SIGTERM or Ctrl-C, so nothing it started keeps
+running after it.
 """
 
 from __future__ import annotations
@@ -32,6 +37,7 @@ import json
 import os
 import re
 import shutil
+import signal
 import statistics
 import subprocess
 import sys
@@ -76,13 +82,36 @@ def export(rev: str, dest: str) -> None:
     os.remove(archive)
 
 
+def run_in_session(cmd: list, cwd: str, env=None) -> subprocess.CompletedProcess:
+    """``cmd`` run to completion in a new session, its output captured. On a
+    timeout, an exception (SIGTERM included, see ``exit_on_sigterm``) or a
+    normal exit, the session's process group is killed, so no child it
+    started outlives it."""
+    proc = subprocess.Popen(cmd, cwd=cwd, env=env, stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, text=True, start_new_session=True)
+    try:
+        stdout, stderr = proc.communicate(timeout=RUN_TIMEOUT_S)
+    finally:
+        try:
+            os.killpg(proc.pid, signal.SIGKILL)
+        except ProcessLookupError:  # the group has no process left
+            pass
+        proc.wait()
+    return subprocess.CompletedProcess(cmd, proc.returncode, stdout, stderr)
+
+
+def exit_on_sigterm() -> None:
+    """Turn SIGTERM into SystemExit, so ``finally`` blocks (the process group
+    kill in ``run_in_session``, the export's removal) run before exiting."""
+    signal.signal(signal.SIGTERM, lambda signum, frame: sys.exit(128 + signum))
+
+
 def run_once(checkout: str, workload: str, seed: int) -> dict:
     """One benchmark run: its result line, its machine record and the curve
     sha256 of each arm."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(SECONDS), "--trace", "0"]
-    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True,
-                          timeout=RUN_TIMEOUT_S)
+    proc = run_in_session(cmd, checkout)
     if proc.returncode != 0:
         raise RuntimeError(f"{' '.join(cmd)} in {checkout} exited {proc.returncode}:\n"
                            f"{proc.stderr}")
@@ -149,6 +178,7 @@ def main(argv=None) -> int:
     p.add_argument("--parent", required=True, help="git revision to compare against")
     p.add_argument("--out", required=True, help="JSON file to write")
     args = p.parse_args(argv)
+    exit_on_sigterm()
 
     sys.path.insert(0, os.path.join(ROOT, "perfbench"))
     from workloads import WORKLOADS
