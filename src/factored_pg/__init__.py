@@ -12,7 +12,6 @@ from .baselines import (
     BaselineState,
     QModel,
     TableModel,
-    fit_q,
 )
 from .config import (
     ArmConfig,

@@ -19,9 +19,11 @@ values of a^i:
 With ``tabular`` the regression is a table of exact group means keyed on the
 whole rounded input row, and rows the table has not seen predict 0.
 
-Fitting follows the training-loop convention: baselines are evaluated with
-models fitted on the previous iteration's batch; the first iteration uses an
-all-zero model, so early advantages are raw returns-to-go.
+A batch reaches the critic one way, ``BaselineState.evaluate_and_refit``: it
+maps the batch's (state, action columns) rows through the arm's feature map
+once, evaluates the model fitted on the previous iteration's batch on that
+block, then refits on it. The first call builds the map from its batch and
+evaluates to zero, so early advantages are raw returns-to-go.
 """
 
 from __future__ import annotations
@@ -138,24 +140,21 @@ class QModel:
     model: LinearModel | TableModel
     feature_map: FeatureMap
 
-    def features(self, states: np.ndarray, actions: np.ndarray) -> np.ndarray:
-        """The (state, action) rows mapped through ``feature_map``."""
-        return self.feature_map(np.hstack([np.atleast_2d(states), np.atleast_2d(actions)]))
-
     def predict(self, states: np.ndarray, actions: np.ndarray) -> np.ndarray:
-        return self.model.predict(self.features(states, actions))
+        rows = np.hstack([np.atleast_2d(states), np.atleast_2d(actions)])
+        return self.model.predict(self.feature_map(rows))
 
     def at_candidates(self, states: np.ndarray, actions: np.ndarray,
-                      cand: np.ndarray, live: np.ndarray, phi=None) -> np.ndarray:
+                      cand: np.ndarray, live: np.ndarray, phi: np.ndarray) -> np.ndarray:
         """Q(s, a with a^i = cand[:, i, k]) for every factor i and candidate k,
         an (n, m, K) array like ``cand``, at least where the (m, K) mask
-        ``live`` holds; the slots it clears carry no weight.
+        ``live`` holds; the slots it clears carry no weight. ``phi`` is the
+        (s, a) rows mapped through ``feature_map``.
 
         A ridge fit on raw or ``QuadraticMap`` features is separable by input
         column, so moving a^i to v changes only a^i's own columns:
         Q(a^i = v) = Q(s, a) + w_i (v - a_i) + w_ii (v^2 - a_i^2). That is one
-        prediction per batch, read off ``phi`` when the caller has mapped the
-        rows (``features(states, actions)``); other models predict once per
+        prediction per batch, read off ``phi``; other models predict once per
         live candidate and leave the other slots at 0.
         """
         fmap = self.feature_map
@@ -163,8 +162,7 @@ class QModel:
             w = self.model.weights
             cols = np.arange(states.shape[1], states.shape[1] + actions.shape[1])  # a^i's column
             a = actions[:, :, None]
-            q_sa = self.predict(states, actions) if phi is None else self.model.predict(phi)
-            q = q_sa[:, None, None] + w[cols, None] * (cand - a)
+            q = self.model.predict(phi)[:, None, None] + w[cols, None] * (cand - a)
             if isinstance(fmap, QuadraticMap):  # the squares follow the inputs
                 q += w[fmap.input_dim + cols, None] * (cand * cand - a * a)
             return q
@@ -183,34 +181,6 @@ def _make_map(inputs: np.ndarray, spec: BaselineSpec, rng: np.random.Generator) 
         raise ValueError("rng required to construct a fresh feature map")
     bw = median_bandwidth(inputs)
     return RffMap(inputs.shape[1], spec.n_features, bw, rng)
-
-
-def fit_q(
-    states: np.ndarray,
-    actions: np.ndarray,
-    targets: np.ndarray,
-    spec: BaselineSpec,
-    rng: np.random.Generator | None = None,
-    frozen_map: FeatureMap | None = None,
-    sample_weights: np.ndarray | None = None,
-    phi: np.ndarray | None = None,
-) -> QModel:
-    """One closed-form refit of the regression (an exact Newton step).
-
-    ``actions`` holds only the action columns the model may read. A
-    ``frozen_map`` is reused as is, and ``phi``, when given, is these rows
-    already mapped through it; otherwise a fresh map is built from these
-    inputs (``rng`` is needed for random features), and a tabular fit reads
-    them through ``RawFeatures``.
-    """
-    rmap = frozen_map
-    if phi is None:
-        x = np.hstack([np.atleast_2d(states), np.atleast_2d(actions)])
-        rmap = rmap if rmap is not None else _make_map(x, spec, rng)
-        phi = rmap(x)
-    if spec.tabular:
-        return QModel(TableModel.fit(phi, targets, sample_weights), rmap)
-    return QModel(fit_linear(phi, targets, ridge=spec.ridge, sample_weights=sample_weights), rmap)
 
 
 # ---------------------------------------------------------------------------
@@ -289,15 +259,13 @@ class BaselineState:
     """The fitted model of one baseline arm, refit once per training iteration.
 
     ``fitted`` is the arm's one ``QModel``; it is None before the first refit
-    and for kind ``none``. ``evaluate`` produces the (n_steps, n_factors)
-    matrix b_i(s_t, a_t^{-i}) from the previous refit's model: the state kinds
+    and for kind ``none``. A training iteration calls ``evaluate_and_refit``,
+    which maps its batch once and hands that block ``phi`` to ``evaluate`` and
+    ``refit``. ``evaluate`` produces the (n_steps, n_factors) matrix
+    b_i(s_t, a_t^{-i}) from the previous refit's model: the state kinds
     predict one b per step and repeat it over the factors, the marginal kinds
     predict Q at every candidate of ``marginal`` and take one weighted mean. A
     fresh state evaluates to zero everywhere.
-
-    A training iteration calls ``evaluate_and_refit``, which maps its batch
-    through the frozen feature map once and hands that block to both as
-    ``phi``. Without ``phi``, each maps the batch itself, to the same bytes.
     """
 
     def __init__(self, spec: BaselineSpec, fitted: QModel | None = None):
@@ -306,38 +274,39 @@ class BaselineState:
 
     def evaluate_and_refit(self, batch, policy, rng: np.random.Generator | None = None):
         """``(evaluate(batch, ...), refit(batch, ...))`` in that order, with
-        the batch mapped once for both; before the first refit there is no
-        map, and the refit builds it."""
-        phi = None
-        if self.fitted is not None:
-            phi = self.fitted.features(batch.states, self._action_inputs(batch.actions))
-        return self.evaluate(batch, policy, rng, phi), self.refit(batch, policy, rng, phi)
+        the batch mapped once through the frozen feature map; the first call
+        builds the map from this batch. Kind ``none`` maps nothing."""
+        if self.spec.kind == "none":
+            return np.zeros((batch.n_steps, policy.m)), self
+        inputs = np.hstack([batch.states, self._action_inputs(batch.actions)])
+        fmap = _make_map(inputs, self.spec, rng) if self.fitted is None else self.fitted.feature_map
+        phi = fmap(inputs)
+        del inputs  # only the mapped block stays alive through evaluate and refit
+        return self.evaluate(batch, policy, rng, phi), self.refit(batch, policy, fmap, phi)
 
-    def evaluate(self, batch, policy, rng: np.random.Generator | None = None,
-                 phi: np.ndarray | None = None) -> np.ndarray:
+    def evaluate(self, batch, policy, rng: np.random.Generator | None,
+                 phi: np.ndarray) -> np.ndarray:
         if self.fitted is None:
             return np.zeros((batch.n_steps, policy.m))
-        states, actions = batch.states, batch.actions
         if self.spec.kind not in MARGINAL_KINDS:
-            b = (self.fitted.predict(states, self._action_inputs(actions)) if phi is None
-                 else self.fitted.model.predict(phi))
-            return np.repeat(b[:, None], policy.m, axis=1)
-        cand, weights, den = marginal(states, policy, self.spec, rng)
-        q = self.fitted.at_candidates(states, actions, cand, np.any(weights, axis=0), phi)
+            return np.repeat(self.fitted.model.predict(phi)[:, None], policy.m, axis=1)
+        cand, weights, den = marginal(batch.states, policy, self.spec, rng)
+        q = self.fitted.at_candidates(batch.states, batch.actions, cand,
+                                      np.any(weights, axis=0), phi)
         return np.sum(weights * q, axis=-1) / den
 
-    def refit(self, batch, policy, rng: np.random.Generator | None = None,
-              phi: np.ndarray | None = None) -> "BaselineState":
-        if self.spec.kind == "none":
-            return self
+    def refit(self, batch, policy, feature_map: FeatureMap, phi: np.ndarray) -> "BaselineState":
+        """One closed-form refit of the regression (an exact Newton step) on
+        ``phi``, the batch mapped through ``feature_map``."""
         weights = None
         if self.spec.kind == "optimal_state":
             scores = policy.score_matrix(batch.states, batch.actions)
             weights = np.einsum("np,np->n", scores, scores)  # ||grad log pi(a|s)||^2
-        frozen = None if self.fitted is None else self.fitted.feature_map
-        fitted = fit_q(batch.states, self._action_inputs(batch.actions), batch.qhat,
-                       self.spec, rng, frozen, weights, phi)
-        return BaselineState(self.spec, fitted)
+        if self.spec.tabular:
+            model = TableModel.fit(phi, batch.qhat, weights)
+        else:
+            model = fit_linear(phi, batch.qhat, ridge=self.spec.ridge, sample_weights=weights)
+        return BaselineState(self.spec, QModel(model, feature_map))
 
     def _action_inputs(self, actions: np.ndarray) -> np.ndarray:
         """The action columns the arm's model reads: none for the state kinds.

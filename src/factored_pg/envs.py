@@ -370,6 +370,8 @@ class TargetMatchingParams:
             raise ValueError(f"m must be >= 1, got {self.m}")
         if self.target_seed < 0:
             raise ValueError(f"target_seed must be >= 0, got {self.target_seed}")
+        if self.solve_threshold is not None and not np.isfinite(self.solve_threshold):
+            raise ValueError(f"solve_threshold must be finite, got {self.solve_threshold}")
 
     @property
     def solve_task(self) -> tuple[int, float]:

@@ -3,6 +3,7 @@ import sys
 import numpy as np
 import pytest
 
+from factored_pg.baselines import BaselineState
 from factored_pg.envs import TargetMatching
 
 
@@ -29,3 +30,13 @@ class NanReward(TargetMatching):
 def nan_reward_env():
     """A 2-dimensional matching task that hands out a NaN reward every step."""
     return NanReward(np.array([0.5, -0.3]))
+
+
+@pytest.fixture
+def refit_arm():
+    """``refit_arm(spec, batch, policy, rng=None)``: a fresh arm of ``spec``
+    after one ``evaluate_and_refit`` on ``batch``, so its model is fitted on
+    that batch; a second ``evaluate_and_refit`` call evaluates it."""
+    def refit(spec, batch, policy, rng=None):
+        return BaselineState(spec).evaluate_and_refit(batch, policy, rng)[1]
+    return refit

@@ -6,9 +6,9 @@ import pytest
 from numpy.testing import assert_allclose
 
 from factored_pg import baselines
-from factored_pg.baselines import BaselineSpec, BaselineState, QModel, TableModel, fit_q
+from factored_pg.baselines import BaselineSpec, BaselineState, QModel, TableModel
 from factored_pg.envs import make_env
-from factored_pg.features import IndicatorFeatures, RffMap
+from factored_pg.features import IndicatorFeatures, LinearModel, QuadraticMap, RffMap
 from factored_pg.optim import OptimizerConfig, train
 from factored_pg.policies import CategoricalPolicy, IndependentGaussianPolicy
 from factored_pg.trajectory import Batch
@@ -113,14 +113,16 @@ def test_mean_substitution_rejects_categorical_factor():
         mean_marginalized_baseline(lambda s, a: 0.0, policy, S0, np.array([0.0]), 0)
 
 
-def test_fit_q_quadratic_features_recover_quadratic_return():
+def test_quadratic_critic_recovers_quadratic_return(refit_arm):
     rng = np.random.default_rng(5)
     states = rng.standard_normal((160, 1))
     actions = rng.standard_normal((160, 3))
     c = np.array([1.0, -2.0, 0.5])
     targets = -np.sum((actions - c) ** 2, axis=1)
+    batch = Batch.from_paths([(states[k:k + 1], actions[k:k + 1], targets[k:k + 1])
+                              for k in range(160)], gamma=1.0)
     spec = BaselineSpec(kind="mean_q", features="quadratic", ridge=1e-10)
-    qmodel = fit_q(states, actions, targets, spec)
+    qmodel = refit_arm(spec, batch, IndependentGaussianPolicy.zeros(3, 1)).fitted
     test_a = rng.standard_normal((20, 3))
     pred = qmodel.predict(np.zeros((20, 1)), test_a)
     assert_allclose(pred, -np.sum((test_a - c) ** 2, axis=1), atol=1e-6)
@@ -146,12 +148,12 @@ def _two_factor_policy(seed=11):
     return pol.with_theta(0.6 * rng.standard_normal(pol.n_params))
 
 
-def test_exact_mc_q_batch_matches_reference():
+def test_exact_mc_q_batch_matches_reference(refit_arm):
     policy = _two_factor_policy()
     batch = _categorical_batch(policy)
     spec = BaselineSpec(kind="mc_q", exact=True, tabular=True)
-    state = BaselineState(spec).refit(batch, policy)
-    out = state.evaluate(batch, policy)
+    state = refit_arm(spec, batch, policy)
+    out = state.evaluate_and_refit(batch, policy)[0]
     model = state.fitted
     q = lambda s, a: model.predict(s[None], a[None])[0]
     for k in range(0, batch.n_steps, 7):
@@ -163,24 +165,24 @@ def test_exact_mc_q_batch_matches_reference():
 
 
 @pytest.mark.parametrize("kind, exact", [("mc_q", True), ("optimal_action", False)])
-def test_ragged_support_predicts_only_live_slots(monkeypatch, kind, exact):
+def test_ragged_support_predicts_only_live_slots(monkeypatch, refit_arm, kind, exact):
     # cardinalities 2 and 3: factor 0's third slot is padding and carries no weight
     policy = _two_factor_policy()
     batch = _categorical_batch(policy)
-    state = BaselineState(BaselineSpec(kind=kind, exact=exact, tabular=True)).refit(batch, policy)
+    state = refit_arm(BaselineSpec(kind=kind, exact=exact, tabular=True), batch, policy)
     calls = []
     predict = QModel.predict
     monkeypatch.setattr(QModel, "predict", lambda *args: calls.append(1) or predict(*args))
-    state.evaluate(batch, policy)
+    state.evaluate_and_refit(batch, policy)
     assert len(calls) == sum(policy.cardinalities)
 
 
-def test_optimal_action_batch_matches_reference():
+def test_optimal_action_batch_matches_reference(refit_arm):
     policy = _two_factor_policy(seed=12)
     batch = _categorical_batch(policy, seed=8)
     spec = BaselineSpec(kind="optimal_action", tabular=True)
-    state = BaselineState(spec).refit(batch, policy)
-    out = state.evaluate(batch, policy)
+    state = refit_arm(spec, batch, policy)
+    out = state.evaluate_and_refit(batch, policy)[0]
     model = state.fitted
     q = lambda s, a: model.predict(s[None], a[None])[0]
     for k in range(0, batch.n_steps, 7):
@@ -189,7 +191,7 @@ def test_optimal_action_batch_matches_reference():
             assert_allclose(out[k, i], ref, atol=1e-12)
 
 
-def test_mean_q_batch_matches_reference():
+def test_mean_q_batch_matches_reference(refit_arm):
     rng = np.random.default_rng(13)
     policy = IndependentGaussianPolicy.zeros(2, 1).with_theta(0.3 * rng.standard_normal(6))
     paths = []
@@ -200,8 +202,8 @@ def test_mean_q_batch_matches_reference():
         paths.append((states, actions, rewards))
     batch = Batch.from_paths(paths, gamma=1.0)
     spec = BaselineSpec(kind="mean_q", features="linear")
-    state = BaselineState(spec).refit(batch, policy)
-    out = state.evaluate(batch, policy)
+    state = refit_arm(spec, batch, policy)
+    out = state.evaluate_and_refit(batch, policy)[0]
     model = state.fitted
     q = lambda s, a: model.predict(s[None], a[None])[0]
     for k in range(0, batch.n_steps, 5):
@@ -212,7 +214,7 @@ def test_mean_q_batch_matches_reference():
             assert_allclose(out[k, i], ref, atol=1e-12)
 
 
-def test_mean_q_quadratic_matches_reference():
+def test_mean_q_quadratic_matches_reference(refit_arm):
     rng = np.random.default_rng(32)
     policy = IndependentGaussianPolicy.zeros(5, 2).with_theta(0.3 * rng.standard_normal(20))
     paths = []
@@ -222,8 +224,8 @@ def test_mean_q_quadratic_matches_reference():
         paths.append((states, actions, -np.sum((actions - 0.4) ** 2, axis=1) + states[:, 1]))
     batch = Batch.from_paths(paths, gamma=1.0)
     spec = BaselineSpec(kind="mean_q", features="quadratic", ridge=1e-8)
-    state = BaselineState(spec).refit(batch, policy)
-    out = state.evaluate(batch, policy)
+    state = refit_arm(spec, batch, policy)
+    out = state.evaluate_and_refit(batch, policy)[0]
     model = state.fitted
     q = lambda s, a: model.predict(s[None], a[None])[0]
     for k in range(batch.n_steps):
@@ -237,14 +239,14 @@ def test_mean_q_quadratic_matches_reference():
     ("mc_q", lambda q, pol, s, a, i: mc_marginalized_baseline(q, pol, s, a, i, exact=True)),
     ("optimal_action", optimal_action_baseline),
 ], ids=["exact_mc_q", "optimal_action"])
-def test_ragged_categorical_regression_matches_reference(features, kind, reference):
+def test_ragged_categorical_regression_matches_reference(refit_arm, features, kind, reference):
     """Supports of 2 and 3 values on a ridge fit, so factor 0's candidates
     are padded to 3 with zero weight."""
     policy = _two_factor_policy(seed=33)
     batch = _categorical_batch(policy, seed=34)
     spec = BaselineSpec(kind=kind, exact=kind == "mc_q", features=features)
-    state = BaselineState(spec).refit(batch, policy)
-    out = state.evaluate(batch, policy)
+    state = refit_arm(spec, batch, policy)
+    out = state.evaluate_and_refit(batch, policy)[0]
     model = state.fitted
     q = lambda s, a: model.predict(s[None], a[None])[0]
     for k in range(batch.n_steps):
@@ -254,57 +256,39 @@ def test_ragged_categorical_regression_matches_reference(features, kind, referen
 
 
 @pytest.mark.parametrize("features, calls", [("linear", 1), ("quadratic", 1), ("rff", 3 * 4)])
-def test_separable_maps_predict_once_per_batch(monkeypatch, features, calls):
+def test_separable_maps_predict_once_per_batch(monkeypatch, refit_arm, features, calls):
     """A ridge fit on raw or quadratic features moves a^i by its own columns
-    alone; random features predict once per factor and candidate."""
+    alone, so it predicts once, on the batch's mapped block; random features
+    predict once per factor and candidate."""
     rng = np.random.default_rng(35)
     policy = IndependentGaussianPolicy.zeros(3, 1).with_theta(0.3 * rng.standard_normal(9))
     batch = _gaussian_batch(policy, 36)
     spec = BaselineSpec(kind="mc_q", mc_samples=4, features=features, n_features=20)
-    state = BaselineState(spec).refit(batch, policy, np.random.default_rng(1))
+    state = refit_arm(spec, batch, policy, np.random.default_rng(1))
     counted = []
-    predict = QModel.predict
-    monkeypatch.setattr(QModel, "predict", lambda *args: counted.append(1) or predict(*args))
-    state.evaluate(batch, policy, np.random.default_rng(2))
+    predict = LinearModel.predict
+    monkeypatch.setattr(LinearModel, "predict", lambda *args: counted.append(1) or predict(*args))
+    state.evaluate_and_refit(batch, policy, np.random.default_rng(2))
     assert len(counted) == calls
 
 
 @pytest.mark.parametrize("spec", [
     BaselineSpec(kind="state_value", features="rff", n_features=20),
-    BaselineSpec(kind="state_value", features="quadratic"),
     BaselineSpec(kind="optimal_state", features="quadratic"),
     BaselineSpec(kind="mean_q", features="quadratic"),
-], ids=["state_value-rff", "state_value-quadratic", "optimal_state", "mean_q"])
-def test_evaluate_and_refit_share_one_mapped_block(monkeypatch, spec):
-    """Once the map is frozen, one evaluate and one refit map their batch
-    once, and give the bytes of calls that map the batch themselves."""
-    rng = np.random.default_rng(36)
-    policy = IndependentGaussianPolicy.zeros(3, 1).with_theta(0.3 * rng.standard_normal(9))
-    batch = _gaussian_batch(policy, 38)
-    state = BaselineState(spec).refit(_gaussian_batch(policy, 37), policy,
-                                      np.random.default_rng(1))
-    frozen = type(state.fitted.feature_map)
-    mapped = []
-    call = frozen.__call__
-    monkeypatch.setattr(frozen, "__call__", lambda fmap, x: mapped.append(len(x)) or call(fmap, x))
-    values, refit = state.evaluate_and_refit(batch, policy, np.random.default_rng(2))
-    assert mapped == [batch.n_steps]
-    assert values.tobytes() == state.evaluate(batch, policy, np.random.default_rng(2)).tobytes()
-    own = state.refit(batch, policy, np.random.default_rng(2))
-    assert refit.fitted.feature_map is own.fitted.feature_map
-    assert refit.fitted.model.weights.tobytes() == own.fitted.model.weights.tobytes()
-
-
-def test_train_maps_each_batch_once(monkeypatch):
-    # iteration 0 maps its batch in the refit that builds the map; every
+    BaselineSpec(kind="none"),
+], ids=["state_value-rff", "optimal_state-quadratic", "mean_q-quadratic", "none"])
+def test_train_maps_each_batch_once(monkeypatch, spec):
+    # iteration 0 maps its batch once to build the map and fit it; every
     # later iteration maps its batch once, for evaluate and refit together
+    # (mean_q reads Q(s, a) off that block); kind none maps nothing
     mapped = []
-    call = RffMap.__call__
-    monkeypatch.setattr(RffMap, "__call__", lambda fmap, x: mapped.append(len(x)) or call(fmap, x))
+    for fmap in (RffMap, QuadraticMap):
+        monkeypatch.setattr(fmap, "__call__", lambda m, x, call=fmap.__call__:
+                            mapped.append(len(x)) or call(m, x))
     train(make_env("point_mass", {"horizon": 5}), IndependentGaussianPolicy.zeros(2, 4),
-          BaselineSpec(kind="state_value", features="rff", n_features=20), n_iterations=3,
-          n_trajectories=4, seed=0, optimizer=OptimizerConfig())
-    assert mapped == [4 * 5] * 3
+          spec, n_iterations=3, n_trajectories=4, seed=0, optimizer=OptimizerConfig())
+    assert mapped == ([] if spec.kind == "none" else [4 * 5] * 3)
 
 
 def _gaussian_batch(policy, seed):
@@ -337,12 +321,12 @@ def _categorical_case():
     (BaselineSpec(kind="mc_q", mc_samples=5, exact=False, tabular=True),
      _categorical_case, mc_marginalized_baseline),
 ], ids=["optimal_action-gaussian", "sampled_mc_q-gaussian", "sampled_mc_q-categorical"])
-def test_sampled_batch_matches_draw_aligned_reference(spec, case, reference):
+def test_sampled_batch_matches_draw_aligned_reference(refit_arm, spec, case, reference):
     """Draws of factor i come in one (n, K) block after those of factors < i,
     so row r of factor i reads the draws after the first (i n + r) K."""
     policy, batch, draw = case()
-    state = BaselineState(spec).refit(batch, policy, np.random.default_rng(1))
-    out = state.evaluate(batch, policy, np.random.default_rng(2))
+    state = refit_arm(spec, batch, policy, np.random.default_rng(1))
+    out = state.evaluate_and_refit(batch, policy, np.random.default_rng(2))[0]
     model = state.fitted
     q = lambda s, a: model.predict(s[None], a[None])[0]
     n, k = batch.n_steps, spec.mc_samples
@@ -355,19 +339,19 @@ def test_sampled_batch_matches_draw_aligned_reference(spec, case, reference):
             assert_allclose(out[r, i], ref, rtol=1e-12, atol=1e-12, err_msg=f"factor {i} row {r}")
 
 
-def test_exact_mc_q_rejects_continuous_factors():
+def test_exact_mc_q_rejects_continuous_factors(refit_arm):
     rng = np.random.default_rng(14)
     policy = IndependentGaussianPolicy.zeros(1, 1)
     states = rng.standard_normal((3, 1))
     actions = _sampled(policy, states, rng)
     batch = Batch.from_paths([(states, actions, np.zeros(3))], gamma=1.0)
     spec = BaselineSpec(kind="mc_q", exact=True, features="linear")
-    state = BaselineState(spec).refit(batch, policy)
+    state = refit_arm(spec, batch, policy)
     with pytest.raises(ValueError):
-        state.evaluate(batch, policy)
+        state.evaluate_and_refit(batch, policy)
 
 
-def test_enumerated_score_baseline_orthogonality():
+def test_enumerated_score_baseline_orthogonality(refit_arm):
     """E_{a^i}[z_i b_i] = 0 for every baseline kind: b_i never reads a^i."""
     policy = _two_factor_policy(seed=15)
     batch = _categorical_batch(policy, seed=16)
@@ -379,7 +363,7 @@ def test_enumerated_score_baseline_orthogonality():
         BaselineSpec(kind="optimal_action", tabular=True),
     ]
     for spec in kinds:
-        state = BaselineState(spec).refit(batch, policy)
+        state = refit_arm(spec, batch, policy)
         for k in range(0, batch.n_steps, 11):
             s = batch.states[k]
             for i in range(policy.m):
@@ -390,27 +374,25 @@ def test_enumerated_score_baseline_orthogonality():
                     a = batch.actions[k].copy()
                     a[i] = v
                     sub = Batch.from_paths([(s[None, :], a[None, :], np.zeros(1))], gamma=1.0)
-                    b = state.evaluate(sub, policy)[0, i]
+                    b = state.evaluate_and_refit(sub, policy)[0][0, i]
                     moment += pv * b * policy.score_matrix(s[None, :], a[None, :])[0, block]
                 assert_allclose(moment, 0.0, atol=1e-12, err_msg=f"{spec.kind} factor {i}")
 
 
-def test_initial_state_is_zero_and_none_stays_zero():
+def test_initial_state_is_zero_and_none_stays_zero(refit_arm):
     policy = _two_factor_policy(seed=17)
     batch = _categorical_batch(policy, seed=18)
     spec = BaselineSpec(kind="optimal_action", tabular=True)
-    assert_allclose(BaselineState(spec).evaluate(batch, policy), 0.0)
-    none_state = BaselineState(BaselineSpec(kind="none")).refit(batch, policy)
-    assert_allclose(none_state.evaluate(batch, policy), 0.0)
+    assert_allclose(BaselineState(spec).evaluate_and_refit(batch, policy)[0], 0.0)
+    none_state = refit_arm(BaselineSpec(kind="none"), batch, policy)
+    assert_allclose(none_state.evaluate_and_refit(batch, policy)[0], 0.0)
 
 
-def test_state_value_constant_across_factors():
+def test_state_value_constant_across_factors(refit_arm):
     policy = _two_factor_policy(seed=19)
     batch = _categorical_batch(policy, seed=20)
-    state = BaselineState(BaselineSpec(kind="state_value", tabular=True)).refit(
-        batch, policy
-    )
-    out = state.evaluate(batch, policy)
+    state = refit_arm(BaselineSpec(kind="state_value", tabular=True), batch, policy)
+    out = state.evaluate_and_refit(batch, policy)[0]
     assert out.shape == (batch.n_steps, policy.m)
     assert_allclose(out[:, 0], out[:, 1], atol=1e-14)
     # tabular state values are per-state batch means of the return-to-go
@@ -420,11 +402,11 @@ def test_state_value_constant_across_factors():
             assert_allclose(out[mask, 0], batch.qhat[mask].mean(), atol=1e-12)
 
 
-def test_optimal_state_uses_score_norm_weights():
+def test_optimal_state_uses_score_norm_weights(refit_arm):
     policy = _two_factor_policy(seed=21)
     batch = _categorical_batch(policy, seed=22)
-    state = BaselineState(BaselineSpec(kind="optimal_state", tabular=True)).refit(batch, policy)
-    out = state.evaluate(batch, policy)
+    state = refit_arm(BaselineSpec(kind="optimal_state", tabular=True), batch, policy)
+    out = state.evaluate_and_refit(batch, policy)[0]
     # the weights are squared joint score norms, from one-row score_matrix calls
     rows = zip(batch.states[:, None], batch.actions[:, None])
     w = np.array([np.sum(policy.score_matrix(s, a) ** 2) for s, a in rows])
@@ -456,7 +438,7 @@ def test_spec_validation():
     assert BaselineSpec(kind="mean_q", features="quadratic").features == "quadratic"
 
 
-def test_tabular_state_value_keys_on_every_state_column():
+def test_tabular_state_value_keys_on_every_state_column(refit_arm):
     # states differ only in column 1; a table keyed on column 0 alone would
     # merge them into one entry
     states = np.array([[0.0, 0.0], [0.0, 1.0], [0.0, 0.0], [0.0, 1.0]])
@@ -468,8 +450,9 @@ def test_tabular_state_value_keys_on_every_state_column():
     )
     policy = IndependentGaussianPolicy.zeros(1, 2)
     spec = BaselineSpec(kind="state_value", tabular=True)
-    state = BaselineState(spec).refit(batch, policy)
-    assert_allclose(state.evaluate(batch, policy)[:, 0], [2.0, 6.0, 2.0, 6.0], atol=1e-14)
+    state = refit_arm(spec, batch, policy)
+    assert_allclose(state.evaluate_and_refit(batch, policy)[0][:, 0], [2.0, 6.0, 2.0, 6.0],
+                    atol=1e-14)
 
 
 def test_table_model_predicts_zero_on_unseen_rows():
@@ -478,26 +461,24 @@ def test_table_model_predicts_zero_on_unseen_rows():
     assert_allclose(got, [-1.0, 0.0, 3.0, 0.0], atol=1e-14)
 
 
-def test_one_fitted_model_per_arm(monkeypatch):
+def test_one_fitted_model_per_arm(monkeypatch, refit_arm):
     """Every arm fits one QModel: the state kinds on zero action columns, the
     marginal kinds on the batch's own action array, since a fancy-indexed
     copy is Fortran-ordered and rounds the ridge solve differently."""
     policy = _two_factor_policy(seed=25)
     batch = _categorical_batch(policy, seed=26)
     read = []
-
-    def recording_fit_q(states, actions, *args):
-        read.append(actions)
-        return fit_q(states, actions, *args)
-
-    monkeypatch.setattr(baselines, "fit_q", recording_fit_q)
+    action_inputs = BaselineState._action_inputs
+    monkeypatch.setattr(BaselineState, "_action_inputs",
+                        lambda arm, actions: read.append(action_inputs(arm, actions)) or read[-1])
     for spec in (BaselineSpec(kind="state_value", tabular=True), BaselineSpec(kind="optimal_state")):
-        state = BaselineState(spec).refit(batch, policy)
+        state = refit_arm(spec, batch, policy)
         assert isinstance(state.fitted, QModel)
         assert read.pop().shape == (batch.n_steps, 0)
     state = BaselineState(BaselineSpec(kind="mc_q", exact=True))
     for _ in range(2):  # a fresh feature map, then the frozen one
-        state = state.refit(batch, policy)
+        state = state.evaluate_and_refit(batch, policy)[1]
         assert isinstance(state.fitted, QModel)
         assert read.pop() is batch.actions
-    assert BaselineState(BaselineSpec(kind="none")).refit(batch, policy).fitted is None
+    assert refit_arm(BaselineSpec(kind="none"), batch, policy).fitted is None
+    assert read == []

@@ -179,6 +179,8 @@ def test_malformed_json_reports_config_error(tmp_path):
         lambda d: d.update(arms=[{"kind": "mc_q", "tabular": True, "features": "rff"}]),
         lambda d: d.update(arms=[{"kind": "dag"}]),
         lambda d: d.update(seeds=[0, 0]),
+        lambda d: d["env"].update(params={"m": 4, "solve_threshold": float("nan")}),
+        lambda d: d["env"].update(params={"m": 4, "solve_threshold": float("inf")}),
     ],
 )
 def test_invalid_configs_rejected(mutate):

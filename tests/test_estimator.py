@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from factored_pg.baselines import BaselineSpec, BaselineState
+from factored_pg.baselines import BaselineSpec
 from factored_pg.estimator import (
     gae_advantages,
     gradient_variance,
@@ -38,7 +38,7 @@ def test_enumeration_weighted_estimate_is_exact_gradient():
         assert_allclose(report.gradient, exact_gradient(problem), atol=1e-10, err_msg=name)
 
 
-def test_estimate_stays_exact_under_fitted_baselines():
+def test_estimate_stays_exact_under_fitted_baselines(refit_arm):
     problem = fixture_problem("chain_two_step")
     batch = _enumerated_batch(problem)
     grad = exact_gradient(problem)
@@ -48,8 +48,8 @@ def test_estimate_stays_exact_under_fitted_baselines():
         BaselineSpec(kind="mc_q", exact=True, tabular=True),
         BaselineSpec(kind="optimal_action", tabular=True),
     ):
-        state = BaselineState(spec).refit(batch, problem.policy)
-        values = state.evaluate(batch, problem.policy)
+        state = refit_arm(spec, batch, problem.policy)
+        values = state.evaluate_and_refit(batch, problem.policy)[0]
         scores = score_matrix(batch, problem.policy)
         report = pg_estimate(batch, problem.policy, scores, batch.qhat[:, None] - values)
         assert_allclose(report.gradient, grad, atol=1e-10, err_msg=spec.kind)
@@ -171,18 +171,15 @@ def test_gradient_variance_weighted_population_form():
     assert_allclose(gradient_variance(per_traj, w), expect, atol=1e-14)
 
 
-def test_variance_reduction_visible_on_enumerated_fixture():
+def test_variance_reduction_visible_on_enumerated_fixture(refit_arm):
     # optimal action baseline lowers the per-trajectory variance vs none
     problem = fixture_problem("bandit_two_factor")
     batch = _enumerated_batch(problem)
     scores = score_matrix(batch, problem.policy)
     none = pg_estimate(batch, problem.policy, scores, _raw_returns(batch, problem.policy.m))
-    state = BaselineState(
-        BaselineSpec(kind="optimal_action", tabular=True)
-    ).refit(batch, problem.policy)
-    better = pg_estimate(
-        batch, problem.policy, scores, batch.qhat[:, None] - state.evaluate(batch, problem.policy)
-    )
+    state = refit_arm(BaselineSpec(kind="optimal_action", tabular=True), batch, problem.policy)
+    values = state.evaluate_and_refit(batch, problem.policy)[0]
+    better = pg_estimate(batch, problem.policy, scores, batch.qhat[:, None] - values)
     v_none = gradient_variance(none.per_trajectory, batch.weights)
     v_opt = gradient_variance(better.per_trajectory, batch.weights)
     assert v_opt < v_none

@@ -228,7 +228,7 @@ def test_train_rejects_non_finite_rewards(nan_reward_env):
 def test_train_rejects_non_finite_advantages(monkeypatch):
     # a baseline value of inf makes the advantage of its step non-finite
     # while rewards stay finite; it must not surface as a bad gradient
-    def evaluate(self, batch, policy, rng=None, phi=None):
+    def evaluate(self, batch, policy, rng, phi):
         values = np.zeros((batch.n_steps, policy.m))
         values[1, 0] = np.inf
         return values

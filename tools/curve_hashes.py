@@ -24,7 +24,11 @@ side importing its own ``src/``:
   quadratic critic, and sampled ``mc_q`` (K = 5) with a tabular critic,
   seeds 0-1, 30 iterations;
 - ``target_matching`` at m=12, 250 trajectories: arms ``optimal_state`` on
-  a linear critic and ``none``, seeds 0-1, 30 iterations.
+  a linear critic and ``none``, seeds 0-1, 30 iterations;
+- the ``chain_two_step`` fixture with indicator policy features, 50
+  trajectories: arms ``state_value`` and exact ``mc_q`` on the tabular
+  environment's default critic (250 random Fourier features, so the ridge
+  solve takes its dual form), seeds 0-1, 30 iterations.
 
 Every run trains both arms. Prints the sha256 of each curve CSV, each
 checkpoint (final theta and RNG scheme) and each run's ``summary.json`` on
@@ -109,6 +113,16 @@ runs.append(config_from_dict({
              {"name": "none", "kind": "none"}],
     "n_iterations": 30, "n_trajectories": 250, "lam": 1.0, "seeds": [0, 1],
     "out_dir": os.path.join(out, "matching_m12_state"),
+}))
+runs.append(config_from_dict({
+    "env": {"name": "tabular",
+            "params": {"path": "src/factored_pg/fixtures/chain_two_step.json"}},
+    "policy": {"features": "indicator"},
+    "optimizer": {"kind": "npg", "kl": 0.025, "damping": 0.1},
+    "arms": [{"name": "state_value", "kind": "state_value"},
+             {"name": "mc_q", "kind": "mc_q", "exact": True}],
+    "n_iterations": 30, "n_trajectories": 50, "lam": 1.0, "seeds": [0, 1],
+    "out_dir": os.path.join(out, "chain_default_rff"),
 }))
 hashes = {}
 for cfg in runs:
