@@ -28,8 +28,9 @@ Arm entries accept a ``name`` (default: the kind) and every baseline field
 (kind, mc_samples, exact, features, n_features, ridge, tabular); unset
 baseline feature kinds take the environment's default
 (``baseline_features`` on its params): raw linear features on the matching
-task, 100 random Fourier features on point mass, 250 on tabular MDPs. A
-``tabular`` arm takes no features, n_features or ridge.
+task, 100 random Fourier features on point mass, 250 on tabular MDPs. Only
+an ``rff`` arm takes ``n_features``, and a ``tabular`` arm takes no
+features, n_features or ridge.
 """
 
 from __future__ import annotations
@@ -104,9 +105,13 @@ class ExperimentConfig:
 
 def _arm(raw, feature_defaults: dict) -> ArmConfig:
     # the environment's feature defaults sit under the arm's own keys; a
-    # tabular arm keys on raw rows and takes none
+    # tabular arm keys on raw rows and takes none, and only random features
+    # read the environment's n_features
     raw = json_object(raw, "arm")
-    spec_raw = dict(raw) if raw.get("tabular") is True else {**feature_defaults, **raw}
+    defaults = {} if raw.get("tabular") is True else dict(feature_defaults)
+    if raw.get("features", defaults.get("features")) != "rff":
+        defaults.pop("n_features", None)
+    spec_raw = {**defaults, **raw}
     name = spec_raw.pop("name", spec_raw.get("kind"))
     where = f"arm {name!r}"
     return section(ArmConfig, {"name": name}, where, spec=section(BaselineSpec, spec_raw, where))

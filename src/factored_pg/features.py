@@ -62,11 +62,11 @@ class RffMap:
     both are drawn once at construction and never change, so two maps built
     from identically seeded generators are element-wise identical.
 
-    The argument z is computed in float64 and the sine in float32, written
-    back to float64: within 2^-24 |z| + 2^-22 of the float64 sine, elementwise.
-    A row maps to the same bytes alone or inside any block. Random
-    features approximate their kernel only to O(1/sqrt(n_features)), about
-    0.1 at 100 features, far above that rounding, and numpy's vectorized
+    The argument z (``argument``) is computed in float64 and the sine in
+    float32, written back to float64: within 2^-24 |z| + 2^-22 of the float64
+    sine, elementwise. A row maps to the same bytes alone or inside any block.
+    Random features approximate their kernel only to O(1/sqrt(n_features)),
+    about 0.1 at 100 features, far above that rounding, and numpy's vectorized
     float32 sine is an order of magnitude faster than its float64 one.
     """
 
@@ -81,12 +81,19 @@ class RffMap:
         self.projection = rng.standard_normal((self.n_features, self.input_dim))
         self.phase = rng.uniform(-np.pi, np.pi, size=self.n_features)
 
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        # one float64 buffer, the same elementwise steps as sin(x P' / bw + phase);
-        # the sinusoid runs in float32, cast in numpy's buffers and written back
+    def argument(self, x: np.ndarray) -> np.ndarray:
+        """z = x P' / bandwidth + phase in one float64 (n, n_features) buffer.
+
+        z is linear in each input column, so moving column j by d moves z by
+        d * P[:, j] / bandwidth; ``QModel.at_candidates`` relies on it."""
         z = _rows(x, self.input_dim) @ self.projection.T
         z /= self.bandwidth
         z += self.phase
+        return z
+
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        # the sinusoid runs in float32, cast in numpy's buffers and written back
+        z = self.argument(x)
         return np.sin(z, out=z, dtype=np.float32)
 
 

@@ -255,19 +255,23 @@ def test_ragged_categorical_regression_matches_reference(refit_arm, features, ki
             assert_allclose(out[k, i], ref, rtol=1e-12, atol=1e-12)
 
 
-@pytest.mark.parametrize("features, calls", [("linear", 1), ("quadratic", 1), ("rff", 3 * 4)])
+@pytest.mark.parametrize("features, calls", [("linear", 1), ("quadratic", 1), ("rff", 2)])
 def test_separable_maps_predict_once_per_batch(monkeypatch, refit_arm, features, calls):
     """A ridge fit on raw or quadratic features moves a^i by its own columns
-    alone, so it predicts once, on the batch's mapped block; random features
-    predict once per factor and candidate."""
+    alone, so it predicts once, on the batch's mapped block. On random
+    features a^i moves the sinusoid's argument by its own projection column,
+    so the batch's argument is computed twice, once for the mapped block and
+    once for the candidates, and nothing predicts per factor and candidate."""
     rng = np.random.default_rng(35)
     policy = IndependentGaussianPolicy.zeros(3, 1).with_theta(0.3 * rng.standard_normal(9))
     batch = _gaussian_batch(policy, 36)
-    spec = BaselineSpec(kind="mc_q", mc_samples=4, features=features, n_features=20)
+    spec = BaselineSpec(kind="mc_q", mc_samples=4, features=features,
+                        n_features=20 if features == "rff" else 100)
     state = refit_arm(spec, batch, policy, np.random.default_rng(1))
     counted = []
-    predict = LinearModel.predict
-    monkeypatch.setattr(LinearModel, "predict", lambda *args: counted.append(1) or predict(*args))
+    for owner, attr in ((LinearModel, "predict"), (RffMap, "argument")):
+        monkeypatch.setattr(owner, attr, lambda *args, call=getattr(owner, attr):
+                            counted.append(1) or call(*args))
     state.evaluate_and_refit(batch, policy, np.random.default_rng(2))
     assert len(counted) == calls
 
@@ -311,6 +315,76 @@ def _gaussian_case():
 def _categorical_case():
     policy = _two_factor_policy(seed=30)
     return policy, _categorical_batch(policy, seed=31), "random"
+
+
+def _rff_swap(fmap, states, actions, i, values):
+    """``actions`` with a^i = ``values`` and the elementwise bound on a
+    candidate sine of ``QModel.at_candidates`` against ``fmap`` of those
+    rows. Rounding z, the shift's two factors, their product and the sum to
+    float32 moves the argument by at most 2^-24 (|z| + 3 |shift| + |z'|),
+    ``fmap`` rounds the swapped argument z' by 2^-24 |z'|, and each float32
+    sine adds at most 2^-22."""
+    swapped = baselines._swap(actions, i, values)
+    z = fmap.argument(np.hstack([states, actions]))
+    z_swap = fmap.argument(np.hstack([states, swapped]))
+    shift = (values - actions[:, i])[:, None] * (fmap.projection[:, states.shape[1] + i]
+                                                 / fmap.bandwidth)
+    bound = 2.0**-24 * (np.abs(z) + 3 * np.abs(shift) + 2 * np.abs(z_swap)) + 2.0**-21
+    return swapped, bound
+
+
+def test_rff_candidate_sines_match_the_map_of_the_swapped_rows():
+    # a unit weight on feature f and a zero bias read at_candidates' shifted
+    # sines out one feature at a time, exactly; the bound was fixed before
+    # the first run
+    policy, batch, _ = _gaussian_case()
+    states, actions = batch.states, batch.actions
+    x = np.hstack([states, actions])
+    n_features = 8
+    fmap = RffMap(x.shape[1], n_features, 0.05, np.random.default_rng(3))
+    cand = actions[:, :, None] + 2.0 * np.random.default_rng(4).standard_normal((len(x), 2, 3))
+    live = np.ones((2, 3), dtype=bool)
+    live[0, 1] = False
+    unit = np.eye(n_features + 1)  # the bias weight is last
+    sines = np.stack([QModel(LinearModel(unit[f]), fmap).at_candidates(
+        states, actions, cand, live, fmap(x)) for f in range(n_features)], axis=-1)
+    assert np.abs(fmap.argument(x)).max() > 20
+    for i, k in zip(*np.nonzero(live)):
+        swapped, bound = _rff_swap(fmap, states, actions, i, cand[:, i, k])
+        err = np.abs(sines[:, i, k] - fmap(np.hstack([states, swapped])))
+        assert np.all(err <= bound), f"factor {i} slot {k}"
+    assert not np.any(sines[:, ~live])
+
+
+RFF = {"features": "rff", "n_features": 30}
+
+
+@pytest.mark.parametrize("spec, case", [
+    (BaselineSpec(kind="mc_q", exact=True, **RFF), _categorical_case),
+    (BaselineSpec(kind="optimal_action", **RFF), _categorical_case),
+    (BaselineSpec(kind="mc_q", mc_samples=7, **RFF), _gaussian_case),
+    (BaselineSpec(kind="optimal_action", mc_samples=7, **RFF), _gaussian_case),
+    (BaselineSpec(kind="mean_q", **RFF), _gaussian_case),
+], ids=["exact_mc_q-categorical", "optimal_action-categorical", "sampled_mc_q-gaussian",
+        "optimal_action-gaussian", "mean_q-gaussian"])
+def test_rff_candidates_match_predictions_on_the_swapped_rows(refit_arm, spec, case):
+    """Q at each live candidate is within sum_f |w_f| bound_f of
+    ``QModel.predict`` on the swapped rows, plus the rounding of the two
+    float64 dot products; the ragged support's padded slots stay 0."""
+    policy, batch, _ = case()
+    model = refit_arm(spec, batch, policy, np.random.default_rng(1)).fitted
+    states, actions = batch.states, batch.actions
+    cand, weights, _ = baselines.marginal(states, policy, spec, np.random.default_rng(2))
+    live = np.any(weights, axis=0)
+    q = model.at_candidates(states, actions, cand, live,
+                            model.feature_map(np.hstack([states, actions])))
+    w = model.model.weights
+    rounding = 2 * (len(w) + 1) * 2.0**-53 * np.sum(np.abs(w))
+    for i, k in zip(*np.nonzero(live)):
+        swapped, bound = _rff_swap(model.feature_map, states, actions, i, cand[:, i, k])
+        err = np.abs(q[:, i, k] - model.predict(states, swapped))
+        assert np.all(err <= bound @ np.abs(w[:-1]) + rounding), f"factor {i} slot {k}"
+    assert not np.any(q[:, ~live])
 
 
 @pytest.mark.parametrize("spec, case, reference", [
@@ -430,6 +504,8 @@ def test_spec_validation():
             BaselineSpec(kind="state_value", ridge=bad)
     with pytest.raises(ValueError):
         BaselineSpec(kind="state_value", features="rff", n_features=0)
+    with pytest.raises(ValueError, match="rff features only"):
+        BaselineSpec(kind="mc_q", features="quadratic", n_features=7)
     assert BaselineSpec(kind="state_value", ridge=0.0).ridge == 0.0
     # a table keys on raw rows, so regression settings on it are an error
     for bad in ({"features": "quadratic"}, {"n_features": 250}, {"ridge": 0.0}):

@@ -52,6 +52,12 @@ def test_env_feature_defaults_per_environment():
     )
     assert tab.arms[0].spec.features == "rff"
     assert tab.arms[0].spec.n_features == 250
+    # only an arm on random features takes the environment's n_features
+    tab = config_from_dict(
+        {"env": {"name": "tabular", "params": {"path": fixture_path("chain_two_step")}},
+         "arms": [{"kind": "state_value", "features": "quadratic"}]}
+    )
+    assert tab.arms[0].spec.n_features == 100
     # a tabular arm takes none of the environment's regression defaults
     tab = config_from_dict(
         {"env": {"name": "tabular", "params": {"path": fixture_path("chain_two_step")}},
@@ -142,6 +148,9 @@ def test_malformed_json_reports_config_error(tmp_path):
         lambda d: d.update(arms=[{"kind": "state_value", "ridge": -1}]),
         lambda d: d.update(arms=[{"kind": "state_value", "features": "rff", "n_features": 0}]),
         lambda d: d.update(arms=[{"kind": "state_value", "features": "cubic"}]),
+        lambda d: d.update(arms=[{"kind": "state_value", "n_features": 7}]),
+        lambda d: d.update(env={"name": "point_mass"},
+                           arms=[{"kind": "mc_q", "features": "quadratic", "n_features": 7}]),
         lambda d: d.update(arms=[{"kind": "mc_q", "mc_samples": 0}]),
         lambda d: d["env"].update(bogus=1),
         lambda d: d.update(policy={"featurs": "linear"}),

@@ -168,8 +168,8 @@ def test_rff_map_equals_the_float32_sinusoid_bit_for_bit(rows):
 
 
 def test_rff_map_maps_each_row_as_it_maps_it_inside_a_block():
-    # at_candidates and the batch's one mapped block both rely on a row's
-    # features not depending on the rows mapped with it
+    # the batch's one mapped block relies on a row's features not depending
+    # on the rows mapped with it
     m = RffMap(6, 100, 0.7, np.random.default_rng(4))
     x = np.random.default_rng(6).standard_normal((37, 6))
     block = m(x)

@@ -54,11 +54,12 @@ def test_tracer_attaches_and_uninstall_restores():
             assert owner.__dict__[attr] is not before[(owner, attr)], attr
         # two short runs go through every wrapper; the collect_batch hook
         # takes its arguments by name, so it also pins that signature. A
-        # state arm reads its predictions off the batch's mapped block, so
-        # QModel.predict is reached by mc_q's per-candidate predictions on
-        # random features
+        # state arm reads its predictions off the batch's mapped block and a
+        # ridge critic evaluates its candidates off the batch's own rows, so
+        # QModel.predict is reached by mc_q's per-candidate predictions on a
+        # table
         for spec in (BaselineSpec(kind="state_value", features="linear"),
-                     BaselineSpec(kind="mc_q", mc_samples=2, features="rff", n_features=8)):
+                     BaselineSpec(kind="mc_q", mc_samples=2, tabular=True)):
             optim.train(
                 envs.TargetMatching(np.array([0.5, -0.3])),
                 IndependentGaussianPolicy.zeros(2, 1),

@@ -15,6 +15,9 @@ side importing its own ``src/``:
 - sampled candidates (K = 5 per factor) on the matching task at m=12: arms
   ``mc_q`` and ``optimal_action`` on a quadratic critic, seeds 0-1, 30
   iterations;
+- the matching task at m=12 on a critic of 50 random Fourier features: arms
+  ``mean_q`` and sampled ``optimal_action`` (K = 5), seeds 0-1, 30
+  iterations;
 - ragged categorical supports (cardinalities 2 and 3) on the
   ``bandit_two_factor`` fixture with indicator policy features: exact
   ``mc_q`` and ``optimal_action``, each with a tabular and with a quadratic
@@ -78,6 +81,15 @@ runs.append(config_from_dict({
               "ridge": 1e-8} for kind in ("mc_q", "optimal_action")],
     "n_iterations": 30, "n_trajectories": 250, "lam": 1.0, "seeds": [0, 1],
     "out_dir": os.path.join(out, "matching_m12_sampled"),
+}))
+runs.append(config_from_dict({
+    "env": {"name": "target_matching", "params": {"m": 12, "target_seed": 0}},
+    "optimizer": {"kind": "npg", "kl": 0.025, "damping": 0.1},
+    "arms": [{"name": "mean_q", "kind": "mean_q", "features": "rff", "n_features": 50},
+             {"name": "optimal_action", "kind": "optimal_action", "mc_samples": 5,
+              "features": "rff", "n_features": 50}],
+    "n_iterations": 30, "n_trajectories": 250, "lam": 1.0, "seeds": [0, 1],
+    "out_dir": os.path.join(out, "matching_m12_rff"),
 }))
 runs.append(config_from_dict({
     "env": {"name": "tabular",
