@@ -17,7 +17,8 @@ values of a^i:
 
 ``optimal_state`` weights its regression by the squared joint score norm.
 With ``tabular`` the regression is a table of exact group means keyed on the
-whole rounded input row, and rows the table has not seen predict 0.
+whole rounded input row, stored as one int64 code per row, and rows the table
+has not seen predict 0.
 
 A batch reaches the critic one way, ``BaselineState.evaluate_and_refit``: it
 maps the batch's (state, action columns) rows through the arm's feature map
@@ -106,30 +107,63 @@ def _rounded(inputs: np.ndarray) -> np.ndarray:
 class TableModel:
     """Exact group means of the targets, keyed on the whole rounded input row.
 
-    The ridge-free regression on one-hot row indicators. Rows never seen in
-    the fit, or seen only with zero total weight, predict 0.
+    The ridge-free regression on one-hot row indicators. A rounded row x
+    inside the fitted rows' per-column range [low, high] has the int64 code
+    (x - low) . strides, its mixed-radix number over the range: the last
+    column has stride 1, so sorted codes list the rows in lexicographic
+    order. ``codes`` holds the sorted codes of the rows seen with positive
+    total weight and ``values`` their means. Rows outside the range, rows
+    never seen in the fit, and rows seen only with zero total weight
+    predict 0. A fit whose range product does not fit in int64 raises
+    ValueError.
     """
 
-    keys: np.ndarray  # (n_rows, input_dim) integers
-    values: np.ndarray  # (n_rows,)
+    low: np.ndarray  # (input_dim,) per-column minimum of the fitted rows
+    high: np.ndarray  # (input_dim,) per-column maximum
+    strides: np.ndarray  # (input_dim,) mixed-radix strides, the last 1
+    codes: np.ndarray  # (n_keys,) sorted int64 codes
+    values: np.ndarray  # (n_keys,)
 
     @classmethod
     def fit(cls, inputs, targets, sample_weights=None) -> "TableModel":
-        keys, rows = np.unique(_rounded(inputs), axis=0, return_inverse=True)
-        rows = rows.ravel()
+        x = _rounded(inputs)
+        low, high = x.min(axis=0), x.max(axis=0)
+        strides, size = [], 1
+        for lo, hi in zip(low[::-1].tolist(), high[::-1].tolist()):  # exact Python ints
+            strides.append(size)
+            size *= hi - lo + 1
+        if size > np.iinfo(np.int64).max:
+            raise ValueError(f"a table over these rows' ranges needs {size} codes, "
+                             "more than int64 holds")
+        strides = np.array(strides[::-1], dtype=np.int64)
+        keys, rows = np.unique((x - low) @ strides, return_inverse=True)
         w = np.ones(len(rows)) if sample_weights is None else np.asarray(sample_weights, float)
         num = np.bincount(rows, weights=w * targets, minlength=len(keys))
         den = np.bincount(rows, weights=w, minlength=len(keys))
         seen = den > 0
-        return cls(keys[seen], num[seen] / den[seen])
+        return cls(low, high, strides, keys[seen], num[seen] / den[seen])
 
     def predict(self, inputs: np.ndarray) -> np.ndarray:
-        both = np.vstack([self.keys, _rounded(inputs)])
-        _, rows = np.unique(both, axis=0, return_inverse=True)
-        rows = rows.ravel()
-        lookup = np.zeros(len(both))
-        lookup[rows[: len(self.keys)]] = self.values
-        return lookup[rows[len(self.keys):]]
+        x = _rounded(inputs)
+        return self.lookup(self.row_codes(x), np.all(self.inside(x), axis=1))
+
+    def inside(self, x: np.ndarray) -> np.ndarray:
+        """Whether each entry of the integer array ``x``, whose last axis
+        runs over the columns, lies in its column's fitted range."""
+        return (x >= self.low) & (x <= self.high)
+
+    def row_codes(self, x: np.ndarray) -> np.ndarray:
+        """The codes of the rounded (n, input_dim) rows ``x``; only those of
+        rows inside the range are meaningful."""
+        return (x - self.low) @ self.strides
+
+    def lookup(self, codes: np.ndarray, hit: np.ndarray) -> np.ndarray:
+        """The value stored at each code where ``hit`` holds (a boolean array
+        of the same shape), else 0."""
+        if not len(self.codes):  # nothing kept: every row had zero weight
+            return np.zeros(codes.shape)
+        at = np.minimum(np.searchsorted(self.codes, codes), len(self.codes) - 1)
+        return np.where(hit & (self.codes[at] == codes), self.values[at], 0.0)
 
 
 @dataclass
@@ -162,35 +196,44 @@ class QModel:
         column of the projection over the bandwidth: z is computed once, and
         each live candidate takes one shifted float32 sine, elementwise within
         2^-24 (|z| + 3 |shift| + 2 |z'|) + 2^-21 of the map of the swapped row
-        (whose argument is z'). A ``TableModel`` predicts once per live
-        candidate. Slots ``live`` clears are left at 0.
+        (whose argument is z'). A ``TableModel`` moves the code of the rounded
+        row by (rint(v) - rint(a_i)) times a^i's stride and looks the whole
+        block up at once; a slot hits when every column but a^i's is inside
+        the fit's range and rint(v) is inside a^i's, since the batch row's own
+        a_i never enters the key. Slots ``live`` clears are left at 0.
         """
-        fmap = self.feature_map
+        fmap, d = self.feature_map, states.shape[1]
         if isinstance(self.model, LinearModel) and isinstance(fmap, (RawFeatures, QuadraticMap)):
             w = self.model.weights
-            cols = np.arange(states.shape[1], states.shape[1] + actions.shape[1])  # a^i's column
+            cols = np.arange(d, d + actions.shape[1])  # a^i's column
             a = actions[:, :, None]
             q = self.model.predict(phi)[:, None, None] + w[cols, None] * (cand - a)
             if isinstance(fmap, QuadraticMap):  # the squares follow the inputs
                 q += w[fmap.input_dim + cols, None] * (cand * cand - a * a)
             return q
+        if isinstance(self.model, TableModel):
+            table, x = self.model, _rounded(phi)
+            out = ~table.inside(x)
+            others_in = out.sum(axis=1)[:, None] - out[:, d:] == 0  # (n, m)
+            v = np.rint(cand).astype(np.int64)
+            hit = (others_in[:, :, None] & live
+                   & (v >= table.low[d:, None]) & (v <= table.high[d:, None]))
+            shift = (v - x[:, d:, None]) * table.strides[d:, None]
+            return table.lookup(table.row_codes(x)[:, None, None] + shift, hit)
+        # an RffMap
+        w = self.model.weights
+        z = fmap.argument(np.hstack([states, actions])).astype(np.float32)
+        step = (fmap.projection[:, d:] / fmap.bandwidth).T.astype(
+            np.float32, order="C")  # row i: a^i's column
+        arg = np.empty_like(z)
         q = np.zeros(cand.shape)
-        if isinstance(fmap, RffMap):
-            w = self.model.weights
-            z = fmap.argument(np.hstack([states, actions])).astype(np.float32)
-            step = (fmap.projection[:, states.shape[1]:] / fmap.bandwidth).T.astype(
-                np.float32, order="C")  # row i: a^i's column
-            arg = np.empty_like(z)
-            for i, k in zip(*np.nonzero(live)):
-                shift = (cand[:, i, k] - actions[:, i]).astype(np.float32)
-                # the outer product shift step_i'; einsum's runs faster here
-                # than a broadcast multiply, to the same bytes
-                np.einsum("r,f->rf", shift, step[i], out=arg)
-                arg += z
-                q[:, i, k] = np.sin(arg, out=arg) @ w[:-1] + w[-1]
-            return q
         for i, k in zip(*np.nonzero(live)):
-            q[:, i, k] = self.predict(states, _swap(actions, i, cand[:, i, k]))
+            shift = (cand[:, i, k] - actions[:, i]).astype(np.float32)
+            # the outer product shift step_i'; einsum's runs faster here
+            # than a broadcast multiply, to the same bytes
+            np.einsum("r,f->rf", shift, step[i], out=arg)
+            arg += z
+            q[:, i, k] = np.sin(arg, out=arg) @ w[:-1] + w[-1]
         return q
 
 
@@ -207,13 +250,6 @@ def _make_map(inputs: np.ndarray, spec: BaselineSpec, rng: np.random.Generator) 
 
 # ---------------------------------------------------------------------------
 # marginalization: b_i = sum_k w_ik Q(s, a with a^i = v_ik) / den_i
-
-
-def _swap(actions: np.ndarray, i: int, value) -> np.ndarray:
-    """A copy with factor i set to ``value``; one action or a batch of them."""
-    out = actions.copy()
-    out[..., i] = value
-    return out
 
 
 def check_marginal(spec: BaselineSpec, policy) -> None:

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .baselines import _swap
 from .envs import TabularMdp
 from .errors import ZeroScoreNormError
 from .estimator import gae_advantages
@@ -104,6 +103,13 @@ def reference_collect_batch(env, policy, n_trajectories: int, seed: int, iterati
 # ---------------------------------------------------------------------------
 # reference single-sample marginalizations (vectorized paths must match these);
 # the policy's batched methods are called on one-row arrays
+
+
+def _swap(actions: np.ndarray, i: int, value) -> np.ndarray:
+    """A copy with factor i set to ``value``; one action or a batch of them."""
+    out = actions.copy()
+    out[..., i] = value
+    return out
 
 
 def mc_marginalized_baseline(

@@ -8,11 +8,18 @@ from numpy.testing import assert_allclose
 from factored_pg import baselines
 from factored_pg.baselines import BaselineSpec, BaselineState, QModel, TableModel
 from factored_pg.envs import make_env
-from factored_pg.features import IndicatorFeatures, LinearModel, QuadraticMap, RffMap
+from factored_pg.features import (
+    IndicatorFeatures,
+    LinearModel,
+    QuadraticMap,
+    RawFeatures,
+    RffMap,
+)
 from factored_pg.optim import OptimizerConfig, train
 from factored_pg.policies import CategoricalPolicy, IndependentGaussianPolicy
 from factored_pg.trajectory import Batch
 from factored_pg.verify import (
+    _swap,
     mc_marginalized_baseline,
     mean_marginalized_baseline,
     optimal_action_baseline,
@@ -164,17 +171,60 @@ def test_exact_mc_q_batch_matches_reference(refit_arm):
             assert_allclose(out[k, i], ref, atol=1e-12)
 
 
-@pytest.mark.parametrize("kind, exact", [("mc_q", True), ("optimal_action", False)])
-def test_ragged_support_predicts_only_live_slots(monkeypatch, refit_arm, kind, exact):
-    # cardinalities 2 and 3: factor 0's third slot is padding and carries no weight
-    policy = _two_factor_policy()
-    batch = _categorical_batch(policy)
-    state = refit_arm(BaselineSpec(kind=kind, exact=exact, tabular=True), batch, policy)
-    calls = []
-    predict = QModel.predict
-    monkeypatch.setattr(QModel, "predict", lambda *args: calls.append(1) or predict(*args))
-    state.evaluate_and_refit(batch, policy)
-    assert len(calls) == sum(policy.cardinalities)
+@pytest.mark.parametrize("weighted", [False, True], ids=["unweighted", "weighted"])
+def test_table_candidates_match_predictions_on_the_swapped_rows(weighted):
+    """The code shift at candidates reads the bytes ``QModel.predict`` reads
+    on each swapped row. The fit covers 0..2 on every column and the block
+    -1..3, so a batch row's own a^i, another column and a candidate each fall
+    outside the fit's range; factor 0's last slot is a ragged support's zero
+    padding, which ``live`` clears."""
+    rng = np.random.default_rng(31)
+    ds, m, k = 1, 2, 4
+    fit_rows = rng.integers(0, 3, (300, ds + m)).astype(float)
+    weights = None
+    if weighted:  # one key keeps only zero weight, so it reads as unseen
+        weights = rng.uniform(0.0, 2.0, 300)
+        weights[np.all(fit_rows == fit_rows[0], axis=1)] = 0.0
+    model = QModel(TableModel.fit(fit_rows, rng.standard_normal(300), weights),
+                   RawFeatures(ds + m))
+    n = 400
+    states = rng.integers(-1, 4, (n, ds)) + rng.uniform(-0.45, 0.45, (n, ds))
+    actions = rng.integers(-1, 4, (n, m)) + rng.uniform(-0.45, 0.45, (n, m))
+    cand = rng.integers(-1, 4, (n, m, k)) + rng.uniform(-0.45, 0.45, (n, m, k))
+    cand[:, 0, -1] = 0.0
+    live = np.ones((m, k), dtype=bool)
+    live[0, -1] = False
+    q = model.at_candidates(states, actions, cand, live, np.hstack([states, actions]))
+    for i, j in zip(*np.nonzero(live)):
+        np.testing.assert_array_equal(
+            q[:, i, j], model.predict(states, _swap(actions, i, cand[:, i, j])))
+    assert not q[:, ~live].any()
+    # each case the range test decides occurs in the block
+    outside = lambda x: (np.rint(x) < 0) | (np.rint(x) > 2)
+    own_out = outside(actions)[:, :, None] & ~outside(cand) & ~outside(states)[:, :, None]
+    own_out &= ~outside(actions[:, ::-1])[:, :, None]  # the other factor, m = 2
+    assert np.any(q[own_out & live] != 0.0)
+    assert outside(states).any() and outside(cand[:, :, :-1]).any()
+    assert not q[outside(states)[:, 0]].any()
+    assert not q[outside(cand) & live].any()
+
+
+def test_table_fit_raises_when_its_codes_overflow_int64():
+    # spans 2^32 and 2^31 - 1 give 2^63 - 2^32 codes, which int64 holds
+    table = TableModel.fit(np.array([[0.0, 0.0], [2.0**32 - 1, 2.0**31 - 2]]), np.array([1.0, 2.0]))
+    assert_allclose(table.predict(np.array([[2.0**32 - 1, 2.0**31 - 2], [0.0, 1.0]])), [2.0, 0.0])
+    with pytest.raises(ValueError, match="int64"):  # 2^63 codes
+        TableModel.fit(np.array([[0.0, 0.0], [2.0**32 - 1, 2.0**31 - 1]]), np.array([1.0, 2.0]))
+
+
+def test_table_with_no_positive_weight_predicts_zero():
+    rows = np.array([[0.0, 1.0], [1.0, 0.0], [1.0, 2.0]])
+    model = QModel(TableModel.fit(rows, np.array([2.0, 4.0, -1.0]), np.zeros(3)), RawFeatures(2))
+    assert model.model.codes.size == 0
+    np.testing.assert_array_equal(model.model.predict(rows), 0.0)
+    cand = np.array([[[0.0, 1.0]], [[0.0, 2.0]], [[1.0, 0.0]]])
+    got = model.at_candidates(rows[:, :1], rows[:, 1:], cand, np.ones((1, 2), bool), rows)
+    np.testing.assert_array_equal(got, 0.0)
 
 
 def test_optimal_action_batch_matches_reference(refit_arm):
@@ -324,7 +374,7 @@ def _rff_swap(fmap, states, actions, i, values):
     float32 moves the argument by at most 2^-24 (|z| + 3 |shift| + |z'|),
     ``fmap`` rounds the swapped argument z' by 2^-24 |z'|, and each float32
     sine adds at most 2^-22."""
-    swapped = baselines._swap(actions, i, values)
+    swapped = _swap(actions, i, values)
     z = fmap.argument(np.hstack([states, actions]))
     z_swap = fmap.argument(np.hstack([states, swapped]))
     shift = (values - actions[:, i])[:, None] * (fmap.projection[:, states.shape[1] + i]

@@ -1,4 +1,5 @@
-"""tools/bench_pairs.py leaves no benchmark process running when it stops."""
+"""tools/bench_pairs.py leaves no benchmark process running when it stops, and
+runs the change side from an export of the working tree."""
 
 import os
 import signal
@@ -90,3 +91,31 @@ def test_sigterm_leaves_no_process(tmp_path):
         bench.kill()
         bench.wait()
     _assert_gone(pids)
+
+
+def test_the_working_tree_export_carries_uncommitted_edits(tmp_path, monkeypatch):
+    repo = tmp_path / "repo"
+    (repo / "src").mkdir(parents=True)
+
+    def git(*args):
+        subprocess.run(["git", "-c", "user.name=bench", "-c", "user.email=bench@example.com",
+                        "-c", "commit.gpgsign=false", *args],
+                       cwd=repo, check=True, capture_output=True)
+
+    git("init", "-q")
+    (repo / "src" / "edited.py").write_text("x = 1\n")
+    (repo / "deleted.txt").write_text("gone\n")
+    git("add", "-A")
+    git("commit", "-q", "-m", "parent")
+    (repo / "src" / "edited.py").write_text("x = 2\n")
+    (repo / "deleted.txt").unlink()
+    (repo / "staged.txt").write_text("new\n")
+    git("add", "staged.txt")
+    (repo / "untracked.txt").write_text("scratch\n")
+    monkeypatch.setattr(bench_pairs, "ROOT", str(repo))
+    dest = tmp_path / "change"
+    dest.mkdir()
+    bench_pairs.export_worktree(str(dest))
+    assert (dest / "src" / "edited.py").read_text() == "x = 2\n"
+    assert (dest / "staged.txt").read_text() == "new\n"
+    assert sorted(p.name for p in dest.rglob("*")) == ["edited.py", "src", "staged.txt"]

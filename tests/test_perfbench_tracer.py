@@ -52,23 +52,23 @@ def test_tracer_attaches_and_uninstall_restores():
         patched = list(tracer._restore)
         for owner, attr in GUARDED:
             assert owner.__dict__[attr] is not before[(owner, attr)], attr
-        # two short runs go through every wrapper; the collect_batch hook
-        # takes its arguments by name, so it also pins that signature. A
-        # state arm reads its predictions off the batch's mapped block and a
-        # ridge critic evaluates its candidates off the batch's own rows, so
-        # QModel.predict is reached by mc_q's per-candidate predictions on a
-        # table
-        for spec in (BaselineSpec(kind="state_value", features="linear"),
-                     BaselineSpec(kind="mc_q", mc_samples=2, tabular=True)):
-            optim.train(
-                envs.TargetMatching(np.array([0.5, -0.3])),
-                IndependentGaussianPolicy.zeros(2, 1),
-                spec,
-                n_iterations=2,
-                n_trajectories=4,
-                seed=0,
-                optimizer=optim.OptimizerConfig(),
-            )
+        # a short run goes through every wrapper but QModel.predict's; the
+        # collect_batch hook takes its arguments by name, so it also pins
+        # that signature. No training path predicts on (state, action) rows
+        # (a state arm reads the batch's mapped block, and every critic
+        # evaluates its candidates off the batch's own rows), so the test
+        # calls QModel.predict itself, through the patched attribute
+        optim.train(
+            envs.TargetMatching(np.array([0.5, -0.3])),
+            IndependentGaussianPolicy.zeros(2, 1),
+            BaselineSpec(kind="state_value", features="linear"),
+            n_iterations=2,
+            n_trajectories=4,
+            seed=0,
+            optimizer=optim.OptimizerConfig(),
+        )
+        q = baselines.QModel(features.LinearModel(np.ones(4)), features.RawFeatures(3))
+        assert q.predict(np.zeros((2, 1)), np.ones((2, 2))).tolist() == [3.0, 3.0]
     finally:
         tracer.uninstall()
     summary = spans.summarize(tracer)

@@ -7,9 +7,12 @@ Usage, from the root of a checkout:
 For every workload in ``perfbench/workloads.py``, runs
 ``python3 perfbench/run.py --workload W --seed S --seconds 35 --trace 0`` once
 in an export of ``REV`` (``git archive``, so the repository's own git data is
-left alone) and once in this checkout, for ``PAIRS`` pairs. Pair i uses
-seed i, and the side that runs first alternates from pair to pair, so slow
-stretches of a shared machine fall on both sides alike.
+left alone) and once in an export of this checkout's tracked files as they
+stand on disk (uncommitted edits included), for ``PAIRS`` pairs. Both exports
+sit under one temporary directory, so the two sides differ in their files
+alone and not in the directory they run from. Pair i uses seed i, and the
+side that runs first alternates from pair to pair, so slow stretches of a
+shared machine fall on both sides alike.
 
 The output records the machine (nproc, CPU, BLAS, BLAS thread variables),
 the BLAS thread count each side's package leaves in a process that imports it
@@ -80,6 +83,17 @@ def export(rev: str, dest: str) -> None:
     with tarfile.open(archive) as tar:
         tar.extractall(dest, filter="data")
     os.remove(archive)
+
+
+def export_worktree(dest: str) -> None:
+    """The working tree's tracked files, as they stand on disk, under
+    ``dest``; a tracked file deleted from the disk is left out."""
+    for name in filter(None, git("ls-files", "-z").split("\0")):
+        source = os.path.join(ROOT, name)
+        if os.path.lexists(source):
+            target = os.path.join(dest, name)
+            os.makedirs(os.path.dirname(target), exist_ok=True)
+            shutil.copy2(source, target, follow_symlinks=False)
 
 
 def run_in_session(cmd: list, cwd: str, env=None) -> subprocess.CompletedProcess:
@@ -196,10 +210,13 @@ def main(argv=None) -> int:
         "pairs_per_workload": PAIRS,
         "workloads": {},
     }
-    scratch = tempfile.mkdtemp(prefix="bench-parent-")
+    scratch = tempfile.mkdtemp(prefix="bench-pairs-")
     try:
-        export(parent_rev, scratch)
-        sides = {"parent": scratch, "change": ROOT}
+        sides = {side: os.path.join(scratch, side) for side in ("parent", "change")}
+        for path in sides.values():
+            os.makedirs(path)
+        export(parent_rev, sides["parent"])
+        export_worktree(sides["change"])
         record["blas_threads_after_import"] = {
             side: blas_threads_after_import(path) for side, path in sides.items()}
         for w in workloads:

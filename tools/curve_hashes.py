@@ -18,6 +18,9 @@ side importing its own ``src/``:
 - the matching task at m=12 on a critic of 50 random Fourier features: arms
   ``mean_q`` and sampled ``optimal_action`` (K = 5), seeds 0-1, 30
   iterations;
+- the matching task at m=12 on a tabular critic, so the table reads
+  rounded Gaussian candidates and rows outside its fitted range: arms
+  ``mean_q`` and sampled ``mc_q`` (K = 5), seeds 0-1, 30 iterations;
 - ragged categorical supports (cardinalities 2 and 3) on the
   ``bandit_two_factor`` fixture with indicator policy features: exact
   ``mc_q`` and ``optimal_action``, each with a tabular and with a quadratic
@@ -90,6 +93,14 @@ runs.append(config_from_dict({
               "features": "rff", "n_features": 50}],
     "n_iterations": 30, "n_trajectories": 250, "lam": 1.0, "seeds": [0, 1],
     "out_dir": os.path.join(out, "matching_m12_rff"),
+}))
+runs.append(config_from_dict({
+    "env": {"name": "target_matching", "params": {"m": 12, "target_seed": 0}},
+    "optimizer": {"kind": "npg", "kl": 0.025, "damping": 0.1},
+    "arms": [{"name": "mean_q", "kind": "mean_q", "tabular": True},
+             {"name": "mc_q", "kind": "mc_q", "mc_samples": 5, "tabular": True}],
+    "n_iterations": 30, "n_trajectories": 250, "lam": 1.0, "seeds": [0, 1],
+    "out_dir": os.path.join(out, "matching_m12_table"),
 }))
 runs.append(config_from_dict({
     "env": {"name": "tabular",
