@@ -29,7 +29,6 @@ from .envs import (
     Environment,
     MdpSpec,
     PointMass,
-    Step,
     TabularMdp,
     TargetMatching,
     make_env,

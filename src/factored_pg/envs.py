@@ -2,12 +2,14 @@
 MDPs for exact oracles, and a small multi-step control task.
 
 Environments are value objects: ``step`` is a pure function of (state, action,
-noise), so replays are exact given the seed. ``reset`` and ``step`` take n
-trajectories at once, one row each, and row k reads only its own row of
-noise. A trajectory draws that noise from its own generator, all of it before
-its first step: ``draw_reset(rng)`` and then ``draw_steps(rng, steps)``, one
-row per step. An environment that draws nothing says so with ``draws =
-False``, and the rollout then builds no generator for it.
+noise) to (next state, reward), so replays are exact given the seed. ``reset``
+and ``step`` take n trajectories at once, one row each, and row k reads only
+its own row of noise. Every trajectory runs the spec's full horizon; no task
+ends an episode early. A trajectory draws that noise from its own generator,
+all of it before its first step: ``draw_reset(rng)`` and then
+``draw_steps(rng, steps)``, one row per step. An environment that draws
+nothing says so with ``draws = False``, and the rollout then builds no
+generator for it.
 Each registered environment has one frozen params dataclass, read from JSON
 by ``schema.section``, that validates its values and builds the environment.
 """
@@ -49,16 +51,6 @@ class MdpSpec:
             raise ValueError("at least one action factor required")
 
 
-@dataclass
-class Step:
-    """One transition of n trajectories: next states (n, state_dim), rewards
-    (n,) and terminal flags (n,)."""
-
-    states: np.ndarray
-    rewards: np.ndarray
-    terminal: np.ndarray
-
-
 class Environment:
     """``cardinalities`` states the action space: None when every factor is
     continuous, else each factor's category count."""
@@ -81,9 +73,11 @@ class Environment:
         ``draw_reset``."""
         raise NotImplementedError
 
-    def step(self, states: np.ndarray, actions: np.ndarray, noise: np.ndarray) -> Step:
-        """Row k moves from ``states[k]`` under ``actions[k]``, reading
-        ``noise[k]``, a row of ``draw_steps``."""
+    def step(self, states: np.ndarray, actions: np.ndarray,
+             noise: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Next states (n, state_dim) and rewards (n,): row k moves from
+        ``states[k]`` under ``actions[k]``, reading ``noise[k]``, a row of
+        ``draw_steps``."""
         raise NotImplementedError
 
     def enumerate_trajectories(self):
@@ -117,11 +111,10 @@ class TargetMatching(Environment):
     def reset(self, noise) -> np.ndarray:
         return np.zeros((len(noise), 1))
 
-    def step(self, states, actions, noise) -> Step:
+    def step(self, states, actions, noise) -> tuple[np.ndarray, np.ndarray]:
         actions = _rows(actions, self.spec.n_factors)
         rewards = -np.sum((actions - self.target) ** 2, axis=1)
-        n = len(actions)
-        return Step(np.zeros((n, 1)), rewards, np.ones(n, dtype=bool))
+        return np.zeros((len(actions), 1)), rewards
 
 
 # ---------------------------------------------------------------------------
@@ -225,14 +218,14 @@ class TabularMdp(Environment):
         s = np.searchsorted(self._rho0_cdf, noise[:, 0], side="right")
         return np.minimum(s, len(self.rho0) - 1).astype(float)[:, None]
 
-    def step(self, states, actions, noise) -> Step:
+    def step(self, states, actions, noise) -> tuple[np.ndarray, np.ndarray]:
         actions = _rows(actions, self.spec.n_factors)
         s = np.rint(states[:, 0]).astype(int)
         aj = np.ravel_multi_index(np.rint(actions).astype(int).T, self.cardinalities)
         # count of cdf entries <= the uniform, as searchsorted with side="right"
         s2 = np.sum(self._transition_cdf[s, aj] <= noise, axis=1)
         s2 = np.minimum(s2, len(self.rho0) - 1).astype(float)[:, None]
-        return Step(s2, self.rewards[s, aj], np.zeros(len(s), dtype=bool))
+        return s2, self.rewards[s, aj]
 
     def enumerate_trajectories(self) -> list:
         """All length-horizon paths with their environment probabilities.
@@ -333,7 +326,7 @@ class PointMass(Environment):
     def reset(self, noise) -> np.ndarray:
         return np.hstack([noise, np.zeros_like(noise)])
 
-    def step(self, states, actions, noise) -> Step:
+    def step(self, states, actions, noise) -> tuple[np.ndarray, np.ndarray]:
         # whole-row operations on (n, 4) blocks: the state's column slices
         # are strided, and an elementwise op on a strided slice costs more
         # than on a whole contiguous row
@@ -344,7 +337,7 @@ class PointMass(Environment):
         d[:, :2] = out[:, :2]  # [p', a]
         sq = d * d
         rewards = -((sq[:, 0] + sq[:, 1]) + self.ACTION_COST * (sq[:, 2] + sq[:, 3]))
-        return Step(out, rewards, np.zeros(len(states), dtype=bool))
+        return out, rewards
 
 
 # ---------------------------------------------------------------------------

@@ -73,13 +73,8 @@ def _per_trajectory_sums(batch: Batch, policy, scores: np.ndarray, advantages: n
     # every score column belongs to one factor's block; weight it by that
     # factor's discounted advantage, then sum each trajectory's rows
     sizes = [sl.stop - sl.start for sl in policy.block_slices]
-    scaled = advantages * batch.gamma_pow[:, None]
-    n = batch.n_steps
-    if len(set(sizes)) == 1:  # equal blocks: broadcast instead of gathering columns
-        weighted = (scores.reshape(n, policy.m, sizes[0]) * scaled[:, :, None]).reshape(n, -1)
-    else:
-        weighted = scores * scaled[:, np.repeat(np.arange(policy.m), sizes)]
-    if len(batch.offsets) == n:  # one step per trajectory: the sums are the rows
+    weighted = scores * np.repeat(advantages * batch.gamma_pow[:, None], sizes, axis=1)
+    if len(batch.offsets) == batch.n_steps:  # one step per trajectory: the sums are the rows
         return weighted
     return np.add.reduceat(weighted, batch.offsets, axis=0)
 

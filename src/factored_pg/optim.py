@@ -11,7 +11,9 @@ that draws, n environment streams: ``keyed_states`` computes the PCG64 states
 of all these keys in one vectorized pass of numpy's SeedSequence mixing, and
 one generator, pointed at each state in turn, draws trajectory k's whole
 horizon of noise in one call. A generator gives the same values drawn as one
-block or step by step, so the draws are those of ``substream``.
+block or step by step, so the draws are those of ``substream``. Every
+trajectory runs the environment's horizon, so the rollout steps all n
+together and every batch it returns has n equal lengths.
 
 The KL normalization makes step size invariant to the parameterization
 scale, which matters when comparing baseline arms whose gradient magnitudes
@@ -207,33 +209,26 @@ def npg_step(gradient: np.ndarray, scores: np.ndarray, cfg: OptimizerConfig) -> 
 
 
 def rollout(env, policy, reset_noise, step_noise, policy_noise) -> Batch:
-    """One trajectory per row of the noise blocks, all stepped together: one
-    ``env.reset``, then per time step t one ``policy.sample`` and one
-    ``env.step`` over the trajectories not yet terminal. Trajectory k reads
-    ``reset_noise[k]``, then ``policy_noise[k, t]`` and ``step_noise[k, t]``
-    at step t. Until the first terminal flag every trajectory runs, so step t
-    reads the noise columns ``[:, t]`` as views and the next states as the
-    environment returned them; from then on an index of the trajectories
-    still running selects their rows. Returns the trajectory-major batch; a
-    trajectory stops short of the horizon at its terminal step."""
-    every = np.arange(len(policy_noise))
-    alive = slice(None)  # every trajectory, until one ends
+    """One trajectory per row of the noise blocks, all stepped together for
+    the environment's horizon: one ``env.reset``, then per time step t one
+    ``policy.sample`` and one ``env.step`` over every trajectory. Trajectory k
+    reads ``reset_noise[k]``, then ``policy_noise[k, t]`` and
+    ``step_noise[k, t]`` at step t. Each step's (n, ·) blocks are stacked
+    along a time axis, so trajectory k's steps are rows ``k * horizon`` to
+    ``(k + 1) * horizon`` of the batch."""
+    n, horizon = len(policy_noise), env.spec.horizon
     state = env.reset(reset_noise)
-    steps = []  # per time step: (trajectory index, state, action, reward) rows
-    for t in range(env.spec.horizon):
-        action = policy.sample(state, policy_noise[alive, t])
-        step = env.step(state, action, step_noise[alive, t])
-        steps.append((every[alive], state, action, step.rewards))
-        state = step.states
-        if step.terminal.any():
-            running = ~step.terminal
-            alive, state = every[alive][running], state[running]
-            if not len(alive):
-                break
-    traj, states, actions, rewards = (np.concatenate(column) for column in zip(*steps))
-    order = np.argsort(traj, kind="stable")  # time order within each trajectory
-    lengths = np.bincount(traj, minlength=len(policy_noise))
-    return Batch(states[order], actions[order], rewards[order], lengths, env.spec.gamma)
+    states, actions, rewards = [], [], []
+    for t in range(horizon):
+        action = policy.sample(state, policy_noise[:, t])
+        states.append(state)
+        actions.append(action)
+        state, reward = env.step(state, action, step_noise[:, t])
+        rewards.append(reward)
+    states, actions = (np.stack(column, axis=1).reshape(n * horizon, -1)
+                       for column in (states, actions))
+    rewards = np.stack(rewards, axis=1).ravel()
+    return Batch(states, actions, rewards, np.full(n, horizon), env.spec.gamma)
 
 
 def collect_batch(env, policy, n_trajectories: int, seed: int, iteration: int) -> Batch:

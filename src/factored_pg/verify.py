@@ -89,13 +89,10 @@ def reference_collect_batch(env, policy, n_trajectories: int, seed: int, iterati
         state = env.reset(env.draw_reset(env_rng)[None])
         for _ in range(env.spec.horizon):
             action = policy.sample(state, policy.draw(policy_rng, 1))
-            step = env.step(state, action, env.draw_steps(env_rng, 1))
             states.append(state[0])
             actions.append(action[0])
-            rewards.append(step.rewards[0])
-            state = step.states
-            if step.terminal[0]:
-                break
+            state, reward = env.step(state, action, env.draw_steps(env_rng, 1))
+            rewards.append(reward[0])
         paths.append((np.array(states), np.array(actions), np.array(rewards)))
     return Batch.from_paths(paths, gamma=env.spec.gamma)
 

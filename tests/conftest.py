@@ -21,9 +21,9 @@ class NanReward(TargetMatching):
     """Matching task whose last trajectory of every batch earns a NaN reward."""
 
     def step(self, states, actions, noise):
-        step = super().step(states, actions, noise)
-        step.rewards[-1] = np.nan
-        return step
+        following, rewards = super().step(states, actions, noise)
+        rewards[-1] = np.nan
+        return following, rewards
 
 
 @pytest.fixture

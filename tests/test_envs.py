@@ -22,16 +22,15 @@ from factored_pg.verify import fixture_path, load_fixture
 def test_target_matching_exact_match_zeroes_loss():
     env = TargetMatching(np.array([1.0, -2.0]))
     rng = np.random.default_rng(0)
-    step = env.step(env.reset(env.draw_reset(rng)[None]), np.array([[1.0, -2.0]]),
-                    env.draw_steps(rng, 1))
-    assert step.rewards[0] == 0.0
-    assert step.terminal[0]
+    _, rewards = env.step(env.reset(env.draw_reset(rng)[None]), np.array([[1.0, -2.0]]),
+                          env.draw_steps(rng, 1))
+    assert rewards[0] == 0.0
 
 
 def test_target_matching_hand_reward():
     env = TargetMatching(np.array([1.0, 1.0]))
-    step = env.step(np.zeros((1, 1)), np.array([[0.0, 0.0]]), np.empty((1, 0)))
-    assert_allclose(step.rewards[0], -2.0)
+    _, rewards = env.step(np.zeros((1, 1)), np.array([[0.0, 0.0]]), np.empty((1, 0)))
+    assert_allclose(rewards[0], -2.0)
 
 
 def test_target_matching_reward_nonpositive():
@@ -39,7 +38,7 @@ def test_target_matching_reward_nonpositive():
     rng = np.random.default_rng(1)
     for _ in range(20):
         a = rng.standard_normal(5)
-        assert env.step(np.zeros((1, 1)), a[None, :], np.empty((1, 0))).rewards[0] <= 0.0
+        assert env.step(np.zeros((1, 1)), a[None, :], np.empty((1, 0)))[1][0] <= 0.0
 
 
 def test_target_matching_single_state():
@@ -112,10 +111,9 @@ def test_point_mass_shapes_and_cost_sign():
     rng = np.random.default_rng(0)
     s = env.reset(env.draw_reset(rng)[None])[0]
     assert s.shape == (4,)
-    step = env.step(s[None, :], np.array([[0.3, -0.2]]), env.draw_steps(rng, 1))
-    assert step.states[0].shape == (4,)
-    assert step.rewards[0] <= 0.0
-    assert not step.terminal[0]
+    following, rewards = env.step(s[None, :], np.array([[0.3, -0.2]]), env.draw_steps(rng, 1))
+    assert following[0].shape == (4,)
+    assert rewards[0] <= 0.0
     assert env.spec.horizon == 100
 
 

@@ -139,6 +139,28 @@ def test_gradient_equals_weighted_per_trajectory_mean():
     assert_allclose(report.gradient, batch.weights @ report.per_trajectory, atol=1e-13)
 
 
+def _per_factor_batch(case):
+    if case == "equal_blocks":  # ragged trajectories, two blocks of 3
+        return _gaussian_batch(seed=11)
+    problem = fixture_problem("bandit_two_factor")  # one step each, blocks of 2 and 3
+    return _enumerated_batch(problem), problem.policy
+
+
+@pytest.mark.parametrize("case", ["equal_blocks", "bandit_two_factor"])
+def test_per_trajectory_sums_equal_a_per_factor_loop(case):
+    # each factor's score block weighted by its discounted advantage, then
+    # summed over each trajectory's steps, one factor at a time
+    batch, policy = _per_factor_batch(case)
+    scores = score_matrix(batch, policy)
+    advantages = np.random.default_rng(12).standard_normal((batch.n_steps, policy.m))
+    expected = np.empty((batch.n_trajectories, policy.n_params))
+    for i, block in enumerate(policy.block_slices):
+        weighted = scores[:, block] * (advantages[:, i] * batch.gamma_pow)[:, None]
+        expected[:, block] = np.add.reduceat(weighted, batch.offsets, axis=0)
+    per_traj = pg_estimate(batch, policy, scores, advantages).per_trajectory
+    assert np.array_equal(per_traj, expected)
+
+
 def test_score_matrix_rows_are_joint_scores():
     batch, policy = _gaussian_batch(seed=10, lengths=(3, 3))
     rows = score_matrix(batch, policy)

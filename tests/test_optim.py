@@ -68,7 +68,7 @@ def test_npg_step_identity_fisher_hits_kl_budget():
     assert_allclose(npg_step(10.0 * g, scores, cfg), step, rtol=1e-6)
 
 
-def test_npg_step_falls_back_on_degenerate_curvature():
+def test_npg_step_raises_on_degenerate_curvature():
     # degenerate curvature raises; no fallback step is taken
     g = np.array([3.0, 4.0])
     with pytest.raises(SingularSystemError, match="curvature"):

@@ -39,7 +39,8 @@ side importing its own ``src/``:
 Every run trains both arms. Prints the sha256 of each curve CSV, each
 checkpoint (final theta and RNG scheme) and each run's ``summary.json`` on
 both sides, and exits 1 if any of these files differs or is missing on one
-side. ``config.json`` is not compared: it holds each side's own
+side. Also prints each side's line count of ``src/**/*.py``, as ``wc -l``
+counts it. ``config.json`` is not compared: it holds each side's own
 ``out_dir``. Everything is written under one temporary
 directory, which is removed afterwards.
 """
@@ -47,6 +48,7 @@ directory, which is removed afterwards.
 from __future__ import annotations
 
 import argparse
+import glob
 import json
 import os
 import shutil
@@ -171,6 +173,15 @@ def side_hashes(checkout: str, out: str) -> dict:
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
+def src_lines(checkout: str) -> int:
+    """Newlines in the ``src/**/*.py`` files of ``checkout``: the total of ``wc -l``."""
+    total = 0
+    for path in glob.glob(os.path.join(checkout, "src", "**", "*.py"), recursive=True):
+        with open(path, "rb") as fh:
+            total += fh.read().count(b"\n")
+    return total
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--parent", required=True, help="git revision to compare against")
@@ -185,6 +196,7 @@ def main(argv=None) -> int:
         export(parent_rev, tree)
         parent = side_hashes(tree, os.path.join(scratch, "runs-parent"))
         change = side_hashes(root, os.path.join(scratch, "runs-change"))
+        lines = src_lines(tree), src_lines(root)
     finally:
         shutil.rmtree(scratch, ignore_errors=True)
 
@@ -196,6 +208,7 @@ def main(argv=None) -> int:
         print(f"  parent  {parent.get(key, 'missing')}")
         print(f"  change  {change.get(key, 'missing')}")
     print(f"{len(keys) - len(differ)} of {len(keys)} files byte-identical")
+    print(f"src/**/*.py lines: parent {lines[0]}, change {lines[1]}")
     return 1 if differ else 0
 
 
