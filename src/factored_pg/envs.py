@@ -1,5 +1,6 @@
-"""Task environments: the scalable target-matching family, enumerable tabular
-MDPs for exact oracles, and a small multi-step control task.
+"""Task environments: the scalable target-matching family, tabular MDPs that
+enumerate their paths as one table for exact oracles, and a small multi-step
+control task.
 
 Environments are value objects: ``step`` is a pure function of (state, action,
 noise) to (next state, reward), so replays are exact given the seed. ``reset``
@@ -16,7 +17,6 @@ by ``schema.section``, that validates its values and builds the environment.
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass
 
@@ -121,22 +121,16 @@ class TargetMatching(Environment):
 # enumerable tabular MDPs
 
 
-@dataclass
-class EnumeratedTrajectory:
-    """A complete path with the environment part of its probability.
+@dataclass(frozen=True)
+class PathTable:
+    """Every length-horizon path of a tabular MDP, one row each, with its
+    environment probability; the policy's part is multiplied in by the
+    oracle, so one table serves every parameter vector."""
 
-    The full occurrence probability multiplies in the policy's action
-    probabilities, so one enumeration serves every parameter vector.
-    """
-
-    states: np.ndarray   # (T, 1), the state index as a float
-    actions: np.ndarray  # (T, m)
-    rewards: np.ndarray  # (T,)
-    env_prob: float
-
-    def probability(self, policy) -> float:
-        logp = float(np.sum(policy.log_prob(self.states, self.actions)))
-        return self.env_prob * float(np.exp(logp))
+    states: np.ndarray    # (P, T) int state indices
+    actions: np.ndarray   # (P, T, m) int factor values
+    rewards: np.ndarray   # (P, T)
+    env_prob: np.ndarray  # (P,) initial-state times transition probabilities
 
 
 _Row = tuple[float, ...]
@@ -227,49 +221,42 @@ class TabularMdp(Environment):
         s2 = np.minimum(s2, len(self.rho0) - 1).astype(float)[:, None]
         return s2, self.rewards[s, aj]
 
-    def enumerate_trajectories(self) -> list:
-        """All length-horizon paths with their environment probabilities.
+    def enumerate_trajectories(self) -> PathTable:
+        """All length-horizon paths in depth-first walk order: initial state,
+        then per step the joint action in ``itertools.product`` order and the
+        next state. Paths that differ only in the last next state, which is
+        not stored, are separate rows.
 
-        Enumerates initial states, joint actions, and transition branches with
-        nonzero probability; raises if the outcome count would exceed the
-        budget rather than grinding away.
+        Each step extends every path by its current state's nonzero (joint
+        action, next state) pairs. Raises ``EnumerationSizeError``, before
+        building any path, when the bound |S| (joint actions x widest
+        branching)^horizon exceeds the budget.
         """
-        joint_actions = list(itertools.product(*[range(k) for k in self.cardinalities]))
-        branching = max(
-            1, max(int(np.count_nonzero(row)) for plane in self.transitions for row in plane)
-        )
-        bound = len(self.rho0) * (len(joint_actions) * branching) ** self.spec.horizon
+        branching = int(np.count_nonzero(self.transitions, axis=2).max())
+        bound = len(self.rho0) * (self.transitions.shape[1] * branching) ** self.spec.horizon
         if bound > ENUMERATION_BUDGET:
             raise EnumerationSizeError(
-                f"enumeration bound {bound} exceeds budget {ENUMERATION_BUDGET}"
-            )
-        out: list[EnumeratedTrajectory] = []
-
-        def extend(s, t, states, actions, rewards, prob):
-            if t == self.spec.horizon:
-                out.append(EnumeratedTrajectory(
-                    np.array(states, dtype=float)[:, None],
-                    np.array(actions, dtype=float),
-                    np.array(rewards, dtype=float),
-                    prob,
-                ))
-                return
-            for a in joint_actions:
-                aj = int(np.ravel_multi_index(a, self.cardinalities))
-                r = float(self.rewards[s, aj])
-                for s2 in np.flatnonzero(self.transitions[s, aj]):
-                    extend(
-                        int(s2),
-                        t + 1,
-                        states + [s],
-                        actions + [a],
-                        rewards + [r],
-                        prob * float(self.transitions[s, aj, s2]),
-                    )
-
-        for s0 in np.flatnonzero(self.rho0):
-            extend(int(s0), 0, [], [], [], float(self.rho0[s0]))
-        return out
+                f"enumeration bound {bound} exceeds budget {ENUMERATION_BUDGET}")
+        # the nonzero (s, joint action, s') edges, lexicographic: state s has
+        # count[s] of them, starting at first[s]
+        src, joint, dst = np.nonzero(self.transitions)
+        edge_prob = self.transitions[src, joint, dst]
+        count = np.bincount(src, minlength=len(self.rho0))
+        first = np.cumsum(count) - count
+        at = np.flatnonzero(self.rho0)  # each path's current state
+        prob = self.rho0[at]
+        states = joints = np.empty((len(at), 0), dtype=int)
+        for _ in range(self.spec.horizon):
+            n_out = count[at]
+            parent = np.repeat(np.arange(len(at)), n_out)
+            # child j of path k takes edge first[at[k]] + j
+            edge = np.arange(len(parent)) + np.repeat(first[at] - np.cumsum(n_out) + n_out, n_out)
+            states = np.column_stack([states[parent], at[parent]])
+            joints = np.column_stack([joints[parent], joint[edge]])
+            prob = prob[parent] * edge_prob[edge]
+            at = dst[edge]
+        actions = np.stack(np.unravel_index(joints, self.cardinalities), axis=-1)
+        return PathTable(states, actions, self.rewards[states, joints], prob)
 
     @classmethod
     def from_json(cls, path) -> "TabularMdp":

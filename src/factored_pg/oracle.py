@@ -20,6 +20,8 @@ sampled estimator can be held to tight tolerances:
   suboptimality of the best state-only baseline follows by substituting it
   for b_i.
 
+The enumeration is the environment's ``PathTable``, (paths, horizon) arrays
+in walk order; path probabilities come from one batched ``log_prob``.
 Everything but eta reads one table, ``_visits``: each (trajectory, timestep)
 of the enumeration flattened once, with per-factor scores from one batched
 ``score_matrix`` call; conditional tables are weighted group means over it.
@@ -46,8 +48,8 @@ ORACLE_BASELINE_KINDS = (
 class EnumerableProblem:
     """A tabular environment paired with a categorical factored policy.
 
-    ``enumerated`` reuses an existing enumeration of ``env``'s trajectories;
-    it holds no policy probabilities, so it serves every parameter vector.
+    ``enumerated`` reuses an existing ``PathTable`` of ``env``'s paths; it
+    holds no policy probabilities, so it serves every parameter vector.
     """
 
     def __init__(self, env, policy, enumerated=None):
@@ -69,7 +71,13 @@ class EnumerableProblem:
 
 
 def trajectory_probabilities(problem: EnumerableProblem) -> np.ndarray:
-    return np.array([et.probability(problem.policy) for et in problem.enumerated])
+    """p(tau) per path: its environment probability times the policy's, from
+    one batched ``log_prob`` over every (path, step) row, summed per path."""
+    paths = problem.enumerated
+    n, horizon = paths.states.shape
+    logp = problem.policy.log_prob(paths.states.reshape(-1, 1).astype(float),
+                                   paths.actions.reshape(n * horizon, -1).astype(float))
+    return paths.env_prob * np.exp(logp.reshape(n, horizon).sum(axis=1))
 
 
 def _keep_key(i: int, a: tuple) -> tuple:
@@ -79,7 +87,8 @@ def _keep_key(i: int, a: tuple) -> tuple:
 
 @dataclass
 class _Visits:
-    """Every (trajectory, timestep) of the enumeration, flattened in walk order."""
+    """Every (trajectory, timestep) of the enumeration, flattened path-major
+    in walk order."""
 
     mass: np.ndarray     # (n,) p(tau) gamma^t
     weights: np.ndarray  # (n,) mass / sum_t gamma^t: the visitation measure, sums to 1
@@ -91,23 +100,21 @@ class _Visits:
 
 
 def _visits(problem: EnumerableProblem) -> _Visits:
-    gamma, m, policy = problem.gamma, problem.m, problem.policy
-    norm = sum(gamma**t for t in range(problem.env.spec.horizon))
-    mass, qhat = [], []
-    for et, p in zip(problem.enumerated, trajectory_probabilities(problem)):
-        mass.extend(p * gamma**t for t in range(len(et.rewards)))
-        qhat.extend(returns_to_go(et.rewards, gamma))
-    rows = np.concatenate([et.states for et in problem.enumerated])
-    acts = np.concatenate([et.actions for et in problem.enumerated])
-    joint = policy.score_matrix(rows, acts)
+    m, policy, paths = problem.m, problem.policy, problem.enumerated
+    # Python powers: numpy's vectorized power differs in the last bit
+    discounts = [problem.gamma**t for t in range(problem.env.spec.horizon)]
+    mass = (trajectory_probabilities(problem)[:, None] * np.array(discounts)).ravel()
+    qhat = returns_to_go(paths.rewards.T, problem.gamma).T.ravel()
+    states = paths.states.ravel()
+    acts = paths.actions.reshape(len(states), m)
+    joint = policy.score_matrix(states[:, None].astype(float), acts.astype(float))
     scores = np.zeros((len(joint), m, policy.n_params))
     for i, block in enumerate(policy.block_slices):
         scores[:, i, block] = joint[:, block]
-    states = np.rint(rows[:, 0]).astype(int).tolist()
-    actions = [tuple(a) for a in np.rint(acts).astype(int).tolist()]
+    states = states.tolist()
+    actions = [tuple(a) for a in acts.tolist()]
     groups = [(i, s, _keep_key(i, a)) for s, a in zip(states, actions) for i in range(m)]
-    mass = np.array(mass)
-    return _Visits(mass, mass / norm, states, actions, np.array(qhat), scores, groups)
+    return _Visits(mass, mass / sum(discounts), states, actions, qhat, scores, groups)
 
 
 def _baseline_matrix(problem: EnumerableProblem, v: _Visits, baseline) -> np.ndarray:
@@ -132,12 +139,10 @@ def _group_means(keys, weights, values) -> dict:
 
 def exact_eta(problem: EnumerableProblem) -> float:
     """Expected discounted return under the problem's policy."""
-    probs = trajectory_probabilities(problem)
-    gamma = problem.gamma
+    discounts = [problem.gamma**t for t in range(problem.env.spec.horizon)]
     total = 0.0
-    for et, p in zip(problem.enumerated, probs):
-        rewards = et.rewards
-        total += p * float(sum(gamma**t * rewards[t] for t in range(len(rewards))))
+    for p, rewards in zip(trajectory_probabilities(problem), problem.enumerated.rewards):
+        total += p * float(sum(d * r for d, r in zip(discounts, rewards)))
     return total
 
 

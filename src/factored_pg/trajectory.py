@@ -14,7 +14,8 @@ import numpy as np
 
 
 def returns_to_go(rewards: np.ndarray, gamma: float) -> np.ndarray:
-    """Discounted suffix sums q_t = r_t + gamma * q_{t+1}, q_T = 0.
+    """Discounted suffix sums q_t = r_t + gamma * q_{t+1}, q_T = 0, along the
+    first axis: a (T, P) array gives P paths' sums at once.
 
     The backward recursion is the reference operation order: ``Batch.qhat``
     and the GAE path with lambda = 1 and a zero baseline perform the identical

@@ -14,6 +14,7 @@ from factored_pg.features import (
     QuadraticMap,
     RawFeatures,
     RffMap,
+    fit_linear,
 )
 from factored_pg.optim import OptimizerConfig, train
 from factored_pg.policies import CategoricalPolicy, IndependentGaussianPolicy
@@ -510,6 +511,27 @@ def test_initial_state_is_zero_and_none_stays_zero(refit_arm):
     assert_allclose(BaselineState(spec).evaluate_and_refit(batch, policy)[0], 0.0)
     none_state = refit_arm(BaselineSpec(kind="none"), batch, policy)
     assert_allclose(none_state.evaluate_and_refit(batch, policy)[0], 0.0)
+
+
+@pytest.mark.parametrize("tabular", [False, True], ids=["fit_linear", "TableModel.fit"])
+def test_evaluate_reads_the_model_fitted_on_the_previous_batch(tabular):
+    # b on batch t comes from the refit on t - 1, so it never sees t's returns
+    policy = _two_factor_policy(seed=23)
+    previous, batch = (_categorical_batch(policy, seed=seed) for seed in (24, 25))
+    spec = BaselineSpec(kind="state_value", tabular=tabular)
+    state = BaselineState(spec).evaluate_and_refit(previous, policy)[1]
+    values = state.evaluate_and_refit(batch, policy)[0]
+
+    def fitted_on(b):
+        if tabular:
+            return TableModel.fit(b.states, b.qhat)
+        return fit_linear(b.states, b.qhat, ridge=spec.ridge)
+
+    def predicted(model):
+        return np.repeat(model.predict(batch.states)[:, None], policy.m, axis=1)
+
+    assert values.tobytes() == predicted(fitted_on(previous)).tobytes()
+    assert not np.allclose(values, predicted(fitted_on(batch)))
 
 
 def test_state_value_constant_across_factors(refit_arm):

@@ -1,5 +1,6 @@
 """Environments: rewards, enumeration, thresholds, and the registry."""
 
+import itertools
 import json
 
 import numpy as np
@@ -7,14 +8,16 @@ import pytest
 from numpy.testing import assert_allclose
 
 from factored_pg.envs import (
+    ENUMERATION_BUDGET,
     TabularMdp,
     TargetMatching,
     TargetMatchingParams,
     make_env,
     solve_threshold_default,
 )
-from factored_pg.errors import ConfigError
+from factored_pg.errors import ConfigError, EnumerationSizeError
 from factored_pg.features import IndicatorFeatures
+from factored_pg.oracle import EnumerableProblem, trajectory_probabilities
 from factored_pg.policies import CategoricalPolicy
 from factored_pg.verify import fixture_path, load_fixture
 
@@ -71,14 +74,76 @@ def test_tabular_transition_rows_are_distributions():
 def test_bandit_enumeration_count():
     # single state, factors 2 x 3, horizon 1: one trajectory per joint action
     env = load_fixture("bandit_two_factor")
-    assert len(env.enumerate_trajectories()) == 6
+    paths = env.enumerate_trajectories()
+    assert paths.states.shape == (6, 1) and paths.actions.shape == (6, 1, 2)
 
 
 def test_enumerated_probabilities_sum_to_one():
     env = load_fixture("chain_two_step")
     policy = CategoricalPolicy.zeros(env.cardinalities, IndicatorFeatures(len(env.rho0)))
-    total = sum(et.probability(policy) for et in env.enumerate_trajectories())
+    total = np.sum(trajectory_probabilities(EnumerableProblem(env, policy)))
     assert_allclose(total, 1.0, atol=1e-12)
+
+
+def _nested_walk(env):
+    """Every path by nested loops: initial state, then per step the joint
+    action in product order and the next state, skipping zero probabilities.
+    One (states, actions, rewards, env_prob) tuple per path."""
+    n = len(env.rho0)
+    paths = [([], [], [], float(env.rho0[s]), s) for s in range(n) if env.rho0[s] != 0.0]
+    for _ in range(env.spec.horizon):
+        longer = []
+        for states, actions, rewards, prob, s in paths:
+            for a in itertools.product(*[range(k) for k in env.cardinalities]):
+                aj = np.ravel_multi_index(a, env.cardinalities)
+                for s2 in range(n):
+                    p = float(env.transitions[s, aj, s2])
+                    if p != 0.0:
+                        longer.append((states + [s], actions + [list(a)],
+                                       rewards + [env.rewards[s, aj]], prob * p, s2))
+        paths = longer
+    return [path[:4] for path in paths]
+
+
+def _discounted_mdp_with_zeros():
+    rng = np.random.default_rng(29)
+    transitions = rng.dirichlet(np.ones(3), size=(3, 6))
+    transitions[rng.random(transitions.shape) < 0.3] = 0.0
+    transitions[:, :, 1] += 0.125  # every row keeps a nonzero entry
+    transitions /= transitions.sum(axis=2, keepdims=True)
+    return TabularMdp(transitions, rng.standard_normal((3, 6)), [0.625, 0.0, 0.375], (2, 3),
+                      horizon=3, gamma=0.9)
+
+
+@pytest.mark.parametrize("make", [lambda: load_fixture("chain_two_step"),
+                                  _discounted_mdp_with_zeros],
+                         ids=["chain_two_step", "discounted_with_zeros"])
+def test_enumeration_follows_the_nested_walk_row_for_row(make):
+    # the oracle's float sums and first-seen table keys follow this row order
+    env = make()
+    assert np.any(env.transitions == 0.0)
+    walk = _nested_walk(env)
+    table = env.enumerate_trajectories()
+    states, actions, rewards, env_prob = (np.array(column) for column in zip(*walk))
+    assert table.states.shape == (len(walk), env.spec.horizon)
+    assert np.array_equal(table.states, states)
+    assert np.array_equal(table.actions, actions)
+    assert table.rewards.tobytes() == rewards.tobytes()
+    assert table.env_prob.tobytes() == env_prob.tobytes()
+
+
+def test_enumeration_over_budget_raises_before_building_a_path():
+    # state 0 loops on itself, so there is one path at any horizon; the
+    # unreachable state 1 branches in two, and the bound
+    # |S| (joint actions x widest branching)^T = 2 * 2^T counts it
+    def env(horizon):
+        return TabularMdp([[[1.0, 0.0]], [[0.5, 0.5]]], np.zeros((2, 1)), [1.0, 0.0], (1,),
+                          horizon)
+
+    assert 2 * 2**18 <= ENUMERATION_BUDGET < 2 * 2**19
+    assert env(18).enumerate_trajectories().states.shape == (1, 18)
+    with pytest.raises(EnumerationSizeError, match="bound 1048576 exceeds"):
+        env(19).enumerate_trajectories()
 
 
 @pytest.mark.parametrize(

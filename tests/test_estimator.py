@@ -19,9 +19,11 @@ from factored_pg.verify import fixture_problem
 
 
 def _enumerated_batch(problem):
-    probs = trajectory_probabilities(problem)
-    paths = [(et.states, et.actions, et.rewards) for et in problem.enumerated]
-    return Batch.from_paths(paths, gamma=problem.gamma, weights=probs)
+    paths = problem.enumerated
+    n, horizon = paths.rewards.shape
+    return Batch(paths.states.reshape(-1, 1).astype(float),
+                 paths.actions.reshape(n * horizon, -1).astype(float), paths.rewards.ravel(),
+                 np.full(n, horizon), problem.gamma, trajectory_probabilities(problem))
 
 
 def _raw_returns(batch, m):

@@ -68,6 +68,28 @@ def test_npg_step_identity_fisher_hits_kl_budget():
     assert_allclose(npg_step(10.0 * g, scores, cfg), step, rtol=1e-6)
 
 
+def test_npg_step_direction_solves_the_damped_fisher_system():
+    # six parameters with Fisher eigenvalues spread over three decades: CG
+    # solves the system in six exact iterations, so npg_step's ten stop at
+    # the CG tolerance |r|^2 < 1e-10, |r| < 1e-5 with |g| = 1; one iteration
+    # would step along g, which this system leaves far from solved
+    bound = 1e-4
+    rng = np.random.default_rng(5)
+    scores = rng.standard_normal((60, 6)) * np.logspace(0.0, -1.5, 6)
+    cfg = OptimizerConfig(kl=0.025, damping=1e-4)
+    fisher = scores.T @ scores / len(scores) + cfg.damping * np.eye(6)
+    g = rng.standard_normal(6)
+    g /= np.linalg.norm(g)
+
+    def residual(direction):
+        """|F (c x) - g| / |g| at the best scale c of ``direction`` x."""
+        fx = fisher @ direction
+        return np.linalg.norm((fx @ g) / (fx @ fx) * fx - g)
+
+    assert residual(g) > 0.1
+    assert residual(npg_step(g, scores, cfg)) < bound
+
+
 def test_npg_step_raises_on_degenerate_curvature():
     # degenerate curvature raises; no fallback step is taken
     g = np.array([3.0, 4.0])

@@ -36,10 +36,16 @@ side importing its own ``src/``:
   environment's default critic (250 random Fourier features, so the ridge
   solve takes its dual form), seeds 0-1, 30 iterations.
 
-Every run trains both arms. Prints the sha256 of each curve CSV, each
-checkpoint (final theta and RNG scheme) and each run's ``summary.json`` on
-both sides, and exits 1 if any of these files differs or is missing on one
-side. Also prints each side's line count of ``src/**/*.py``, as ``wc -l``
+Every run trains both arms. Each side also evaluates the exact oracles on
+the three committed fixtures (``verify.fixture_problem``): ``exact_eta``,
+``exact_gradient`` and the ``zy_tables`` moments, and, for each oracle
+baseline kind of ``make_oracle_baseline``, ``exact_pg_expectation`` with
+every field of ``exact_variance``. So an oracle refactor gets the same
+byte check as the curves.
+
+Prints the sha256 of each curve CSV, each checkpoint (final theta and RNG
+scheme), each run's ``summary.json`` and each oracle output on both sides,
+and exits 1 if any of these differs or is missing on one side. Also prints each side's line count of ``src/**/*.py``, as ``wc -l``
 counts it. ``config.json`` is not compared: it holds each side's own
 ``out_dir``. Everything is written under one temporary
 directory, which is removed afterwards.
@@ -59,13 +65,18 @@ import tempfile
 from bench_pairs import export, git
 
 # Run in each side's root with that side's src/ first on sys.path; prints
-# {"<run>/<arm>_seed<k>.csv", "<run>/<arm>_seed<k>.json" (checkpoint) or
-# "<run>/summary.json": sha256} as one JSON line. It uses only names that
-# every revision with perfbench/workloads.py has.
+# {"<run>/<arm>_seed<k>.csv", "<run>/<arm>_seed<k>.json" (checkpoint),
+# "<run>/summary.json" or "oracle/<fixture>/<quantity>": sha256} as one JSON
+# line. It uses only names that every revision with perfbench/workloads.py
+# has.
 SIDE_SCRIPT = r"""
 import hashlib, importlib.util, json, os, sys
+import numpy as np
 from factored_pg.config import config_from_dict, matching_task_config
 from factored_pg.harness import run_experiment
+from factored_pg.oracle import (exact_eta, exact_gradient, exact_pg_expectation, exact_variance,
+                                make_oracle_baseline, zy_tables)
+from factored_pg.verify import fixture_problem
 
 out = sys.argv[1]
 spec = importlib.util.spec_from_file_location("workloads", "perfbench/workloads.py")
@@ -158,6 +169,20 @@ for cfg in runs:
         with open(os.path.join(run_dir, rel), "rb") as fh:
             hashes[f"{os.path.basename(run_dir)}/{os.path.basename(rel)}"] = hashlib.sha256(
                 fh.read()).hexdigest()
+for name in ("bandit_two_arm", "bandit_two_factor", "chain_two_step"):
+    problem = fixture_problem(name)
+    # repr round-trips every float exactly; arrays hash their bytes
+    values = {"eta": repr(exact_eta(problem)).encode(),
+              "gradient": exact_gradient(problem).tobytes(),
+              "zy_tables": repr(zy_tables(problem)).encode()}
+    for kind in ("none", "state_value", "optimal_state", "marginalized_q", "optimal_action"):
+        baseline = make_oracle_baseline(problem, kind)
+        var = exact_variance(problem, baseline)
+        values[kind] = np.hstack([
+            exact_pg_expectation(problem, baseline), var.mean, var.per_factor,
+            [var.total, var.cross_correction, var.decomposition_total]]).tobytes()
+    for key, data in values.items():
+        hashes[f"oracle/{name}/{key}"] = hashlib.sha256(data).hexdigest()
 print(json.dumps(hashes))
 """
 RUN_TIMEOUT_S = 600
