@@ -40,6 +40,7 @@ from .features import (
     QuadraticMap,
     RawFeatures,
     RffMap,
+    _rows,
     fit_linear,
     median_bandwidth,
 )
@@ -100,7 +101,7 @@ class BaselineSpec:
 
 
 def _rounded(inputs: np.ndarray) -> np.ndarray:
-    return np.rint(np.atleast_2d(inputs)).astype(np.int64)
+    return np.rint(_rows(inputs)).astype(np.int64)
 
 
 @dataclass
@@ -178,15 +179,15 @@ class QModel:
     feature_map: FeatureMap
 
     def predict(self, states: np.ndarray, actions: np.ndarray) -> np.ndarray:
-        rows = np.hstack([np.atleast_2d(states), np.atleast_2d(actions)])
+        rows = np.hstack([_rows(states), _rows(actions)])
         return self.model.predict(self.feature_map(rows))
 
     def at_candidates(self, states: np.ndarray, actions: np.ndarray,
-                      cand: np.ndarray, live: np.ndarray, phi: np.ndarray) -> np.ndarray:
+                      cand: np.ndarray, phi: np.ndarray) -> np.ndarray:
         """Q(s, a with a^i = cand[:, i, k]) for every factor i and candidate k,
-        an (n, m, K) array like ``cand``, at least where the (m, K) mask
-        ``live`` holds; the slots it clears carry no weight. ``phi`` is the
-        (s, a) rows mapped through ``feature_map``.
+        an (n, m, K) array like ``cand``; ``phi`` is the (s, a) rows mapped
+        through ``feature_map``. A ragged support's padded slots are read like
+        any other: their weight is 0.
 
         A ridge fit on raw or ``QuadraticMap`` features is separable by input
         column, so moving a^i to v changes only a^i's own columns:
@@ -194,13 +195,13 @@ class QModel:
         prediction per batch, read off ``phi``. On an ``RffMap`` it shifts
         the sinusoid's argument z of the (s, a) rows by (v - a_i) times a^i's
         column of the projection over the bandwidth: z is computed once, and
-        each live candidate takes one shifted float32 sine, elementwise within
+        each candidate takes one shifted float32 sine, elementwise within
         2^-24 (|z| + 3 |shift| + 2 |z'|) + 2^-21 of the map of the swapped row
         (whose argument is z'). A ``TableModel`` moves the code of the rounded
         row by (rint(v) - rint(a_i)) times a^i's stride and looks the whole
         block up at once; a slot hits when every column but a^i's is inside
         the fit's range and rint(v) is inside a^i's, since the batch row's own
-        a_i never enters the key. Slots ``live`` clears are left at 0.
+        a_i never enters the key.
         """
         fmap, d = self.feature_map, states.shape[1]
         if isinstance(self.model, LinearModel) and isinstance(fmap, (RawFeatures, QuadraticMap)):
@@ -216,7 +217,7 @@ class QModel:
             out = ~table.inside(x)
             others_in = out.sum(axis=1)[:, None] - out[:, d:] == 0  # (n, m)
             v = np.rint(cand).astype(np.int64)
-            hit = (others_in[:, :, None] & live
+            hit = (others_in[:, :, None]
                    & (v >= table.low[d:, None]) & (v <= table.high[d:, None]))
             shift = (v - x[:, d:, None]) * table.strides[d:, None]
             return table.lookup(table.row_codes(x)[:, None, None] + shift, hit)
@@ -227,7 +228,7 @@ class QModel:
             np.float32, order="C")  # row i: a^i's column
         arg = np.empty_like(z)
         q = np.zeros(cand.shape)
-        for i, k in zip(*np.nonzero(live)):
+        for i, k in np.ndindex(cand.shape[1:]):
             shift = (cand[:, i, k] - actions[:, i]).astype(np.float32)
             # the outer product shift step_i'; einsum's runs faster here
             # than a broadcast multiply, to the same bytes
@@ -270,9 +271,9 @@ def marginal(states: np.ndarray, policy, spec: BaselineSpec, rng):
         optimal_action  the support, w p ||z_i||^2, or draws, w ||z_i||^2; den sum_k w_ik
 
     ``cand`` and ``weights`` are (n, m, K) arrays; a support has the widest
-    factor's K values, and weight zero past factor i's own k_i. ``den`` is a
-    scalar or (n, m). Draws come from ``rng``, one (n, K) block per factor in
-    factor order.
+    factor's K values, weighted from the policy's padded ``probs``, so 0 past
+    factor i's own k_i. ``den`` is a scalar or (n, m). Draws come from
+    ``rng``, one (n, K) block per factor in factor order.
     """
     check_marginal(spec, policy)
     n, m = len(states), policy.m
@@ -282,14 +283,11 @@ def marginal(states: np.ndarray, policy, spec: BaselineSpec, rng):
     if optimal:
         phi_sq = np.sum(policy.features(states) ** 2, axis=1)[:, None]
     if policy.kind == "categorical" and (optimal or spec.exact):
-        width = max(policy.cardinalities)
-        cand = np.broadcast_to(np.arange(width, dtype=float), (n, m, width))
-        weights = np.zeros((n, m, width))
-        for i, k in enumerate(policy.cardinalities):
-            p = policy.factor_probs(states, i)
-            if optimal:  # ||z_i(v)||^2 = (1 - 2 p_v + sum_u p_u^2) ||phi||^2 for softmax heads
-                p = p * ((1.0 - 2.0 * p + np.sum(p**2, axis=1)[:, None]) * phi_sq)
-            weights[:, i, :k] = p
+        weights = p = policy.probs(states)
+        cand = np.broadcast_to(np.arange(p.shape[2], dtype=float), p.shape)
+        if optimal:  # ||z_i(v)||^2 = (1 - 2 p_v + sum_u p_u^2) ||phi||^2 for softmax heads
+            weights = p * ((1.0 - 2.0 * p + np.sum(p**2, axis=2, keepdims=True))
+                           * phi_sq[:, :, None])
     else:
         if rng is None:
             raise ValueError(f"rng required to draw candidate values for {spec.kind}")
@@ -349,8 +347,7 @@ class BaselineState:
         if self.spec.kind not in MARGINAL_KINDS:
             return np.repeat(self.fitted.model.predict(phi)[:, None], policy.m, axis=1)
         cand, weights, den = marginal(batch.states, policy, self.spec, rng)
-        q = self.fitted.at_candidates(batch.states, batch.actions, cand,
-                                      np.any(weights, axis=0), phi)
+        q = self.fitted.at_candidates(batch.states, batch.actions, cand, phi)
         return np.sum(weights * q, axis=-1) / den
 
     def refit(self, batch, policy, feature_map: FeatureMap, phi: np.ndarray) -> "BaselineState":

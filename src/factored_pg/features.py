@@ -19,11 +19,11 @@ import numpy as np
 from .errors import SingularSystemError
 
 
-def _rows(x: np.ndarray, d: int) -> np.ndarray:
-    """``x`` as a float (n, d) array; any other shape raises ValueError."""
+def _rows(x: np.ndarray, d: int | None = None) -> np.ndarray:
+    """``x`` as a float (n, d) array, any d if None; other shapes raise ValueError."""
     x = np.asarray(x, dtype=float)
-    if x.ndim != 2 or x.shape[1] != d:
-        raise ValueError(f"expected (n, {d}) rows, got shape {x.shape}")
+    if x.ndim != 2 or d is not None and x.shape[1] != d:
+        raise ValueError(f"expected (n, {'d' if d is None else d}) rows, got shape {x.shape}")
     return x
 
 
@@ -126,7 +126,7 @@ def median_bandwidth(inputs: np.ndarray, max_probe: int = 256) -> float:
     Falls back to 1.0 when the probe is degenerate (fewer than two points or
     all points coincident), so downstream maps stay well defined.
     """
-    inputs = np.atleast_2d(np.asarray(inputs, dtype=float))
+    inputs = _rows(inputs)
     probe = inputs[: int(max_probe)]
     if len(probe) < 2:
         return 1.0
@@ -153,7 +153,7 @@ class LinearModel:
 
 def default_ridge(design: np.ndarray) -> float:
     """Relative regularizer 1e-5 * trace(F'F) / rows for design matrix F."""
-    design = np.atleast_2d(np.asarray(design, dtype=float))
+    design = _rows(design)
     return 1e-5 * float(np.sum(design**2)) / max(len(design), 1)
 
 
@@ -172,7 +172,7 @@ def fit_linear(
     SingularSystemError. ``sample_weights`` turns the objective into weighted
     least squares, used by the variance-optimal state baseline.
     """
-    features = np.atleast_2d(np.asarray(features, dtype=float))
+    features = _rows(features)
     targets = np.asarray(targets, dtype=float).ravel()
     sw = None if sample_weights is None else np.asarray(sample_weights, dtype=float).ravel()
     if len(features) != len(targets):

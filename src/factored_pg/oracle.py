@@ -242,12 +242,12 @@ def make_oracle_baseline(problem: EnumerableProblem, kind: str):
         return lambda i, s, a: table[(i, s, _keep_key(i, a))]
     if kind == "marginalized_q":
         q = exact_q_table(problem)
-        policy = problem.policy
+        # every state's (m, K) probabilities from one batched call
+        probs = problem.policy.probs(np.arange(len(problem.env.rho0), dtype=float)[:, None])
 
         def marginalized(i, s, a):
-            probs = policy.factor_probs(np.array([[float(s)]]), i)[0]
             total = 0.0
-            for v, pv in enumerate(probs):
+            for v, pv in enumerate(probs[s, i, : problem.policy.cardinalities[i]]):
                 swapped = tuple(v if j == i else a[j] for j in range(problem.m))
                 total += float(pv) * q[(s, swapped)]
             return total

@@ -38,8 +38,8 @@ class FactoredPolicy:
     Parameter updates never mutate a policy: ``with_theta`` returns a fresh
     instance, so policies are safe to share read-only across workers. The
     concrete classes also expose the per-factor marginals that baselines
-    integrate over: ``factor_probs`` (categorical), ``mean_actions``
-    (Gaussian) and ``sample_factor`` (both).
+    integrate over: ``probs`` and ``factor_probs`` (categorical),
+    ``mean_actions`` (Gaussian) and ``sample_factor`` (both).
     """
 
     m: int
@@ -196,21 +196,24 @@ class CategoricalPolicy(FactoredPolicy):
 
     Factor i with cardinality k_i owns logits l = W_i phi(s); its parameter
     block is W_i flattened row-major, size k_i * feature_dim. With indicator
-    state features this is an exact tabular policy.
+    state features this is an exact tabular policy. ``logit_weights`` pads
+    the W_i to one (m, K, feature_dim) array, K = max k_i; past k_i, where the
+    (m, K) mask ``support`` is false, logits are -inf and probabilities 0.
     """
 
     kind = "categorical"
 
     def __init__(self, logit_weights: list, features):
-        self.logit_weights = [np.atleast_2d(np.asarray(w, dtype=float)) for w in logit_weights]
+        ws = [np.atleast_2d(np.asarray(w, dtype=float)) for w in logit_weights]
         self.features = features
-        self.m = len(self.logit_weights)
-        self.cardinalities = tuple(w.shape[0] for w in self.logit_weights)
-        for w in self.logit_weights:
-            if w.shape[1] != features.n_features:
-                raise ValueError("logit weight columns must match feature dim")
-        sizes = [w.size for w in self.logit_weights]
-        bounds = np.concatenate([[0], np.cumsum(sizes)])
+        self.m = len(ws)
+        self.cardinalities = tuple(w.shape[0] for w in ws)
+        if any(w.shape[1] != features.n_features for w in ws):
+            raise ValueError("logit weight columns must match feature dim")
+        self.support = np.arange(max(self.cardinalities)) < np.array(self.cardinalities)[:, None]
+        self.logit_weights = np.zeros(self.support.shape + (features.n_features,))
+        self.logit_weights[self.support] = np.concatenate(ws)
+        bounds = np.concatenate([[0], np.cumsum([w.size for w in ws])])
         self.block_slices = tuple(slice(int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:]))
         self.n_params = int(bounds[-1])
 
@@ -220,26 +223,41 @@ class CategoricalPolicy(FactoredPolicy):
 
     @property
     def theta(self) -> np.ndarray:
-        return np.concatenate([w.ravel() for w in self.logit_weights])
+        return self.logit_weights[self.support].ravel()
 
     def with_theta(self, theta: np.ndarray) -> "CategoricalPolicy":
         theta = np.asarray(theta, dtype=float).ravel()
         if len(theta) != self.n_params:
             raise ValueError(f"expected {self.n_params} parameters, got {len(theta)}")
-        ws = [
-            theta[sl].reshape(w.shape).copy()
-            for sl, w in zip(self.block_slices, self.logit_weights)
-        ]
-        return CategoricalPolicy(ws, self.features)
+        rows = theta.reshape(-1, self.features.n_features)
+        return CategoricalPolicy(np.split(rows, np.cumsum(self.cardinalities)[:-1]), self.features)
 
-    def _logits(self, states, i: int) -> np.ndarray:
-        logits = self.features(states) @ self.logit_weights[i].T
-        return logits - np.max(logits, axis=1, keepdims=True)
+    @staticmethod
+    def _shifted(logits: np.ndarray, support: np.ndarray) -> np.ndarray:
+        """(n, ., K) logits less each factor's maximum, -inf off ``support``."""
+        logits = np.where(support, logits, -np.inf)
+        return logits - np.max(logits, axis=2, keepdims=True)
+
+    def _logits(self, states, factors=slice(None)) -> np.ndarray:
+        phis, w = self.features(states), self.logit_weights[factors]
+        logits = (phis @ w.reshape(-1, phis.shape[1]).T).reshape(len(phis), *w.shape[:2])
+        return self._shifted(logits, self.support[factors])
+
+    def _indices(self, actions) -> np.ndarray:
+        """Each factor's category, (n, m) ints; ValueError outside a support."""
+        idx = np.rint(_rows(actions, self.m)).astype(int)
+        if np.any((idx < 0) | (idx >= np.array(self.cardinalities))):
+            raise ValueError(f"actions outside the supports {self.cardinalities}")
+        return idx
+
+    def probs(self, states, factors=slice(None)) -> np.ndarray:
+        """Per-state probabilities of the factors ``factors`` indexes, (n, m, K), 0 past k_i."""
+        e = np.exp(self._logits(states, factors))
+        return e / np.sum(e, axis=2, keepdims=True)
 
     def factor_probs(self, states, i: int) -> np.ndarray:
         """Factor i's category probabilities per state, (n, k_i)."""
-        e = np.exp(self._logits(states, i))
-        return e / np.sum(e, axis=1, keepdims=True)
+        return self.probs(states, [i])[:, 0, : self.cardinalities[i]]
 
     def draw(self, rng, steps: int) -> np.ndarray:
         """Uniforms on [0, 1), one per factor and step."""
@@ -247,53 +265,44 @@ class CategoricalPolicy(FactoredPolicy):
 
     def sample(self, states, noise) -> np.ndarray:
         phis = self.features(states)
-        actions = np.empty((len(phis), self.m))
-        for i, w in enumerate(self.logit_weights):
-            # one matrix-vector product per row, as in the Gaussian sample
-            logits = (w @ phis[:, :, None])[..., 0]
-            e = np.exp(logits - np.max(logits, axis=1, keepdims=True))
-            cdf = np.cumsum(e / np.sum(e, axis=1, keepdims=True), axis=1)
-            # count of cdf entries <= factor i's uniform, as searchsorted
-            # with side="right"
-            actions[:, i] = np.minimum(np.sum(cdf <= noise[:, i : i + 1], axis=1), len(w) - 1)
-        return actions
+        # one matrix-vector product per row, as in the Gaussian sample
+        logits = (self.logit_weights @ phis[:, None, :, None])[..., 0]
+        e = np.exp(self._shifted(logits, self.support))
+        cdf = np.cumsum(e / np.sum(e, axis=2, keepdims=True), axis=2)
+        # count of cdf entries <= each factor's uniform, as searchsorted with
+        # side="right"; a padded entry repeats its factor's last one
+        counts = np.sum(cdf <= noise[:, :, None], axis=2)
+        return np.minimum(counts, np.array(self.cardinalities) - 1).astype(float)
 
     def log_prob(self, states, actions) -> np.ndarray:
-        actions = _rows(actions, self.m)
-        rows = np.arange(len(actions))
-        out = np.zeros(len(actions))
-        for i in range(self.m):
-            logits = self._logits(states, i)
-            chosen = logits[rows, np.rint(actions[:, i]).astype(int)]
-            out += chosen - np.log(np.sum(np.exp(logits), axis=1))
-        return out
+        idx = self._indices(actions)
+        logits = self._logits(states)
+        chosen = np.take_along_axis(logits, idx[:, :, None], axis=2)[:, :, 0]
+        per_factor = chosen - np.log(np.sum(np.exp(logits), axis=2))
+        return np.cumsum(per_factor, axis=1)[:, -1]  # factor after factor, as in kl
 
     def score_matrix(self, states, actions) -> np.ndarray:
         phis = self.features(states)
-        actions = _rows(actions, self.m)
-        rows = np.arange(len(phis))
-        blocks = []
-        for i in range(self.m):
-            coeff = -self.factor_probs(states, i)
-            coeff[rows, np.rint(actions[:, i]).astype(int)] += 1.0
-            blocks.append((coeff[:, :, None] * phis[:, None, :]).reshape(len(phis), -1))
-        return np.hstack(blocks)
+        idx = self._indices(actions)
+        coeff = -self.probs(states)
+        coeff[np.arange(len(phis))[:, None], np.arange(self.m), idx] += 1.0
+        # (n, sum k_i); a mask gather is Fortran-ordered, which would round
+        # npg_step's BLAS products differently
+        coeff = np.ascontiguousarray(coeff[:, self.support])
+        return (coeff[:, :, None] * phis[:, None, :]).reshape(len(phis), -1)
 
     def sample_factor(self, states, i: int, size: int, rng) -> np.ndarray:
         """``size`` draws of factor i per state, (n, size)."""
-        p = self.factor_probs(states, i)
-        cdf = np.cumsum(p, axis=1)
-        u = rng.random((len(p), size))
+        cdf = np.cumsum(self.factor_probs(states, i), axis=1)
+        u = rng.random((len(cdf), size))
         # count of cdf entries <= u, matching searchsorted side="right" in sample
-        idx = np.minimum(np.sum(cdf[:, None, :] <= u[:, :, None], axis=2), p.shape[1] - 1)
+        idx = np.minimum(np.sum(cdf[:, None, :] <= u[:, :, None], axis=2), cdf.shape[1] - 1)
         return idx.astype(float)
 
     def kl(self, other: "CategoricalPolicy", states) -> float:
-        per_step = np.empty((len(states), self.m))
-        for i in range(self.m):
-            p = self.factor_probs(states, i)
-            q = other.factor_probs(states, i)
-            per_step[:, i] = np.sum(p * (np.log(p) - np.log(q)), axis=1)
+        p, q = self.probs(states), other.probs(states)
+        pad = ~self.support  # where p = 0, so p (log 1 - log 1) adds 0
+        per_step = np.sum(p * (np.log(p + pad) - np.log(q + pad)), axis=2)
         # a sequential sum in (state, factor) order; np.sum would pair terms
         # differently and move the last bits of the logged KL
         return float(np.cumsum(per_step.ravel())[-1]) / len(states)

@@ -2,8 +2,8 @@
 
 A batch stores every visited step in flat arrays, trajectory after trajectory,
 and the trajectory boundaries as one length per trajectory. Per-trajectory
-quantities (returns-to-go, GAE) are backward recursions that run over all
-trajectories at once; nothing keeps a per-trajectory object.
+quantities (returns-to-go, GAE) are one backward recursion, ``returns_to_go``,
+run over all trajectories at once; nothing keeps a per-trajectory object.
 """
 
 from __future__ import annotations
@@ -17,9 +17,9 @@ def returns_to_go(rewards: np.ndarray, gamma: float) -> np.ndarray:
     """Discounted suffix sums q_t = r_t + gamma * q_{t+1}, q_T = 0, along the
     first axis: a (T, P) array gives P paths' sums at once.
 
-    The backward recursion is the reference operation order: ``Batch.qhat``
-    and the GAE path with lambda = 1 and a zero baseline perform the identical
-    sequence of float operations, which tests assert bit-for-bit.
+    ``Batch.suffix_sums`` runs it on a zero-padded block, so ``Batch.qhat``
+    and the GAE path with lambda = 1 and a zero baseline perform the same
+    float operations, which tests assert bit-for-bit.
     """
     rewards = np.asarray(rewards, dtype=float)
     out = np.empty_like(rewards)
@@ -110,20 +110,13 @@ class Batch:
 
     def suffix_sums(self, x: np.ndarray, factor: float) -> np.ndarray:
         """out[t] = x[t] + factor * out[t+1] within each trajectory, zero past
-        its end, in the same float-operation order as ``returns_to_go``.
-
-        Trajectories become the columns of a zero-padded (max_len + 1,
-        n_traj) array, and the recursion adds factor times row t + 1 into row
-        t, in place, from the last row up; padding keeps every trajectory's
-        accumulator at exactly 0 until its own last step.
-        """
+        its end: ``returns_to_go`` on the trajectories as the columns of one
+        zero-padded (max_len, n_traj) block, whose zeros keep each
+        accumulator at exactly 0 until its own last step."""
         x = np.asarray(x, dtype=float)
-        padded = np.zeros((int(self.lengths.max()) + 1, self.n_trajectories) + x.shape[1:])
+        padded = np.zeros((int(self.lengths.max()), self.n_trajectories) + x.shape[1:])
         padded[self.t_index, self.traj_index] = x
-        for t in range(len(padded) - 2, -1, -1):
-            row = padded[t]
-            row += factor * padded[t + 1]
-        return padded[self.t_index, self.traj_index]
+        return returns_to_go(padded, factor)[self.t_index, self.traj_index]
 
     def mean_return(self) -> float:
         return float(np.mean(self.totals))

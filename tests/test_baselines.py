@@ -14,7 +14,9 @@ from factored_pg.features import (
     QuadraticMap,
     RawFeatures,
     RffMap,
+    default_ridge,
     fit_linear,
+    median_bandwidth,
 )
 from factored_pg.optim import OptimizerConfig, train
 from factored_pg.policies import CategoricalPolicy, IndependentGaussianPolicy
@@ -177,8 +179,8 @@ def test_table_candidates_match_predictions_on_the_swapped_rows(weighted):
     """The code shift at candidates reads the bytes ``QModel.predict`` reads
     on each swapped row. The fit covers 0..2 on every column and the block
     -1..3, so a batch row's own a^i, another column and a candidate each fall
-    outside the fit's range; factor 0's last slot is a ragged support's zero
-    padding, which ``live`` clears."""
+    outside the fit's range; factor 0's last slot stands for a ragged
+    support's padding, candidate 0, read like any other slot."""
     rng = np.random.default_rng(31)
     ds, m, k = 1, 2, 4
     fit_rows = rng.integers(0, 3, (300, ds + m)).astype(float)
@@ -193,21 +195,18 @@ def test_table_candidates_match_predictions_on_the_swapped_rows(weighted):
     actions = rng.integers(-1, 4, (n, m)) + rng.uniform(-0.45, 0.45, (n, m))
     cand = rng.integers(-1, 4, (n, m, k)) + rng.uniform(-0.45, 0.45, (n, m, k))
     cand[:, 0, -1] = 0.0
-    live = np.ones((m, k), dtype=bool)
-    live[0, -1] = False
-    q = model.at_candidates(states, actions, cand, live, np.hstack([states, actions]))
-    for i, j in zip(*np.nonzero(live)):
+    q = model.at_candidates(states, actions, cand, np.hstack([states, actions]))
+    for i, j in np.ndindex(m, k):
         np.testing.assert_array_equal(
             q[:, i, j], model.predict(states, _swap(actions, i, cand[:, i, j])))
-    assert not q[:, ~live].any()
     # each case the range test decides occurs in the block
     outside = lambda x: (np.rint(x) < 0) | (np.rint(x) > 2)
     own_out = outside(actions)[:, :, None] & ~outside(cand) & ~outside(states)[:, :, None]
     own_out &= ~outside(actions[:, ::-1])[:, :, None]  # the other factor, m = 2
-    assert np.any(q[own_out & live] != 0.0)
+    assert np.any(q[own_out] != 0.0)
     assert outside(states).any() and outside(cand[:, :, :-1]).any()
     assert not q[outside(states)[:, 0]].any()
-    assert not q[outside(cand) & live].any()
+    assert not q[outside(cand)].any()
 
 
 def test_table_fit_raises_when_its_codes_overflow_int64():
@@ -218,13 +217,31 @@ def test_table_fit_raises_when_its_codes_overflow_int64():
         TableModel.fit(np.array([[0.0, 0.0], [2.0**32 - 1, 2.0**31 - 1]]), np.array([1.0, 2.0]))
 
 
+_ROW = np.array([0.0, 1.0, 2.0])
+
+
+@pytest.mark.parametrize("call", [
+    lambda: fit_linear(_ROW, np.ones(1)),
+    lambda: default_ridge(_ROW),
+    lambda: median_bandwidth(_ROW),
+    lambda: TableModel.fit(_ROW, np.ones(1)),
+    lambda: TableModel.fit(np.eye(3), np.ones(3)).predict(_ROW),
+    lambda: QModel(LinearModel(np.ones(4)), RawFeatures(3)).predict(_ROW[:1], _ROW[1:]),
+], ids=["fit_linear", "default_ridge", "median_bandwidth", "table_fit", "table_predict",
+        "q_predict"])
+def test_one_row_as_a_1d_array_raises(call):
+    # a 1-D array is never read as one row: the rows must be (n, d)
+    with pytest.raises(ValueError, match=r"expected \(n, d\) rows"):
+        call()
+
+
 def test_table_with_no_positive_weight_predicts_zero():
     rows = np.array([[0.0, 1.0], [1.0, 0.0], [1.0, 2.0]])
     model = QModel(TableModel.fit(rows, np.array([2.0, 4.0, -1.0]), np.zeros(3)), RawFeatures(2))
     assert model.model.codes.size == 0
     np.testing.assert_array_equal(model.model.predict(rows), 0.0)
     cand = np.array([[[0.0, 1.0]], [[0.0, 2.0]], [[1.0, 0.0]]])
-    got = model.at_candidates(rows[:, :1], rows[:, 1:], cand, np.ones((1, 2), bool), rows)
+    got = model.at_candidates(rows[:, :1], rows[:, 1:], cand, rows)
     np.testing.assert_array_equal(got, 0.0)
 
 
@@ -394,17 +411,14 @@ def test_rff_candidate_sines_match_the_map_of_the_swapped_rows():
     n_features = 8
     fmap = RffMap(x.shape[1], n_features, 0.05, np.random.default_rng(3))
     cand = actions[:, :, None] + 2.0 * np.random.default_rng(4).standard_normal((len(x), 2, 3))
-    live = np.ones((2, 3), dtype=bool)
-    live[0, 1] = False
     unit = np.eye(n_features + 1)  # the bias weight is last
     sines = np.stack([QModel(LinearModel(unit[f]), fmap).at_candidates(
-        states, actions, cand, live, fmap(x)) for f in range(n_features)], axis=-1)
+        states, actions, cand, fmap(x)) for f in range(n_features)], axis=-1)
     assert np.abs(fmap.argument(x)).max() > 20
-    for i, k in zip(*np.nonzero(live)):
+    for i, k in np.ndindex(2, 3):
         swapped, bound = _rff_swap(fmap, states, actions, i, cand[:, i, k])
         err = np.abs(sines[:, i, k] - fmap(np.hstack([states, swapped])))
         assert np.all(err <= bound), f"factor {i} slot {k}"
-    assert not np.any(sines[:, ~live])
 
 
 RFF = {"features": "rff", "n_features": 30}
@@ -419,23 +433,25 @@ RFF = {"features": "rff", "n_features": 30}
 ], ids=["exact_mc_q-categorical", "optimal_action-categorical", "sampled_mc_q-gaussian",
         "optimal_action-gaussian", "mean_q-gaussian"])
 def test_rff_candidates_match_predictions_on_the_swapped_rows(refit_arm, spec, case):
-    """Q at each live candidate is within sum_f |w_f| bound_f of
+    """Q at each candidate is within sum_f |w_f| bound_f of
     ``QModel.predict`` on the swapped rows, plus the rounding of the two
-    float64 dot products; the ragged support's padded slots stay 0."""
+    float64 dot products; the ragged support's padded slots, read like any
+    other, carry zero weight."""
     policy, batch, _ = case()
     model = refit_arm(spec, batch, policy, np.random.default_rng(1)).fitted
     states, actions = batch.states, batch.actions
     cand, weights, _ = baselines.marginal(states, policy, spec, np.random.default_rng(2))
-    live = np.any(weights, axis=0)
-    q = model.at_candidates(states, actions, cand, live,
+    q = model.at_candidates(states, actions, cand,
                             model.feature_map(np.hstack([states, actions])))
     w = model.model.weights
     rounding = 2 * (len(w) + 1) * 2.0**-53 * np.sum(np.abs(w))
-    for i, k in zip(*np.nonzero(live)):
+    for i, k in np.ndindex(cand.shape[1:]):
         swapped, bound = _rff_swap(model.feature_map, states, actions, i, cand[:, i, k])
         err = np.abs(q[:, i, k] - model.predict(states, swapped))
         assert np.all(err <= bound @ np.abs(w[:-1]) + rounding), f"factor {i} slot {k}"
-    assert not np.any(q[:, ~live])
+    if policy.kind == "categorical":  # factor 0 has 2 of the 3 slots
+        assert policy.cardinalities == (2, 3)
+        assert not np.any(weights[:, 0, 2])
 
 
 @pytest.mark.parametrize("spec, case, reference", [

@@ -83,7 +83,8 @@ def test_joint_score_is_sum_of_factor_scores():
     # each factor's block is the score of that factor alone as a one-factor policy
     pol = _categorical(seed=3)
     s, a = np.array([[1.0], [0.0]]), np.array([[1.0, 2.0], [0.0, 1.0]])
-    singles = [CategoricalPolicy([w], pol.features) for w in pol.logit_weights]
+    singles = [CategoricalPolicy([w[:k]], pol.features)
+               for w, k in zip(pol.logit_weights, pol.cardinalities)]
     expect = np.hstack([p.score_matrix(s, a[:, i : i + 1]) for i, p in enumerate(singles)])
     assert_allclose(pol.score_matrix(s, a), expect, atol=1e-14)
 
@@ -194,6 +195,87 @@ def test_categorical_kl_hand_value():
     kl_factor1 = 0.5 * np.log(0.5 / (1 / 3)) + 2 * 0.25 * np.log(0.25 / (1 / 3))
     assert_allclose(pol.kl(uniform, states), (kl_factor0 + kl_factor1) / 2, atol=1e-14)
     assert pol.kl(pol, states) == 0.0
+
+
+def _per_factor_reference(ws, other_ws, states, actions, noise):
+    """probs, sample, log_prob, score_matrix and kl of the policy with logit
+    matrices ``ws`` (KL against ``other_ws``), one factor at a time on
+    raw-feature states."""
+    n, rows = len(states), np.arange(len(states))
+
+    def shifted(w):
+        logits = states @ w.T
+        return logits - np.max(logits, axis=1, keepdims=True)
+
+    def softmax(w):
+        e = np.exp(shifted(w))
+        return e / np.sum(e, axis=1, keepdims=True)
+
+    probs, samples, blocks = [], [], []
+    log_prob, kl = np.zeros(n), np.empty((n, len(ws)))
+    for i, (w, v) in enumerate(zip(ws, other_ws)):
+        a = actions[:, i].astype(int)
+        p = softmax(w)
+        probs.append(p)
+        logits = (w @ states[:, :, None])[..., 0]  # one matrix-vector product per row
+        e = np.exp(logits - np.max(logits, axis=1, keepdims=True))
+        cdf = np.cumsum(e / np.sum(e, axis=1, keepdims=True), axis=1)
+        samples.append(np.minimum(np.sum(cdf <= noise[:, i : i + 1], axis=1), len(w) - 1))
+        own = shifted(w)
+        log_prob += own[rows, a] - np.log(np.sum(np.exp(own), axis=1))
+        coeff = -p
+        coeff[rows, a] += 1.0
+        blocks.append((coeff[:, :, None] * states[:, None, :]).reshape(n, -1))
+        q = softmax(v)
+        kl[:, i] = np.sum(p * (np.log(p) - np.log(q)), axis=1)
+    return (probs, np.stack(samples, axis=1), log_prob, np.hstack(blocks),
+            float(np.cumsum(kl.ravel())[-1]) / n)
+
+
+# Up to 8 categories a padded sum groups its terms as the unpadded one does,
+# so every bit is kept. Past 8, numpy's pairwise sum groups a narrow factor's
+# terms with the padded zeros differently, so the wide case is held to a few
+# ulps instead (tolerance fixed before the first run).
+@pytest.mark.parametrize("cards, dim, rtol, atol", [((2, 3), 3, 0.0, 0.0),
+                                                    ((2, 3), 1, 0.0, 0.0),
+                                                    ((5, 9, 2, 12), 3, 1e-14, 1e-15)],
+                         ids=["narrow", "one_feature", "wide"])
+def test_padded_support_matches_a_per_factor_loop(cards, dim, rtol, atol):
+    rng = np.random.default_rng(13)
+    feats = RawFeatures(dim)
+    ws = [rng.standard_normal((k, dim)) for k in cards]
+    other_ws = [w + 0.3 * rng.standard_normal(w.shape) for w in ws]
+    pol, other = CategoricalPolicy(ws, feats), CategoricalPolicy(other_ws, feats)
+    states = rng.standard_normal((40, dim))
+    noise = pol.draw(rng, 40)
+    actions = np.stack([rng.integers(k, size=40) for k in cards], axis=1).astype(float)
+    probs, samples, log_prob, scores, kl = _per_factor_reference(
+        ws, other_ws, states, actions, noise)
+    padded = pol.probs(states)
+    assert padded.shape == (40, len(cards), max(cards))
+    for i, k in enumerate(cards):
+        assert_allclose(padded[:, i, :k], probs[i], rtol=rtol, atol=atol)
+        assert_allclose(pol.factor_probs(states, i), probs[i], rtol=rtol, atol=atol)
+        assert not padded[:, i, k:].any()
+    np.testing.assert_array_equal(pol.sample(states, noise), samples)
+    assert_allclose(pol.log_prob(states, actions), log_prob, rtol=rtol, atol=atol)
+    padded_scores = pol.score_matrix(states, actions)
+    assert_allclose(padded_scores, scores, rtol=rtol, atol=atol)
+    # a Fortran-ordered score matrix rounds the natural step's BLAS products
+    # differently
+    assert padded_scores.flags.c_contiguous
+    assert_allclose(pol.kl(other, states), kl, rtol=rtol, atol=atol)
+
+
+@pytest.mark.parametrize("bad", [(2.0, 0.0), (-1.0, 0.0), (0.0, 3.0), (0.0, -0.6)],
+                         ids=["past_k0", "negative", "past_k1", "rounds_negative"])
+def test_action_outside_its_support_raises(bad):
+    # an index past k_i or below 0 is rejected, not read past the end or wrapped
+    pol = _categorical(cards=(2, 3), seed=17)
+    states, actions = np.zeros((2, 1)), np.array([[1.0, 2.0], bad])
+    for method in (pol.log_prob, pol.score_matrix):
+        with pytest.raises(ValueError, match="outside the supports"):
+            method(states, actions)
 
 
 def test_mean_action_and_support():

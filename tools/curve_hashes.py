@@ -25,6 +25,9 @@ side importing its own ``src/``:
   ``bandit_two_factor`` fixture with indicator policy features: exact
   ``mc_q`` and ``optimal_action``, each with a tabular and with a quadratic
   critic, seeds 0-1, 30 iterations;
+- the same fixture on a critic of 50 random Fourier features, so the
+  padded slots of the narrower support pass through the RFF candidate loop:
+  exact ``mc_q`` and ``optimal_action``, seeds 0-1, 30 iterations;
 - the same fixture with the state kinds and sampled candidates, 50
   trajectories: arms ``none``, ``optimal_state`` with a tabular and with a
   quadratic critic, and sampled ``mc_q`` (K = 5) with a tabular critic,
@@ -127,6 +130,18 @@ runs.append(config_from_dict({
               "features": "quadratic"}],
     "n_iterations": 30, "n_trajectories": 50, "lam": 1.0, "seeds": [0, 1],
     "out_dir": os.path.join(out, "bandit_two_factor"),
+}))
+runs.append(config_from_dict({
+    "env": {"name": "tabular",
+            "params": {"path": "src/factored_pg/fixtures/bandit_two_factor.json"}},
+    "policy": {"features": "indicator"},
+    "optimizer": {"kind": "npg", "kl": 0.025, "damping": 0.1},
+    "arms": [{"name": "mc_q_rff", "kind": "mc_q", "exact": True, "features": "rff",
+              "n_features": 50},
+             {"name": "optimal_action_rff", "kind": "optimal_action", "features": "rff",
+              "n_features": 50}],
+    "n_iterations": 30, "n_trajectories": 50, "lam": 1.0, "seeds": [0, 1],
+    "out_dir": os.path.join(out, "bandit_two_factor_rff"),
 }))
 runs.append(config_from_dict({
     "env": {"name": "tabular",
