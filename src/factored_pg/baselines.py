@@ -291,8 +291,7 @@ def marginal(states: np.ndarray, policy, spec: BaselineSpec, rng):
     else:
         if rng is None:
             raise ValueError(f"rng required to draw candidate values for {spec.kind}")
-        cand = np.stack([policy.sample_factor(states, i, spec.mc_samples, rng)
-                         for i in range(m)], axis=1)
+        cand = policy.sample_factors(states, spec.mc_samples, rng)
         weights = np.ones(cand.shape)
         if optimal:  # ||z_i||^2 of the Gaussian block [d phi, d, d resid - 1]
             resid = cand - policy.mean_actions(states)[:, :, None]

@@ -74,9 +74,11 @@ def _per_trajectory_sums(batch: Batch, policy, scores: np.ndarray, advantages: n
     # factor's discounted advantage, then sum each trajectory's rows
     sizes = [sl.stop - sl.start for sl in policy.block_slices]
     weighted = scores * np.repeat(advantages * batch.gamma_pow[:, None], sizes, axis=1)
-    if len(batch.offsets) == batch.n_steps:  # one step per trajectory: the sums are the rows
+    # reduceat, not a sum over by_trajectory's time axis: that pairs the terms
+    # differently, and at horizon 1 it turns -0.0 into +0.0
+    if batch.horizon == 1:  # the sums are the rows
         return weighted
-    return np.add.reduceat(weighted, batch.offsets, axis=0)
+    return np.add.reduceat(weighted, batch.starts, axis=0)
 
 
 def score_matrix(batch: Batch, policy) -> np.ndarray:
@@ -99,8 +101,7 @@ def gae_advantages(batch: Batch, baseline_values: np.ndarray, lam: float) -> np.
     if n != batch.n_steps:
         raise ValueError("baseline rows must match batch steps")
     b_next = np.zeros_like(baseline_values)
-    b_next[:-1] = baseline_values[1:]
-    b_next[batch.offsets + batch.lengths - 1] = 0.0
+    batch.by_trajectory(b_next)[:, :-1] = batch.by_trajectory(baseline_values)[:, 1:]
     deltas = batch.rewards[:, None] + batch.gamma * b_next - baseline_values
     return batch.suffix_sums(deltas, batch.gamma * lam)
 

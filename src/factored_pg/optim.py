@@ -13,7 +13,7 @@ one generator, pointed at each state in turn, draws trajectory k's whole
 horizon of noise in one call. A generator gives the same values drawn as one
 block or step by step, so the draws are those of ``substream``. Every
 trajectory runs the environment's horizon, so the rollout steps all n
-together and every batch it returns has n equal lengths.
+together and every batch it returns is n trajectories of that one horizon.
 
 The KL normalization makes step size invariant to the parameterization
 scale, which matters when comparing baseline arms whose gradient magnitudes
@@ -228,7 +228,7 @@ def rollout(env, policy, reset_noise, step_noise, policy_noise) -> Batch:
     states, actions = (np.stack(column, axis=1).reshape(n * horizon, -1)
                        for column in (states, actions))
     rewards = np.stack(rewards, axis=1).ravel()
-    return Batch(states, actions, rewards, np.full(n, horizon), env.spec.gamma)
+    return Batch(states, actions, rewards, n, env.spec.gamma)
 
 
 def collect_batch(env, policy, n_trajectories: int, seed: int, iteration: int) -> Batch:

@@ -39,7 +39,7 @@ class FactoredPolicy:
     instance, so policies are safe to share read-only across workers. The
     concrete classes also expose the per-factor marginals that baselines
     integrate over: ``probs`` and ``factor_probs`` (categorical),
-    ``mean_actions`` (Gaussian) and ``sample_factor`` (both).
+    ``mean_actions`` (Gaussian) and ``sample_factors`` (both).
     """
 
     m: int
@@ -170,11 +170,12 @@ class IndependentGaussianPolicy(FactoredPolicy):
     def mean_actions(self, states) -> np.ndarray:
         return self._phi_mu(states)[1]
 
-    def sample_factor(self, states, i: int, size: int, rng) -> np.ndarray:
-        """``size`` draws of factor i per state, (n, size)."""
-        _, mus = self._phi_mu(states)
-        sigma_i = float(np.exp(self.log_std[i]))
-        return mus[:, i][:, None] + sigma_i * rng.standard_normal((len(mus), size))
+    def sample_factors(self, states, size: int, rng, factors=slice(None)) -> np.ndarray:
+        """``size`` draws per state of each factor ``factors`` indexes, (n, f, size);
+        ``rng`` gives one (n, size) block of standard normals per factor, in order."""
+        mus = self.mean_actions(states)[:, factors]
+        noise = rng.standard_normal((mus.shape[1], len(mus), size)).transpose(1, 0, 2)
+        return mus[:, :, None] + self.std[factors][:, None] * noise
 
     def kl(self, other: "IndependentGaussianPolicy", states) -> float:
         _, mu1 = self._phi_mu(states)
@@ -291,13 +292,15 @@ class CategoricalPolicy(FactoredPolicy):
         coeff = np.ascontiguousarray(coeff[:, self.support])
         return (coeff[:, :, None] * phis[:, None, :]).reshape(len(phis), -1)
 
-    def sample_factor(self, states, i: int, size: int, rng) -> np.ndarray:
-        """``size`` draws of factor i per state, (n, size)."""
-        cdf = np.cumsum(self.factor_probs(states, i), axis=1)
-        u = rng.random((len(cdf), size))
-        # count of cdf entries <= u, matching searchsorted side="right" in sample
-        idx = np.minimum(np.sum(cdf[:, None, :] <= u[:, :, None], axis=2), cdf.shape[1] - 1)
-        return idx.astype(float)
+    def sample_factors(self, states, size: int, rng, factors=slice(None)) -> np.ndarray:
+        """``size`` draws per state of each factor ``factors`` indexes, (n, f, size);
+        ``rng`` gives one (n, size) block of uniforms per factor, in order."""
+        cdf = np.cumsum(self.probs(states, factors), axis=2)
+        u = rng.random((cdf.shape[1], len(cdf), size)).transpose(1, 0, 2)
+        # count of cdf entries <= u, as in sample; a padded entry repeats its
+        # factor's last one
+        counts = np.sum(cdf[:, :, None, :] <= u[:, :, :, None], axis=3)
+        return np.minimum(counts, np.array(self.cardinalities)[factors][:, None] - 1).astype(float)
 
     def kl(self, other: "CategoricalPolicy", states) -> float:
         p, q = self.probs(states), other.probs(states)

@@ -134,7 +134,7 @@ def mc_marginalized_baseline(
         return float(np.dot(policy.factor_probs(np.atleast_2d(state), i)[0], values))
     if rng is None:
         raise ValueError("rng required for sampled marginalization")
-    draws = policy.sample_factor(np.atleast_2d(state), i, n_samples, rng)[0]
+    draws = policy.sample_factors(np.atleast_2d(state), n_samples, rng, [i])[0, 0]
     return float(np.mean([q(state, _swap(action, i, v)) for v in draws]))
 
 
@@ -175,7 +175,7 @@ def optimal_action_baseline(
     else:
         if rng is None:
             raise ValueError("rng required for the continuous-factor ratio estimator")
-        values = policy.sample_factor(states, i, n_samples, rng)[0]
+        values = policy.sample_factors(states, n_samples, rng, [i])[0, 0]
         weights = np.ones(len(values))
     num = den = 0.0
     for v, w in zip(values, weights):
@@ -278,15 +278,11 @@ def check_improvement_identities(tol: float = 1e-10) -> CheckResult:
 
 def check_gae_telescoping(tol: float = 1e-12) -> CheckResult:
     """lambda=1 advantages equal return-to-go minus baseline; lambda=0 equals
-    the one-step residual, on random finite trajectories."""
+    the one-step residual, on four random trajectories of one random length."""
     rng = np.random.default_rng(20240817)
-    m = 3
-    paths = []
-    for _ in range(4):
-        T = int(rng.integers(2, 7))
-        paths.append(
-            (rng.standard_normal((T, 2)), rng.standard_normal((T, m)), rng.standard_normal(T))
-        )
+    m, T = 3, int(rng.integers(2, 7))
+    paths = [(rng.standard_normal((T, 2)), rng.standard_normal((T, m)), rng.standard_normal(T))
+             for _ in range(4)]
     batch = Batch.from_paths(paths, gamma=0.9)
     baselines = rng.standard_normal((batch.n_steps, m))
 
@@ -295,12 +291,11 @@ def check_gae_telescoping(tol: float = 1e-12) -> CheckResult:
 
     onestep = gae_advantages(batch, baselines, lam=0.0)
     expected = np.empty_like(onestep)
+    r, b, e = (batch.by_trajectory(x) for x in (batch.rewards, baselines, expected))
     for k in range(batch.n_trajectories):
-        sl = batch.traj_slice(k)
-        r, b = batch.rewards[sl], baselines[sl]
-        for t in range(len(r)):
-            b_next = b[t + 1] if t + 1 < len(r) else np.zeros(m)
-            expected[sl][t] = r[t] + batch.gamma * b_next - b[t]
+        for t in range(T):
+            b_next = b[k, t + 1] if t + 1 < T else np.zeros(m)
+            e[k, t] = r[k, t] + batch.gamma * b_next - b[k, t]
     err0 = float(np.max(np.abs(onestep - expected)))
     worst = max(err1, err0)
     return CheckResult(
@@ -464,7 +459,7 @@ def check_marginalization(tol: float = 1e-12) -> CheckResult:
     )
     n_draws = 1000
     rng = np.random.default_rng(555)
-    draws = gauss.sample_factor(np.zeros((1, 1)), i, n_draws, rng)[0]
+    draws = gauss.sample_factors(np.zeros((1, 1)), n_draws, rng, [i])[0, 0]
     vals = []
     for v in draws:
         swapped = action.copy()

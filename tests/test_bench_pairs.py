@@ -67,7 +67,17 @@ def _assert_gone(pids, wait_s=10.0):
 def test_a_timed_out_run_leaves_no_process(tmp_path, monkeypatch):
     # processes started: the stub run and its child
     checkout = _stub_checkout(tmp_path)
-    monkeypatch.setattr(bench_pairs, "RUN_TIMEOUT_S", 5)
+
+    class Started(subprocess.Popen):
+        """Waits for the stub to start its child before the run's wait, which
+        then times out at once."""
+
+        def communicate(self, *args, **kwargs):
+            _pids(checkout)
+            return super().communicate(*args, **kwargs)
+
+    monkeypatch.setattr(bench_pairs.subprocess, "Popen", Started)
+    monkeypatch.setattr(bench_pairs, "RUN_TIMEOUT_S", 0)
     with pytest.raises(subprocess.TimeoutExpired):
         bench_pairs.run_once(str(checkout), "w", seed=0)
     _assert_gone(_pids(checkout, wait_s=0))

@@ -23,7 +23,7 @@ def _enumerated_batch(problem):
     n, horizon = paths.rewards.shape
     return Batch(paths.states.reshape(-1, 1).astype(float),
                  paths.actions.reshape(n * horizon, -1).astype(float), paths.rewards.ravel(),
-                 np.full(n, horizon), problem.gamma, trajectory_probabilities(problem))
+                 n, problem.gamma, trajectory_probabilities(problem))
 
 
 def _raw_returns(batch, m):
@@ -57,13 +57,13 @@ def test_estimate_stays_exact_under_fitted_baselines(refit_arm):
         assert_allclose(report.gradient, grad, atol=1e-10, err_msg=spec.kind)
 
 
-def _gaussian_batch(seed=0, lengths=(4, 1, 6, 3, 4, 2), m=2):
+def _gaussian_batch(seed=0, n=6, horizon=4, m=2):
     rng = np.random.default_rng(seed)
     policy = IndependentGaussianPolicy.zeros(m, 1).with_theta(
         0.3 * rng.standard_normal(3 * m)
     )
     paths = []
-    for horizon in lengths:
+    for _ in range(n):
         states = rng.standard_normal((horizon, 1))
         actions = np.stack([policy.sample(s[None, :], policy.draw(rng, 1))[0] for s in states])
         rewards = rng.standard_normal(horizon)
@@ -84,25 +84,24 @@ def test_gae_lambda_one_zero_baseline_is_bitwise_returns_to_go():
     # independent per-trajectory reference
     batch, policy = _gaussian_batch(seed=3)
     adv = gae_advantages(batch, np.zeros((batch.n_steps, policy.m)), lam=1.0)
+    rewards, qhat, adv = (batch.by_trajectory(x) for x in (batch.rewards, batch.qhat, adv))
     for k in range(batch.n_trajectories):
-        sl = batch.traj_slice(k)
-        expect = returns_to_go(batch.rewards[sl], batch.gamma)
-        assert np.array_equal(batch.qhat[sl], expect)
+        expect = returns_to_go(rewards[k], batch.gamma)
+        assert np.array_equal(qhat[k], expect)
         for i in range(policy.m):
-            assert np.array_equal(adv[sl][:, i], expect)
+            assert np.array_equal(adv[k, :, i], expect)
 
 
 def test_gae_lambda_zero_is_one_step_td():
     batch, policy = _gaussian_batch(seed=4)
     rng = np.random.default_rng(5)
     b = rng.standard_normal((batch.n_steps, policy.m))
-    adv = gae_advantages(batch, b, lam=0.0)
+    adv, r, b = (batch.by_trajectory(x) for x in (gae_advantages(batch, b, lam=0.0),
+                                                    batch.rewards, b))
     for k in range(batch.n_trajectories):
-        sl = batch.traj_slice(k)
-        r, bb = batch.rewards[sl], b[sl]
-        for t in range(len(r)):
-            b_next = bb[t + 1] if t + 1 < len(r) else np.zeros(policy.m)
-            assert np.array_equal(adv[sl][t], r[t] + batch.gamma * b_next - bb[t])
+        for t in range(batch.horizon):
+            b_next = b[k, t + 1] if t + 1 < batch.horizon else np.zeros(policy.m)
+            assert np.array_equal(adv[k, t], r[k, t] + batch.gamma * b_next - b[k, t])
 
 
 def test_gae_rejects_mismatched_rows():
@@ -142,7 +141,7 @@ def test_gradient_equals_weighted_per_trajectory_mean():
 
 
 def _per_factor_batch(case):
-    if case == "equal_blocks":  # ragged trajectories, two blocks of 3
+    if case == "equal_blocks":  # six trajectories of four steps, two blocks of 3
         return _gaussian_batch(seed=11)
     problem = fixture_problem("bandit_two_factor")  # one step each, blocks of 2 and 3
     return _enumerated_batch(problem), problem.policy
@@ -158,13 +157,13 @@ def test_per_trajectory_sums_equal_a_per_factor_loop(case):
     expected = np.empty((batch.n_trajectories, policy.n_params))
     for i, block in enumerate(policy.block_slices):
         weighted = scores[:, block] * (advantages[:, i] * batch.gamma_pow)[:, None]
-        expected[:, block] = np.add.reduceat(weighted, batch.offsets, axis=0)
+        expected[:, block] = np.add.reduceat(weighted, batch.starts, axis=0)
     per_traj = pg_estimate(batch, policy, scores, advantages).per_trajectory
     assert np.array_equal(per_traj, expected)
 
 
 def test_score_matrix_rows_are_joint_scores():
-    batch, policy = _gaussian_batch(seed=10, lengths=(3, 3))
+    batch, policy = _gaussian_batch(seed=10, n=2, horizon=3)
     rows = score_matrix(batch, policy)
     assert rows.shape == (batch.n_steps, policy.n_params)
     # central differences of log pi(a_n | s_n), the joint score by definition

@@ -149,8 +149,8 @@ def test_sample_factor_batch_frequencies_match_probs():
     pol = _categorical(cards=(3,), n_states=1, seed=8)
     states = np.zeros((1, 1))
     probs = pol.factor_probs(states, 0)[0]
-    draws = pol.sample_factor(np.repeat(states, 5, axis=0), 0, 4000, np.random.default_rng(0))
-    assert draws.shape == (5, 4000)
+    draws = pol.sample_factors(np.repeat(states, 5, axis=0), 4000, np.random.default_rng(0))
+    assert draws.shape == (5, 1, 4000)
     freq = np.mean(draws.reshape(-1)[:, None] == np.arange(3)[None, :], axis=0)
     se = np.sqrt(probs * (1 - probs) / draws.size)
     assert np.all(np.abs(freq - probs) < 5 * se + 1e-9)
@@ -159,12 +159,25 @@ def test_sample_factor_batch_frequencies_match_probs():
 def test_gaussian_sample_factor_batch_moments():
     pol = _gaussian(m=2, seed=9)
     states = np.zeros((3, 1))
-    draws = pol.sample_factor(states, 1, 8000, np.random.default_rng(1))
+    draws = pol.sample_factors(states, 8000, np.random.default_rng(1), [1])[:, 0]
     mu = pol.mean_actions(states)[:, 1]
     sd = np.exp(pol.log_std[1])
     assert draws.shape == (3, 8000)
     assert np.all(np.abs(draws.mean(axis=1) - mu) < 5 * sd / np.sqrt(8000))
     assert np.all(np.abs(draws.std(axis=1) - sd) < 0.05 * sd + 5 * sd / np.sqrt(8000))
+
+
+@pytest.mark.parametrize("make", [_gaussian, _categorical])
+def test_sample_factors_block_equals_one_factor_at_a_time(make):
+    # one call over every factor reads one (n, size) block per factor, in
+    # factor order, so it draws what successive one-factor calls draw
+    pol = make(seed=18)
+    states = np.array([[0.0], [1.0], [1.0], [0.0]])
+    block = pol.sample_factors(states, 7, np.random.default_rng(4))
+    rng = np.random.default_rng(4)
+    one_at_a_time = [pol.sample_factors(states, 7, rng, [i])[:, 0] for i in range(pol.m)]
+    assert block.shape == (4, pol.m, 7)
+    assert np.array_equal(block, np.stack(one_at_a_time, axis=1))
 
 
 def test_gaussian_kl_hand_value():

@@ -40,9 +40,9 @@ def test_collect_batch_equals_reference(case, seed):
     for iteration in range(3):
         batch = optim.collect_batch(env, policy, 9, seed, iteration)
         ref = reference_collect_batch(env, policy, 9, seed, iteration)
-        for name in ("states", "actions", "rewards", "lengths"):
+        for name in ("states", "actions", "rewards", "n_trajectories", "horizon"):
             assert np.array_equal(getattr(batch, name), getattr(ref, name)), name
-        assert np.array_equal(batch.lengths, np.full(9, env.spec.horizon))
+        assert batch.horizon == env.spec.horizon
         # the ridge solve's rounding depends on this layout
         assert batch.states.flags.c_contiguous and batch.actions.flags.c_contiguous
 
