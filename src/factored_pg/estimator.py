@@ -118,7 +118,7 @@ def gradient_variance(per_trajectory: np.ndarray, weights: np.ndarray | None = N
         if len(per_trajectory) < 2:
             return 0.0
         centered = per_trajectory - per_trajectory.mean(axis=0)
-        return float(np.sum(centered**2) / (len(per_trajectory) - 1))
+        return float(np.sum(np.square(centered, out=centered)) / (len(per_trajectory) - 1))
     weights = np.asarray(weights, dtype=float)
     mean = weights @ per_trajectory
     centered = per_trajectory - mean

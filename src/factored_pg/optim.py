@@ -7,13 +7,13 @@ One update rule: theta += sqrt(2 kl / (x' F x)) * x with x ~= F^-1 g from
 
 Every random draw comes from a keyed stream ``substream(seed, tag, iteration,
 k)``. A batch of n trajectories reads n policy streams and, for an environment
-that draws, n environment streams: ``keyed_states`` computes the PCG64 states
-of all these keys in one vectorized pass of numpy's SeedSequence mixing, and
-one generator, pointed at each state in turn, draws trajectory k's whole
-horizon of noise in one call. A generator gives the same values drawn as one
-block or step by step, so the draws are those of ``substream``. Every
-trajectory runs the environment's horizon, so the rollout steps all n
-together and every batch it returns is n trajectories of that one horizon.
+that draws, n environment streams: ``keyed_pools`` runs numpy's SeedSequence
+mixing on all these keys in one vectorized pass, numpy seeds each stream's
+PCG64 from its pool, and each stream draws trajectory k's whole horizon of
+noise in one call. A generator gives the same values drawn as one block or
+step by step, so the draws are those of ``substream``. Every trajectory runs
+the environment's horizon, so the rollout steps all n together and every
+batch it returns is n trajectories of that one horizon.
 
 The KL normalization makes step size invariant to the parameterization
 scale, which matters when comparing baseline arms whose gradient magnitudes
@@ -55,17 +55,16 @@ def substream(seed: int, tag: int, iteration: int, index: int = 0) -> np.random.
     return np.random.default_rng(np.array([seed, tag, iteration, index], dtype=np.uint32))
 
 
-# numpy's SeedSequence constants (a pool of 4 uint32 words) and PCG64's multiplier
+# numpy's SeedSequence constants (a pool of 4 uint32 words)
 _INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
-_PCG_MULT = (2549297995355413924 << 64) + 4865540595714422341
-_MASK32, _MASK128 = (1 << 32) - 1, (1 << 128) - 1
+_MASK32 = (1 << 32) - 1
 
 
-def keyed_states(keys: np.ndarray) -> list[tuple[int, int]]:
-    """PCG64 ``(state, inc)`` of ``default_rng(key)`` for each row of the
-    (n, 4) uint32 ``keys``: SeedSequence's pool mixing and
-    ``generate_state(4, uint64)`` on all rows at once, then PCG64's seeding."""
+def keyed_pools(keys: np.ndarray) -> np.ndarray:
+    """``SeedSequence(key).generate_state(4, np.uint64)`` for each row of the
+    (n, 4) uint32 ``keys``, as one (n, 4) uint64 array: SeedSequence's pool
+    mixing on all rows at once."""
     keys = np.asarray(keys, dtype=np.uint32)
     hash_a = _INIT_A
 
@@ -93,47 +92,47 @@ def keyed_states(keys: np.ndarray) -> list[tuple[int, int]]:
             hash_b = hash_b * _MULT_B & _MASK32
             value = value * hash_b
             words[:, i] = value ^ (value >> 16)
-    out = []
-    # little-endian word pairs: (seed high, seed low, inc high, inc low)
-    for s_hi, s_lo, i_hi, i_lo in words.astype("<u4").view("<u8").tolist():
-        inc = (((i_hi << 64) | i_lo) << 1 | 1) & _MASK128
-        out.append((((inc + ((s_hi << 64) | s_lo)) * _PCG_MULT + inc) & _MASK128, inc))
-    return out
+    # little-endian word pairs, as SeedSequence joins them
+    return words.astype("<u4").view("<u8")
 
 
-def keyed_draws(draws: dict, seed: int, iteration: int, n: int) -> dict:
-    """``{tag: [draw(substream(seed, tag, iteration, k)) for k in range(n)]}``
-    for each ``tag: draw`` of ``draws``: the keys of every stream are seeded
-    in one ``keyed_states`` call, and one generator is pointed at each key's
-    state in turn."""
-    tags = list(draws)
+@dataclass
+class _Pool(np.random.bit_generator.ISeedSequence):
+    """One row of ``keyed_pools`` as the seed sequence PCG64 reads, so numpy
+    seeds the generator itself."""
+
+    words: np.ndarray
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if (n_words, dtype) != (4, np.uint64):
+            raise ValueError(f"a keyed pool holds 4 uint64 words, not {n_words} {np.dtype(dtype)}")
+        return self.words
+
+
+def keyed_generators(seed: int, tags, iteration: int, n: int) -> dict:
+    """``{tag: (substream(seed, tag, iteration, k) for k in range(n))}`` for
+    each of ``tags``: the pools of every key are mixed in one ``keyed_pools``
+    call, and each generator is built from its pool as it is read."""
     keys = np.empty((len(tags), n, 4), dtype=np.uint32)
     keys[..., 0], keys[..., 2], keys[..., 3] = seed, iteration, np.arange(n)
     keys[..., 1] = np.array(tags)[:, None]
-    states = keyed_states(keys.reshape(-1, 4))
-    bit_generator = np.random.PCG64(0)  # its seed is replaced before every draw
-    rng = np.random.Generator(bit_generator)
-    out = {}
-    for j, tag in enumerate(tags):
-        out[tag] = []
-        for state, inc in states[j * n:(j + 1) * n]:
-            bit_generator.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-                                   "has_uint32": 0, "uinteger": 0}
-            out[tag].append(draws[tag](rng))
-    return out
+    pools = keyed_pools(keys.reshape(-1, 4)).reshape(len(tags), n, 4)
+    return {tag: (np.random.Generator(np.random.PCG64(_Pool(pool))) for pool in block)
+            for tag, block in zip(tags, pools)}
 
 
-def _check_keyed_states() -> None:
-    """Raise unless ``keyed_states`` seeds as this numpy's ``default_rng``
-    does, so a numpy that seeds differently fails here, not in the curves."""
-    key = np.array([[2**32 - 1, STREAM_POLICY, 12345, 0]], dtype=np.uint32)
-    expected = np.random.default_rng(key[0]).bit_generator.state["state"]
-    if keyed_states(key) != [(expected["state"], expected["inc"])]:
-        raise RuntimeError("numpy's default_rng seeds PCG64 differently from "
-                           "optim.keyed_states; the keyed streams would change")
+def _check_keyed_generators() -> None:
+    """Raise unless ``keyed_generators`` starts a stream where this numpy's
+    ``default_rng`` does, so a numpy that seeds differently fails here."""
+    seed, iteration = 2**32 - 1, 12345
+    (rng,) = keyed_generators(seed, (STREAM_POLICY,), iteration, 1)[STREAM_POLICY]
+    expected = np.random.default_rng([seed, STREAM_POLICY, iteration, 0])
+    if rng.bit_generator.state != expected.bit_generator.state:
+        raise RuntimeError("numpy's default_rng seeds differently from "
+                           "optim.keyed_pools; the keyed streams would change")
 
 
-_check_keyed_states()
+_check_keyed_generators()
 
 
 @dataclass(frozen=True)
@@ -237,13 +236,13 @@ def collect_batch(env, policy, n_trajectories: int, seed: int, iteration: int) -
     environment draws, its reset and step noise from
     ``substream(seed, STREAM_ENV, iteration, k)``."""
     horizon, n = env.spec.horizon, n_trajectories
-    draws = {STREAM_POLICY: lambda rng: policy.draw(rng, horizon)}
+    tags = (STREAM_POLICY, STREAM_ENV) if env.draws else (STREAM_POLICY,)
+    rngs = keyed_generators(seed, tags, iteration, n)
+    policy_noise = np.stack([policy.draw(rng, horizon) for rng in rngs[STREAM_POLICY]])
     if env.draws:
-        draws[STREAM_ENV] = lambda rng: (env.draw_reset(rng), env.draw_steps(rng, horizon))
-    noise = keyed_draws(draws, seed, iteration, n)
-    policy_noise = np.stack(noise[STREAM_POLICY])
-    if env.draws:
-        reset_noise, step_noise = (np.stack(column) for column in zip(*noise[STREAM_ENV]))
+        env_noise = [(env.draw_reset(rng), env.draw_steps(rng, horizon))
+                     for rng in rngs[STREAM_ENV]]
+        reset_noise, step_noise = (np.stack(column) for column in zip(*env_noise))
     else:
         reset_noise, step_noise = np.empty((n, 0)), np.empty((n, horizon, 0))
     return rollout(env, policy, reset_noise, step_noise, policy_noise)

@@ -14,10 +14,12 @@ from factored_pg.optim import (
     STREAM_ENV,
     STREAM_POLICY,
     OptimizerConfig,
-    _check_keyed_states,
+    _check_keyed_generators,
+    _Pool,
     collect_batch,
     conjugate_gradient,
-    keyed_states,
+    keyed_generators,
+    keyed_pools,
     make_fvp,
     npg_step,
     rollout,
@@ -130,24 +132,44 @@ def test_substream_draws_equal_the_list_keyed_generator(key):
     assert np.array_equal(got.standard_normal((3, 2)), expected.standard_normal((3, 2)))
 
 
-def _keyed_state(key):
-    state = np.random.default_rng(np.asarray(key, dtype=np.uint32)).bit_generator.state
-    return state["state"]["state"], state["state"]["inc"]
+def _pool(key):
+    return np.random.SeedSequence(np.asarray(key, dtype=np.uint32)).generate_state(4, np.uint64)
 
 
-def test_keyed_states_equal_default_rng_seeding():
+def test_keyed_pools_equal_seed_sequence_state():
     words = (0, 1, 2**31, 2**32 - 1)
     keys = np.array(list(itertools.product(words, repeat=4)), dtype=np.uint32)
-    assert keyed_states(keys) == [_keyed_state(key) for key in keys]
+    pools = keyed_pools(keys)
+    assert pools.shape == (256, 4) and pools.dtype == np.uint64
+    assert np.array_equal(pools, [_pool(key) for key in keys])
     key = np.array([[7, STREAM_POLICY, 3, 2]], dtype=np.uint32)  # n = 1
-    assert keyed_states(key) == [_keyed_state(key[0])]
+    assert np.array_equal(keyed_pools(key), [_pool(key[0])])
 
 
-def test_keyed_states_guard_raises_when_numpy_seeds_differently(monkeypatch):
+@pytest.mark.parametrize("n", [1, 7])
+def test_keyed_generators_draw_what_substream_draws(n):
+    streams = keyed_generators(5, (STREAM_POLICY, STREAM_ENV), 3, n)
+    assert sorted(streams) == sorted((STREAM_POLICY, STREAM_ENV))
+    for tag, generators in streams.items():
+        generators = list(generators)
+        assert len(generators) == n
+        for k, got in enumerate(generators):
+            expected = substream(5, tag, 3, k)
+            assert np.array_equal(got.random(5), expected.random(5))
+            assert np.array_equal(got.standard_normal((3, 2)), expected.standard_normal((3, 2)))
+
+
+def test_keyed_pool_serves_only_pcg64s_request():
+    pool = _Pool(keyed_pools(np.zeros((1, 4), dtype=np.uint32))[0])
+    with pytest.raises(ValueError, match="4 uint64 words"):
+        pool.generate_state(8, np.uint32)
+
+
+def test_keyed_generators_guard_raises_when_numpy_seeds_differently(monkeypatch):
     default_rng = np.random.default_rng
     monkeypatch.setattr(np.random, "default_rng", lambda key: default_rng([key[0], 1]))
-    with pytest.raises(RuntimeError, match="seeds PCG64 differently"):
-        _check_keyed_states()
+    with pytest.raises(RuntimeError, match="seeds differently from optim.keyed_pools"):
+        _check_keyed_generators()
 
 
 def test_rollout_shapes_and_horizon():

@@ -1,8 +1,9 @@
 """The lockstep rollout against the one-trajectory-at-a-time reference.
 
-``optim.collect_batch`` seeds a batch's keyed generators in one vectorized
-pass, draws each trajectory's noise in one call and steps every trajectory
-together; the reference in ``verify`` builds each generator with
+``optim.collect_batch`` mixes the seed-sequence pools of a batch's keyed
+generators in one vectorized pass (``optim.keyed_pools``), lets numpy seed
+each generator from its pool, draws each trajectory's noise in one call and
+steps every trajectory together; the reference in ``verify`` builds each generator with
 ``substream`` and runs the trajectories one by one, drawing one step at a
 time. Both read the same keyed streams, so their batches must agree array for
 array.
@@ -54,8 +55,8 @@ def test_collect_batch_equals_reference(case, seed):
 def test_collect_batch_builds_only_the_streams_it_reads(monkeypatch, case, tags):
     env, policy = CASES[case]()
     seeded = []
-    build = optim.keyed_states
-    monkeypatch.setattr(optim, "keyed_states",
+    build = optim.keyed_pools
+    monkeypatch.setattr(optim, "keyed_pools",
                         lambda keys: seeded.extend(map(tuple, keys.tolist())) or build(keys))
     optim.collect_batch(env, policy, 7, seed=0, iteration=0)
     assert sorted(seeded) == [(0, tag, 0, k) for tag in tags for k in range(7)]
