@@ -86,8 +86,8 @@ class BaselineSpec:
             raise ValueError(f"exact applies to kind 'mc_q' only, got {self.kind!r}")
         if self.n_features < 1:
             raise ValueError(f"n_features must be >= 1, got {self.n_features}")
-        if self.ridge is not None and not (np.isfinite(self.ridge) and self.ridge >= 0):
-            raise ValueError(f"ridge must be None or a finite value >= 0, got {self.ridge}")
+        if self.ridge is not None and not 0 < self.ridge < np.inf:
+            raise ValueError(f"ridge must be None or finite and > 0, got {self.ridge}")
         if self.tabular and (self.features, self.n_features, self.ridge) != ("linear", 100, None):
             raise ValueError("a tabular baseline keys on raw rows; it takes no features, "
                              "n_features or ridge")

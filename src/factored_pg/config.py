@@ -22,15 +22,17 @@ parser (``schema.section``). ``env.params`` is read into the params dataclass
 of the named environment (``envs.ENV_PARAMS``), so a bad name, key, type or
 value is a ``ConfigError`` before anything is written. The other names take
 ``point_mass``: {"horizon": 100, "gamma": 0.995} and ``tabular``:
-{"path": <fixture JSON>} (required). ``npg`` is the only optimizer kind.
+{"path": <fixture JSON>} (required). ``npg`` is the only optimizer kind,
+and ``normalize`` must be true: training always whitens its advantages.
 
 Arm entries accept a ``name`` (default: the kind) and every baseline field
 (kind, mc_samples, exact, features, n_features, ridge, tabular); unset
 baseline feature kinds take the environment's default
 (``baseline_features`` on its params): raw linear features on the matching
 task, 100 random Fourier features on point mass, 250 on tabular MDPs. Only
-an ``rff`` arm takes ``n_features``, and a ``tabular`` arm takes no
-features, n_features or ridge.
+an ``rff`` arm takes ``n_features``, a ``ridge`` is null (the default ridge)
+or finite and > 0, and a ``tabular`` arm takes no features, n_features or
+ridge.
 """
 
 from __future__ import annotations
@@ -101,6 +103,8 @@ class ExperimentConfig:
             raise ConfigError(f"lam must lie in [0, 1], got {self.lam}")
         if self.n_iterations < 1 or self.n_trajectories < 1:
             raise ConfigError("n_iterations and n_trajectories must be >= 1")
+        if not self.normalize:
+            raise ConfigError("normalize must be true: training always whitens its advantages")
 
 
 def _arm(raw, feature_defaults: dict) -> ArmConfig:

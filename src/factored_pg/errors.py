@@ -10,9 +10,9 @@ class EnumerationSizeError(ValueError):
 
 
 class SingularSystemError(ValueError):
-    """A linear solve has no unique finite solution: a least-squares fit that is
-    rank-deficient without ridge or fails numerically, or a natural-gradient
-    curvature solve whose Fisher is not positive along a search direction."""
+    """A linear solve has no unique finite solution: a ridge fit on non-finite
+    inputs or one that fails numerically, or a natural-gradient curvature
+    solve whose Fisher is not positive along a search direction."""
 
 
 class ZeroScoreNormError(ValueError):

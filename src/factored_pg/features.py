@@ -160,25 +160,27 @@ def default_ridge(design: np.ndarray) -> float:
 def fit_linear(
     features: np.ndarray,
     targets: np.ndarray,
-    ridge: float | None = 0.0,
+    ridge: float | None,
     sample_weights: np.ndarray | None = None,
 ) -> LinearModel:
     """Solve argmin_w ||F w - t||^2 + ridge * ||w||^2 in closed form.
 
-    F is ``features`` with a ones column appended; ``ridge=None``
-    means ``default_ridge(F)``, taken before any sample weighting.
-    Non-finite features, targets or sample weights, a rank-deficient system
-    with ridge = 0, and a failed or non-finite solve raise
-    SingularSystemError. ``sample_weights`` turns the objective into weighted
-    least squares, used by the variance-optimal state baseline.
+    F is ``features`` with a ones column appended; ``ridge`` is finite and
+    > 0, or None for ``default_ridge(F)``, taken before any sample weighting.
+    A design with no rows or a bad ridge raises ValueError. Non-finite
+    features, targets or sample weights, and a failed or non-finite solve
+    raise SingularSystemError. ``sample_weights`` turns the objective into
+    weighted least squares, used by the variance-optimal state baseline.
     """
     features = _rows(features)
     targets = np.asarray(targets, dtype=float).ravel()
     sw = None if sample_weights is None else np.asarray(sample_weights, dtype=float).ravel()
     if len(features) != len(targets):
         raise ValueError("features and targets disagree on sample count")
-    if ridge is not None and not 0 <= ridge < np.inf:
-        raise ValueError(f"ridge must be None or finite and >= 0, got {ridge}")
+    if not len(features):
+        raise ValueError("a least-squares fit needs at least one row")
+    if ridge is not None and not 0 < ridge < np.inf:
+        raise ValueError(f"ridge must be None or finite and > 0, got {ridge}")
     if not all(np.all(np.isfinite(x)) for x in (features, targets, sw) if x is not None):
         raise SingularSystemError("features, targets and sample weights must be finite")
     design = np.hstack([features, np.ones((len(features), 1))])
@@ -196,14 +198,7 @@ def fit_linear(
 
     n, p = design.shape
     try:
-        if ridge == 0.0:
-            if np.linalg.matrix_rank(design) < p:
-                raise SingularSystemError(
-                    f"rank-deficient design ({n} rows, {p} columns) with ridge=0; "
-                    "regularize or drop degenerate features"
-                )
-            w, *_ = np.linalg.lstsq(design, t, rcond=None)
-        elif p <= n:
+        if p <= n:
             w = np.linalg.solve(design.T @ design + ridge * np.eye(p), design.T @ t)
         else:
             # Dual form for wide designs: w = F'(FF' + ridge I)^{-1} t, identical

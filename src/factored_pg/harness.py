@@ -105,7 +105,6 @@ def run_experiment(cfg: ExperimentConfig, echo=None) -> str:
                     seed=seed,
                     optimizer=cfg.optimizer,
                     lam=cfg.lam,
-                    normalize=cfg.normalize,
                 )
             except (NonFiniteError, SingularSystemError) as exc:
                 raise type(exc)(f"arm {arm.name!r}: {exc}") from exc

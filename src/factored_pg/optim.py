@@ -281,7 +281,6 @@ def train(
     seed: int,
     optimizer: OptimizerConfig,
     lam: float = 1.0,
-    normalize: bool = True,
     callback=None,
 ) -> TrainResult:
     """Run the full loop: sample, evaluate last iteration's baseline and refit
@@ -289,8 +288,9 @@ def train(
 
     Baselines are always one iteration stale: the models evaluated on batch t
     were fitted on batch t-1 (zero at t = 0), so the critic never sees the
-    data it corrects. The raw-advantage per-trajectory variance is logged
-    before any normalization. A non-finite batch reward, advantage, gradient
+    data it corrects. The gradient is always estimated on whitened
+    advantages; the raw-advantage per-trajectory variance is logged before
+    the whitening. A non-finite batch reward, advantage, gradient
     or step raises ``NonFiniteError``, and a failed ridge or curvature solve raises
     ``SingularSystemError``; both name the iteration and seed. A baseline kind
     that the policy's factors rule out raises ``ValueError`` before the first
@@ -318,7 +318,7 @@ def train(
         advantages = gae_advantages(batch, baseline_values, lam)
         require_finite("advantages", advantages)
         scores = score_matrix(batch, policy)
-        report = pg_estimate(batch, policy, scores, advantages=advantages, normalize=normalize)
+        report = pg_estimate(batch, policy, scores, advantages=advantages, normalize=True)
         require_finite("gradient", report.gradient)
         step = solve(npg_step, report.gradient, scores, optimizer)
         require_finite("step", step)

@@ -304,8 +304,9 @@ class CategoricalPolicy(FactoredPolicy):
 
     def kl(self, other: "CategoricalPolicy", states) -> float:
         p, q = self.probs(states), other.probs(states)
-        pad = ~self.support  # where p = 0, so p (log 1 - log 1) adds 0
-        per_step = np.sum(p * (np.log(p + pad) - np.log(q + pad)), axis=2)
+        # p = 0 (padding, or a probability that underflowed) adds 0, not 0 * -inf
+        with np.errstate(divide="ignore", invalid="ignore"):
+            per_step = np.sum(np.where(p > 0, p * (np.log(p) - np.log(q)), 0.0), axis=2)
         # a sequential sum in (state, factor) order; np.sum would pair terms
         # differently and move the last bits of the logged KL
         return float(np.cumsum(per_step.ravel())[-1]) / len(states)

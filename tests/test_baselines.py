@@ -221,7 +221,7 @@ _ROW = np.array([0.0, 1.0, 2.0])
 
 
 @pytest.mark.parametrize("call", [
-    lambda: fit_linear(_ROW, np.ones(1)),
+    lambda: fit_linear(_ROW, np.ones(1), ridge=None),
     lambda: default_ridge(_ROW),
     lambda: median_bandwidth(_ROW),
     lambda: TableModel.fit(_ROW, np.ones(1)),
@@ -587,16 +587,15 @@ def test_spec_validation():
         BaselineSpec(kind="none", features="cubic")
     with pytest.raises(ValueError):
         BaselineSpec(kind="mc_q", mc_samples=0)
-    for bad in (-1.0, float("nan"), float("inf")):
-        with pytest.raises(ValueError):
+    for bad in (0.0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="ridge"):
             BaselineSpec(kind="state_value", ridge=bad)
     with pytest.raises(ValueError):
         BaselineSpec(kind="state_value", features="rff", n_features=0)
     with pytest.raises(ValueError, match="rff features only"):
         BaselineSpec(kind="mc_q", features="quadratic", n_features=7)
-    assert BaselineSpec(kind="state_value", ridge=0.0).ridge == 0.0
     # a table keys on raw rows, so regression settings on it are an error
-    for bad in ({"features": "quadratic"}, {"n_features": 250}, {"ridge": 0.0}):
+    for bad in ({"features": "quadratic"}, {"n_features": 250}, {"ridge": 1e-3}):
         with pytest.raises(ValueError, match="tabular"):
             BaselineSpec(kind="state_value", tabular=True, **bad)
     assert BaselineSpec(kind="mean_q", features="quadratic").features == "quadratic"

@@ -190,6 +190,8 @@ def test_malformed_json_reports_config_error(tmp_path):
         lambda d: d.update(seeds=[0, 0]),
         lambda d: d["env"].update(params={"m": 4, "solve_threshold": float("nan")}),
         lambda d: d["env"].update(params={"m": 4, "solve_threshold": float("inf")}),
+        lambda d: d.update(normalize=False),
+        lambda d: d.update(arms=[{"kind": "state_value", "ridge": 0}]),
     ],
 )
 def test_invalid_configs_rejected(mutate):

@@ -19,12 +19,12 @@ from factored_pg.features import (
 
 def test_scalar_least_squares_mean():
     # no features, t = (2, 4): the bias column alone recovers the mean.
-    model = fit_linear(np.empty((2, 0)), np.array([2.0, 4.0]), ridge=0.0)
+    model = fit_linear(np.empty((2, 0)), np.array([2.0, 4.0]), ridge=1e-14)
     assert_allclose(model.weights, [3.0])
 
 
 def test_bias_column_recovers_affine_data():
-    model = fit_linear(np.array([[0.0], [1.0], [2.0]]), np.array([1.0, 3.0, 5.0]), ridge=0.0)
+    model = fit_linear(np.array([[0.0], [1.0], [2.0]]), np.array([1.0, 3.0, 5.0]), ridge=1e-14)
     assert_allclose(model.weights, [2.0, 1.0], atol=1e-12)
     assert_allclose(model.predict(np.array([[4.0]])), [9.0], atol=1e-10)
 
@@ -33,14 +33,23 @@ def test_exact_interpolation_on_full_rank_square_system():
     rng = np.random.default_rng(3)
     F = rng.standard_normal((4, 3))
     t = rng.standard_normal(4)
-    model = fit_linear(F, t, ridge=0.0)
+    model = fit_linear(F, t, ridge=1e-14)
     assert_allclose(model.predict(F), t, atol=1e-8)
 
 
-def test_rank_deficient_without_ridge_raises():
-    F = np.array([[1.0, 1.0], [2.0, 2.0], [3.0, 3.0]])
-    with pytest.raises(SingularSystemError):
+def test_zero_ridge_raises():
+    # every fit is a ridge solve; there is no unregularized least squares
+    F = np.array([[1.0, 0.0], [2.0, 1.0], [3.0, 0.0]])
+    with pytest.raises(ValueError, match="> 0"):
         fit_linear(F, np.array([1.0, 2.0, 3.0]), ridge=0.0)
+
+
+@pytest.mark.parametrize("ridge", [None, 1.0])
+def test_empty_design_raises(ridge):
+    # the default ridge of an empty design is 0, and a ridge solve on it
+    # would return zero weights without complaint
+    with pytest.raises(ValueError, match="at least one row"):
+        fit_linear(np.empty((0, 2)), np.empty(0), ridge=ridge)
 
 
 def test_ridge_regularizes_rank_deficient_system():
@@ -63,7 +72,7 @@ def test_weighted_fit_reweights_samples():
     model = fit_linear(
         np.empty((2, 0)),
         np.array([2.0, 4.0]),
-        ridge=0.0,
+        ridge=1e-14,
         sample_weights=np.array([1.0, 3.0]),
     )
     assert_allclose(model.weights, [3.5])
@@ -74,6 +83,7 @@ def test_weighted_fit_rejects_negative_weights():
         fit_linear(
             np.empty((2, 0)),
             np.array([2.0, 4.0]),
+            ridge=1e-3,
             sample_weights=np.array([1.0, -1.0]),
         )
 
@@ -85,7 +95,7 @@ def test_invalid_ridge_rejected():
         fit_linear(np.array([[1.0]]), np.array([1.0]), ridge=float("nan"))
 
 
-@pytest.mark.parametrize("ridge", [0.0, 1e-3])
+@pytest.mark.parametrize("ridge", [None, 1e-3])
 @pytest.mark.parametrize("bad", ["features", "targets", "weights"])
 def test_non_finite_inputs_raise_singular_system(ridge, bad, capfd):
     # a ridge fit on a NaN design once fell into an lstsq fallback that

@@ -210,6 +210,20 @@ def test_categorical_kl_hand_value():
     assert pol.kl(pol, states) == 0.0
 
 
+def test_categorical_kl_skips_an_underflowed_probability():
+    # factor 0's logits (0, -800) put exactly 0 on its second category; that
+    # term adds 0 to the KL, not 0 * (-inf - -inf) = nan
+    pol = CategoricalPolicy([np.array([[0.0], [-800.0]]), np.zeros((2, 1))], RawFeatures(1))
+    states = np.ones((3, 1))
+    assert pol.factor_probs(states, 0)[0, 1] == 0.0
+    assert pol.kl(pol, states) == 0.0
+    # a step that moves only factor 1: the KL is factor 1's alone
+    moved = pol.with_theta(pol.theta + np.array([0.0, 0.0, np.log(3.0), 0.0]))
+    q = 1.0 / (1.0 + 3.0)
+    expected = 0.5 * np.log(0.5 / (1.0 - q)) + 0.5 * np.log(0.5 / q)
+    assert_allclose(pol.kl(moved, states), expected, rtol=1e-14)
+
+
 def _per_factor_reference(ws, other_ws, states, actions, noise):
     """probs, sample, log_prob, score_matrix and kl of the policy with logit
     matrices ``ws`` (KL against ``other_ws``), one factor at a time on

@@ -35,9 +35,10 @@ side importing its own ``src/``:
 - ``target_matching`` at m=12, 250 trajectories: arms ``optimal_state`` on
   a linear critic and ``none``, seeds 0-1, 30 iterations;
 - the ``chain_two_step`` fixture with indicator policy features, 50
-  trajectories: arms ``state_value`` and exact ``mc_q`` on the tabular
-  environment's default critic (250 random Fourier features, so the ridge
-  solve takes its dual form), seeds 0-1, 30 iterations.
+  trajectories: arms ``state_value``, ``optimal_state`` and exact ``mc_q``
+  on the tabular environment's default critic (250 random Fourier features
+  on 150 rows, so the ridge solve takes its dual form; ``optimal_state``
+  takes it with sample weights), seeds 0-1, 30 iterations.
 
 Every run trains both arms. Each side also evaluates the exact oracles on
 the three committed fixtures (``verify.fixture_problem``): ``exact_eta``,
@@ -171,6 +172,7 @@ runs.append(config_from_dict({
     "policy": {"features": "indicator"},
     "optimizer": {"kind": "npg", "kl": 0.025, "damping": 0.1},
     "arms": [{"name": "state_value", "kind": "state_value"},
+             {"name": "optimal_state", "kind": "optimal_state"},
              {"name": "mc_q", "kind": "mc_q", "exact": True}],
     "n_iterations": 30, "n_trajectories": 50, "lam": 1.0, "seeds": [0, 1],
     "out_dir": os.path.join(out, "chain_default_rff"),
