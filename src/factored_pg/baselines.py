@@ -61,10 +61,11 @@ MARGINAL_KINDS = ("mean_q", "mc_q", "optimal_action")
 class BaselineSpec:
     """Which baseline to run and how to approximate the functions it needs.
 
-    ``exact`` switches ``mc_q``'s Monte-Carlo marginalization to an exact sum
-    over a categorical factor's support; no other kind takes it. Only ``rff``
-    features take ``n_features``. ``tabular`` replaces regressions with exact
-    group-mean tables for discrete problems and takes no regression settings.
+    Every Q kind sums a categorical factor's support: ``mc_samples`` draws
+    only Gaussian candidates, and ``exact``, accepted on ``mc_q`` alone and
+    rejected on Gaussian factors, selects nothing. Only ``rff`` features take
+    ``n_features``. ``tabular`` replaces regressions with exact group-mean
+    tables for discrete problems and takes no regression settings.
     """
 
     kind: str
@@ -266,10 +267,11 @@ def marginal(states: np.ndarray, policy, spec: BaselineSpec, rng):
     """Candidates v_ik of a^i, weights w_ik and denominators den_i:
 
         mean_q          the policy mean; w 1, den 1
-        exact mc_q      the support; w the probabilities, den 1
-        sampled mc_q    ``mc_samples`` = K draws; w 1, den K
+        mc_q            the support, w the probabilities, den 1;
+                        or ``mc_samples`` = K draws, w 1, den K
         optimal_action  the support, w p ||z_i||^2, or draws, w ||z_i||^2; den sum_k w_ik
 
+    A categorical factor takes the support, a Gaussian one the draws.
     ``cand`` and ``weights`` are (n, m, K) arrays; a support has the widest
     factor's K values, weighted from the policy's padded ``probs``, so 0 past
     factor i's own k_i. ``den`` is a scalar or (n, m). Draws come from
@@ -282,7 +284,7 @@ def marginal(states: np.ndarray, policy, spec: BaselineSpec, rng):
     optimal = spec.kind == "optimal_action"
     if optimal:
         phi_sq = np.sum(policy.features(states) ** 2, axis=1)[:, None]
-    if policy.kind == "categorical" and (optimal or spec.exact):
+    if policy.kind == "categorical":
         weights = p = policy.probs(states)
         cand = np.broadcast_to(np.arange(p.shape[2], dtype=float), p.shape)
         if optimal:  # ||z_i(v)||^2 = (1 - 2 p_v + sum_u p_u^2) ||phi||^2 for softmax heads
@@ -298,7 +300,7 @@ def marginal(states: np.ndarray, policy, spec: BaselineSpec, rng):
             d = resid / np.exp(2.0 * policy.log_std)[:, None]
             weights = d * d * (phi_sq[:, :, None] + 1.0) + (d * resid - 1.0) ** 2
     if not optimal:
-        return cand, weights, 1.0 if spec.exact else float(spec.mc_samples)
+        return cand, weights, 1.0 if policy.kind == "categorical" else float(spec.mc_samples)
     den = np.sum(weights, axis=-1)
     vanishing = np.flatnonzero(np.any(den <= 0.0, axis=0))
     if len(vanishing):

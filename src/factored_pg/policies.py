@@ -17,6 +17,10 @@ of noise per state into actions. A generator gives the same values drawn as
 one (steps, m) block or m at a time, so a trajectory's actions do not depend
 on which other trajectories are sampled with it, nor on when its noise is
 drawn.
+
+Both ``sample`` methods and every categorical quantity compute a row's
+linear head as its own matrix-vector product, so a row reads the same bits
+alone as in any block; a matrix product would round it by its neighbours.
 """
 
 from __future__ import annotations
@@ -39,7 +43,7 @@ class FactoredPolicy:
     instance, so policies are safe to share read-only across workers. The
     concrete classes also expose the per-factor marginals that baselines
     integrate over: ``probs`` and ``factor_probs`` (categorical),
-    ``mean_actions`` (Gaussian) and ``sample_factors`` (both).
+    ``mean_actions`` and ``sample_factors`` (Gaussian).
     """
 
     m: int
@@ -233,16 +237,12 @@ class CategoricalPolicy(FactoredPolicy):
         rows = theta.reshape(-1, self.features.n_features)
         return CategoricalPolicy(np.split(rows, np.cumsum(self.cardinalities)[:-1]), self.features)
 
-    @staticmethod
-    def _shifted(logits: np.ndarray, support: np.ndarray) -> np.ndarray:
-        """(n, ., K) logits less each factor's maximum, -inf off ``support``."""
-        logits = np.where(support, logits, -np.inf)
+    def _logits(self, states) -> np.ndarray:
+        """(n, m, K) logits less each factor's maximum, -inf off ``support``, one
+        matrix-vector product per row: the table every categorical quantity reads."""
+        logits = (self.logit_weights @ self.features(states)[:, None, :, None])[..., 0]
+        logits = np.where(self.support, logits, -np.inf)
         return logits - np.max(logits, axis=2, keepdims=True)
-
-    def _logits(self, states, factors=slice(None)) -> np.ndarray:
-        phis, w = self.features(states), self.logit_weights[factors]
-        logits = (phis @ w.reshape(-1, phis.shape[1]).T).reshape(len(phis), *w.shape[:2])
-        return self._shifted(logits, self.support[factors])
 
     def _indices(self, actions) -> np.ndarray:
         """Each factor's category, (n, m) ints; ValueError outside a support."""
@@ -251,25 +251,21 @@ class CategoricalPolicy(FactoredPolicy):
             raise ValueError(f"actions outside the supports {self.cardinalities}")
         return idx
 
-    def probs(self, states, factors=slice(None)) -> np.ndarray:
-        """Per-state probabilities of the factors ``factors`` indexes, (n, m, K), 0 past k_i."""
-        e = np.exp(self._logits(states, factors))
+    def probs(self, states) -> np.ndarray:
+        """Every factor's probabilities per state, (n, m, K), 0 past k_i."""
+        e = np.exp(self._logits(states))
         return e / np.sum(e, axis=2, keepdims=True)
 
     def factor_probs(self, states, i: int) -> np.ndarray:
         """Factor i's category probabilities per state, (n, k_i)."""
-        return self.probs(states, [i])[:, 0, : self.cardinalities[i]]
+        return self.probs(states)[:, i, : self.cardinalities[i]]
 
     def draw(self, rng, steps: int) -> np.ndarray:
         """Uniforms on [0, 1), one per factor and step."""
         return rng.random((steps, self.m))
 
     def sample(self, states, noise) -> np.ndarray:
-        phis = self.features(states)
-        # one matrix-vector product per row, as in the Gaussian sample
-        logits = (self.logit_weights @ phis[:, None, :, None])[..., 0]
-        e = np.exp(self._shifted(logits, self.support))
-        cdf = np.cumsum(e / np.sum(e, axis=2, keepdims=True), axis=2)
+        cdf = np.cumsum(self.probs(states), axis=2)
         # count of cdf entries <= each factor's uniform, as searchsorted with
         # side="right"; a padded entry repeats its factor's last one
         counts = np.sum(cdf <= noise[:, :, None], axis=2)
@@ -292,21 +288,16 @@ class CategoricalPolicy(FactoredPolicy):
         coeff = np.ascontiguousarray(coeff[:, self.support])
         return (coeff[:, :, None] * phis[:, None, :]).reshape(len(phis), -1)
 
-    def sample_factors(self, states, size: int, rng, factors=slice(None)) -> np.ndarray:
-        """``size`` draws per state of each factor ``factors`` indexes, (n, f, size);
-        ``rng`` gives one (n, size) block of uniforms per factor, in order."""
-        cdf = np.cumsum(self.probs(states, factors), axis=2)
-        u = rng.random((cdf.shape[1], len(cdf), size)).transpose(1, 0, 2)
-        # count of cdf entries <= u, as in sample; a padded entry repeats its
-        # factor's last one
-        counts = np.sum(cdf[:, :, None, :] <= u[:, :, :, None], axis=3)
-        return np.minimum(counts, np.array(self.cardinalities)[factors][:, None] - 1).astype(float)
-
     def kl(self, other: "CategoricalPolicy", states) -> float:
-        p, q = self.probs(states), other.probs(states)
-        # p = 0 (padding, or a probability that underflowed) adds 0, not 0 * -inf
+        p, logits = self.probs(states), other._logits(states)
+        e = np.exp(logits)
+        total = np.sum(e, axis=2, keepdims=True)
+        q = e / total
+        # p = 0 (padding, or a probability that underflowed) adds 0, not
+        # 0 * -inf; where q underflowed to 0, log q is read off the logits
         with np.errstate(divide="ignore", invalid="ignore"):
-            per_step = np.sum(np.where(p > 0, p * (np.log(p) - np.log(q)), 0.0), axis=2)
+            log_q = np.where(q > 0, np.log(q), logits - np.log(total))
+            per_step = np.sum(np.where(p > 0, p * (np.log(p) - log_q), 0.0), axis=2)
         # a sequential sum in (state, factor) order; np.sum would pair terms
         # differently and move the last bits of the logged KL
         return float(np.cumsum(per_step.ravel())[-1]) / len(states)

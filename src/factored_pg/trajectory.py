@@ -1,4 +1,4 @@
-"""The batch container shared by environments, estimator, and training loop.
+"""The batch container shared by the estimator and the training loop.
 
 A batch stores n trajectories of one horizon H in flat step arrays,
 trajectory after trajectory, so ``by_trajectory`` reads any per-step array as

@@ -124,7 +124,7 @@ def mc_marginalized_baseline(
     ``q`` is any callable (state, action) -> real. The candidates never depend
     on the sampled a^i, so the result is a valid baseline. With ``exact`` the
     average runs over a categorical factor's full support with its exact
-    probabilities.
+    probabilities, without it over ``n_samples`` draws of a continuous factor.
     """
     action = np.asarray(action, dtype=float)
     if exact:
@@ -132,6 +132,8 @@ def mc_marginalized_baseline(
             raise ValueError("exact marginalization requires a categorical factor")
         values = [q(state, _swap(action, i, v)) for v in range(policy.cardinalities[i])]
         return float(np.dot(policy.factor_probs(np.atleast_2d(state), i)[0], values))
+    if policy.kind != "gaussian":
+        raise ValueError("sampled marginalization requires a continuous factor")
     if rng is None:
         raise ValueError("rng required for sampled marginalization")
     draws = policy.sample_factors(np.atleast_2d(state), n_samples, rng, [i])[0, 0]

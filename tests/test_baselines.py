@@ -81,15 +81,22 @@ def test_exact_marginalization_hand_values():
 
 
 def test_sampled_marginalization_requires_rng_and_converges():
-    policy = _binary_policy(0.3)
-    q = _lookup_q({0: 2.0, 1: -1.0})
-    with pytest.raises(ValueError):
+    # Q = (a - 1)^2 with a ~ N(0.3, 0.5^2): E = d^2 + v and
+    # Var = 4 d^2 v + 2 v^2, with d = -0.7 and v = 0.25
+    policy = IndependentGaussianPolicy(np.zeros((1, 1)), np.array([0.3]),
+                                       np.array([np.log(0.5)]), RawFeatures(1))
+    q = lambda state, action: (action[0] - 1.0) ** 2
+    with pytest.raises(ValueError, match="rng"):
         mc_marginalized_baseline(q, policy, S0, np.array([0.0]), 0)
+    # a categorical factor is summed over its support, never sampled
+    with pytest.raises(ValueError, match="continuous factor"):
+        mc_marginalized_baseline(q, _binary_policy(0.3), S0, np.array([0.0]), 0,
+                                 rng=np.random.default_rng(0))
     got = mc_marginalized_baseline(
         q, policy, S0, np.array([0.0]), 0, n_samples=60000, rng=np.random.default_rng(0)
     )
-    # E = -0.1, SE = 3 sqrt(p(1-p)) / sqrt(n) * |q0 - q1|
-    assert abs(got - (-0.1)) < 3 * 3.0 * np.sqrt(0.21 / 60000)
+    d, v = -0.7, 0.25
+    assert abs(got - (d**2 + v)) < 3 * np.sqrt((4 * d**2 * v + 2 * v**2) / 60000)
 
 
 def test_mean_substitution_exact_for_linear_q():
@@ -172,6 +179,21 @@ def test_exact_mc_q_batch_matches_reference(refit_arm):
                 q, policy, batch.states[k], batch.actions[k], i, exact=True
             )
             assert_allclose(out[k, i], ref, atol=1e-12)
+
+
+def test_categorical_mc_q_sums_the_support_without_exact(refit_arm):
+    # every Q kind sums a categorical factor's support, so an mc_q arm
+    # without exact gives the exact arm's values, reads neither mc_samples
+    # nor an rng, and leaves a generator it is handed where it was
+    policy = _two_factor_policy(seed=32)
+    batch = _categorical_batch(policy, seed=33)
+    exact = refit_arm(BaselineSpec(kind="mc_q", exact=True, tabular=True), batch, policy)
+    expect = exact.evaluate_and_refit(batch, policy)[0]
+    state = refit_arm(BaselineSpec(kind="mc_q", mc_samples=5, tabular=True), batch, policy)
+    rng = np.random.default_rng(3)
+    for given in (None, rng):
+        np.testing.assert_array_equal(state.evaluate_and_refit(batch, policy, given)[0], expect)
+    assert rng.random() == np.random.default_rng(3).random()
 
 
 @pytest.mark.parametrize("weighted", [False, True], ids=["unweighted", "weighted"])
@@ -377,12 +399,12 @@ def _gaussian_case():
     policy = IndependentGaussianPolicy.zeros(2, 1).with_theta(
         0.3 * np.random.default_rng(28).standard_normal(6)
     )
-    return policy, _gaussian_batch(policy, 29), "standard_normal"
+    return policy, _gaussian_batch(policy, 29)
 
 
 def _categorical_case():
     policy = _two_factor_policy(seed=30)
-    return policy, _categorical_batch(policy, seed=31), "random"
+    return policy, _categorical_batch(policy, seed=31)
 
 
 def _rff_swap(fmap, states, actions, i, values):
@@ -405,7 +427,7 @@ def test_rff_candidate_sines_match_the_map_of_the_swapped_rows():
     # a unit weight on feature f and a zero bias read at_candidates' shifted
     # sines out one feature at a time, exactly; the bound was fixed before
     # the first run
-    policy, batch, _ = _gaussian_case()
+    policy, batch = _gaussian_case()
     states, actions = batch.states, batch.actions
     x = np.hstack([states, actions])
     n_features = 8
@@ -437,7 +459,7 @@ def test_rff_candidates_match_predictions_on_the_swapped_rows(refit_arm, spec, c
     ``QModel.predict`` on the swapped rows, plus the rounding of the two
     float64 dot products; the ragged support's padded slots, read like any
     other, carry zero weight."""
-    policy, batch, _ = case()
+    policy, batch = case()
     model = refit_arm(spec, batch, policy, np.random.default_rng(1)).fitted
     states, actions = batch.states, batch.actions
     cand, weights, _ = baselines.marginal(states, policy, spec, np.random.default_rng(2))
@@ -454,18 +476,16 @@ def test_rff_candidates_match_predictions_on_the_swapped_rows(refit_arm, spec, c
         assert not np.any(weights[:, 0, 2])
 
 
-@pytest.mark.parametrize("spec, case, reference", [
+@pytest.mark.parametrize("spec, reference", [
     (BaselineSpec(kind="optimal_action", mc_samples=7, features="quadratic", ridge=1e-8),
-     _gaussian_case, optimal_action_baseline),
+     optimal_action_baseline),
     (BaselineSpec(kind="mc_q", mc_samples=7, features="quadratic", ridge=1e-8),
-     _gaussian_case, mc_marginalized_baseline),
-    (BaselineSpec(kind="mc_q", mc_samples=5, exact=False, tabular=True),
-     _categorical_case, mc_marginalized_baseline),
-], ids=["optimal_action-gaussian", "sampled_mc_q-gaussian", "sampled_mc_q-categorical"])
-def test_sampled_batch_matches_draw_aligned_reference(refit_arm, spec, case, reference):
+     mc_marginalized_baseline),
+], ids=["optimal_action-gaussian", "sampled_mc_q-gaussian"])
+def test_sampled_batch_matches_draw_aligned_reference(refit_arm, spec, reference):
     """Draws of factor i come in one (n, K) block after those of factors < i,
     so row r of factor i reads the draws after the first (i n + r) K."""
-    policy, batch, draw = case()
+    policy, batch = _gaussian_case()
     state = refit_arm(spec, batch, policy, np.random.default_rng(1))
     out = state.evaluate_and_refit(batch, policy, np.random.default_rng(2))[0]
     model = state.fitted
@@ -474,7 +494,7 @@ def test_sampled_batch_matches_draw_aligned_reference(refit_arm, spec, case, ref
     for i in range(policy.m):
         for r in range(n):
             rng = np.random.default_rng(2)
-            getattr(rng, draw)((i * n + r) * k)
+            rng.standard_normal((i * n + r) * k)
             ref = reference(q, policy, batch.states[r], batch.actions[r], i,
                             n_samples=k, rng=rng)
             assert_allclose(out[r, i], ref, rtol=1e-12, atol=1e-12, err_msg=f"factor {i} row {r}")

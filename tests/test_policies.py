@@ -146,13 +146,13 @@ def test_categorical_probs_normalize_and_batch_agrees():
 
 
 def test_sample_factor_batch_frequencies_match_probs():
-    pol = _categorical(cards=(3,), n_states=1, seed=8)
-    states = np.zeros((1, 1))
-    probs = pol.factor_probs(states, 0)[0]
-    draws = pol.sample_factors(np.repeat(states, 5, axis=0), 4000, np.random.default_rng(0))
-    assert draws.shape == (5, 1, 4000)
-    freq = np.mean(draws.reshape(-1)[:, None] == np.arange(3)[None, :], axis=0)
-    se = np.sqrt(probs * (1 - probs) / draws.size)
+    # the rollout's draws: each factor's sampled frequencies match probs
+    pol = _categorical(cards=(2, 3), n_states=1, seed=8)
+    states = np.zeros((20000, 1))
+    probs = pol.probs(states[:1])[0]
+    draws = pol.sample(states, pol.draw(np.random.default_rng(0), len(states)))
+    freq = np.mean(draws[:, :, None] == np.arange(3), axis=0)
+    se = np.sqrt(probs * (1 - probs) / len(draws))
     assert np.all(np.abs(freq - probs) < 5 * se + 1e-9)
 
 
@@ -167,11 +167,10 @@ def test_gaussian_sample_factor_batch_moments():
     assert np.all(np.abs(draws.std(axis=1) - sd) < 0.05 * sd + 5 * sd / np.sqrt(8000))
 
 
-@pytest.mark.parametrize("make", [_gaussian, _categorical])
-def test_sample_factors_block_equals_one_factor_at_a_time(make):
+def test_sample_factors_block_equals_one_factor_at_a_time():
     # one call over every factor reads one (n, size) block per factor, in
     # factor order, so it draws what successive one-factor calls draw
-    pol = make(seed=18)
+    pol = _gaussian(seed=18)
     states = np.array([[0.0], [1.0], [1.0], [0.0]])
     block = pol.sample_factors(states, 7, np.random.default_rng(4))
     rng = np.random.default_rng(4)
@@ -224,6 +223,18 @@ def test_categorical_kl_skips_an_underflowed_probability():
     assert_allclose(pol.kl(moved, states), expected, rtol=1e-14)
 
 
+def test_categorical_kl_survives_an_underflowed_q():
+    # logits (0, -700) against (0, -760): q's second probability underflows
+    # to 0, so its log is read off the logits, -760, and the KL stays finite.
+    # p's second term is e^-700 (-700 + 760); the first category's -e^-700
+    # is lost where p_0 and q_0 round to 1, so the sum reads 60 e^-700
+    pol = CategoricalPolicy([np.array([[0.0], [-700.0]])], RawFeatures(1))
+    other = CategoricalPolicy([np.array([[0.0], [-760.0]])], RawFeatures(1))
+    states = np.ones((2, 1))
+    assert other.probs(states)[0, 0, 1] == 0.0
+    assert_allclose(pol.kl(other, states), 60.0 * np.exp(-700.0), rtol=1e-6)
+
+
 def _per_factor_reference(ws, other_ws, states, actions, noise):
     """probs, sample, log_prob, score_matrix and kl of the policy with logit
     matrices ``ws`` (KL against ``other_ws``), one factor at a time on
@@ -231,7 +242,7 @@ def _per_factor_reference(ws, other_ws, states, actions, noise):
     n, rows = len(states), np.arange(len(states))
 
     def shifted(w):
-        logits = states @ w.T
+        logits = (w @ states[:, :, None])[..., 0]  # one matrix-vector product per row
         return logits - np.max(logits, axis=1, keepdims=True)
 
     def softmax(w):
@@ -244,9 +255,7 @@ def _per_factor_reference(ws, other_ws, states, actions, noise):
         a = actions[:, i].astype(int)
         p = softmax(w)
         probs.append(p)
-        logits = (w @ states[:, :, None])[..., 0]  # one matrix-vector product per row
-        e = np.exp(logits - np.max(logits, axis=1, keepdims=True))
-        cdf = np.cumsum(e / np.sum(e, axis=1, keepdims=True), axis=1)
+        cdf = np.cumsum(p, axis=1)
         samples.append(np.minimum(np.sum(cdf <= noise[:, i : i + 1], axis=1), len(w) - 1))
         own = shifted(w)
         log_prob += own[rows, a] - np.log(np.sum(np.exp(own), axis=1))
@@ -292,6 +301,23 @@ def test_padded_support_matches_a_per_factor_loop(cards, dim, rtol, atol):
     # differently
     assert padded_scores.flags.c_contiguous
     assert_allclose(pol.kl(other, states), kl, rtol=rtol, atol=atol)
+
+
+def test_a_row_reads_the_same_bits_alone_or_in_a_block():
+    # each row's logits are its own matrix-vector product; a matrix product
+    # over the block would round a row according to the rows around it
+    rng = np.random.default_rng(19)
+    pol = CategoricalPolicy([rng.standard_normal((k, 3)) for k in (2, 3, 6)], RawFeatures(3))
+    states = rng.standard_normal((40, 3))
+    actions = np.stack([rng.integers(k, size=40) for k in pol.cardinalities], axis=1)
+    actions = actions.astype(float)
+    probs = pol.probs(states)
+    log_prob, scores = pol.log_prob(states, actions), pol.score_matrix(states, actions)
+    for n in range(40):
+        row, action = states[n : n + 1], actions[n : n + 1]
+        np.testing.assert_array_equal(pol.probs(row)[0], probs[n])
+        np.testing.assert_array_equal(pol.log_prob(row, action)[0], log_prob[n])
+        np.testing.assert_array_equal(pol.score_matrix(row, action)[0], scores[n])
 
 
 @pytest.mark.parametrize("bad", [(2.0, 0.0), (-1.0, 0.0), (0.0, 3.0), (0.0, -0.6)],

@@ -28,10 +28,10 @@ side importing its own ``src/``:
 - the same fixture on a critic of 50 random Fourier features, so the
   padded slots of the narrower support pass through the RFF candidate loop:
   exact ``mc_q`` and ``optimal_action``, seeds 0-1, 30 iterations;
-- the same fixture with the state kinds and sampled candidates, 50
-  trajectories: arms ``none``, ``optimal_state`` with a tabular and with a
-  quadratic critic, and sampled ``mc_q`` (K = 5) with a tabular critic,
-  seeds 0-1, 30 iterations;
+- the same fixture with the state kinds, 50 trajectories: arms ``none`` and
+  ``optimal_state`` with a tabular and with a quadratic critic, seeds 0-1,
+  30 iterations (a categorical factor is never sampled: every Q kind sums
+  its support);
 - ``target_matching`` at m=12, 250 trajectories: arms ``optimal_state`` on
   a linear critic and ``none``, seeds 0-1, 30 iterations;
 - the ``chain_two_step`` fixture with indicator policy features, 50
@@ -152,9 +152,7 @@ runs.append(config_from_dict({
     "arms": [{"name": "none", "kind": "none"},
              {"name": "optimal_state_tabular", "kind": "optimal_state", "tabular": True},
              {"name": "optimal_state_quadratic", "kind": "optimal_state",
-              "features": "quadratic"},
-             {"name": "mc_q_sampled_tabular", "kind": "mc_q", "tabular": True,
-              "mc_samples": 5}],
+              "features": "quadratic"}],
     "n_iterations": 30, "n_trajectories": 50, "lam": 1.0, "seeds": [0, 1],
     "out_dir": os.path.join(out, "bandit_two_factor_state"),
 }))
