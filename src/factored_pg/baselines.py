@@ -15,6 +15,10 @@ values of a^i:
     state_value, optimal_state    none; b_i = b(s) for every i
     mean_q, mc_q, optimal_action  every factor; b_i = sum_k w_ik Q(a^i = v_ik) / den_i
 
+On a Gaussian factor ``mc_q`` takes Q's exact expectation over
+a^i ~ N(mu_i, sigma_i^2) in closed form: one candidate, the mean, read with
+the factor's spread sigma_i, and no draws. Only ``optimal_action`` samples.
+
 ``optimal_state`` weights its regression by the squared joint score norm.
 With ``tabular`` the regression is a table of exact group means keyed on the
 whole rounded input row, stored as one int64 code per row, and rows the table
@@ -61,11 +65,13 @@ MARGINAL_KINDS = ("mean_q", "mc_q", "optimal_action")
 class BaselineSpec:
     """Which baseline to run and how to approximate the functions it needs.
 
-    Every Q kind sums a categorical factor's support: ``mc_samples`` draws
-    only Gaussian candidates, and ``exact``, accepted on ``mc_q`` alone and
-    rejected on Gaussian factors, selects nothing. Only ``rff`` features take
-    ``n_features``. ``tabular`` replaces regressions with exact group-mean
-    tables for discrete problems and takes no regression settings.
+    Every Q kind sums a categorical factor's support, and ``mc_q`` integrates
+    a Gaussian factor out in closed form: ``mc_samples`` draws only
+    ``optimal_action``'s Gaussian candidates, and ``exact``, accepted on
+    ``mc_q`` alone and rejected on Gaussian factors, selects nothing. Only
+    ``rff`` features take ``n_features``. ``tabular`` replaces regressions
+    with exact group-mean tables for discrete problems and takes no
+    regression settings.
     """
 
     kind: str
@@ -184,21 +190,29 @@ class QModel:
         return self.model.predict(self.feature_map(rows))
 
     def at_candidates(self, states: np.ndarray, actions: np.ndarray,
-                      cand: np.ndarray, phi: np.ndarray) -> np.ndarray:
+                      cand: np.ndarray, phi: np.ndarray, spread=None) -> np.ndarray:
         """Q(s, a with a^i = cand[:, i, k]) for every factor i and candidate k,
         an (n, m, K) array like ``cand``; ``phi`` is the (s, a) rows mapped
         through ``feature_map``. A ragged support's padded slots are read like
-        any other: their weight is 0.
+        any other: their weight is 0. With ``spread``, an (m,) array of
+        sigma_i, each slot instead reads E[Q(a^i = v)] over
+        v ~ N(cand, sigma_i^2) in closed form; a table has none, and
+        ``check_marginal`` keeps a spread off it.
 
         A ridge fit on raw or ``QuadraticMap`` features is separable by input
         column, so moving a^i to v changes only a^i's own columns:
         Q(a^i = v) = Q(s, a) + w_i (v - a_i) + w_ii (v^2 - a_i^2). That is one
-        prediction per batch, read off ``phi``. On an ``RffMap`` it shifts
+        prediction per batch, read off ``phi``; its expectation adds
+        w_ii sigma_i^2. On an ``RffMap`` it shifts
         the sinusoid's argument z of the (s, a) rows by (v - a_i) times a^i's
         column of the projection over the bandwidth: z is computed once, and
         each candidate takes one shifted float32 sine, elementwise within
         2^-24 (|z| + 3 |shift| + 2 |z'|) + 2^-21 of the map of the swapped row
-        (whose argument is z'). A ``TableModel`` moves the code of the rounded
+        (whose argument is z'). Its expectation damps the weights instead, in
+        float64: E[sin(z + delta c)] over delta ~ N(m, sigma^2) is
+        exp(-(sigma c)^2 / 2) sin(z + m c), so w_f becomes
+        w_f exp(-(sigma_i c_f)^2 / 2), c_f being a^i's projection column over
+        the bandwidth. A ``TableModel`` moves the code of the rounded
         row by (rint(v) - rint(a_i)) times a^i's stride and looks the whole
         block up at once; a slot hits when every column but a^i's is inside
         the fit's range and rint(v) is inside a^i's, since the batch row's own
@@ -211,7 +225,10 @@ class QModel:
             a = actions[:, :, None]
             q = self.model.predict(phi)[:, None, None] + w[cols, None] * (cand - a)
             if isinstance(fmap, QuadraticMap):  # the squares follow the inputs
-                q += w[fmap.input_dim + cols, None] * (cand * cand - a * a)
+                sq = cand * cand - a * a
+                if spread is not None:  # E[v^2] = mean^2 + sigma^2
+                    sq += (spread * spread)[:, None]
+                q += w[fmap.input_dim + cols, None] * sq
             return q
         if isinstance(self.model, TableModel):
             table, x = self.model, _rounded(phi)
@@ -225,8 +242,10 @@ class QModel:
         # an RffMap
         w = self.model.weights
         z = fmap.argument(np.hstack([states, actions])).astype(np.float32)
-        step = (fmap.projection[:, d:] / fmap.bandwidth).T.astype(
-            np.float32, order="C")  # row i: a^i's column
+        c = (fmap.projection[:, d:] / fmap.bandwidth).T  # row i: a^i's column
+        step = c.astype(np.float32, order="C")
+        wf = (np.broadcast_to(w[:-1], c.shape) if spread is None
+              else w[:-1] * np.exp(-0.5 * (spread[:, None] * c) ** 2))
         arg = np.empty_like(z)
         q = np.zeros(cand.shape)
         for i, k in np.ndindex(cand.shape[1:]):
@@ -235,7 +254,7 @@ class QModel:
             # than a broadcast multiply, to the same bytes
             np.einsum("r,f->rf", shift, step[i], out=arg)
             arg += z
-            q[:, i, k] = np.sin(arg, out=arg) @ w[:-1] + w[-1]
+            q[:, i, k] = np.sin(arg, out=arg) @ wf[i] + w[-1]
         return q
 
 
@@ -261,51 +280,56 @@ def check_marginal(spec: BaselineSpec, policy) -> None:
         raise ValueError("mean_q substitutes the policy mean, so it requires continuous factors")
     if spec.exact and policy.kind != "categorical":
         raise ValueError("exact mc_q sums over a support, so it requires categorical factors")
+    if spec.kind == "mc_q" and spec.tabular and policy.kind == "gaussian":
+        raise ValueError("tabular mc_q has no Gaussian expectation, so it requires "
+                         "categorical factors")
 
 
 def marginal(states: np.ndarray, policy, spec: BaselineSpec, rng):
-    """Candidates v_ik of a^i, weights w_ik and denominators den_i:
+    """Candidates v_ik of a^i, weights w_ik, denominators den_i and the
+    spread that ``QModel.at_candidates`` integrates each candidate over:
 
         mean_q          the policy mean; w 1, den 1
         mc_q            the support, w the probabilities, den 1;
-                        or ``mc_samples`` = K draws, w 1, den K
-        optimal_action  the support, w p ||z_i||^2, or draws, w ||z_i||^2; den sum_k w_ik
+                        or the policy mean, w 1, den 1, spread the policy's std
+        optimal_action  the support, w p ||z_i||^2, or ``mc_samples`` = K
+                        draws, w ||z_i||^2; den sum_k w_ik
 
-    A categorical factor takes the support, a Gaussian one the draws.
-    ``cand`` and ``weights`` are (n, m, K) arrays; a support has the widest
-    factor's K values, weighted from the policy's padded ``probs``, so 0 past
-    factor i's own k_i. ``den`` is a scalar or (n, m). Draws come from
-    ``rng``, one (n, K) block per factor in factor order.
+    A categorical factor takes the support, a Gaussian one the mean or the
+    draws. ``cand`` and ``weights`` are (n, m, K) arrays; a support has the
+    widest factor's K values, weighted from the policy's padded ``probs``, so
+    0 past factor i's own k_i. ``den`` is a scalar or (n, m). The spread is
+    None but on a Gaussian ``mc_q``. Draws come from ``rng``, one (n, K)
+    block per factor in factor order.
     """
     check_marginal(spec, policy)
     n, m = len(states), policy.m
-    if spec.kind == "mean_q":
-        return policy.mean_actions(states)[:, :, None], np.ones((n, m, 1)), 1.0
     optimal = spec.kind == "optimal_action"
+    if policy.kind == "gaussian" and not optimal:
+        spread = policy.std if spec.kind == "mc_q" else None
+        return policy.mean_actions(states)[:, :, None], np.ones((n, m, 1)), 1.0, spread
     if optimal:
-        phi_sq = np.sum(policy.features(states) ** 2, axis=1)[:, None]
+        phi_sq = np.sum(policy.features(states) ** 2, axis=1)[:, None, None]
     if policy.kind == "categorical":
         weights = p = policy.probs(states)
         cand = np.broadcast_to(np.arange(p.shape[2], dtype=float), p.shape)
         if optimal:  # ||z_i(v)||^2 = (1 - 2 p_v + sum_u p_u^2) ||phi||^2 for softmax heads
-            weights = p * ((1.0 - 2.0 * p + np.sum(p**2, axis=2, keepdims=True))
-                           * phi_sq[:, :, None])
-    else:
+            weights = p * ((1.0 - 2.0 * p + np.sum(p**2, axis=2, keepdims=True)) * phi_sq)
+    else:  # optimal_action's draws
         if rng is None:
-            raise ValueError(f"rng required to draw candidate values for {spec.kind}")
+            raise ValueError("rng required to draw candidate values for optimal_action")
         cand = policy.sample_factors(states, spec.mc_samples, rng)
-        weights = np.ones(cand.shape)
-        if optimal:  # ||z_i||^2 of the Gaussian block [d phi, d, d resid - 1]
-            resid = cand - policy.mean_actions(states)[:, :, None]
-            d = resid / np.exp(2.0 * policy.log_std)[:, None]
-            weights = d * d * (phi_sq[:, :, None] + 1.0) + (d * resid - 1.0) ** 2
+        # ||z_i||^2 of the Gaussian block [d phi, d, d resid - 1]
+        resid = cand - policy.mean_actions(states)[:, :, None]
+        d = resid / np.exp(2.0 * policy.log_std)[:, None]
+        weights = d * d * (phi_sq + 1.0) + (d * resid - 1.0) ** 2
     if not optimal:
-        return cand, weights, 1.0 if policy.kind == "categorical" else float(spec.mc_samples)
+        return cand, weights, 1.0, None
     den = np.sum(weights, axis=-1)
     vanishing = np.flatnonzero(np.any(den <= 0.0, axis=0))
     if len(vanishing):
         raise ZeroScoreNormError(f"factor {vanishing[0]} has vanishing score norm in batch")
-    return cand, weights, den
+    return cand, weights, den, None
 
 
 # ---------------------------------------------------------------------------
@@ -347,8 +371,8 @@ class BaselineState:
             return np.zeros((batch.n_steps, policy.m))
         if self.spec.kind not in MARGINAL_KINDS:
             return np.repeat(self.fitted.model.predict(phi)[:, None], policy.m, axis=1)
-        cand, weights, den = marginal(batch.states, policy, self.spec, rng)
-        q = self.fitted.at_candidates(batch.states, batch.actions, cand, phi)
+        cand, weights, den, spread = marginal(batch.states, policy, self.spec, rng)
+        q = self.fitted.at_candidates(batch.states, batch.actions, cand, phi, spread)
         return np.sum(weights * q, axis=-1) / den
 
     def refit(self, batch, policy, feature_map: FeatureMap, phi: np.ndarray) -> "BaselineState":

@@ -23,6 +23,7 @@ from factored_pg.policies import CategoricalPolicy, IndependentGaussianPolicy
 from factored_pg.trajectory import Batch
 from factored_pg.verify import (
     _swap,
+    gaussian_marginalized_baseline,
     mc_marginalized_baseline,
     mean_marginalized_baseline,
     optimal_action_baseline,
@@ -449,11 +450,10 @@ RFF = {"features": "rff", "n_features": 30}
 @pytest.mark.parametrize("spec, case", [
     (BaselineSpec(kind="mc_q", exact=True, **RFF), _categorical_case),
     (BaselineSpec(kind="optimal_action", **RFF), _categorical_case),
-    (BaselineSpec(kind="mc_q", mc_samples=7, **RFF), _gaussian_case),
     (BaselineSpec(kind="optimal_action", mc_samples=7, **RFF), _gaussian_case),
     (BaselineSpec(kind="mean_q", **RFF), _gaussian_case),
-], ids=["exact_mc_q-categorical", "optimal_action-categorical", "sampled_mc_q-gaussian",
-        "optimal_action-gaussian", "mean_q-gaussian"])
+], ids=["exact_mc_q-categorical", "optimal_action-categorical", "optimal_action-gaussian",
+        "mean_q-gaussian"])
 def test_rff_candidates_match_predictions_on_the_swapped_rows(refit_arm, spec, case):
     """Q at each candidate is within sum_f |w_f| bound_f of
     ``QModel.predict`` on the swapped rows, plus the rounding of the two
@@ -462,7 +462,7 @@ def test_rff_candidates_match_predictions_on_the_swapped_rows(refit_arm, spec, c
     policy, batch = case()
     model = refit_arm(spec, batch, policy, np.random.default_rng(1)).fitted
     states, actions = batch.states, batch.actions
-    cand, weights, _ = baselines.marginal(states, policy, spec, np.random.default_rng(2))
+    cand, weights, _, _ = baselines.marginal(states, policy, spec, np.random.default_rng(2))
     q = model.at_candidates(states, actions, cand,
                             model.feature_map(np.hstack([states, actions])))
     w = model.model.weights
@@ -479,9 +479,7 @@ def test_rff_candidates_match_predictions_on_the_swapped_rows(refit_arm, spec, c
 @pytest.mark.parametrize("spec, reference", [
     (BaselineSpec(kind="optimal_action", mc_samples=7, features="quadratic", ridge=1e-8),
      optimal_action_baseline),
-    (BaselineSpec(kind="mc_q", mc_samples=7, features="quadratic", ridge=1e-8),
-     mc_marginalized_baseline),
-], ids=["optimal_action-gaussian", "sampled_mc_q-gaussian"])
+], ids=["optimal_action-gaussian"])
 def test_sampled_batch_matches_draw_aligned_reference(refit_arm, spec, reference):
     """Draws of factor i come in one (n, K) block after those of factors < i,
     so row r of factor i reads the draws after the first (i n + r) K."""
@@ -498,6 +496,126 @@ def test_sampled_batch_matches_draw_aligned_reference(refit_arm, spec, reference
             ref = reference(q, policy, batch.states[r], batch.actions[r], i,
                             n_samples=k, rng=rng)
             assert_allclose(out[r, i], ref, rtol=1e-12, atol=1e-12, err_msg=f"factor {i} row {r}")
+
+
+@pytest.mark.parametrize("features", ["linear", "quadratic"])
+def test_gaussian_mc_q_matches_the_gauss_hermite_reference(refit_arm, features):
+    """On raw or quadratic features Q is a polynomial of degree <= 2 in a^i,
+    which the two-node rule integrates exactly."""
+    policy, batch = _gaussian_case()
+    spec = BaselineSpec(kind="mc_q", features=features, ridge=1e-8)
+    state = refit_arm(spec, batch, policy)
+    out = state.evaluate_and_refit(batch, policy)[0]
+    model = state.fitted
+    q = lambda s, a: model.predict(s[None], a[None])[0]
+    for r, i in np.ndindex(out.shape):
+        ref = gaussian_marginalized_baseline(q, policy, batch.states[r], batch.actions[r], i, 2)
+        assert_allclose(out[r, i], ref, rtol=1e-12, atol=1e-12, err_msg=f"factor {i} row {r}")
+
+
+def _wide_rff_case(n_features=30):
+    """The Gaussian test policy on 40 states of spread 30 and a critic of
+    random weights on random features of bandwidth 1: the sinusoid's
+    argument passes 20, and (sigma_i c_f)^2 stays below 12, where a 40-node
+    Gauss-Hermite rule integrates each sine to double precision."""
+    policy = _gaussian_case()[0]
+    rng = np.random.default_rng(37)
+    states = 30.0 * rng.standard_normal((40, 1))
+    actions = _sampled(policy, states, rng)
+    batch = Batch.from_paths([(states, actions, np.zeros(40))], gamma=1.0)
+    fmap = RffMap(1 + policy.m, n_features, 1.0, rng)
+    model = QModel(LinearModel(rng.standard_normal(n_features + 1)), fmap)
+    assert np.abs(fmap.argument(np.hstack([states, actions]))).max() > 20
+    assert np.max((policy.std * fmap.projection[:, 1:]) ** 2) < 12
+    return policy, batch, model
+
+
+def test_rff_mc_q_matches_the_gauss_hermite_reference():
+    """Each factor reads one shifted sine, at the mean, against damped
+    weights: within sum_f |w_f| bound_f of the 40-node rule over
+    ``QModel.predict`` on the swapped rows, bound_f being the float32 sine
+    bound at the mean, plus the rounding of the float64 sums; the bound was
+    fixed before the first run."""
+    policy, batch, model = _wide_rff_case()
+    states, actions = batch.states, batch.actions
+    out = BaselineState(BaselineSpec(kind="mc_q", features="rff", n_features=30), model).evaluate(
+        batch, policy, None, model.feature_map(np.hstack([states, actions])))
+    q = lambda s, a: model.predict(s[None], a[None])[0]
+    w = model.model.weights
+    rounding = 2 * (len(w) + 40) * 2.0**-53 * np.sum(np.abs(w))
+    means = policy.mean_actions(states)
+    for i in range(policy.m):
+        _, bound = _rff_swap(model.feature_map, states, actions, i, means[:, i])
+        ref = [gaussian_marginalized_baseline(q, policy, states[r], actions[r], i, 40)
+               for r in range(len(states))]
+        assert np.all(np.abs(out[:, i] - ref) <= bound @ np.abs(w[:-1]) + rounding), f"factor {i}"
+
+
+def test_gauss_hermite_reference_is_the_limit_of_sampling():
+    # a Q no finite rule integrates exactly; 60 000 draws land within 4 SE
+    policy, batch = _gaussian_case()
+    s, a, i = batch.states[3], batch.actions[3], 1
+    q = lambda s, a: np.sin(2.0 * a[..., 1] + s[0]) * np.cos(a[..., 0]) + a[..., 1] ** 3
+    n = 60000
+    draws = policy.sample_factors(s[None], n, np.random.default_rng(38), [i])[0, 0]
+    se = np.std(q(s, _swap(np.tile(a, (n, 1)), i, draws)), ddof=1) / np.sqrt(n)
+    sampled = mc_marginalized_baseline(q, policy, s, a, i, n_samples=n,
+                                       rng=np.random.default_rng(38))
+    assert abs(sampled - gaussian_marginalized_baseline(q, policy, s, a, i, 40)) < 4 * se
+
+
+@pytest.mark.parametrize("features", ["linear", "quadratic", "rff"])
+def test_gaussian_mc_q_draws_nothing(refit_arm, features):
+    # once the map exists, a Gaussian mc_q arm reads no generator: it gives
+    # the same values without one and leaves one it is handed where it was
+    policy, batch = _gaussian_case()
+    spec = BaselineSpec(kind="mc_q", mc_samples=5, features=features,
+                        n_features=20 if features == "rff" else 100)
+    state = refit_arm(spec, batch, policy, np.random.default_rng(1))
+    rng = np.random.default_rng(3)
+    expect = state.evaluate_and_refit(batch, policy, rng)[0]
+    np.testing.assert_array_equal(state.evaluate_and_refit(batch, policy, None)[0], expect)
+    assert rng.random() == np.random.default_rng(3).random()
+
+
+@pytest.mark.parametrize("features", ["quadratic", "rff"])
+def test_gaussian_mc_q_does_not_read_the_factor_it_integrates(refit_arm, features):
+    """Moving every row's a^i moves b_i by rounding alone: on quadratic
+    features by the float64 rounding of the dot product and the closed-form
+    terms, on random features by the float32 sine bound at the mean on each
+    side. The bounds were fixed before the first run."""
+    policy, batch = _gaussian_case()
+    spec = BaselineSpec(kind="mc_q", features=features, n_features=30 if features == "rff" else 100)
+    state = refit_arm(spec, batch, policy, np.random.default_rng(1))
+    fmap, w = state.fitted.feature_map, state.fitted.model.weights
+    means, var = policy.mean_actions(batch.states), policy.std**2
+    moves = 1.5 * np.random.default_rng(39).standard_normal(batch.actions.shape)
+    for i in range(policy.m):
+        sides = []
+        for actions in (batch.actions, _swap(batch.actions, i, batch.actions[:, i] + moves[:, i])):
+            phi = fmap(np.hstack([batch.states, actions]))
+            moved = Batch.from_paths([(batch.states, actions, np.zeros(batch.n_steps))], gamma=1.0)
+            b = state.evaluate(moved, policy, None, phi)[:, i]
+            if features == "rff":
+                bound = _rff_swap(fmap, batch.states, actions, i, means[:, i])[1] @ np.abs(w[:-1])
+                bound += 2 * (len(w) + 1) * 2.0**-53 * np.sum(np.abs(w))
+            else:
+                a, col = actions[:, i], 1 + i
+                scale = (np.abs(phi) @ np.abs(w[:-1]) + abs(w[-1]) + abs(w[col]) * (
+                    np.abs(means[:, i]) + np.abs(a)) + abs(w[fmap.input_dim + col]) * (
+                    means[:, i] ** 2 + var[i] + a * a))
+                bound = (len(w) + 4) * 2.0**-53 * scale
+            sides.append((b, bound))
+        (b0, bound0), (b1, bound1) = sides
+        assert np.all(np.abs(b1 - b0) <= bound0 + bound1), f"factor {i}"
+
+
+def test_tabular_mc_q_rejects_gaussian_factors():
+    # a table critic has no Gaussian expectation to take
+    with pytest.raises(ValueError, match="tabular mc_q"):
+        baselines.check_marginal(BaselineSpec(kind="mc_q", tabular=True),
+                                 IndependentGaussianPolicy.zeros(2, 1))
+    baselines.check_marginal(BaselineSpec(kind="mc_q", tabular=True), _two_factor_policy())
 
 
 def test_exact_mc_q_rejects_continuous_factors(refit_arm):

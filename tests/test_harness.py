@@ -436,7 +436,9 @@ def test_run_experiment_names_the_arm_of_a_failed_solve(tmp_path, monkeypatch):
      "arm 'sum': exact mc_q .* categorical factors"),
     ("matching", {"features": "indicator"}, {"name": "state", "kind": "state_value"},
      "indicator policy features need categorical factors"),
-], ids=["mean_q-categorical", "exact_mc_q-gaussian", "indicator-gaussian"])
+    ("matching", {}, {"name": "table", "kind": "mc_q", "tabular": True},
+     "arm 'table': tabular mc_q .* categorical factors"),
+], ids=["mean_q-categorical", "exact_mc_q-gaussian", "indicator-gaussian", "mc_q-table-gaussian"])
 def test_incompatible_arm_or_policy_fails_before_the_run_directory(tmp_path, env, policy, arm, match):
     chain = importlib.resources.files("factored_pg").joinpath("fixtures", "chain_two_step.json")
     envs = {"chain": {"name": "tabular", "params": {"path": str(chain)}},

@@ -12,15 +12,17 @@ side importing its own ``src/``:
 - ``matching_task_config(100)``, seed 0, 40 iterations;
 - the ``point_mass`` and ``tabular_chain`` configs of
   ``perfbench/workloads.py``, seeds 0-1, 30 iterations;
-- sampled candidates (K = 5 per factor) on the matching task at m=12: arms
-  ``mc_q`` and ``optimal_action`` on a quadratic critic, seeds 0-1, 30
-  iterations;
+- the matching task at m=12 on a quadratic critic: arms ``mc_q``, which
+  integrates each factor out in closed form, and sampled ``optimal_action``
+  (K = 5 per factor), seeds 0-1, 30 iterations;
 - the matching task at m=12 on a critic of 50 random Fourier features: arms
   ``mean_q`` and sampled ``optimal_action`` (K = 5), seeds 0-1, 30
   iterations;
 - the matching task at m=12 on a tabular critic, so the table reads
   rounded Gaussian candidates and rows outside its fitted range: arms
-  ``mean_q`` and sampled ``mc_q`` (K = 5), seeds 0-1, 30 iterations;
+  ``mean_q`` and sampled ``optimal_action`` (K = 5), seeds 0-1, 30
+  iterations (a table has no Gaussian expectation, so ``mc_q`` is rejected
+  there);
 - ragged categorical supports (cardinalities 2 and 3) on the
   ``bandit_two_factor`` fixture with indicator policy features: exact
   ``mc_q`` and ``optimal_action``, each with a tabular and with a quadratic
@@ -115,7 +117,8 @@ runs.append(config_from_dict({
     "env": {"name": "target_matching", "params": {"m": 12, "target_seed": 0}},
     "optimizer": {"kind": "npg", "kl": 0.025, "damping": 0.1},
     "arms": [{"name": "mean_q", "kind": "mean_q", "tabular": True},
-             {"name": "mc_q", "kind": "mc_q", "mc_samples": 5, "tabular": True}],
+             {"name": "optimal_action", "kind": "optimal_action", "mc_samples": 5,
+              "tabular": True}],
     "n_iterations": 30, "n_trajectories": 250, "lam": 1.0, "seeds": [0, 1],
     "out_dir": os.path.join(out, "matching_m12_table"),
 }))
